@@ -10,8 +10,8 @@
 //! returns, because that walk is exactly what populated it.
 //!
 //! Concurrency: the key space is split across segments by key
-//! fingerprint, each behind its own mutex, so worker threads serving
-//! different patterns rarely contend. Within a segment, entries form a
+//! fingerprint, each behind its own mutex, so concurrent callers
+//! looking up different patterns rarely contend. Within a segment, entries form a
 //! doubly-linked LRU list over a slab; the map from fingerprint to slab
 //! slot confirms the full key on every probe (same fingerprint-probe +
 //! full-confirm discipline as the build path's `IntervalTable`), so a

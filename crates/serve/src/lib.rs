@@ -5,7 +5,10 @@
 //! querying side a real service. Everything here is post-processing of
 //! released synopses — no privacy accounting happens at serving time.
 //!
-//! Std-only (no registry dependencies), four layers:
+//! Std-only (no registry dependencies). The wire codec, client, shard
+//! manager, cache, metrics, trace ring, and store build on every
+//! platform; the daemon itself ([`poll`] and [`server`]) is Linux-only.
+//! The layers:
 //!
 //! * [`wire`] — the versioned length-prefixed binary protocol
 //!   (`DPSQ`/`DPSR` frames: magic, LE framing, FNV-1a checksum,
@@ -38,12 +41,11 @@
 //!   fault-injection [`StoreIo`](store::StoreIo) layer for enumerating
 //!   crash points under test.
 //! * [`poll`] (Linux) — a std-only edge-triggered epoll wrapper plus a
-//!   self-pipe waker, the readiness layer under the default server core.
-//! * [`server`] / [`client`] — the TCP daemon (readiness event loop on
-//!   Linux, portable thread-pool fallback; see
-//!   [`CoreKind`](server::CoreKind)) with per-connection request
-//!   batching, and the blocking client used by the examples, tests, and
-//!   the `serve_throughput` load generator.
+//!   self-pipe waker, the readiness layer under the daemon.
+//! * [`server`] (Linux) / [`client`] — the TCP daemon (one epoll event
+//!   loop plus an installer thread for snapshot loads) with
+//!   per-connection request batching, and the blocking client used by
+//!   the examples, tests, and the `serve_throughput` load generator.
 //!
 //! ```no_run
 //! use std::sync::Arc;
@@ -65,6 +67,7 @@ pub mod client;
 pub mod metrics;
 #[cfg(target_os = "linux")]
 pub mod poll;
+#[cfg(target_os = "linux")]
 pub mod server;
 pub mod shard;
 pub mod store;
@@ -74,7 +77,8 @@ pub mod wire;
 pub use cache::QueryCache;
 pub use client::{Client, ClientConfig, ClientError, RetryPolicy};
 pub use metrics::{render_prometheus, MetricsRegistry, OpKind, OpObservation};
-pub use server::{CoreKind, Server, ServerConfig, ServerHandle, ShutdownPolicy};
+#[cfg(target_os = "linux")]
+pub use server::{Server, ServerConfig, ServerHandle, ShutdownPolicy};
 pub use shard::{ShardManager, ShardSnapshot};
 pub use store::{
     FaultPlan, FaultyIo, RealIo, RecoveredSnapshot, SnapshotStore, StoreError, StoreIo,

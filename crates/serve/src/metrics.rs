@@ -252,8 +252,8 @@ impl OpObservation {
     }
 }
 
-/// The daemon-wide metrics state. One instance per [`crate::Server`],
-/// shared by whichever core (readiness or thread-pool) serves traffic.
+/// The daemon-wide metrics state: one instance per serving daemon,
+/// shared by its event loop and installer thread.
 #[derive(Debug)]
 pub struct MetricsRegistry {
     start: Instant,

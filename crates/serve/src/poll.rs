@@ -1,4 +1,4 @@
-//! Readiness polling for the event-driven server core: a thin, std-only
+//! Readiness polling for the server's event loop: a thin, std-only
 //! wrapper over the Linux `epoll` family plus a self-pipe waker.
 //!
 //! `std` exposes no readiness API and the build environment has no
@@ -26,9 +26,8 @@
 //!   read-timeout shutdown polls: shutdown latency is now one pipe write,
 //!   not a poll interval.
 //!
-//! This module is `cfg(target_os = "linux")`; on other platforms the
-//! server falls back to the portable thread-pool core behind the same
-//! `Server` API (see `server::CoreKind`).
+//! This module is `cfg(target_os = "linux")`, and so is the server built
+//! on it; the rest of the crate stays portable.
 
 use std::io;
 use std::os::fd::{AsRawFd, OwnedFd, RawFd};

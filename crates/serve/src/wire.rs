@@ -345,11 +345,9 @@ pub struct MetricsReport {
     pub latency_p99_ns: f64,
     /// Per-op latency percentiles (each op's own histogram).
     pub op_latency: OpLatencies,
-    /// Nanoseconds the readiness event loop spent blocked in
-    /// `epoll_wait` (0 under the thread-pool core).
+    /// Nanoseconds the event loop spent blocked in `epoll_wait`.
     pub loop_wait_ns: u64,
-    /// Nanoseconds the readiness event loop spent servicing readiness
-    /// events (0 under the thread-pool core).
+    /// Nanoseconds the event loop spent servicing readiness events.
     pub loop_busy_ns: u64,
     /// `loop_busy_ns / (loop_wait_ns + loop_busy_ns)` — event-loop
     /// utilization in [0, 1]; 0 when neither was recorded.

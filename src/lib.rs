@@ -17,7 +17,7 @@
 //! | [`lowerbounds`] | Theorems 5–7 instances and distinguishing attacks |
 //! | [`workloads`] | synthetic corpus generators |
 //! | [`audit`] | statistical conformance harness: sampler goodness-of-fit, end-to-end privacy distinguishers, utility-vs-theorem-bound scenario matrix |
-//! | [`serve`] | sharded TCP serving daemon: epoll readiness core (10k+ connections on one thread), binary wire protocol, per-connection batching, epoch-keyed LRU cache, hot snapshot swap, live metrics |
+//! | [`serve`] | sharded TCP serving daemon (Linux): one epoll event loop (10k+ connections on one thread), binary wire protocol, per-connection batching, epoch-keyed LRU cache, hot snapshot swap, live metrics |
 //!
 //! ## Quickstart
 //!
@@ -81,10 +81,11 @@ pub mod prelude {
         PrivateCountStructure, QgramParams, SimpleTrieParams, SnapshotCodec,
     };
     pub use dpsc_serve::{
-        Client, ClientConfig, ClientError, CoreKind, MetricsReport, RetryPolicy, Server,
-        ServerConfig, ServerHandle, ShardManager, ShutdownPolicy, SnapshotStore, TraceEvent,
-        TraceKind,
+        Client, ClientConfig, ClientError, MetricsReport, RetryPolicy, ShardManager, SnapshotStore,
+        TraceEvent, TraceKind,
     };
+    #[cfg(target_os = "linux")]
+    pub use dpsc_serve::{Server, ServerConfig, ServerHandle, ShutdownPolicy};
     pub use dpsc_strkit::alphabet::{Alphabet, Database};
     pub use dpsc_textindex::CorpusIndex;
 }

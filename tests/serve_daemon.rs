@@ -64,8 +64,7 @@ fn synthetic(base: f64) -> FrozenSynopsis {
 }
 
 fn spawn_daemon(manager: Arc<ShardManager>) -> dp_substring_counting::serve::ServerHandle {
-    Server::spawn(ServerConfig { workers: 3, ..ServerConfig::default() }, manager)
-        .expect("daemon binds a loopback port")
+    Server::spawn(ServerConfig::default(), manager).expect("daemon binds a loopback port")
 }
 
 #[test]
@@ -314,17 +313,15 @@ fn v2_snapshots_serve_borrowed_over_the_wire() {
 }
 
 /// Regression: a daemon bound to the wildcard address must still shut
-/// down promptly. `shutdown` wakes the blocked acceptor with a loopback
-/// connection — connecting to the *bound* `0.0.0.0` address is not
-/// reliably routable, which used to leave the join hanging on platforms
-/// that refuse such connects.
+/// down promptly after serving traffic. `shutdown` wakes the event loop
+/// through its self-pipe, so the bound address plays no part in the
+/// wake.
 #[test]
 fn shutdown_wakes_a_wildcard_bound_acceptor() {
     let (frozen, _) = dp_built(36);
     let manager = Arc::new(ShardManager::new());
     let config = ServerConfig {
         addr: "0.0.0.0:0".to_string(),
-        workers: 2,
         cache_capacity: 64,
         ..ServerConfig::default()
     };
@@ -348,48 +345,69 @@ fn shutdown_wakes_a_wildcard_bound_acceptor() {
         .expect("wildcard-bound daemon failed to shut down within 10s");
 }
 
+/// The self-pipe waker is live from `bind`, before the event loop's
+/// first `epoll_wait`: a daemon shut down right after `spawn`, with no
+/// client ever connecting, must join promptly on a concrete loopback
+/// bind and on a wildcard bind alike.
+#[test]
+fn shutdown_right_after_spawn_joins_without_any_client() {
+    for addr in ["127.0.0.1:0", "0.0.0.0:0"] {
+        for i in 0..32 {
+            let config = ServerConfig { addr: addr.to_string(), ..ServerConfig::default() };
+            let handle =
+                Server::spawn(config, Arc::new(ShardManager::new())).expect("daemon binds");
+            let (done_tx, done_rx) = std::sync::mpsc::channel();
+            std::thread::spawn(move || {
+                handle.shutdown();
+                let _ = done_tx.send(());
+            });
+            done_rx
+                .recv_timeout(Duration::from_secs(10))
+                .unwrap_or_else(|_| panic!("{addr} daemon {i} failed to shut down within 10s"));
+        }
+    }
+}
+
 /// Regression: a corrupt length prefix in the *first* frame used to be
 /// silently dropped (`break 'conn` with no response) while the same
-/// corruption later in the stream was answered with an error frame. Both
-/// cores now follow one contract for corruption anywhere in the stream:
-/// error frame back, flush, then close.
+/// corruption later in the stream was answered with an error frame. The
+/// daemon now follows one contract for corruption anywhere in the
+/// stream: error frame back, flush, then close.
 #[test]
 fn garbage_first_frame_gets_an_error_frame_then_close() {
     use dp_substring_counting::serve::wire::decode_response;
     use std::io::{Read, Write};
 
-    for core in [CoreKind::Readiness, CoreKind::ThreadPool] {
-        let manager = Arc::new(ShardManager::new());
-        let config = ServerConfig { core, ..ServerConfig::default() };
-        let handle = Server::spawn(config, manager).expect("daemon binds");
+    let manager = Arc::new(ShardManager::new());
+    let config = ServerConfig::default();
+    let handle = Server::spawn(config, manager).expect("daemon binds");
 
-        let mut raw = std::net::TcpStream::connect(handle.addr()).expect("raw connect");
-        raw.set_read_timeout(Some(std::time::Duration::from_secs(10))).unwrap();
-        // A length prefix far beyond MAX_FRAME_LEN: unrecoverable.
-        raw.write_all(&[0xFF; 16]).expect("garbage written");
+    let mut raw = std::net::TcpStream::connect(handle.addr()).expect("raw connect");
+    raw.set_read_timeout(Some(std::time::Duration::from_secs(10))).unwrap();
+    // A length prefix far beyond MAX_FRAME_LEN: unrecoverable.
+    raw.write_all(&[0xFF; 16]).expect("garbage written");
 
-        let mut len = [0u8; 4];
-        raw.read_exact(&mut len).expect("an error frame must come back ({core:?})");
-        let body_len = u32::from_le_bytes(len) as usize;
-        let mut body = vec![0u8; body_len];
-        raw.read_exact(&mut body).expect("error frame body");
-        match decode_response(&body).expect("well-formed response frame") {
-            Response::Error { message } => {
-                assert!(!message.is_empty(), "error carries a reason ({core:?})")
-            }
-            other => panic!("expected an error frame, got {other:?} ({core:?})"),
+    let mut len = [0u8; 4];
+    raw.read_exact(&mut len).expect("an error frame must come back");
+    let body_len = u32::from_le_bytes(len) as usize;
+    let mut body = vec![0u8; body_len];
+    raw.read_exact(&mut body).expect("error frame body");
+    match decode_response(&body).expect("well-formed response frame") {
+        Response::Error { message } => {
+            assert!(!message.is_empty(), "error carries a reason")
         }
-        // …and then the server closes the unrecoverable stream.
-        let mut rest = Vec::new();
-        let n = raw.read_to_end(&mut rest).expect("clean EOF after the error frame");
-        assert_eq!(n, 0, "no bytes after the error frame ({core:?})");
-
-        // The daemon itself is unharmed: a fresh client still gets served.
-        let mut client = Client::connect(handle.addr()).expect("fresh client connects");
-        let err = client.query(9, b"x").expect_err("unknown shard errors");
-        assert!(err.to_string().contains("unknown shard"), "daemon still serving ({core:?})");
-        handle.shutdown();
+        other => panic!("expected an error frame, got {other:?}"),
     }
+    // …and then the server closes the unrecoverable stream.
+    let mut rest = Vec::new();
+    let n = raw.read_to_end(&mut rest).expect("clean EOF after the error frame");
+    assert_eq!(n, 0, "no bytes after the error frame");
+
+    // The daemon itself is unharmed: a fresh client still gets served.
+    let mut client = Client::connect(handle.addr()).expect("fresh client connects");
+    let err = client.query(9, b"x").expect_err("unknown shard errors");
+    assert!(err.to_string().contains("unknown shard"), "daemon still serving");
+    handle.shutdown();
 }
 
 /// The wire `Shutdown` gate: the default loopback-only policy admits a
@@ -397,46 +415,42 @@ fn garbage_first_frame_gets_an_error_frame_then_close() {
 /// while the daemon keeps serving (only the handle can stop it).
 #[test]
 fn shutdown_gate_admits_by_policy_and_refuses_with_an_error() {
-    for core in [CoreKind::Readiness, CoreKind::ThreadPool] {
-        // Accept path: default policy, loopback peer → daemon stops.
-        let manager = Arc::new(ShardManager::new());
-        let config = ServerConfig { core, ..ServerConfig::default() };
-        let handle = Server::spawn(config, manager).expect("daemon binds");
-        let client = Client::connect(handle.addr()).expect("client connects");
-        client.shutdown_server().expect("loopback peer may shut the daemon down");
-        let (done_tx, done_rx) = std::sync::mpsc::channel();
-        std::thread::spawn(move || {
-            handle.shutdown();
-            let _ = done_tx.send(());
-        });
-        done_rx
-            .recv_timeout(std::time::Duration::from_secs(10))
-            .expect("daemon joins promptly after a wire shutdown");
-
-        // Reject path: Deny policy — even loopback is refused, the
-        // connection stays usable, and the daemon keeps serving.
-        let manager = Arc::new(ShardManager::new());
-        let config =
-            ServerConfig { core, shutdown_policy: ShutdownPolicy::Deny, ..ServerConfig::default() };
-        let handle = Server::spawn(config, manager).expect("daemon binds");
-        let mut client = Client::connect(handle.addr()).expect("client connects");
-        match client.call(&Request::Shutdown).expect("refusal is a response, not a hangup") {
-            Response::Error { message } => {
-                assert!(message.contains("shutdown refused"), "got: {message}")
-            }
-            other => panic!("expected a refusal, got {other:?}"),
-        }
-        // Same connection, next request: still served.
-        let err = client.query(3, b"x").expect_err("unknown shard errors");
-        assert!(err.to_string().contains("unknown shard 3"), "daemon survived ({core:?})");
+    // Accept path: default policy, loopback peer → daemon stops.
+    let manager = Arc::new(ShardManager::new());
+    let config = ServerConfig::default();
+    let handle = Server::spawn(config, manager).expect("daemon binds");
+    let client = Client::connect(handle.addr()).expect("client connects");
+    client.shutdown_server().expect("loopback peer may shut the daemon down");
+    let (done_tx, done_rx) = std::sync::mpsc::channel();
+    std::thread::spawn(move || {
         handle.shutdown();
+        let _ = done_tx.send(());
+    });
+    done_rx
+        .recv_timeout(std::time::Duration::from_secs(10))
+        .expect("daemon joins promptly after a wire shutdown");
+
+    // Reject path: Deny policy — even loopback is refused, the
+    // connection stays usable, and the daemon keeps serving.
+    let manager = Arc::new(ShardManager::new());
+    let config = ServerConfig { shutdown_policy: ShutdownPolicy::Deny, ..ServerConfig::default() };
+    let handle = Server::spawn(config, manager).expect("daemon binds");
+    let mut client = Client::connect(handle.addr()).expect("client connects");
+    match client.call(&Request::Shutdown).expect("refusal is a response, not a hangup") {
+        Response::Error { message } => {
+            assert!(message.contains("shutdown refused"), "got: {message}")
+        }
+        other => panic!("expected a refusal, got {other:?}"),
     }
+    // Same connection, next request: still served.
+    let err = client.query(3, b"x").expect_err("unknown shard errors");
+    assert!(err.to_string().contains("unknown shard 3"), "daemon survived");
+    handle.shutdown();
 }
 
-/// The readiness core's reason to exist: far more simultaneous
-/// connections than the thread-pool core has workers, all held open at
-/// once, every answer bit-identical to the local oracle — and shutdown
-/// still joins promptly with hundreds of connections live.
+/// Hundreds of simultaneous connections on one event-loop thread, all
+/// held open at once, every answer bit-identical to the local oracle —
+/// and shutdown still joins promptly with hundreds of connections live.
 #[test]
 fn hundreds_of_concurrent_connections_serve_bit_identically() {
     const CONNS: usize = 256;
@@ -449,9 +463,7 @@ fn hundreds_of_concurrent_connections_serve_bit_identically() {
 
     let manager = Arc::new(ShardManager::new());
     manager.install(0, gen, 0);
-    // workers=2 ≪ CONNS: only the event loop can serve this shape.
-    let config = ServerConfig { workers: 2, ..ServerConfig::default() };
-    let handle = Server::spawn(config, manager).expect("daemon binds");
+    let handle = Server::spawn(ServerConfig::default(), manager).expect("daemon binds");
     let addr = handle.addr();
 
     let barrier = std::sync::Barrier::new(CONNS);
@@ -549,7 +561,7 @@ fn metrics_reconcile_with_client_side_counts() {
     handle.shutdown();
 }
 
-/// Write backpressure on the readiness core: with a deliberately tiny
+/// Write backpressure: with a deliberately tiny
 /// outbound high-water mark, a large pipelined burst (answers queue
 /// faster than the client drains) still comes back complete, in order,
 /// and bit-identical — reading pauses instead of buffering unboundedly.
@@ -607,7 +619,7 @@ fn read_shed_frame(addr: std::net::SocketAddr) -> Response {
 /// The admission bound sheds excess connections with a retryable
 /// `Overloaded` frame while every admitted connection keeps answering
 /// bit-identically, and `overloaded_total` reconciles exactly with the
-/// observed sheds — on both cores.
+/// observed sheds.
 #[test]
 fn admission_bound_sheds_overloaded_and_healthy_conns_stay_correct() {
     let gen = synthetic(11.0);
@@ -617,143 +629,124 @@ fn admission_bound_sheds_overloaded_and_healthy_conns_stay_correct() {
     let refs: Vec<&[u8]> = probe.iter().map(|p| p.as_slice()).collect();
     let expect: Vec<u64> = gen.query_batch(&refs).iter().map(|v| v.to_bits()).collect();
 
-    for core in [CoreKind::Readiness, CoreKind::ThreadPool] {
-        let manager = Arc::new(ShardManager::new());
-        manager.install(0, gen.clone(), 0);
-        let config = ServerConfig { core, workers: 2, max_conns: 2, ..ServerConfig::default() };
-        let handle = Server::spawn(config, manager).expect("daemon binds");
+    let manager = Arc::new(ShardManager::new());
+    manager.install(0, gen.clone(), 0);
+    let config = ServerConfig { max_conns: 2, ..ServerConfig::default() };
+    let handle = Server::spawn(config, manager).expect("daemon binds");
 
-        // Fill the admission bound and prove both slots are live.
-        let mut healthy: Vec<Client> =
-            (0..2).map(|_| Client::connect(handle.addr()).expect("admitted connection")).collect();
-        for c in healthy.iter_mut() {
-            c.query(0, b"aaa").expect("admitted connection answers");
-        }
-
-        // Five raw probes: each shed at accept with a typed frame.
-        for i in 0..5 {
-            let resp = read_shed_frame(handle.addr());
-            assert!(
-                matches!(resp, Response::Overloaded),
-                "shed {i} got {resp:?} instead of Overloaded ({core:?})"
-            );
-        }
-        // The typed client surfaces the shed as the retryable error (the
-        // reset race can also surface as Io; both are retryable).
-        let mut extra = Client::connect(handle.addr()).expect("TCP connect succeeds");
-        let err = extra.query(0, b"aaa").expect_err("6th conn is shed");
-        assert!(
-            matches!(err, ClientError::Overloaded | ClientError::Io(_)),
-            "got: {err} ({core:?})"
-        );
-        drop(extra);
-
-        // Healthy connections never noticed: answers stay bit-identical,
-        // and the counter reconciles with exactly 6 observed sheds.
-        for c in healthy.iter_mut() {
-            let served: Vec<u64> =
-                c.query_batch(0, &refs).unwrap().iter().map(|v| v.to_bits()).collect();
-            assert_eq!(served, expect, "healthy conn degraded under overload ({core:?})");
-        }
-        let report = healthy[0].metrics().expect("metrics");
-        assert_eq!(report.overloaded_total, 6, "shed count reconciles ({core:?})");
-        assert_eq!(report.conns_open, 2, "only admitted conns counted ({core:?})");
-
-        // Freeing a slot lets a retrying client in.
-        drop(healthy.pop());
-        let policy = RetryPolicy {
-            max_retries: 10,
-            base_delay: Duration::from_millis(20),
-            max_delay: Duration::from_millis(200),
-            ..RetryPolicy::default()
-        };
-        let mut late = Client::connect(handle.addr()).expect("TCP connect succeeds");
-        let v =
-            late.query_with_retry(0, &probe[7], &policy).expect("retry admits once capacity frees");
-        assert_eq!(v.to_bits(), gen.query(&probe[7]).to_bits(), "({core:?})");
-        handle.shutdown();
+    // Fill the admission bound and prove both slots are live.
+    let mut healthy: Vec<Client> =
+        (0..2).map(|_| Client::connect(handle.addr()).expect("admitted connection")).collect();
+    for c in healthy.iter_mut() {
+        c.query(0, b"aaa").expect("admitted connection answers");
     }
+
+    // Five raw probes: each shed at accept with a typed frame.
+    for i in 0..5 {
+        let resp = read_shed_frame(handle.addr());
+        assert!(
+            matches!(resp, Response::Overloaded),
+            "shed {i} got {resp:?} instead of Overloaded"
+        );
+    }
+    // The typed client surfaces the shed as the retryable error (the
+    // reset race can also surface as Io; both are retryable).
+    let mut extra = Client::connect(handle.addr()).expect("TCP connect succeeds");
+    let err = extra.query(0, b"aaa").expect_err("6th conn is shed");
+    assert!(matches!(err, ClientError::Overloaded | ClientError::Io(_)), "got: {err}");
+    drop(extra);
+
+    // Healthy connections never noticed: answers stay bit-identical,
+    // and the counter reconciles with exactly 6 observed sheds.
+    for c in healthy.iter_mut() {
+        let served: Vec<u64> =
+            c.query_batch(0, &refs).unwrap().iter().map(|v| v.to_bits()).collect();
+        assert_eq!(served, expect, "healthy conn degraded under overload");
+    }
+    let report = healthy[0].metrics().expect("metrics");
+    assert_eq!(report.overloaded_total, 6, "shed count reconciles");
+    assert_eq!(report.conns_open, 2, "only admitted conns counted");
+
+    // Freeing a slot lets a retrying client in.
+    drop(healthy.pop());
+    let policy = RetryPolicy {
+        max_retries: 10,
+        base_delay: Duration::from_millis(20),
+        max_delay: Duration::from_millis(200),
+        ..RetryPolicy::default()
+    };
+    let mut late = Client::connect(handle.addr()).expect("TCP connect succeeds");
+    let v = late.query_with_retry(0, &probe[7], &policy).expect("retry admits once capacity frees");
+    assert_eq!(v.to_bits(), gen.query(&probe[7]).to_bits());
+    handle.shutdown();
 }
 
 /// A slow-loris connection (partial frame, then silence) is evicted at
 /// the read deadline while a healthy connection keeps answering, and
-/// `deadline_evicted_total` reconciles exactly — on both cores.
+/// `deadline_evicted_total` reconciles exactly.
 #[test]
 fn slow_loris_is_evicted_while_healthy_conns_keep_answering() {
     let gen = synthetic(12.0);
-    for core in [CoreKind::Readiness, CoreKind::ThreadPool] {
-        let manager = Arc::new(ShardManager::new());
-        manager.install(0, gen.clone(), 0);
-        let config = ServerConfig {
-            core,
-            workers: 3,
-            read_deadline: Some(Duration::from_millis(200)),
-            ..ServerConfig::default()
-        };
-        let handle = Server::spawn(config, manager).expect("daemon binds");
+    let manager = Arc::new(ShardManager::new());
+    manager.install(0, gen.clone(), 0);
+    let config =
+        ServerConfig { read_deadline: Some(Duration::from_millis(200)), ..ServerConfig::default() };
+    let handle = Server::spawn(config, manager).expect("daemon binds");
 
-        // The loris: two bytes of a frame header, then nothing.
-        let mut loris = TcpStream::connect(handle.addr()).expect("loris connects");
-        loris.write_all(b"DP").expect("partial frame sent");
+    // The loris: two bytes of a frame header, then nothing.
+    let mut loris = TcpStream::connect(handle.addr()).expect("loris connects");
+    loris.write_all(b"DP").expect("partial frame sent");
 
-        // Healthy traffic throughout the loris's stall window.
-        let mut client = Client::connect(handle.addr()).expect("client connects");
-        let start = Instant::now();
-        while start.elapsed() < Duration::from_millis(800) {
-            let v = client.query(0, b"abc").expect("healthy conn keeps answering");
-            assert_eq!(v.to_bits(), gen.query(b"abc").to_bits(), "({core:?})");
-            std::thread::sleep(Duration::from_millis(25));
-        }
-
-        // The loris must be gone: its socket reads EOF (or a reset).
-        loris.set_read_timeout(Some(Duration::from_secs(5))).unwrap();
-        let mut one = [0u8; 16];
-        match loris.read(&mut one) {
-            Ok(0) | Err(_) => {}
-            Ok(n) => panic!("loris read {n} unexpected bytes ({core:?})"),
-        }
-        let report = client.metrics().expect("metrics");
-        assert_eq!(report.deadline_evicted_total, 1, "exactly the loris evicted ({core:?})");
-        assert_eq!(report.idle_reaped_total, 0, "no idle reaping configured ({core:?})");
-        handle.shutdown();
+    // Healthy traffic throughout the loris's stall window.
+    let mut client = Client::connect(handle.addr()).expect("client connects");
+    let start = Instant::now();
+    while start.elapsed() < Duration::from_millis(800) {
+        let v = client.query(0, b"abc").expect("healthy conn keeps answering");
+        assert_eq!(v.to_bits(), gen.query(b"abc").to_bits());
+        std::thread::sleep(Duration::from_millis(25));
     }
+
+    // The loris must be gone: its socket reads EOF (or a reset).
+    loris.set_read_timeout(Some(Duration::from_secs(5))).unwrap();
+    let mut one = [0u8; 16];
+    match loris.read(&mut one) {
+        Ok(0) | Err(_) => {}
+        Ok(n) => panic!("loris read {n} unexpected bytes"),
+    }
+    let report = client.metrics().expect("metrics");
+    assert_eq!(report.deadline_evicted_total, 1, "exactly the loris evicted");
+    assert_eq!(report.idle_reaped_total, 0, "no idle reaping configured");
+    handle.shutdown();
 }
 
 /// Idle connections are reaped at `idle_timeout` while connections with
-/// in-window traffic survive, and `idle_reaped_total` reconciles — on
-/// both cores.
+/// in-window traffic survive, and `idle_reaped_total` reconciles.
 #[test]
 fn idle_connections_are_reaped_but_active_ones_survive() {
     let gen = synthetic(13.0);
-    for core in [CoreKind::Readiness, CoreKind::ThreadPool] {
-        let manager = Arc::new(ShardManager::new());
-        manager.install(0, gen.clone(), 0);
-        let config = ServerConfig {
-            core,
-            workers: 3,
-            idle_timeout: Some(Duration::from_millis(200)),
-            ..ServerConfig::default()
-        };
-        let handle = Server::spawn(config, manager).expect("daemon binds");
+    let manager = Arc::new(ShardManager::new());
+    manager.install(0, gen.clone(), 0);
+    let config =
+        ServerConfig { idle_timeout: Some(Duration::from_millis(200)), ..ServerConfig::default() };
+    let handle = Server::spawn(config, manager).expect("daemon binds");
 
-        let mut idle = Client::connect(handle.addr()).expect("idle client connects");
-        idle.query(0, b"abc").expect("one query, then silence");
-        let mut active = Client::connect(handle.addr()).expect("active client connects");
+    let mut idle = Client::connect(handle.addr()).expect("idle client connects");
+    idle.query(0, b"abc").expect("one query, then silence");
+    let mut active = Client::connect(handle.addr()).expect("active client connects");
 
-        // 600 ms of in-window traffic from the active client; the idle
-        // one stays quiet well past the timeout.
-        for _ in 0..12 {
-            active.query(0, b"abc").expect("in-window traffic survives");
-            std::thread::sleep(Duration::from_millis(50));
-        }
-
-        let err = idle.query(0, b"abc").expect_err("idle conn was reaped");
-        assert!(matches!(err, ClientError::Io(_)), "got: {err} ({core:?})");
-        let report = active.metrics().expect("metrics");
-        assert_eq!(report.idle_reaped_total, 1, "exactly the idle conn reaped ({core:?})");
-        assert_eq!(report.deadline_evicted_total, 0, "no deadline configured ({core:?})");
-        handle.shutdown();
+    // 600 ms of in-window traffic from the active client; the idle
+    // one stays quiet well past the timeout.
+    for _ in 0..12 {
+        active.query(0, b"abc").expect("in-window traffic survives");
+        std::thread::sleep(Duration::from_millis(50));
     }
+
+    let err = idle.query(0, b"abc").expect_err("idle conn was reaped");
+    assert!(matches!(err, ClientError::Io(_)), "got: {err}");
+    let report = active.metrics().expect("metrics");
+    assert_eq!(report.idle_reaped_total, 1, "exactly the idle conn reaped");
+    assert_eq!(report.deadline_evicted_total, 0, "no deadline configured");
+    handle.shutdown();
 }
 
 /// A `StoreIo` whose payload write blocks on a condvar gate, so a test
@@ -801,81 +794,72 @@ impl StoreIo for GatedIo {
 }
 
 /// The satellite regression: a `LoadSnapshot` stuck deep inside persist
-/// must not stall other connections' queries. On the readiness core the
-/// install runs off the event-loop thread; on the thread-pool core it
-/// pins only its own worker. Queries from a second connection answer
-/// within a strict timeout for the whole time the install is held, and
-/// the install completes once released.
+/// must not stall other connections' queries: the install runs on the
+/// installer thread, off the event loop. Queries from a second
+/// connection answer within a strict timeout for the whole time the
+/// install is held, and the install completes once released.
 #[test]
 fn queries_stay_responsive_while_an_install_is_stuck_in_persist() {
     let old_gen = synthetic(5.0);
     let new_gen = synthetic(99.0);
     let new_bytes = new_gen.to_bytes();
-    for core in [CoreKind::Readiness, CoreKind::ThreadPool] {
-        let dir = std::env::temp_dir()
-            .join(format!("dpsc-gated-install-{}-{core:?}", std::process::id()));
-        let _ = std::fs::remove_dir_all(&dir);
-        let gate = Arc::new((Mutex::new((true, false)), Condvar::new()));
-        let store = dp_substring_counting::serve::SnapshotStore::open_with(
-            &dir,
-            4,
-            Box::new(GatedIo { inner: RealIo, gate: Arc::clone(&gate) }),
-        )
-        .expect("fresh store opens without touching the gate");
-        let manager = Arc::new(ShardManager::new());
-        manager.install(0, old_gen.clone(), 0);
-        let config = ServerConfig {
-            core,
-            workers: 3,
-            store: Some(Arc::new(store)),
-            ..ServerConfig::default()
-        };
-        let handle = Server::spawn(config, manager).expect("daemon binds");
-        let addr = handle.addr();
+    let dir = std::env::temp_dir().join(format!("dpsc-gated-install-{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    let gate = Arc::new((Mutex::new((true, false)), Condvar::new()));
+    let store = dp_substring_counting::serve::SnapshotStore::open_with(
+        &dir,
+        4,
+        Box::new(GatedIo { inner: RealIo, gate: Arc::clone(&gate) }),
+    )
+    .expect("fresh store opens without touching the gate");
+    let manager = Arc::new(ShardManager::new());
+    manager.install(0, old_gen.clone(), 0);
+    let config = ServerConfig { store: Some(Arc::new(store)), ..ServerConfig::default() };
+    let handle = Server::spawn(config, manager).expect("daemon binds");
+    let addr = handle.addr();
 
-        let install_bytes = new_bytes.clone();
-        let installer = std::thread::spawn(move || {
-            let mut c = Client::connect(addr).expect("installer connects");
-            c.load_snapshot(1, &install_bytes)
-        });
+    let install_bytes = new_bytes.clone();
+    let installer = std::thread::spawn(move || {
+        let mut c = Client::connect(addr).expect("installer connects");
+        c.load_snapshot(1, &install_bytes)
+    });
 
-        // Wait until the install is provably stuck inside the persist.
-        {
-            let (lock, cv) = &*gate;
-            let mut st = lock.lock().unwrap();
-            while !st.1 {
-                let (next, timeout) = cv.wait_timeout(st, Duration::from_secs(10)).unwrap();
-                st = next;
-                assert!(!timeout.timed_out(), "install never reached the store ({core:?})");
-            }
+    // Wait until the install is provably stuck inside the persist.
+    {
+        let (lock, cv) = &*gate;
+        let mut st = lock.lock().unwrap();
+        while !st.1 {
+            let (next, timeout) = cv.wait_timeout(st, Duration::from_secs(10)).unwrap();
+            st = next;
+            assert!(!timeout.timed_out(), "install never reached the store");
         }
-
-        // While held: a second connection's queries answer promptly and
-        // bit-identically to the resident epoch.
-        let mut client = Client::connect_with(
-            addr,
-            ClientConfig { io_timeout: Some(Duration::from_secs(2)), ..ClientConfig::default() },
-        )
-        .expect("query client connects");
-        for _ in 0..10 {
-            let v = client.query(0, b"abc").expect("queries must not stall behind a stuck install");
-            assert_eq!(v.to_bits(), old_gen.query(b"abc").to_bits(), "({core:?})");
-        }
-
-        // Release the gate: the install completes with a durable epoch.
-        {
-            let (lock, cv) = &*gate;
-            lock.lock().unwrap().0 = false;
-            cv.notify_all();
-        }
-        let epoch =
-            installer.join().expect("installer thread lives").expect("released install succeeds");
-        assert_eq!(epoch, 1, "first durable epoch ({core:?})");
-        let v = client.query(1, b"abc").expect("new shard serves");
-        assert_eq!(v.to_bits(), new_gen.query(b"abc").to_bits(), "({core:?})");
-        handle.shutdown();
-        let _ = std::fs::remove_dir_all(&dir);
     }
+
+    // While held: a second connection's queries answer promptly and
+    // bit-identically to the resident epoch.
+    let mut client = Client::connect_with(
+        addr,
+        ClientConfig { io_timeout: Some(Duration::from_secs(2)), ..ClientConfig::default() },
+    )
+    .expect("query client connects");
+    for _ in 0..10 {
+        let v = client.query(0, b"abc").expect("queries must not stall behind a stuck install");
+        assert_eq!(v.to_bits(), old_gen.query(b"abc").to_bits());
+    }
+
+    // Release the gate: the install completes with a durable epoch.
+    {
+        let (lock, cv) = &*gate;
+        lock.lock().unwrap().0 = false;
+        cv.notify_all();
+    }
+    let epoch =
+        installer.join().expect("installer thread lives").expect("released install succeeds");
+    assert_eq!(epoch, 1, "first durable epoch");
+    let v = client.query(1, b"abc").expect("new shard serves");
+    assert_eq!(v.to_bits(), new_gen.query(b"abc").to_bits());
+    handle.shutdown();
+    let _ = std::fs::remove_dir_all(&dir);
 }
 
 /// `ClientConfig::io_timeout` bounds calls against a server that accepts
@@ -945,7 +929,7 @@ fn retry_policy_reconnects_after_overload_and_answers_correctly() {
     handle.shutdown();
 }
 
-/// The `Trace` wire op round-trips on both cores: the drained events are
+/// The `Trace` wire op round-trips: the drained events are
 /// dense and ordered, frame events carry the connection id, shard,
 /// pattern fingerprint, and opcode that this client's traffic implies,
 /// the drain never sees its own frame, and a second drain proves the
@@ -956,95 +940,88 @@ fn trace_op_round_trips_with_exact_frame_events() {
     use dp_substring_counting::serve::OpKind;
 
     let gen = synthetic(17.0);
-    for core in [CoreKind::Readiness, CoreKind::ThreadPool] {
-        let manager = Arc::new(ShardManager::new());
-        manager.install(0, gen.clone(), 0);
-        let config = ServerConfig { core, ..ServerConfig::default() };
-        let handle = Server::spawn(config, manager).expect("daemon binds");
-        let mut client = Client::connect(handle.addr()).expect("client connects");
+    let manager = Arc::new(ShardManager::new());
+    manager.install(0, gen.clone(), 0);
+    let config = ServerConfig::default();
+    let handle = Server::spawn(config, manager).expect("daemon binds");
+    let mut client = Client::connect(handle.addr()).expect("client connects");
 
-        client.query(0, b"abc").expect("query answered");
-        client.contains(0, b"ab").expect("contains answered");
-        let _ = client.query(77, b"zz").expect_err("unknown shard errors");
+    client.query(0, b"abc").expect("query answered");
+    client.contains(0, b"ab").expect("contains answered");
+    let _ = client.query(77, b"zz").expect_err("unknown shard errors");
 
-        let events = client.trace(1024).expect("trace drains");
-        assert!(!events.is_empty(), "default config records events ({core:?})");
-        for w in events.windows(2) {
-            assert_eq!(w[1].seq, w[0].seq + 1, "snapshot is dense and ordered ({core:?})");
-            assert!(w[1].ts_ns >= w[0].ts_ns, "timestamps are monotone ({core:?})");
-        }
-
-        // Exactly one admitted connection; its id threads through every
-        // frame event below.
-        let accepted: Vec<&TraceEvent> =
-            events.iter().filter(|e| e.kind == TraceKind::ConnAccepted).collect();
-        assert_eq!(accepted.len(), 1, "({core:?})");
-        let conn = accepted[0].conn;
-        assert!(conn > 0, "connection ids are dense from 1 ({core:?})");
-
-        let q = events
-            .iter()
-            .find(|e| {
-                e.kind == TraceKind::FrameAnswered && e.detail == OpKind::Query.wire_code() as u64
-            })
-            .expect("query frame traced");
-        assert_eq!(q.conn, conn, "({core:?})");
-        assert_eq!(q.shard, 0, "({core:?})");
-        assert_eq!(q.fingerprint, fnv1a(b"abc"), "fingerprint, never bytes ({core:?})");
-        assert_eq!(q.len, 3, "length, never content ({core:?})");
-        assert!(q.dur_ns > 0, "service latency recorded ({core:?})");
-
-        let c = events
-            .iter()
-            .find(|e| {
-                e.kind == TraceKind::FrameAnswered
-                    && e.detail == OpKind::Contains.wire_code() as u64
-            })
-            .expect("contains frame traced");
-        assert_eq!((c.fingerprint, c.len), (fnv1a(b"ab"), 2), "({core:?})");
-
-        // The decoded-request error: a FrameError carrying its opcode.
-        let errs: Vec<&TraceEvent> =
-            events.iter().filter(|e| e.kind == TraceKind::FrameError).collect();
-        assert_eq!(errs.len(), 1, "({core:?})");
-        assert_eq!(errs[0].detail, OpKind::Query.wire_code() as u64, "({core:?})");
-        assert_eq!(errs[0].conn, conn, "({core:?})");
-
-        // A drain snapshots the ring before its own frame lands…
-        let own = |evs: &[TraceEvent]| {
-            evs.iter()
-                .filter(|e| {
-                    e.kind == TraceKind::FrameAnswered
-                        && e.detail == OpKind::Trace.wire_code() as u64
-                })
-                .count()
-        };
-        assert_eq!(own(&events), 0, "a drain never sees itself ({core:?})");
-        // …and is non-destructive: a second drain re-reads everything
-        // plus exactly the first drain's own frame.
-        let again = client.trace(1024).expect("second drain");
-        let again_seqs: Vec<u64> = again.iter().map(|e| e.seq).collect();
-        assert!(
-            events.iter().all(|e| again_seqs.contains(&e.seq)),
-            "drains are non-destructive ({core:?})"
-        );
-        assert_eq!(own(&again), 1, "({core:?})");
-
-        // Counters reconcile with the drained events.
-        let report = client.metrics().expect("metrics");
-        assert_eq!(report.ops.errors, errs.len() as u64, "({core:?})");
-        assert_eq!(report.ops.trace, 2, "({core:?})");
-        assert!(report.trace_events_total >= again.len() as u64, "({core:?})");
-        assert_eq!(report.trace_overwritten_total, 0, "nothing wrapped ({core:?})");
-        assert!(report.op_latency.query.p50_ns > 0.0, "per-op p50 live ({core:?})");
-        assert!(report.op_latency.query.p99_ns >= report.op_latency.query.p50_ns, "({core:?})");
-        assert!(report.op_latency.trace.p99_ns > 0.0, "trace op has its own histogram ({core:?})");
-        handle.shutdown();
+    let events = client.trace(1024).expect("trace drains");
+    assert!(!events.is_empty(), "default config records events");
+    for w in events.windows(2) {
+        assert_eq!(w[1].seq, w[0].seq + 1, "snapshot is dense and ordered");
+        assert!(w[1].ts_ns >= w[0].ts_ns, "timestamps are monotone");
     }
+
+    // Exactly one admitted connection; its id threads through every
+    // frame event below.
+    let accepted: Vec<&TraceEvent> =
+        events.iter().filter(|e| e.kind == TraceKind::ConnAccepted).collect();
+    assert_eq!(accepted.len(), 1);
+    let conn = accepted[0].conn;
+    assert!(conn > 0, "connection ids are dense from 1");
+
+    let q = events
+        .iter()
+        .find(|e| {
+            e.kind == TraceKind::FrameAnswered && e.detail == OpKind::Query.wire_code() as u64
+        })
+        .expect("query frame traced");
+    assert_eq!(q.conn, conn);
+    assert_eq!(q.shard, 0);
+    assert_eq!(q.fingerprint, fnv1a(b"abc"), "fingerprint, never bytes");
+    assert_eq!(q.len, 3, "length, never content");
+    assert!(q.dur_ns > 0, "service latency recorded");
+
+    let c = events
+        .iter()
+        .find(|e| {
+            e.kind == TraceKind::FrameAnswered && e.detail == OpKind::Contains.wire_code() as u64
+        })
+        .expect("contains frame traced");
+    assert_eq!((c.fingerprint, c.len), (fnv1a(b"ab"), 2));
+
+    // The decoded-request error: a FrameError carrying its opcode.
+    let errs: Vec<&TraceEvent> =
+        events.iter().filter(|e| e.kind == TraceKind::FrameError).collect();
+    assert_eq!(errs.len(), 1);
+    assert_eq!(errs[0].detail, OpKind::Query.wire_code() as u64);
+    assert_eq!(errs[0].conn, conn);
+
+    // A drain snapshots the ring before its own frame lands…
+    let own = |evs: &[TraceEvent]| {
+        evs.iter()
+            .filter(|e| {
+                e.kind == TraceKind::FrameAnswered && e.detail == OpKind::Trace.wire_code() as u64
+            })
+            .count()
+    };
+    assert_eq!(own(&events), 0, "a drain never sees itself");
+    // …and is non-destructive: a second drain re-reads everything
+    // plus exactly the first drain's own frame.
+    let again = client.trace(1024).expect("second drain");
+    let again_seqs: Vec<u64> = again.iter().map(|e| e.seq).collect();
+    assert!(events.iter().all(|e| again_seqs.contains(&e.seq)), "drains are non-destructive");
+    assert_eq!(own(&again), 1);
+
+    // Counters reconcile with the drained events.
+    let report = client.metrics().expect("metrics");
+    assert_eq!(report.ops.errors, errs.len() as u64);
+    assert_eq!(report.ops.trace, 2);
+    assert!(report.trace_events_total >= again.len() as u64);
+    assert_eq!(report.trace_overwritten_total, 0, "nothing wrapped");
+    assert!(report.op_latency.query.p50_ns > 0.0, "per-op p50 live");
+    assert!(report.op_latency.query.p99_ns >= report.op_latency.query.p50_ns);
+    assert!(report.op_latency.trace.p99_ns > 0.0, "trace op has its own histogram");
+    handle.shutdown();
 }
 
-/// Adversarial load reconciles counters with trace events exactly, on
-/// both cores: an undecodable frame (one error + one `FrameError` with
+/// Adversarial load reconciles counters with trace events exactly: an
+/// undecodable frame (one error + one `FrameError` with
 /// no opcode), admission sheds (`overloaded_total` == `ConnShed`
 /// events), and a slow-loris eviction (`deadline_evicted_total` ==
 /// `ConnDeadlineEvicted` events) — while accepted/closed connection
@@ -1052,167 +1029,146 @@ fn trace_op_round_trips_with_exact_frame_events() {
 #[test]
 fn adversarial_load_reconciles_counters_with_trace_events() {
     let gen = synthetic(23.0);
-    for core in [CoreKind::Readiness, CoreKind::ThreadPool] {
-        let manager = Arc::new(ShardManager::new());
-        manager.install(0, gen.clone(), 0);
-        let config = ServerConfig {
-            core,
-            workers: 2,
-            max_conns: 2,
-            read_deadline: Some(Duration::from_millis(200)),
-            ..ServerConfig::default()
-        };
-        let handle = Server::spawn(config, manager).expect("daemon binds");
+    let manager = Arc::new(ShardManager::new());
+    manager.install(0, gen.clone(), 0);
+    let config = ServerConfig {
+        max_conns: 2,
+        read_deadline: Some(Duration::from_millis(200)),
+        ..ServerConfig::default()
+    };
+    let handle = Server::spawn(config, manager).expect("daemon binds");
 
-        // A healthy connection that survives the whole storm.
-        let mut client = Client::connect(handle.addr()).expect("client connects");
-        client.query(0, b"abc").expect("healthy conn answers");
+    // A healthy connection that survives the whole storm.
+    let mut client = Client::connect(handle.addr()).expect("client connects");
+    client.query(0, b"abc").expect("healthy conn answers");
 
-        // An undecodable frame: error frame back, then close.
-        {
-            let mut raw = TcpStream::connect(handle.addr()).expect("raw connect");
-            raw.set_read_timeout(Some(Duration::from_secs(10))).unwrap();
-            raw.write_all(&[0xFF; 16]).expect("garbage written");
-            let mut junk = Vec::new();
-            raw.read_to_end(&mut junk).expect("error frame then EOF");
-            assert!(junk.len() >= 4, "an error frame came back ({core:?})");
-        }
-        // Give the close a moment to release its admission slot.
-        std::thread::sleep(Duration::from_millis(100));
-
-        // A loris takes the freed slot and stalls mid-frame.
-        let mut loris = TcpStream::connect(handle.addr()).expect("loris connects");
-        loris.write_all(b"DP").expect("partial frame sent");
-        std::thread::sleep(Duration::from_millis(50));
-
-        // Three probes shed at the (now full) admission bound.
-        for i in 0..3 {
-            let resp = read_shed_frame(handle.addr());
-            assert!(matches!(resp, Response::Overloaded), "shed {i} got {resp:?} ({core:?})");
-        }
-
-        // Healthy traffic past the loris's deadline.
-        let start = Instant::now();
-        while start.elapsed() < Duration::from_millis(800) {
-            client.query(0, b"abc").expect("healthy conn keeps answering");
-            std::thread::sleep(Duration::from_millis(25));
-        }
-        loris.set_read_timeout(Some(Duration::from_secs(5))).unwrap();
-        let mut one = [0u8; 16];
-        match loris.read(&mut one) {
-            Ok(0) | Err(_) => {}
-            Ok(n) => panic!("loris read {n} unexpected bytes ({core:?})"),
-        }
-
-        let report = client.metrics().expect("metrics");
-        let events = client.trace(1024).expect("trace drains");
-        let count = |kind: TraceKind| events.iter().filter(|e| e.kind == kind).count() as u64;
-
-        // Counter <-> trace reconciliation, category by category.
-        assert_eq!(report.ops.errors, 1, "exactly the garbage frame ({core:?})");
-        let undecoded = events
-            .iter()
-            .filter(|e| e.kind == TraceKind::FrameError && e.detail == u64::MAX)
-            .count() as u64;
-        assert_eq!(undecoded, 1, "undecodable frames trace with no opcode ({core:?})");
-        assert_eq!(count(TraceKind::FrameError), report.ops.errors, "({core:?})");
-
-        assert_eq!(report.overloaded_total, 3, "({core:?})");
-        assert_eq!(count(TraceKind::ConnShed), report.overloaded_total, "({core:?})");
-
-        assert_eq!(report.deadline_evicted_total, 1, "({core:?})");
-        assert_eq!(
-            count(TraceKind::ConnDeadlineEvicted),
-            report.deadline_evicted_total,
-            "({core:?})"
-        );
-        assert_eq!(report.idle_reaped_total, 0, "({core:?})");
-        assert_eq!(count(TraceKind::ConnIdleReaped), 0, "({core:?})");
-
-        // Lifecycle events match the connection counters one for one:
-        // healthy + garbage + loris accepted (sheds never admit), and
-        // everyone but the healthy conn has a ConnClosed.
-        assert_eq!(report.conns_accepted, 3, "({core:?})");
-        assert_eq!(count(TraceKind::ConnAccepted), report.conns_accepted, "({core:?})");
-        assert_eq!(
-            count(TraceKind::ConnClosed),
-            report.conns_accepted - report.conns_open,
-            "({core:?})"
-        );
-        handle.shutdown();
+    // An undecodable frame: error frame back, then close.
+    {
+        let mut raw = TcpStream::connect(handle.addr()).expect("raw connect");
+        raw.set_read_timeout(Some(Duration::from_secs(10))).unwrap();
+        raw.write_all(&[0xFF; 16]).expect("garbage written");
+        let mut junk = Vec::new();
+        raw.read_to_end(&mut junk).expect("error frame then EOF");
+        assert!(junk.len() >= 4, "an error frame came back");
     }
+    // Give the close a moment to release its admission slot.
+    std::thread::sleep(Duration::from_millis(100));
+
+    // A loris takes the freed slot and stalls mid-frame.
+    let mut loris = TcpStream::connect(handle.addr()).expect("loris connects");
+    loris.write_all(b"DP").expect("partial frame sent");
+    std::thread::sleep(Duration::from_millis(50));
+
+    // Three probes shed at the (now full) admission bound.
+    for i in 0..3 {
+        let resp = read_shed_frame(handle.addr());
+        assert!(matches!(resp, Response::Overloaded), "shed {i} got {resp:?}");
+    }
+
+    // Healthy traffic past the loris's deadline.
+    let start = Instant::now();
+    while start.elapsed() < Duration::from_millis(800) {
+        client.query(0, b"abc").expect("healthy conn keeps answering");
+        std::thread::sleep(Duration::from_millis(25));
+    }
+    loris.set_read_timeout(Some(Duration::from_secs(5))).unwrap();
+    let mut one = [0u8; 16];
+    match loris.read(&mut one) {
+        Ok(0) | Err(_) => {}
+        Ok(n) => panic!("loris read {n} unexpected bytes"),
+    }
+
+    let report = client.metrics().expect("metrics");
+    let events = client.trace(1024).expect("trace drains");
+    let count = |kind: TraceKind| events.iter().filter(|e| e.kind == kind).count() as u64;
+
+    // Counter <-> trace reconciliation, category by category.
+    assert_eq!(report.ops.errors, 1, "exactly the garbage frame");
+    let undecoded =
+        events.iter().filter(|e| e.kind == TraceKind::FrameError && e.detail == u64::MAX).count()
+            as u64;
+    assert_eq!(undecoded, 1, "undecodable frames trace with no opcode");
+    assert_eq!(count(TraceKind::FrameError), report.ops.errors);
+
+    assert_eq!(report.overloaded_total, 3);
+    assert_eq!(count(TraceKind::ConnShed), report.overloaded_total);
+
+    assert_eq!(report.deadline_evicted_total, 1);
+    assert_eq!(count(TraceKind::ConnDeadlineEvicted), report.deadline_evicted_total);
+    assert_eq!(report.idle_reaped_total, 0);
+    assert_eq!(count(TraceKind::ConnIdleReaped), 0);
+
+    // Lifecycle events match the connection counters one for one:
+    // healthy + garbage + loris accepted (sheds never admit), and
+    // everyone but the healthy conn has a ConnClosed.
+    assert_eq!(report.conns_accepted, 3);
+    assert_eq!(count(TraceKind::ConnAccepted), report.conns_accepted);
+    assert_eq!(count(TraceKind::ConnClosed), report.conns_accepted - report.conns_open);
+    handle.shutdown();
 }
 
 /// A wire rollback leaves an exact durable-store audit trail in the
-/// trace on both cores: six `StoreOp` crash points per full persist, two
+/// trace: six `StoreOp` crash points per full persist, two
 /// `PersistCommitted`, one `RollbackCommitted` whose `detail` names the
 /// epoch rolled back to — and `rollbacks_total` reconciles with it.
 #[test]
 fn rollback_reconciles_counters_with_store_trace_events() {
     let gen_a = synthetic(10.0);
     let gen_b = synthetic(20.0);
-    for core in [CoreKind::Readiness, CoreKind::ThreadPool] {
-        let dir = std::env::temp_dir()
-            .join(format!("dpsc-trace-rollback-{}-{core:?}", std::process::id()));
-        let _ = std::fs::remove_dir_all(&dir);
-        let manager = Arc::new(ShardManager::new());
-        let config = ServerConfig { core, store_dir: Some(dir.clone()), ..ServerConfig::default() };
-        let handle = Server::spawn(config, manager).expect("daemon binds");
-        let mut client = Client::connect(handle.addr()).expect("client connects");
+    let dir = std::env::temp_dir().join(format!("dpsc-trace-rollback-{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    let manager = Arc::new(ShardManager::new());
+    let config = ServerConfig { store_dir: Some(dir.clone()), ..ServerConfig::default() };
+    let handle = Server::spawn(config, manager).expect("daemon binds");
+    let mut client = Client::connect(handle.addr()).expect("client connects");
 
-        let e1 = client.load_snapshot(0, &gen_a.to_bytes()).expect("A installs");
-        let e2 = client.load_snapshot(0, &gen_b.to_bytes()).expect("B installs");
-        let e3 = client.rollback(0, e1).expect("rollback to a retained epoch");
-        assert!(e3 > e2, "rollback is append-only ({core:?})");
+    let e1 = client.load_snapshot(0, &gen_a.to_bytes()).expect("A installs");
+    let e2 = client.load_snapshot(0, &gen_b.to_bytes()).expect("B installs");
+    let e3 = client.rollback(0, e1).expect("rollback to a retained epoch");
+    assert!(e3 > e2, "rollback is append-only");
 
-        let report = client.metrics().expect("metrics");
-        let events = client.trace(1024).expect("trace drains");
+    let report = client.metrics().expect("metrics");
+    let events = client.trace(1024).expect("trace drains");
 
-        // Two full persists: each walks all six mutating store ops in
-        // order. The rollback re-commits an existing payload, so it only
-        // touches the manifest (ops 4 and 5).
-        for op in 0u64..=3 {
-            let n =
-                events.iter().filter(|e| e.kind == TraceKind::StoreOp && e.detail == op).count();
-            assert_eq!(n, 2, "payload op {op} runs once per full persist ({core:?})");
-        }
-        for op in 4u64..=5 {
-            let n =
-                events.iter().filter(|e| e.kind == TraceKind::StoreOp && e.detail == op).count();
-            assert_eq!(n, 3, "manifest op {op} also runs for the rollback ({core:?})");
-        }
-        let persists: Vec<u64> = events
-            .iter()
-            .filter(|e| e.kind == TraceKind::PersistCommitted)
-            .map(|e| e.epoch)
-            .collect();
-        assert_eq!(persists, vec![e1, e2], "({core:?})");
-
-        let rollbacks: Vec<&TraceEvent> =
-            events.iter().filter(|e| e.kind == TraceKind::RollbackCommitted).collect();
-        assert_eq!(rollbacks.len() as u64, report.rollbacks_total, "({core:?})");
-        assert_eq!(report.rollbacks_total, 1, "({core:?})");
-        assert_eq!(rollbacks[0].shard, 0, "({core:?})");
-        assert_eq!(rollbacks[0].epoch, e3, "the fresh epoch ({core:?})");
-        assert_eq!(rollbacks[0].detail, e1, "detail names the epoch rolled back to ({core:?})");
-
-        // Every install (two loads + the rollback's re-install) traced.
-        let installs: Vec<&TraceEvent> =
-            events.iter().filter(|e| e.kind == TraceKind::SnapshotInstalled).collect();
-        assert_eq!(installs.len(), 3, "({core:?})");
-        assert!(
-            installs.iter().any(|e| e.epoch == e3 && e.detail == e1),
-            "rollback install names its source epoch ({core:?})"
-        );
-        assert_eq!(report.ops.rollback, 1, "({core:?})");
-        assert_eq!(report.ops.load_snapshot, 2, "({core:?})");
-        assert!(report.op_latency.rollback.p99_ns > 0.0, "({core:?})");
-        handle.shutdown();
-        let _ = std::fs::remove_dir_all(&dir);
+    // Two full persists: each walks all six mutating store ops in
+    // order. The rollback re-commits an existing payload, so it only
+    // touches the manifest (ops 4 and 5).
+    for op in 0u64..=3 {
+        let n = events.iter().filter(|e| e.kind == TraceKind::StoreOp && e.detail == op).count();
+        assert_eq!(n, 2, "payload op {op} runs once per full persist");
     }
+    for op in 4u64..=5 {
+        let n = events.iter().filter(|e| e.kind == TraceKind::StoreOp && e.detail == op).count();
+        assert_eq!(n, 3, "manifest op {op} also runs for the rollback");
+    }
+    let persists: Vec<u64> =
+        events.iter().filter(|e| e.kind == TraceKind::PersistCommitted).map(|e| e.epoch).collect();
+    assert_eq!(persists, vec![e1, e2]);
+
+    let rollbacks: Vec<&TraceEvent> =
+        events.iter().filter(|e| e.kind == TraceKind::RollbackCommitted).collect();
+    assert_eq!(rollbacks.len() as u64, report.rollbacks_total);
+    assert_eq!(report.rollbacks_total, 1);
+    assert_eq!(rollbacks[0].shard, 0);
+    assert_eq!(rollbacks[0].epoch, e3, "the fresh epoch");
+    assert_eq!(rollbacks[0].detail, e1, "detail names the epoch rolled back to");
+
+    // Every install (two loads + the rollback's re-install) traced.
+    let installs: Vec<&TraceEvent> =
+        events.iter().filter(|e| e.kind == TraceKind::SnapshotInstalled).collect();
+    assert_eq!(installs.len(), 3);
+    assert!(
+        installs.iter().any(|e| e.epoch == e3 && e.detail == e1),
+        "rollback install names its source epoch"
+    );
+    assert_eq!(report.ops.rollback, 1);
+    assert_eq!(report.ops.load_snapshot, 2);
+    assert!(report.op_latency.rollback.p99_ns > 0.0);
+    handle.shutdown();
+    let _ = std::fs::remove_dir_all(&dir);
 }
 
-/// The slow-op log end to end on both cores: with a 1 ns threshold every
+/// The slow-op log end to end: with a 1 ns threshold every
 /// successful op is slow, each `SlowOp` event carries the pattern
 /// fingerprint and the threshold, errors never enter the log, and the
 /// text exposition serves the same counter over the wire.
@@ -1221,47 +1177,40 @@ fn slow_op_log_reconciles_and_exposes_over_the_wire() {
     use dp_substring_counting::private_count::codec::fnv1a;
 
     let gen = synthetic(29.0);
-    for core in [CoreKind::Readiness, CoreKind::ThreadPool] {
-        let manager = Arc::new(ShardManager::new());
-        manager.install(0, gen.clone(), 0);
-        let config = ServerConfig {
-            core,
-            slow_op_threshold: Some(Duration::from_nanos(1)),
-            ..ServerConfig::default()
-        };
-        let handle = Server::spawn(config, manager).expect("daemon binds");
-        let mut client = Client::connect(handle.addr()).expect("client connects");
+    let manager = Arc::new(ShardManager::new());
+    manager.install(0, gen.clone(), 0);
+    let config = ServerConfig {
+        slow_op_threshold: Some(Duration::from_nanos(1)),
+        ..ServerConfig::default()
+    };
+    let handle = Server::spawn(config, manager).expect("daemon binds");
+    let mut client = Client::connect(handle.addr()).expect("client connects");
 
-        for _ in 0..3 {
-            client.query(0, b"aba").expect("query answered");
-        }
-        let _ = client.query(77, b"zz").expect_err("unknown shard errors");
-
-        let report = client.metrics().expect("metrics");
-        assert_eq!(report.slow_op_threshold_ns, 1, "({core:?})");
-        assert_eq!(report.slow_ops_total, 3, "errors never enter the slow-op log ({core:?})");
-
-        let events = client.trace(1024).expect("trace drains");
-        let slow: Vec<&TraceEvent> =
-            events.iter().filter(|e| e.kind == TraceKind::SlowOp).collect();
-        // The three queries, plus the Metrics op that landed after its
-        // own report snapshot.
-        assert_eq!(slow.len(), 4, "({core:?})");
-        assert!(
-            slow.iter().take(3).all(|e| e.fingerprint == fnv1a(b"aba") && e.len == 3),
-            "slow-op entries carry fingerprints and lengths only ({core:?})"
-        );
-        assert!(slow.iter().all(|e| e.detail == 1), "detail is the threshold ({core:?})");
-
-        // The exposition reports the same counter (3 queries + Metrics +
-        // Trace landed by the time MetricsText snapshots).
-        let text = client.metrics_text().expect("exposition answered");
-        assert!(text.contains("dpsc_slow_ops_total 5"), "({core:?}):\n{text}");
-        assert!(text.contains("dpsc_slow_op_threshold_ns 1"), "({core:?}):\n{text}");
-        assert!(
-            text.contains("# TYPE dpsc_op_latency_ns summary"),
-            "per-op summaries exposed ({core:?})"
-        );
-        handle.shutdown();
+    for _ in 0..3 {
+        client.query(0, b"aba").expect("query answered");
     }
+    let _ = client.query(77, b"zz").expect_err("unknown shard errors");
+
+    let report = client.metrics().expect("metrics");
+    assert_eq!(report.slow_op_threshold_ns, 1);
+    assert_eq!(report.slow_ops_total, 3, "errors never enter the slow-op log");
+
+    let events = client.trace(1024).expect("trace drains");
+    let slow: Vec<&TraceEvent> = events.iter().filter(|e| e.kind == TraceKind::SlowOp).collect();
+    // The three queries, plus the Metrics op that landed after its
+    // own report snapshot.
+    assert_eq!(slow.len(), 4);
+    assert!(
+        slow.iter().take(3).all(|e| e.fingerprint == fnv1a(b"aba") && e.len == 3),
+        "slow-op entries carry fingerprints and lengths only"
+    );
+    assert!(slow.iter().all(|e| e.detail == 1), "detail is the threshold");
+
+    // The exposition reports the same counter (3 queries + Metrics +
+    // Trace landed by the time MetricsText snapshots).
+    let text = client.metrics_text().expect("exposition answered");
+    assert!(text.contains("dpsc_slow_ops_total 5"), "{text}");
+    assert!(text.contains("dpsc_slow_op_threshold_ns 1"), "{text}");
+    assert!(text.contains("# TYPE dpsc_op_latency_ns summary"), "per-op summaries exposed");
+    handle.shutdown();
 }

@@ -1,10 +1,10 @@
 //! Crash-safety contracts of the on-disk snapshot store, end to end
 //! through the daemon: every enumerated crash point between "start
 //! persist" and "manifest committed" recovers to a whole epoch (old or
-//! fully-committed new, never a blend, never a wedge) on both server
-//! cores; manifest corpora with torn tails, bit flips, duplicate
-//! epochs, and missing payloads recover to the newest valid epoch; and
-//! the `Rollback` wire op re-installs retained epochs durably.
+//! fully-committed new, never a blend, never a wedge); manifest corpora
+//! with torn tails, bit flips, duplicate epochs, and missing payloads
+//! recover to the newest valid epoch; and the `Rollback` wire op
+//! re-installs retained epochs durably.
 
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -95,12 +95,12 @@ fn manifest_path(dir: &Path) -> PathBuf {
 /// then a `LoadSnapshot` of the NEW bytes is killed at every injected
 /// fault point of the persist protocol (partial payload write, pre-
 /// rename, pre-manifest-append, partial manifest record, post-append
-/// pre-fsync), on both server cores. After each simulated crash the
-/// daemon restarts on the same directory and must serve answers
-/// bit-identical to either the old epoch or the fully-committed new one
-/// — never a mix, never a panic, never a wedge.
+/// pre-fsync). After each simulated crash the daemon restarts on the
+/// same directory and must serve answers bit-identical to either the
+/// old epoch or the fully-committed new one — never a mix, never a
+/// panic, never a wedge.
 #[test]
-fn enumerated_crash_points_recover_old_or_new_on_both_cores() {
+fn enumerated_crash_points_recover_old_or_new() {
     let old_gen = synthetic(1_000.0);
     let new_gen = synthetic(9_000.0);
     let old_bytes = old_gen.to_bytes();
@@ -146,78 +146,72 @@ fn enumerated_crash_points_recover_old_or_new_on_both_cores() {
         (FaultPlan::crash_at(5), false),           // appended, manifest unsynced
     ];
 
-    for core in [CoreKind::Readiness, CoreKind::ThreadPool] {
-        for (i, (plan, must_be_old)) in plans.iter().enumerate() {
-            let dir = scratch_dir(&format!("crash-{core:?}-{i}"));
-            // Seed the OLD epoch through a clean store.
-            {
-                let store = SnapshotStore::open(&dir, 4).unwrap();
-                store.persist(0, &old_bytes).unwrap();
-            }
-            // Serve with the fault-injected store and try to install NEW.
-            let faulty = Arc::new(FaultyIo::new(plan.clone()));
-            let store = Arc::new(
-                SnapshotStore::open_with(&dir, 4, Box::new(SharedIo(Arc::clone(&faulty))))
-                    .expect("recovery of a clean store does not mutate"),
-            );
-            let manager = Arc::new(ShardManager::new());
-            let config = ServerConfig { core, store: Some(store), ..ServerConfig::default() };
-            let handle = Server::spawn(config, manager).expect("daemon binds");
-            let mut client = Client::connect(handle.addr()).expect("client connects");
-
-            let err = client
-                .load_snapshot(0, &new_bytes)
-                .expect_err(&format!("plan {i} must fail the install ({core:?})"));
-            assert!(
-                matches!(&err, ClientError::Server(m) if m.contains("not persisted")),
-                "plan {i}: wrong error {err} ({core:?})"
-            );
-            assert!(faulty.is_dead(), "plan {i}: the fault must have fired ({core:?})");
-            // The live daemon still serves the old epoch after the
-            // failed install — no wedge, no partial state.
-            let served: Vec<u64> = client
-                .query_batch(0, &refs)
-                .expect("old epoch keeps serving after the crash")
-                .iter()
-                .map(|v| v.to_bits())
-                .collect();
-            assert_eq!(served, expect_old, "plan {i}: post-crash serving blended ({core:?})");
-            drop(client);
-            handle.shutdown();
-
-            // "Process restart": recover the directory with a clean
-            // store and serve again.
-            let manager = Arc::new(ShardManager::new());
-            let config =
-                ServerConfig { core, store_dir: Some(dir.clone()), ..ServerConfig::default() };
-            let handle = Server::spawn(config, manager).expect("daemon restarts");
-            let mut client = Client::connect(handle.addr()).expect("client reconnects");
-            let served: Vec<u64> = client
-                .query_batch(0, &refs)
-                .expect("recovered epoch serves")
-                .iter()
-                .map(|v| v.to_bits())
-                .collect();
-            if *must_be_old {
-                assert_eq!(
-                    served, expect_old,
-                    "plan {i}: pre-commit crash must recover the old epoch ({core:?})"
-                );
-            } else {
-                assert!(
-                    served == expect_old || served == expect_new,
-                    "plan {i}: recovery blended epochs ({core:?})"
-                );
-            }
-            // Recovery also finished the cleanup: no temp files remain.
-            let leftover_tmp = std::fs::read_dir(&dir)
-                .unwrap()
-                .any(|e| e.unwrap().file_name().to_string_lossy().ends_with(".tmp"));
-            assert!(!leftover_tmp, "plan {i}: torn temp files must be swept ({core:?})");
-            drop(client);
-            handle.shutdown();
-            let _ = std::fs::remove_dir_all(&dir);
+    for (i, (plan, must_be_old)) in plans.iter().enumerate() {
+        let dir = scratch_dir(&format!("crash-{i}"));
+        // Seed the OLD epoch through a clean store.
+        {
+            let store = SnapshotStore::open(&dir, 4).unwrap();
+            store.persist(0, &old_bytes).unwrap();
         }
+        // Serve with the fault-injected store and try to install NEW.
+        let faulty = Arc::new(FaultyIo::new(plan.clone()));
+        let store = Arc::new(
+            SnapshotStore::open_with(&dir, 4, Box::new(SharedIo(Arc::clone(&faulty))))
+                .expect("recovery of a clean store does not mutate"),
+        );
+        let manager = Arc::new(ShardManager::new());
+        let config = ServerConfig { store: Some(store), ..ServerConfig::default() };
+        let handle = Server::spawn(config, manager).expect("daemon binds");
+        let mut client = Client::connect(handle.addr()).expect("client connects");
+
+        let err = client
+            .load_snapshot(0, &new_bytes)
+            .expect_err(&format!("plan {i} must fail the install"));
+        assert!(
+            matches!(&err, ClientError::Server(m) if m.contains("not persisted")),
+            "plan {i}: wrong error {err}"
+        );
+        assert!(faulty.is_dead(), "plan {i}: the fault must have fired");
+        // The live daemon still serves the old epoch after the
+        // failed install — no wedge, no partial state.
+        let served: Vec<u64> = client
+            .query_batch(0, &refs)
+            .expect("old epoch keeps serving after the crash")
+            .iter()
+            .map(|v| v.to_bits())
+            .collect();
+        assert_eq!(served, expect_old, "plan {i}: post-crash serving blended");
+        drop(client);
+        handle.shutdown();
+
+        // "Process restart": recover the directory with a clean
+        // store and serve again.
+        let manager = Arc::new(ShardManager::new());
+        let config = ServerConfig { store_dir: Some(dir.clone()), ..ServerConfig::default() };
+        let handle = Server::spawn(config, manager).expect("daemon restarts");
+        let mut client = Client::connect(handle.addr()).expect("client reconnects");
+        let served: Vec<u64> = client
+            .query_batch(0, &refs)
+            .expect("recovered epoch serves")
+            .iter()
+            .map(|v| v.to_bits())
+            .collect();
+        if *must_be_old {
+            assert_eq!(served, expect_old, "plan {i}: pre-commit crash must recover the old epoch");
+        } else {
+            assert!(
+                served == expect_old || served == expect_new,
+                "plan {i}: recovery blended epochs"
+            );
+        }
+        // Recovery also finished the cleanup: no temp files remain.
+        let leftover_tmp = std::fs::read_dir(&dir)
+            .unwrap()
+            .any(|e| e.unwrap().file_name().to_string_lossy().ends_with(".tmp"));
+        assert!(!leftover_tmp, "plan {i}: torn temp files must be swept");
+        drop(client);
+        handle.shutdown();
+        let _ = std::fs::remove_dir_all(&dir);
     }
 }
 
