@@ -3,11 +3,11 @@
 //! workspace.
 //!
 //! Two decoders follow the same defensive discipline — magic, version,
-//! little-endian framing, trailing FNV-1a checksum, every read
-//! length-checked so corrupt input is an `Err` and never a panic:
-//! [`crate::synopsis::FrozenSynopsis::from_bytes`] (the snapshot codec)
-//! and the `dpsc-serve` wire protocol (the request/response frames that
-//! carry those snapshots). Both report defects through [`DecodeError`]
+//! little-endian framing, FNV-1a checksums, every read length-checked so
+//! corrupt input is an `Err` and never a panic:
+//! [`crate::synopsis::FrozenSynopsis::from_bytes`] (the `DPSF` v2
+//! snapshot codec, one checksum per section) and the `dpsc-serve` wire
+//! protocol (the request/response frames that carry those snapshots). Both report defects through [`DecodeError`]
 //! so callers can branch on the *kind* of damage (truncation vs checksum
 //! vs structural) instead of grepping strings; `Display` keeps the old
 //! human-readable messages, so stringly call sites just

@@ -1,9 +1,8 @@
-//! `DPSF` v2: the sectioned snapshot codec behind zero-copy serving.
-//!
-//! v1 packs the four CSR arrays back-to-back behind a fixed header and
-//! one trailing checksum — compact, but decoding *must* copy every array
-//! into fresh `Vec`s, and a corrupt byte is only ever reported as "the
-//! payload". v2 restructures the same data for the serving path:
+//! `DPSF` v2: the snapshot codec, and the only format a
+//! [`FrozenSynopsis`] writes and reads. The four CSR arrays sit in
+//! 8-byte-aligned sections, each with its own checksum, so a corrupt
+//! byte is reported by section and a valid snapshot can be served from
+//! its own bytes without copying:
 //!
 //! ```text
 //! off   size  field
@@ -37,19 +36,22 @@
 //! as zigzag varints of consecutive gaps — BFS numbering makes targets
 //! near-monotone, so gaps are small. Varints are required to be minimal
 //! on decode (no redundant continuation bytes), keeping the dialect
-//! canonical: `from_bytes(b)?.to_bytes() == b` for both dialects.
-//! Compressed snapshots always decode into owned storage.
+//! canonical: `from_bytes(b)?.to_bytes_v2(compressed) == b` for both
+//! dialects. Compressed snapshots always decode into owned storage;
+//! `FrozenSynopsis::to_bytes` writes the uncompressed dialect.
 
 use std::sync::Arc;
 
-use crate::codec::{fnv1a, le_f64, le_u32, require_finite, Cursor, DecodeError};
-use crate::synopsis::{
-    check_privacy_fields, check_tree_shape, mode_from_wire, mode_wire, privacy_from_wire,
-    FrozenSynopsis, SnapshotCodec, Storage, MAGIC,
-};
+use dpsc_dpcore::budget::PrivacyParams;
 
+use crate::codec::{fnv1a, le_f64, le_u32, require_finite, Cursor, DecodeError};
+use crate::structure::CountMode;
+use crate::synopsis::{FrozenSynopsis, Storage};
+
+/// Magic bytes opening the binary format ("DP Synopsis, Frozen").
+const MAGIC: [u8; 4] = *b"DPSF";
 /// Version tag of the sectioned format.
-pub(crate) const VERSION: u16 = 2;
+const VERSION: u16 = 2;
 /// Flag bit 0: edge arrays are varint-compressed.
 const FLAG_COMPRESSED: u16 = 1;
 /// The four sections, in their fixed on-wire order.
@@ -61,7 +63,7 @@ const TABLE_ENTRY_LEN: usize = 24;
 /// Offset of the header checksum (it covers everything before itself).
 const HEADER_SUM_OFF: usize = TABLE_OFF + 4 * TABLE_ENTRY_LEN;
 /// Total header size; the first section starts here (8-byte aligned).
-pub(crate) const HEADER_LEN: usize = HEADER_SUM_OFF + 8;
+const HEADER_LEN: usize = HEADER_SUM_OFF + 8;
 
 /// Next multiple of 8 at or above `x`.
 #[inline]
@@ -335,12 +337,18 @@ fn decode_impl(bytes: &[u8], shared: Option<&Arc<[u8]>>) -> Result<FrozenSynopsi
     // The layout is fully determined by the header counts: each section
     // must sit at the next 8-aligned offset, and the fixed-width sections
     // must have exactly their computed size. Anything else is
-    // non-canonical and rejected.
+    // non-canonical and rejected. A checksummed header can still be
+    // forged, so the size arithmetic must not overflow on adversarial
+    // counts.
+    let counts_len = n_nodes.checked_mul(8).ok_or(DecodeError::SizeOverflow)?;
+    let edge_start_len =
+        n_nodes.checked_add(1).and_then(|n| n.checked_mul(4)).ok_or(DecodeError::SizeOverflow)?;
+    let edge_target_len = n_edges.checked_mul(4).ok_or(DecodeError::SizeOverflow)?;
     let known_lens: [Option<usize>; 4] = [
-        Some(8 * n_nodes),
-        (!compressed).then(|| 4 * (n_nodes + 1)),
+        Some(counts_len),
+        (!compressed).then_some(edge_start_len),
         Some(n_edges),
-        (!compressed).then(|| 4 * n_edges),
+        (!compressed).then_some(edge_target_len),
     ];
     let mut expect_off = HEADER_LEN;
     for (i, &(offset, len)) in sections.iter().enumerate() {
@@ -450,8 +458,78 @@ fn decode_impl(bytes: &[u8], shared: Option<&Arc<[u8]>>) -> Result<FrozenSynopsi
         alpha_absent,
         n_docs,
         max_len,
-        codec: SnapshotCodec::V2 { compressed },
     })
+}
+
+/// Wire encoding of a [`CountMode`]: `(tag, clip level)`.
+fn mode_wire(mode: CountMode) -> (u8, u64) {
+    match mode {
+        CountMode::Document => (0, 0),
+        CountMode::Substring => (1, 0),
+        CountMode::Clipped(d) => (2, d as u64),
+    }
+}
+
+/// Decodes and canonicality-checks a mode tag + clip level pair.
+fn mode_from_wire(tag: u8, clip: u64) -> Result<CountMode, DecodeError> {
+    match tag {
+        // Canonicality: the clip field carries information only for
+        // tag 2; any other encoding must use zero so that equal
+        // synopses have exactly one byte representation.
+        0 | 1 if clip != 0 => Err(DecodeError::BadField {
+            field: "clip level",
+            detail: format!("nonzero clip level {clip} with mode tag {tag}"),
+        }),
+        0 => Ok(CountMode::Document),
+        1 => Ok(CountMode::Substring),
+        2 => {
+            let d = usize::try_from(clip).map_err(|_| DecodeError::SizeOverflow)?;
+            Ok(CountMode::Clipped(d))
+        }
+        other => {
+            Err(DecodeError::BadField { field: "mode tag", detail: format!("unknown tag {other}") })
+        }
+    }
+}
+
+/// Domain checks for the decoded privacy parameters.
+fn check_privacy_fields(epsilon: f64, delta: f64) -> Result<(), DecodeError> {
+    if !(epsilon.is_finite() && epsilon > 0.0) {
+        return Err(DecodeError::BadField { field: "epsilon", detail: epsilon.to_string() });
+    }
+    // `-0.0` would satisfy a plain range check but re-serialize as
+    // `+0.0` (PrivacyParams::pure normalizes it), breaking
+    // canonicality — reject the sign bit explicitly.
+    if delta.is_sign_negative() || !((0.0..1.0).contains(&delta)) {
+        return Err(DecodeError::BadField { field: "delta", detail: delta.to_string() });
+    }
+    Ok(())
+}
+
+/// Rebuilds [`PrivacyParams`] from validated wire floats.
+fn privacy_from_wire(epsilon: f64, delta: f64) -> PrivacyParams {
+    if delta == 0.0 {
+        PrivacyParams::pure(epsilon)
+    } else {
+        PrivacyParams::approx(epsilon, delta)
+    }
+}
+
+/// Node/edge count sanity of a decoded header.
+fn check_tree_shape(n_nodes: usize, n_edges: usize) -> Result<(), DecodeError> {
+    if n_nodes == 0 {
+        return Err(DecodeError::BadField {
+            field: "node count",
+            detail: "zero (the root is mandatory)".to_string(),
+        });
+    }
+    if n_edges != n_nodes - 1 {
+        return Err(DecodeError::BadField {
+            field: "edge count",
+            detail: format!("{n_edges} != node count {n_nodes} - 1"),
+        });
+    }
+    Ok(())
 }
 
 /// Decompresses the `edge_start` section: `n_nodes` per-node degree

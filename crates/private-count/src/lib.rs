@@ -54,4 +54,4 @@ pub use qgram::{build_qgram_pure, QgramParams};
 pub use qgram_fast::{build_qgram_fast, FastQgramParams, PhaseOverflow};
 pub use spans::{PhaseSpan, SpanRecorder};
 pub use structure::{CountMode, PrivateCountStructure};
-pub use synopsis::{FrozenSynopsis, SnapshotCodec};
+pub use synopsis::FrozenSynopsis;

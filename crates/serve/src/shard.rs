@@ -96,11 +96,11 @@ impl ShardManager {
     }
 
     /// [`Self::load_snapshot`] with shared ownership of the buffer: an
-    /// uncompressed v2 snapshot decodes *borrowed* — after validation its
-    /// arrays point into `bytes`, which the installed [`ShardSnapshot`]
-    /// keeps alive through the synopsis — so installing a shard performs
-    /// zero per-array copies. v1 and compressed-v2 inputs decode owned,
-    /// exactly as [`Self::load_snapshot`].
+    /// uncompressed snapshot ([`FrozenSynopsis::to_bytes`]) decodes
+    /// *borrowed* — after validation its arrays point into `bytes`, which
+    /// the installed [`ShardSnapshot`] keeps alive through the synopsis —
+    /// so installing a shard performs zero per-array copies. Compressed
+    /// inputs decode owned, exactly as [`Self::load_snapshot`].
     pub fn load_snapshot_shared(
         &self,
         shard: u32,
@@ -307,17 +307,19 @@ mod tests {
     fn load_snapshot_shared_serves_borrowed_v2() {
         let m = ShardManager::new();
         let f = synopsis(6.5);
-        let shared: Arc<[u8]> = f.to_bytes_v2(false).into();
+        let shared: Arc<[u8]> = f.to_bytes().into();
         let snap = m.load_snapshot_shared(4, Arc::clone(&shared)).unwrap();
         assert!(snap.synopsis.is_borrowed(), "uncompressed v2 must serve borrowed");
         assert_eq!(snap.serialized_len, shared.len());
         assert_eq!(snap.synopsis.query(b"a"), 6.5);
         assert_eq!(snap.synopsis, f, "borrowed decode is logically identical");
-        // v1 bytes through the shared path still work (owned fallback).
-        let v1: Arc<[u8]> = f.to_bytes().into();
-        let snap = m.load_snapshot_shared(5, v1).unwrap();
+        // Compressed bytes through the shared path install owned and
+        // answer bit-identically.
+        let compressed: Arc<[u8]> = f.to_bytes_v2(true).into();
+        let snap = m.load_snapshot_shared(5, compressed).unwrap();
         assert!(!snap.synopsis.is_borrowed());
-        assert_eq!(snap.synopsis.query(b"a"), 6.5);
+        assert_eq!(snap.synopsis.query(b"a").to_bits(), 6.5f64.to_bits());
+        assert_eq!(snap.synopsis, f);
     }
 
     #[test]

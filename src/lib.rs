@@ -45,11 +45,13 @@
 //!
 //!         // Serving: freeze the trie into a flat immutable index (still
 //!         // post-processing) — allocation-free lookups, batch queries,
-//!         // and a compact binary wire format.
+//!         // and one snapshot format whose bytes a server can serve from
+//!         // in place (zero-copy decode).
 //!         let frozen = structure.freeze();
 //!         let answers = frozen.query_batch(&[&b"ab"[..], b"be", b"zz"]);
 //!         assert_eq!(answers.len(), 3);
-//!         let shipped = FrozenSynopsis::from_bytes(&frozen.to_bytes()).unwrap();
+//!         let shipped = FrozenSynopsis::from_bytes_shared(frozen.to_bytes().into()).unwrap();
+//!         assert!(shipped.is_borrowed());
 //!         assert_eq!(shipped, frozen);
 //!     }
 //!     Err(e) => println!("construction aborted (FAIL branch): {e}"),
@@ -78,7 +80,7 @@ pub mod prelude {
     pub use dpsc_private_count::{
         build_approx, build_pure, build_qgram_fast, build_qgram_pure, build_simple_trie,
         evaluate_mining, BuildParams, CountMode, DecodeError, FastQgramParams, FrozenSynopsis,
-        PrivateCountStructure, QgramParams, SimpleTrieParams, SnapshotCodec,
+        PrivateCountStructure, QgramParams, SimpleTrieParams,
     };
     pub use dpsc_serve::{
         Client, ClientConfig, ClientError, MetricsReport, RetryPolicy, ShardManager, SnapshotStore,

@@ -284,14 +284,15 @@ fn stats_surface_per_shard_sizes_and_utility_bounds() {
     handle.shutdown();
 }
 
-/// Shipping a v2 uncompressed snapshot over the wire installs it
+/// Shipping an uncompressed snapshot over the wire installs it
 /// *borrowed*: the resident synopsis answers straight out of the received
 /// frame buffer (zero per-array copies), bit-identically to a local
-/// decode, and hot-swaps back to owned v1 still work on the same shard.
+/// decode, and hot-swapping to a compressed snapshot on the same shard
+/// lands owned with the same answers.
 #[test]
 fn v2_snapshots_serve_borrowed_over_the_wire() {
     let (frozen, patterns) = dp_built(35);
-    let v2 = frozen.to_bytes_v2(false);
+    let v2 = frozen.to_bytes();
     let manager = Arc::new(ShardManager::new());
     let handle = spawn_daemon(Arc::clone(&manager));
     let mut client = Client::connect(handle.addr()).expect("client connects");
@@ -305,10 +306,13 @@ fn v2_snapshots_serve_borrowed_over_the_wire() {
         assert_eq!(served.to_bits(), frozen.query(p).to_bits(), "pattern {p:?}");
     }
 
-    // Swapping the same shard back to a v1 snapshot lands owned.
-    client.load_snapshot(1, &frozen.to_bytes()).expect("v1 snapshot loads");
+    // Swapping the same shard to a compressed snapshot lands owned.
+    client.load_snapshot(1, &frozen.to_bytes_v2(true)).expect("compressed snapshot loads");
     assert!(!manager.snapshot(1).unwrap().synopsis.is_borrowed());
-    assert!(client.query(1, b"").expect("query answered").is_finite());
+    for p in &patterns {
+        let served = client.query(1, p).expect("query answered");
+        assert_eq!(served.to_bits(), frozen.query(p).to_bits(), "pattern {p:?}");
+    }
     handle.shutdown();
 }
 

@@ -1,10 +1,9 @@
 //! Robustness of the `DPSF` v2 snapshot codec on a *real* DP-built
-//! structure, mirroring `synopsis_serialization.rs` for both v2 dialects
-//! (uncompressed/borrowable and delta-compressed): exact round-trips,
-//! `Err` (never a panic) on truncations, bit flips, splices, and noise,
-//! forged-but-restamped non-finite fields, and a differential sweep
-//! asserting that v1-decoded, v2-owned, and v2-borrowed synopses answer
-//! bit-identically.
+//! structure, for both dialects (uncompressed/borrowable and
+//! delta-compressed): exact round-trips, `Err` (never a panic) on
+//! truncations, version/magic damage, bit flips, splices, and noise,
+//! forged-but-restamped header fields, and a differential sweep asserting
+//! that owned, compressed, and borrowed decodes answer bit-identically.
 
 mod common;
 
@@ -20,19 +19,26 @@ use rand::{Rng, SeedableRng};
 // v2 header layout landmarks (see DESIGN.md §13): the section table
 // starts at 88 with 24-byte entries {offset, len, checksum}, the header
 // checksum sits at 184, and sections begin at 192.
+const CLIP_OFF: usize = 16;
+const DELTA_OFF: usize = 32;
+const ALPHA_COUNTS_OFF: usize = 40;
+const ALPHA_ABSENT_OFF: usize = 48;
+const N_NODES_OFF: usize = 72;
 const TABLE_OFF: usize = 88;
 const TABLE_ENTRY_LEN: usize = 24;
 const HEADER_SUM_OFF: usize = 184;
-const ALPHA_COUNTS_OFF: usize = 40;
-const ALPHA_ABSENT_OFF: usize = 48;
+const HEADER_LEN: usize = 192;
 
 /// A genuinely constructed (Theorem 1) synopsis plus its corpus.
 fn built() -> (PrivateCountStructure, FrozenSynopsis, Vec<Vec<u8>>) {
+    built_in(CountMode::Substring)
+}
+
+fn built_in(mode: CountMode) -> (PrivateCountStructure, FrozenSynopsis, Vec<Vec<u8>>) {
     let mut rng = StdRng::seed_from_u64(11);
     let db = markov_corpus(60, 16, 4, 0.6, &mut rng);
     let idx = CorpusIndex::build(&db);
-    let params = BuildParams::new(CountMode::Substring, PrivacyParams::pure(1e4), 0.1)
-        .with_thresholds(1.5, 1.5);
+    let params = BuildParams::new(mode, PrivacyParams::pure(1e4), 0.1).with_thresholds(1.5, 1.5);
     let s = build_pure(&idx, &params, &mut rng).expect("construction succeeds");
     let f = s.freeze();
     (s, f, db.documents().to_vec())
@@ -72,7 +78,6 @@ fn v2_roundtrip_preserves_queries_exactly() {
         let bytes = frozen.to_bytes_v2(compressed);
         let back = FrozenSynopsis::from_bytes(&bytes).expect("round-trip parses");
         assert_eq!(back, frozen);
-        assert_eq!(back.codec(), SnapshotCodec::V2 { compressed });
         for doc in &docs {
             for i in 0..doc.len() {
                 for j in i + 1..=doc.len() {
@@ -82,9 +87,11 @@ fn v2_roundtrip_preserves_queries_exactly() {
             }
         }
         // Serializing the decoded synopsis reproduces the identical bytes.
-        assert_eq!(back.to_bytes(), bytes, "compressed={compressed} not canonical");
-        assert_eq!(back.serialized_len(), bytes.len());
+        assert_eq!(back.to_bytes_v2(compressed), bytes, "compressed={compressed} not canonical");
     }
+    // The default encoding is the uncompressed dialect.
+    assert_eq!(frozen.to_bytes(), frozen.to_bytes_v2(false));
+    assert_eq!(frozen.serialized_len(), frozen.to_bytes().len());
 }
 
 #[test]
@@ -190,7 +197,7 @@ fn v2_random_mutation_corpus_never_panics() {
                 }
             }
             if let Ok(parsed) = FrozenSynopsis::from_bytes(&m) {
-                assert_eq!(parsed.to_bytes(), m, "accepted a non-canonical encoding");
+                assert_eq!(parsed.to_bytes_v2(compressed), m, "accepted a non-canonical encoding");
                 assert_eq!(parsed, frozen, "accepted a mutated synopsis as different content");
             }
         }
@@ -205,14 +212,12 @@ fn v2_borrowed_and_owned_answer_bit_identically() {
     assert!(borrowed.is_borrowed(), "uncompressed v2 via Arc must decode borrowed");
     let owned = FrozenSynopsis::from_bytes(&v2u).expect("owned decode");
     assert!(!owned.is_borrowed());
-    // Compressed v2 and v1 fall back to owned storage through the same
-    // entry point.
+    // Compressed v2 falls back to owned storage through the same entry
+    // point.
     let v2c = FrozenSynopsis::from_bytes_shared(frozen.to_bytes_v2(true).into()).unwrap();
     assert!(!v2c.is_borrowed());
-    let v1 = FrozenSynopsis::from_bytes_shared(frozen.to_bytes().into()).unwrap();
-    assert!(!v1.is_borrowed());
 
-    for syn in [&borrowed, &owned, &v2c, &v1] {
+    for syn in [&borrowed, &owned, &v2c] {
         assert_eq!(*syn, frozen);
     }
     for doc in &docs {
@@ -220,9 +225,7 @@ fn v2_borrowed_and_owned_answer_bit_identically() {
             for j in i + 1..=doc.len() {
                 let pat = &doc[i..j];
                 let want = structure.query(pat).to_bits();
-                for (label, syn) in
-                    [("borrowed", &borrowed), ("owned", &owned), ("v2c", &v2c), ("v1", &v1)]
-                {
+                for (label, syn) in [("borrowed", &borrowed), ("owned", &owned), ("v2c", &v2c)] {
                     assert_eq!(syn.query(pat).to_bits(), want, "{label} disagrees on {pat:?}");
                     assert_eq!(
                         syn.query_naive(pat).to_bits(),
@@ -281,6 +284,103 @@ fn v2_forged_oversized_edge_start_is_an_error_not_a_panic() {
     assert!(format!("{err}").contains("CSR"), "unexpected error: {err}");
 }
 
+#[test]
+fn version_and_magic_damage_errors() {
+    let (_, frozen, _) = built();
+    for compressed in [false, true] {
+        let bytes = frozen.to_bytes_v2(compressed);
+        for pos in 0..6 {
+            for val in [0u8, 1, 2, 7, 0xFF] {
+                let mut m = bytes.clone();
+                if m[pos] == val {
+                    continue;
+                }
+                m[pos] = val;
+                assert!(
+                    FrozenSynopsis::from_bytes(&m).is_err(),
+                    "byte {pos} := {val} parsed (compressed={compressed})"
+                );
+            }
+        }
+        // A buffer claiming the retired v1 format is refused by version,
+        // before any v1 layout is assumed.
+        let mut v1 = bytes.clone();
+        v1[4..6].copy_from_slice(&1u16.to_le_bytes());
+        assert_eq!(
+            FrozenSynopsis::from_bytes(&v1).unwrap_err(),
+            DecodeError::UnsupportedVersion { found: 1, expected: 2 }
+        );
+    }
+}
+
+#[test]
+fn empty_and_tiny_inputs_error() {
+    assert!(FrozenSynopsis::from_bytes(&[]).is_err());
+    for len in 1..16 {
+        assert!(FrozenSynopsis::from_bytes(&vec![0u8; len]).is_err());
+        assert!(FrozenSynopsis::from_bytes(&vec![0xFFu8; len]).is_err());
+    }
+    // A bare valid header with nothing after it is still truncated.
+    let (_, frozen, _) = built();
+    for compressed in [false, true] {
+        let bytes = frozen.to_bytes_v2(compressed);
+        assert!(FrozenSynopsis::from_bytes(&bytes[..16]).is_err());
+        assert!(FrozenSynopsis::from_bytes(&bytes[..HEADER_LEN]).is_err());
+    }
+}
+
+#[test]
+fn v2_forged_clip_level_must_match_the_mode_tag() {
+    // `built()` is Substring mode (clip field 0): a nonzero clip level
+    // under that tag is non-canonical, so even a restamped forgery fails.
+    let (_, frozen, _) = built();
+    for compressed in [false, true] {
+        let forged =
+            patch_and_restamp_v2(&frozen.to_bytes_v2(compressed), CLIP_OFF, &5u64.to_le_bytes());
+        let err = FrozenSynopsis::from_bytes(&forged).expect_err("clip under Substring parsed");
+        assert!(format!("{err}").contains("clip"), "unexpected error: {err}");
+    }
+    // The same patch on a Clipped-mode synopsis is meaningful and fine.
+    let (_, clipped, _) = built_in(CountMode::Clipped(7));
+    for compressed in [false, true] {
+        let reclipped =
+            patch_and_restamp_v2(&clipped.to_bytes_v2(compressed), CLIP_OFF, &5u64.to_le_bytes());
+        let parsed = FrozenSynopsis::from_bytes(&reclipped).expect("valid clipped encoding");
+        assert_eq!(parsed.mode(), CountMode::Clipped(5));
+        assert_eq!(parsed.to_bytes_v2(compressed), reclipped, "canonical re-serialization");
+    }
+}
+
+#[test]
+fn v2_forged_negative_zero_delta_errors() {
+    // `built()` is pure DP (δ = +0.0). `-0.0` passes a plain range check
+    // but would re-serialize as `+0.0`, so the decoder must refuse it.
+    let (_, frozen, _) = built();
+    for compressed in [false, true] {
+        let bytes = frozen.to_bytes_v2(compressed);
+        let forged = patch_and_restamp_v2(&bytes, DELTA_OFF, &(-0.0f64).to_le_bytes());
+        let err = FrozenSynopsis::from_bytes(&forged).expect_err("-0.0 delta parsed");
+        assert!(format!("{err}").contains("delta"), "unexpected error: {err}");
+    }
+}
+
+#[test]
+fn v2_forged_node_count_overflow_is_an_error_not_a_panic() {
+    // A restamped header declaring 2^62 + 5 nodes (and a matching edge
+    // count, so the tree-shape check passes): every section size derived
+    // from it overflows, which must surface as `SizeOverflow`.
+    let (_, frozen, _) = built();
+    let n_nodes = (1u64 << 62) + 5;
+    let mut counts = [0u8; 16];
+    counts[..8].copy_from_slice(&n_nodes.to_le_bytes());
+    counts[8..].copy_from_slice(&(n_nodes - 1).to_le_bytes());
+    for compressed in [false, true] {
+        let forged = patch_and_restamp_v2(&frozen.to_bytes_v2(compressed), N_NODES_OFF, &counts);
+        assert_eq!(FrozenSynopsis::from_bytes(&forged).unwrap_err(), DecodeError::SizeOverflow);
+        assert!(FrozenSynopsis::from_bytes_shared(forged.into()).is_err());
+    }
+}
+
 /// Builds a real structure on tiny random corpora (retrying the
 /// legitimate FAIL branch on derived seeds) and asserts all three decode
 /// paths agree bit-for-bit.
@@ -297,7 +397,7 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(16))]
 
     #[test]
-    fn v1_v2_owned_and_borrowed_decode_bit_identically(
+    fn owned_compressed_and_borrowed_decode_bit_identically(
         docs in proptest::collection::vec(
             proptest::collection::vec(proptest::sample::select(vec![b'a', b'b', b'c']), 1..12),
             1..10,
@@ -306,11 +406,10 @@ proptest! {
     ) {
         let (structure, docs) = common::with_retry_seeds(seed, 6, |s| build_small(docs.clone(), s));
         let frozen = structure.freeze();
-        let v1 = FrozenSynopsis::from_bytes(&frozen.to_bytes()).expect("v1 decodes");
-        let v2_owned = FrozenSynopsis::from_bytes(&frozen.to_bytes_v2(false)).expect("v2 decodes");
+        let v2_owned = FrozenSynopsis::from_bytes(&frozen.to_bytes()).expect("v2 decodes");
         let v2_compressed =
             FrozenSynopsis::from_bytes(&frozen.to_bytes_v2(true)).expect("v2c decodes");
-        let shared: Arc<[u8]> = frozen.to_bytes_v2(false).into();
+        let shared: Arc<[u8]> = frozen.to_bytes().into();
         let v2_borrowed = FrozenSynopsis::from_bytes_shared(shared).expect("borrowed decodes");
         prop_assert!(v2_borrowed.is_borrowed());
         for doc in &docs {
@@ -318,7 +417,6 @@ proptest! {
                 for j in i + 1..=doc.len() {
                     let pat = &doc[i..j];
                     let want = frozen.query(pat).to_bits();
-                    prop_assert_eq!(v1.query(pat).to_bits(), want);
                     prop_assert_eq!(v2_owned.query(pat).to_bits(), want);
                     prop_assert_eq!(v2_compressed.query(pat).to_bits(), want);
                     prop_assert_eq!(v2_borrowed.query(pat).to_bits(), want);
@@ -328,7 +426,6 @@ proptest! {
         // Absent patterns exercise the early-exit paths of all storages.
         for pat in [b"zz".as_slice(), b"xyzw", b"qqqqqqqq"] {
             let want = frozen.query(pat).to_bits();
-            prop_assert_eq!(v1.query(pat).to_bits(), want);
             prop_assert_eq!(v2_owned.query(pat).to_bits(), want);
             prop_assert_eq!(v2_compressed.query(pat).to_bits(), want);
             prop_assert_eq!(v2_borrowed.query(pat).to_bits(), want);
