@@ -15,7 +15,7 @@
 //!   ([`CorpusIndex::count_clipped`]);
 //! * `count_1(P, D)` (Document Count) = number of distinct documents in the
 //!   interval ([`CorpusIndex::document_count`], backed by the
-//!   prev-occurrence + merge-sort-tree structure in
+//!   prev-occurrence + wavelet-matrix structure in
 //!   [`crate::doc_counter`]).
 
 use dpsc_strkit::alphabet::{Alphabet, Database};
@@ -47,8 +47,8 @@ pub struct CorpusIndex {
 
 impl CorpusIndex {
     /// Builds the index in `O(N log N)` time for `N = Σ|S_i| + n`
-    /// (the `log` comes from the merge-sort tree; the suffix array itself is
-    /// linear).
+    /// (the `log` comes from the wavelet matrix's `⌈log₂ N⌉` levels, each
+    /// one linear pass; the suffix array itself is linear).
     pub fn build(db: &Database) -> Self {
         let n_docs = db.n();
         let total: usize = db.total_len() + n_docs;
@@ -263,7 +263,8 @@ impl CorpusIndex {
     }
 
     /// `count_1(P, D)` (Document Count): number of documents containing
-    /// `pattern`. `O(|P| log N + log² N)` via the merge-sort tree.
+    /// `pattern`. `O(|P| log N)`: the interval search, then `O(log N)` rank
+    /// steps in the wavelet matrix.
     pub fn document_count(&self, pattern: &[u8]) -> usize {
         if pattern.is_empty() {
             return self.n_docs;

@@ -9,7 +9,8 @@
 //!   lookups.
 //! * [`doc_counter::DocDistinctCounter`] — distinct-document counting over
 //!   suffix-array intervals via the prev-occurrence reduction and a
-//!   merge-sort tree ([`range_count::MergeSortTree`]).
+//!   wavelet matrix ([`range_count::WaveletMatrix`]), `O(log N)` per query
+//!   in `N·⌈log₂ N⌉` bits plus a rank directory.
 //! * [`qgrams::depth_groups`] — enumeration of the distinct length-`d`
 //!   substrings (the `d`-minimal suffix-tree nodes of Lemma 21), the engine
 //!   of the fast (ε,δ)-DP q-gram construction (Theorem 4).
@@ -25,4 +26,4 @@ pub mod range_count;
 pub use corpus::CorpusIndex;
 pub use doc_counter::DocDistinctCounter;
 pub use qgrams::{depth_groups, DepthGroup};
-pub use range_count::MergeSortTree;
+pub use range_count::WaveletMatrix;

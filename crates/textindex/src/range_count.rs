@@ -1,100 +1,151 @@
-//! Merge-sort tree: static range counting of values below a bound.
+//! Wavelet matrix: static range counting of values below a bound.
 //!
-//! `O(N log N)` space/construction, `O(log² N)` per query. This powers the
+//! The wavelet matrix ("The wavelet matrix: An efficient wavelet tree for
+//! large alphabets", Information Systems 47, 2015) stores `N` values of `b`
+//! bits as `b` bit vectors of length `N`, `N·b` bits plus a 25% rank
+//! directory, and answers [`WaveletMatrix::count_less`] with `2b` rank
+//! queries. This powers the
 //! distinct-document counting of [`crate::doc_counter`] — the classic
 //! colored-range-counting reduction (Muthukrishnan \[58\], cited by the paper
 //! as the non-private document counting substrate).
 
-/// Segment tree whose node for range `[l, r)` stores the sorted values of
-/// that range.
+/// Bit vector with a rank9 directory (Vigna, "Broadword implementation of
+/// rank/select queries", WEA 2008), interleaved with the bits: each 512-bit
+/// block carries the count of ones before it and seven 9-bit counts of the
+/// ones before each later word of the block. A rank reads one block.
 #[derive(Debug, Clone)]
-pub struct MergeSortTree {
-    /// `levels\[0\]` is the original array; `levels[k]` merges blocks of size
-    /// `2^k` into sorted runs of size `2^{k+1}` — a bottom-up representation
-    /// that avoids pointer chasing.
-    levels: Vec<Vec<i64>>,
+struct RankBits {
+    /// `len / 512 + 1` blocks, so `rank1(len)` reads a block too.
+    blocks: Vec<RankBlock>,
+}
+
+#[derive(Debug, Clone, Copy, Default)]
+struct RankBlock {
+    /// Ones before the block.
+    before: u64,
+    /// Ones before word `w ∈ 1..8` of the block, at bits `9(w − 1)..9w`.
+    in_block: u64,
+    words: [u64; 8],
+}
+
+impl RankBits {
+    /// Takes the bits as little-endian `u64` words.
+    fn new(words: &[u64]) -> Self {
+        let mut blocks = Vec::with_capacity(words.len() / 8 + 1);
+        let mut before = 0u64;
+        for k in 0..=words.len() / 8 {
+            let chunk = &words[8 * k..(8 * k + 8).min(words.len())];
+            let mut block = RankBlock { before, ..RankBlock::default() };
+            block.words[..chunk.len()].copy_from_slice(chunk);
+            for (w, x) in block.words.iter().enumerate() {
+                if w > 0 {
+                    block.in_block |= (before - block.before) << (9 * (w - 1));
+                }
+                before += u64::from(x.count_ones());
+            }
+            blocks.push(block);
+        }
+        Self { blocks }
+    }
+
+    /// Ones among the first `i` bits.
+    #[inline]
+    fn rank1(&self, i: usize) -> usize {
+        let block = &self.blocks[i / 512];
+        let w = (i / 64) % 8;
+        // For w = 0 the wrapped shift lands on `in_block`'s always-zero top
+        // bit, so the in-block count needs no branch (Vigna's trick).
+        let t = (w as u64).wrapping_sub(1);
+        let shift = t.wrapping_add((t >> 60) & 8).wrapping_mul(9);
+        let sub = (block.in_block >> shift) & 0x1FF;
+        let partial = (block.words[w] & ((1u64 << (i % 64)) - 1)).count_ones();
+        (block.before + sub) as usize + partial as usize
+    }
+
+    fn heap_bytes(&self) -> usize {
+        std::mem::size_of::<RankBlock>() * self.blocks.capacity()
+    }
+}
+
+/// Wavelet matrix over `u32` values: level `k` holds bit `b − 1 − k` of
+/// every value, in the order left by stably partitioning on the bits above
+/// it (zeros first).
+#[derive(Debug, Clone)]
+pub struct WaveletMatrix {
+    /// Most significant bit first.
+    levels: Vec<RankBits>,
+    /// Number of zeros at each level.
+    zeros: Vec<usize>,
     n: usize,
 }
 
-impl MergeSortTree {
-    /// Builds the tree over `values`.
-    pub fn build(values: &[i64]) -> Self {
+impl WaveletMatrix {
+    /// Builds the matrix over `values`, with `⌈log₂(max + 1)⌉` levels.
+    pub fn build(values: &[u32]) -> Self {
         let n = values.len();
-        let mut levels = Vec::new();
-        levels.push(values.to_vec());
-        let mut width = 1usize;
-        while width < n {
-            let prev = levels.last().expect("at least one level");
-            let mut next = Vec::with_capacity(n);
-            let mut i = 0usize;
-            while i < n {
-                let mid = (i + width).min(n);
-                let end = (i + 2 * width).min(n);
-                // Merge prev[i..mid] and prev[mid..end] (each sorted runs of
-                // width `width`, except at level 0 where runs are single
-                // elements — also sorted).
-                let (mut a, mut b) = (i, mid);
-                while a < mid && b < end {
-                    if prev[a] <= prev[b] {
-                        next.push(prev[a]);
-                        a += 1;
-                    } else {
-                        next.push(prev[b]);
-                        b += 1;
-                    }
-                }
-                next.extend_from_slice(&prev[a..mid]);
-                next.extend_from_slice(&prev[b..end]);
-                i = end;
+        let max = values.iter().copied().max().unwrap_or(0);
+        let bits = u32::BITS - max.leading_zeros();
+        let mut cur = values.to_vec();
+        let mut next = vec![0u32; n];
+        let mut ones = vec![0u32; n];
+        let mut levels = Vec::with_capacity(bits as usize);
+        let mut zeros = Vec::with_capacity(bits as usize);
+        for level in 0..bits {
+            let shift = bits - 1 - level;
+            let mut words = vec![0u64; n.div_ceil(64)];
+            // Branchless stable partition: every value is written to both
+            // buffers and only the cursor its bit selects advances.
+            let (mut z, mut o) = (0usize, 0usize);
+            for (i, &v) in cur.iter().enumerate() {
+                let bit = ((v >> shift) & 1) as usize;
+                words[i / 64] |= (bit as u64) << (i % 64);
+                next[z] = v;
+                ones[o] = v;
+                z += 1 - bit;
+                o += bit;
             }
-            levels.push(next);
-            width *= 2;
+            next[z..].copy_from_slice(&ones[..o]);
+            std::mem::swap(&mut cur, &mut next);
+            levels.push(RankBits::new(&words));
+            zeros.push(z);
         }
-        Self { levels, n }
+        Self { levels, zeros, n }
     }
 
     /// Number of indices `i ∈ [lo, hi)` with `values[i] < bound`.
     ///
-    /// Decomposes `[lo, hi)` into `O(log N)` aligned blocks and binary
-    /// searches each.
-    pub fn count_less(&self, lo: usize, hi: usize, bound: i64) -> usize {
+    /// Walks the levels top down with two ranks per level: where `bound`
+    /// has a one bit, every value in the range with a zero there is smaller.
+    pub fn count_less(&self, lo: usize, hi: usize, bound: u32) -> usize {
         assert!(lo <= hi && hi <= self.n, "range out of bounds");
-        if lo == hi {
-            return 0;
+        let bits = self.levels.len() as u32;
+        if u64::from(bound) >> bits != 0 {
+            return hi - lo;
         }
+        let (mut l, mut r) = (lo, hi);
         let mut total = 0usize;
-        let mut l = lo;
-        let r = hi;
-        // Greedy dyadic decomposition: at each step, peel off the largest
-        // aligned block at the left/right boundary.
-        while l < r {
-            // Largest power-of-two block starting at l, inside [l, r).
-            let max_by_align = if l == 0 { usize::MAX } else { l & l.wrapping_neg() };
-            let mut size = 1usize;
-            while size * 2 <= max_by_align.min(r - l) && size * 2 <= self.n {
-                size *= 2;
+        for (k, (bv, &z)) in self.levels.iter().zip(&self.zeros).enumerate() {
+            if l == r {
+                break;
             }
-            while size > r - l || !l.is_multiple_of(size) {
-                size /= 2;
+            let (l1, r1) = (bv.rank1(l), bv.rank1(r));
+            if (bound >> (bits - 1 - k as u32)) & 1 == 1 {
+                total += (r - r1) - (l - l1);
+                l = z + l1;
+                r = z + r1;
+            } else {
+                l -= l1;
+                r -= r1;
             }
-            let level = size.trailing_zeros() as usize;
-            let run = &self.levels[level][l..(l + size).min(self.levels[level].len())];
-            total += run.partition_point(|&v| v < bound);
-            l += size;
         }
         total
     }
 
-    /// Length of the underlying array.
-    #[inline]
-    pub fn len(&self) -> usize {
-        self.n
-    }
-
-    /// Whether the array is empty.
-    #[inline]
-    pub fn is_empty(&self) -> bool {
-        self.n == 0
+    /// Heap memory held by the matrix, in bytes.
+    pub fn heap_bytes(&self) -> usize {
+        self.levels.iter().map(RankBits::heap_bytes).sum::<usize>()
+            + std::mem::size_of::<RankBits>() * self.levels.capacity()
+            + std::mem::size_of::<usize>() * self.zeros.capacity()
     }
 }
 
@@ -102,19 +153,19 @@ impl MergeSortTree {
 mod tests {
     use super::*;
 
-    fn naive(values: &[i64], lo: usize, hi: usize, bound: i64) -> usize {
+    fn naive(values: &[u32], lo: usize, hi: usize, bound: u32) -> usize {
         values[lo..hi].iter().filter(|&&v| v < bound).count()
     }
 
     #[test]
     fn matches_naive_exhaustive() {
-        let values: Vec<i64> = vec![3, -1, 4, 1, -5, 9, 2, 6, 5, 3, 5, -8, 9, 7];
-        let tree = MergeSortTree::build(&values);
+        let values: Vec<u32> = vec![3, 0, 4, 1, 5, 9, 2, 6, 5, 3, 5, 8, 9, 7];
+        let wm = WaveletMatrix::build(&values);
         for lo in 0..values.len() {
             for hi in lo..=values.len() {
-                for bound in [-10, -5, 0, 1, 3, 5, 9, 10] {
+                for bound in [0, 1, 3, 5, 9, 10, 16, u32::MAX] {
                     assert_eq!(
-                        tree.count_less(lo, hi, bound),
+                        wm.count_less(lo, hi, bound),
                         naive(&values, lo, hi, bound),
                         "[{lo},{hi}) bound {bound}"
                     );
@@ -124,23 +175,22 @@ mod tests {
     }
 
     #[test]
-    fn non_power_of_two_lengths() {
-        for n in [1usize, 2, 3, 5, 7, 13, 17, 31, 33] {
-            let values: Vec<i64> = (0..n as i64).map(|i| (i * 7919) % 101 - 50).collect();
-            let tree = MergeSortTree::build(&values);
-            for lo in 0..n {
-                for hi in lo..=n {
-                    let bound = 0;
-                    assert_eq!(tree.count_less(lo, hi, bound), naive(&values, lo, hi, bound));
+    fn rank_matches_naive_across_block_boundaries() {
+        for n in [1usize, 63, 64, 65, 511, 512, 513, 1023, 1024, 1025, 4097] {
+            let mut words: Vec<u64> = (0..n.div_ceil(64) as u64)
+                .map(|k| k.wrapping_mul(0x9E37_79B9_7F4A_7C15).rotate_left(k as u32))
+                .collect();
+            if n % 64 != 0 {
+                words[n / 64] &= (1u64 << (n % 64)) - 1;
+            }
+            let bits = RankBits::new(&words);
+            let mut want = 0usize;
+            for i in 0..=n {
+                assert_eq!(bits.rank1(i), want, "n {n} i {i}");
+                if i < n {
+                    want += ((words[i / 64] >> (i % 64)) & 1) as usize;
                 }
             }
         }
-    }
-
-    #[test]
-    fn empty_array() {
-        let tree = MergeSortTree::build(&[]);
-        assert_eq!(tree.count_less(0, 0, 5), 0);
-        assert!(tree.is_empty());
     }
 }

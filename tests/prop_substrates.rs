@@ -8,7 +8,7 @@ use dp_substring_counting::strkit::search::count_occurrences;
 use dp_substring_counting::strkit::suffix_array::{naive_suffix_array, SuffixArray};
 use dp_substring_counting::strkit::trie::Trie;
 use dp_substring_counting::strkit::{naive_contains, naive_count};
-use dp_substring_counting::textindex::{depth_groups, CorpusIndex, MergeSortTree};
+use dp_substring_counting::textindex::{depth_groups, CorpusIndex, WaveletMatrix};
 use proptest::prelude::*;
 
 fn small_text() -> impl Strategy<Value = Vec<u8>> {
@@ -103,15 +103,24 @@ proptest! {
     }
 
     #[test]
-    fn mergesort_tree_matches_naive(
-        values in proptest::collection::vec(-50i64..50, 0..50),
-        bound in -60i64..60,
+    fn wavelet_matrix_matches_naive(
+        values in proptest::collection::vec(0u32..50, 0..50),
+        bound in 0u32..70,
+        zeros in 0usize..50,
     ) {
-        let tree = MergeSortTree::build(&values);
-        for lo in 0..=values.len() {
-            for hi in lo..=values.len() {
-                let want = values[lo..hi].iter().filter(|&&v| v < bound).count();
-                prop_assert_eq!(tree.count_less(lo, hi, bound), want);
+        // The random values (max < 50, so at most 6 levels), then `zeros`
+        // all-zero values and the empty input, which build no levels.
+        for values in [values, vec![0; zeros], Vec::new()] {
+            let wm = WaveletMatrix::build(&values);
+            let max = values.iter().copied().max().unwrap_or(0);
+            let past_top = 1u32 << (u32::BITS - max.leading_zeros());
+            for lo in 0..=values.len() {
+                for hi in lo..=values.len() {
+                    for b in [bound, 0, past_top, u32::MAX] {
+                        let want = values[lo..hi].iter().filter(|&&v| v < b).count();
+                        prop_assert_eq!(wm.count_less(lo, hi, b), want);
+                    }
+                }
             }
         }
     }
