@@ -12,10 +12,10 @@
 //!   construction per bench run.
 //!
 //! The `serving_step_by_degree` group isolates the per-byte edge-probe
-//! cost of the accelerated layout across node fanouts: star tries with
-//! root degree 2…256 cover the single-u64 SWAR tier (≤ 8), the
-//! multi-block SWAR tier (9…32) and the direct-table tier (> 32),
-//! benchmarked against the naive binary-search walk on the same synopsis.
+//! cost of the snapshot walk across node fanouts: star tries with root
+//! degree 2…256 cover the one-word SWAR probe (≤ 8), the multi-word scan
+//! (9…32) and the wide tier's lane tables (> 32), benchmarked against the
+//! naive binary-search walk on the same synopsis.
 
 use criterion::{black_box, criterion_group, criterion_main, BenchmarkId, Criterion};
 use dpsc_bench::exps::serving::{dp_built, synthetic};
@@ -114,7 +114,7 @@ fn bench_step_by_degree(c: &mut Criterion) {
             (0..degree).flat_map(|i| [[(i * step) as u8, 61], [(i * step) as u8, 7]]).collect();
         let pats: Vec<&[u8]> = pats.iter().map(|p| p.as_slice()).collect();
         let mut i = 0usize;
-        group.bench_with_input(BenchmarkId::new("fastpath", degree), &pats, |b, pats| {
+        group.bench_with_input(BenchmarkId::new("swar_walk", degree), &pats, |b, pats| {
             b.iter(|| {
                 i = (i + 1) % pats.len();
                 frozen.query(black_box(pats[i]))

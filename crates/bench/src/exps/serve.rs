@@ -21,16 +21,16 @@
 //! served answer is asserted bit-identical to the **naive binary-search
 //! trie walk** ([`FrozenSynopsis::query_naive`]) against the same
 //! snapshot *while the experiment runs* — the server answers through the
-//! accelerated SWAR/table layout, so this is a live differential check
-//! that the acceleration layer is behaviorally invisible. A digest drift
+//! SWAR snapshot walk and its wide tier, so this is a live differential
+//! check that both are behaviorally invisible. A digest drift
 //! therefore means the build or the serving path changed behaviour,
 //! which the gate reports louder than a slowdown.
 //!
 //! Besides wire-level throughput, the artifact records a per-shard
 //! **single-query latency** column: an in-process microbenchmark of the
-//! accelerated path vs the naive walk over the shard's own pattern
-//! universe. In-process on purpose — loopback round trips cost ~1 µs,
-//! which would swamp the ~100 ns lookup the fast path optimises.
+//! SWAR walk vs the naive walk over the shard's own pattern universe.
+//! In-process on purpose — loopback round trips cost ~1 µs, which would
+//! swamp the ~100 ns lookup the walk optimises.
 
 use std::io::{Read, Write};
 use std::net::{SocketAddr, TcpStream};
@@ -140,10 +140,10 @@ struct BuiltShard {
     spec: &'static ShardSpec,
     frozen: FrozenSynopsis,
     /// The snapshot ([`FrozenSynopsis::to_bytes`], uncompressed `DPSF`
-    /// v2): what actually ships to the daemon, so the resident snapshots
-    /// serve *borrowed* from the received buffers.
+    /// v3): what actually ships to the daemon, so the resident snapshots
+    /// serve straight from the received buffers.
     bytes: Vec<u8>,
-    /// Delta-compressed v2 — the size column (`serialized_len_v2`).
+    /// The compressed dialect — the size column (`serialized_len_v2`).
     bytes_v2c: Vec<u8>,
     /// Total generated corpus size (`Database::total_len`).
     corpus_bytes: usize,
@@ -181,7 +181,7 @@ fn build_shard(spec: &'static ShardSpec, tag: u64) -> BuiltShard {
     }
     assert!(
         bytes_v2c.len() < bytes.len(),
-        "compressed v2 ({}) must undercut uncompressed v2 ({}) on {}",
+        "compressed snapshot ({}) must undercut uncompressed ({}) on {}",
         bytes_v2c.len(),
         bytes.len(),
         spec.name
@@ -222,11 +222,11 @@ fn build_shard(spec: &'static ShardSpec, tag: u64) -> BuiltShard {
 }
 
 /// Per-shard cold-load latency: ns per decode-and-install of the same
-/// snapshot bytes, owned ([`FrozenSynopsis::from_bytes`], four array
-/// copies) vs borrowed ([`FrozenSynopsis::from_bytes_shared`], zero array
-/// copies — the snapshot points into the shared buffer). Both validate
-/// checksums and structure and rebuild the accelerated layout, so the
-/// delta isolates what borrowing saves. Min-over-repeats average, like
+/// snapshot bytes, copied ([`FrozenSynopsis::from_bytes`], one buffer
+/// copy) vs borrowed ([`FrozenSynopsis::from_bytes_shared`], zero copies
+/// — the synopsis answers from the shared buffer). Both verify
+/// checksums and run the structural sweep, so the delta isolates what
+/// borrowing saves. Min-over-repeats average, like
 /// [`single_query_latency`].
 fn cold_load_latency(shard: &BuiltShard) -> (f64, f64) {
     const REPS: usize = 7;
@@ -243,7 +243,7 @@ fn cold_load_latency(shard: &BuiltShard) -> (f64, f64) {
                     FrozenSynopsis::from_bytes(std::hint::black_box(&shard.bytes))
                 }
                 .expect("benchmark snapshot decodes");
-                debug_assert_eq!(decoded.is_borrowed(), borrowed);
+                debug_assert_eq!(Arc::ptr_eq(decoded.shared_bytes(), &shared), borrowed);
                 std::hint::black_box(&decoded);
             }
             best = best.min(t0.elapsed().as_nanos() as f64 / ITERS as f64);
@@ -254,9 +254,9 @@ fn cold_load_latency(shard: &BuiltShard) -> (f64, f64) {
 }
 
 /// Per-shard single-query latency: ns/query over the shard's pattern
-/// universe for the accelerated path ([`FrozenSynopsis::query`]) vs the
-/// naive binary-search walk ([`FrozenSynopsis::query_naive`], the
-/// pre-acceleration serving path kept as the differential oracle).
+/// universe for the SWAR snapshot walk ([`FrozenSynopsis::query`]) vs
+/// the naive binary-search walk ([`FrozenSynopsis::query_naive`], kept as
+/// the differential oracle).
 /// Min-over-repeats average, in-process (see the module docs for why not
 /// over the wire).
 fn single_query_latency(shard: &BuiltShard) -> (f64, f64) {
@@ -350,8 +350,8 @@ fn generate_workload(
             patterns.push(pat);
         }
         // Expected answers come from the *naive* walk: the daemon serves
-        // through the accelerated layout, so the replay's bit-identical
-        // assertion is a live fast-path-vs-oracle differential check.
+        // through the SWAR walk, so the replay's bit-identical assertion
+        // is a live walk-vs-oracle differential check.
         let answers: Vec<f64> = patterns.iter().map(|p| shard.frozen.query_naive(p)).collect();
         for a in &answers {
             ad = fnv_fold(ad, a.to_bits());
@@ -853,9 +853,9 @@ fn to_json(
          are deterministic for the seed (digests XOR per-connection FNV-1a streams, so thread \
          interleaving cannot change them). Served answers are asserted bit-identical to the \
          naive binary-search trie walk at runtime; single_query_ns is the in-process \
-         accelerated path, single_query_naive_ns the oracle walk on the same universe. \
-         serialized_len_v2 is the delta-compressed DPSF v2 encoding (deterministic); \
-         cold_load_ns is an owned decode-and-install of the uncompressed DPSF v2 snapshot, \
+         SWAR snapshot walk, single_query_naive_ns the oracle walk on the same universe. \
+         serialized_len_v2 is the compressed DPSF v3 dialect (deterministic); \
+         cold_load_ns is a copying decode-and-install of the uncompressed DPSF v3 snapshot, \
          cold_load_v2_ns the zero-copy borrowed decode of the same bytes. Snapshots ship to \
          the daemon uncompressed, so the replay also differentially checks borrowed serving. \
          conn_sweep points hold every socket open simultaneously (barrier-enforced); \
@@ -1003,8 +1003,8 @@ pub fn serve_throughput() -> Table {
     let shards: Vec<BuiltShard> =
         SHARDS.iter().enumerate().map(|(i, s)| build_shard(s, i as u64 + 1)).collect();
     // In-process microbenchmarks before the daemon starts competing for
-    // the CPU: accelerated path vs naive oracle, and owned full-copy
-    // decode vs borrowed decode, per shard.
+    // the CPU: SWAR walk vs naive oracle, and copying decode vs
+    // borrowed decode, per shard.
     let lats: Vec<(f64, f64)> = shards.iter().map(single_query_latency).collect();
     let cold_lats: Vec<(f64, f64)> = shards.iter().map(cold_load_latency).collect();
     let zipfs: Vec<Zipf> = shards.iter().map(|s| Zipf::new(s.universe.len(), ZIPF_S)).collect();
@@ -1023,8 +1023,8 @@ pub fn serve_throughput() -> Table {
     {
         let mut admin = Client::connect(addr).expect("admin connects");
         for s in &shards {
-            // Ship uncompressed v2: the daemon installs each shard
-            // *borrowed* from the received buffer, so the whole replay
+            // Ship uncompressed snapshots: the daemon serves each shard
+            // straight from the received buffer, so the whole replay
             // (answers asserted against the naive walk) doubles as a
             // differential check of zero-copy serving.
             admin.load_snapshot(s.spec.shard_id, &s.bytes).expect("snapshot loads");
@@ -1032,7 +1032,12 @@ pub fn serve_throughput() -> Table {
     }
     for s in &shards {
         let resident = manager.snapshot(s.spec.shard_id).expect("shard resident");
-        assert!(resident.synopsis.is_borrowed(), "{} must serve borrowed", s.spec.name);
+        assert_eq!(
+            resident.synopsis.shared_bytes()[..],
+            s.bytes[..],
+            "{} must serve the shipped bytes",
+            s.spec.name
+        );
     }
 
     // ---- Measure both modes, best-of-repeats ------------------------------
@@ -1240,7 +1245,7 @@ pub fn serve_throughput() -> Table {
     {
         t.note(format!(
             "{}: {} workload, {:.2} MB corpus, {} nodes — single query {:.0} ns fast vs \
-             {:.0} ns naive ({:.2}× speedup); cold load {:.0} ns owned vs {:.0} ns borrowed; \
+             {:.0} ns naive ({:.2}× speedup); cold load {:.0} ns copied vs {:.0} ns borrowed; \
              snapshot {} B, {} B compressed ({:.2}×)",
             s.spec.name,
             s.spec.workload.as_str(),

@@ -38,9 +38,15 @@ impl Noise {
     }
 
     /// Gaussian noise calibrated to `L2` sensitivity and (ε, δ) (Lemma 5):
-    /// `σ = √(2 ln(1.25/δ)) · Δ₂ / ε`, valid for `ε ∈ (0, 1]` per the
-    /// classical analysis (we accept larger ε with the same formula, which
-    /// is conservative in our experiments and flagged in docs).
+    /// `σ = √(2 ln(1.25/δ)) · Δ₂ / ε`. The classical analysis proves this
+    /// σ only for `ε ∈ (0, 1]`. Larger ε is accepted with the same formula,
+    /// which is *not* conservative: above 1 it can under-noise, so the
+    /// (ε, δ) guarantee is not established there. Two callers reach that
+    /// range: approx builds calibrate each step at ε/3
+    /// (`private_count::builder`, `split_even(3)`), so any total ε > 3
+    /// does; and the audit matrix's sampler rows call this at every
+    /// configured ε, up to 4. The analytic Gaussian mechanism, valid for
+    /// every ε, is the planned fix (ROADMAP.md item 4(a)).
     pub fn gaussian_for(epsilon: f64, delta: f64, l2_sensitivity: f64) -> Self {
         assert!(epsilon > 0.0, "ε must be positive");
         assert!(delta > 0.0 && delta < 1.0, "δ must be in (0,1)");

@@ -5,7 +5,7 @@
 //! Two decoders follow the same defensive discipline — magic, version,
 //! little-endian framing, FNV-1a checksums, every read length-checked so
 //! corrupt input is an `Err` and never a panic:
-//! [`crate::synopsis::FrozenSynopsis::from_bytes`] (the `DPSF` v2
+//! [`crate::synopsis::FrozenSynopsis::from_bytes`] (the `DPSF` v3
 //! snapshot codec, one checksum per section) and the `dpsc-serve` wire
 //! protocol (the request/response frames that carry those snapshots). Both report defects through [`DecodeError`]
 //! so callers can branch on the *kind* of damage (truncation vs checksum
@@ -56,7 +56,7 @@ pub enum DecodeError {
         computed: u64,
     },
     /// Stored and recomputed FNV-1a checksums of one named section
-    /// disagree (snapshot codec v2 carries a checksum per section so a
+    /// disagree (the snapshot codec carries a checksum per section so a
     /// corrupt section can be named instead of just "the payload").
     SectionChecksumMismatch {
         /// Which section is damaged (`"counts"`, `"edge_start"`, …).

@@ -1,74 +1,99 @@
-//! `DPSF` v2: the snapshot codec, and the only format a
-//! [`FrozenSynopsis`] writes and reads. The four CSR arrays sit in
-//! 8-byte-aligned sections, each with its own checksum, so a corrupt
-//! byte is reported by section and a valid snapshot can be served from
-//! its own bytes without copying:
+//! `DPSF` v3: the snapshot codec, and the only format a
+//! [`FrozenSynopsis`](crate::synopsis::FrozenSynopsis) writes and reads.
+//! Its canonical uncompressed encoding *is* the query structure: a
+//! synopsis holds exactly these bytes and walks them in place. Three
+//! arrays sit in 8-byte-aligned sections, each with its own checksum, so
+//! a corrupt byte is reported by section:
 //!
 //! ```text
 //! off   size  field
 //!   0      4  magic "DPSF"
-//!   4      2  version = 2 (u16 LE)
-//!   6      2  flags (bit 0 = compressed edge arrays; others reserved = 0)
+//!   4      2  version = 3 (u16 LE)
+//!   6      2  flags (bit 0 = compressed edge_start; others reserved = 0)
 //!   8      4  mode tag (u32 LE)
-//!  12      4  section count = 4 (u32 LE)
+//!  12      4  section count = 3 (u32 LE)
 //!  16      8  clip level (u64 LE)
 //!  24     32  ε, δ, α_counts, α_absent (f64 bit patterns, LE)
 //!  56     32  n_docs, ℓ, n_nodes, n_edges (u64 LE)
-//!  88     96  section table: 4 × { offset u64, len u64, fnv1a u64 }
-//! 184      8  header checksum = fnv1a(bytes[0..184])
-//! 192      …  sections, fixed order counts / edge_start / edge_label /
-//!             edge_target, each starting on an 8-byte boundary with
-//!             zeroed padding between (padding is validated, so the
-//!             encoding stays canonical)
+//!  88     72  section table: 3 × { offset u64, len u64, fnv1a u64 }
+//! 160      8  header checksum = fnv1a(bytes[0..160])
+//! 168      …  sections, fixed order counts / edge_start / edge_label,
+//!             each starting on an 8-byte boundary; zeroed padding
+//!             between them, and after edge_label up to the first
+//!             multiple of 8 at least 7 bytes past its end (padding is
+//!             validated, so the encoding stays canonical)
 //! ```
 //!
-//! **Borrowing.** Every section offset is a multiple of 8 and the
-//! uncompressed sections are raw little-endian arrays, so after the
-//! header, table and per-section checksums validate, the decoder can
-//! point the synopsis arrays *into the input buffer* (`Arc<[u8]>`) and
-//! skip the copies entirely — `Storage::Borrowed`. Reads go through
-//! `from_le_bytes` on fixed-size ranges (safe code; compiles to a plain
-//! load on little-endian targets), which is what keeps the workspace's
-//! `unsafe_code = "deny"` intact: no `&[u8]` → `&[f64]` casts anywhere.
+//! **Implicit children.** Nodes are numbered breadth-first and edges are
+//! stored in that same order, so the child of edge `e` is node `e + 1`
+//! and no child ids are stored. `counts` holds one `f64` per node,
+//! `edge_start` the `n_nodes + 1` CSR offsets (`u32`), and `edge_label`
+//! one byte per edge, strictly increasing within each node.
+//!
+//! **In-place reads.** Every section offset is a multiple of 8 and the
+//! uncompressed sections are raw little-endian arrays, so the synopsis
+//! reads its fields with `from_le_bytes` on fixed-size ranges (safe code;
+//! a plain load on little-endian targets), which keeps the workspace's
+//! `unsafe_code = "deny"` intact. The tail padding guarantees 8 readable
+//! bytes from every label offset, so the query walk's 8-byte label loads
+//! never need a bounds fallback.
 //!
 //! **Compression** (flag bit 0): `edge_start` is stored as per-node
-//! degrees (delta of the offsets) in LEB128 varints, and `edge_target`
-//! as zigzag varints of consecutive gaps — BFS numbering makes targets
-//! near-monotone, so gaps are small. Varints are required to be minimal
-//! on decode (no redundant continuation bytes), keeping the dialect
-//! canonical: `from_bytes(b)?.to_bytes_v2(compressed) == b` for both
-//! dialects. Compressed snapshots always decode into owned storage;
-//! `FrozenSynopsis::to_bytes` writes the uncompressed dialect.
+//! degrees in minimal LEB128 varints; `counts` and `edge_label` stay raw.
+//! Minimal varints are enforced on decode, so both dialects are
+//! canonical: `from_bytes(b)?.to_bytes_v2(compressed) == b`. A compressed
+//! snapshot decodes by re-encoding the canonical uncompressed form.
 
 use std::sync::Arc;
 
 use dpsc_dpcore::budget::PrivacyParams;
 
-use crate::codec::{fnv1a, le_f64, le_u32, require_finite, Cursor, DecodeError};
+use crate::codec::{fnv1a, le_u32, require_finite, Cursor, DecodeError};
 use crate::structure::CountMode;
-use crate::synopsis::{FrozenSynopsis, Storage};
 
 /// Magic bytes opening the binary format ("DP Synopsis, Frozen").
 const MAGIC: [u8; 4] = *b"DPSF";
-/// Version tag of the sectioned format.
-const VERSION: u16 = 2;
-/// Flag bit 0: edge arrays are varint-compressed.
+/// Version tag of the format.
+const VERSION: u16 = 3;
+/// Flag bit 0: `edge_start` is varint-compressed.
 const FLAG_COMPRESSED: u16 = 1;
-/// The four sections, in their fixed on-wire order.
-const SECTION_NAMES: [&str; 4] = ["counts", "edge_start", "edge_label", "edge_target"];
+/// The three sections, in their fixed on-wire order.
+const SECTION_NAMES: [&str; 3] = ["counts", "edge_start", "edge_label"];
 /// Bytes of fixed header fields before the section table.
 const TABLE_OFF: usize = 88;
 /// One section-table entry: offset, length, checksum.
 const TABLE_ENTRY_LEN: usize = 24;
 /// Offset of the header checksum (it covers everything before itself).
-const HEADER_SUM_OFF: usize = TABLE_OFF + 4 * TABLE_ENTRY_LEN;
+const HEADER_SUM_OFF: usize = TABLE_OFF + 3 * TABLE_ENTRY_LEN;
 /// Total header size; the first section starts here (8-byte aligned).
 const HEADER_LEN: usize = HEADER_SUM_OFF + 8;
+/// Readable bytes the layout guarantees past the last label, so an
+/// 8-byte label load from any edge offset stays inside the buffer.
+const LABEL_TAIL: usize = 7;
 
 /// Next multiple of 8 at or above `x`.
 #[inline]
 fn align8(x: usize) -> usize {
     (x + 7) & !7
+}
+
+/// Everything a snapshot header records besides the arrays.
+#[derive(Debug, Clone)]
+pub(crate) struct Meta {
+    pub(crate) mode: CountMode,
+    pub(crate) privacy: PrivacyParams,
+    pub(crate) alpha_counts: f64,
+    pub(crate) alpha_absent: f64,
+    pub(crate) n_docs: usize,
+    pub(crate) max_len: usize,
+}
+
+/// A checksum-verified snapshot in canonical uncompressed form. Its
+/// structure is validated by the synopsis that adopts it.
+pub(crate) struct Canonical {
+    pub(crate) buf: Arc<[u8]>,
+    pub(crate) meta: Meta,
+    pub(crate) n_nodes: usize,
 }
 
 /// Appends `v` as a minimal LEB128 varint.
@@ -82,12 +107,6 @@ fn write_varint(out: &mut Vec<u8>, mut v: u64) {
         }
         out.push(byte | 0x80);
     }
-}
-
-/// Encoded size of `v` as a minimal LEB128 varint.
-#[inline]
-fn varint_len(v: u64) -> usize {
-    ((64 - v.leading_zeros()).max(1) as usize).div_ceil(7)
 }
 
 /// Reads one minimal LEB128 varint from `buf` at `*pos`. Rejects
@@ -129,122 +148,69 @@ fn read_varint(buf: &[u8], pos: &mut usize, field: &'static str) -> Result<u64, 
     }
 }
 
-/// Maps a signed gap onto the unsigned varint domain (zigzag).
-#[inline]
-fn zigzag(v: i64) -> u64 {
-    ((v << 1) ^ (v >> 63)) as u64
-}
-
-/// Inverse of [`zigzag`].
-#[inline]
-fn unzigzag(v: u64) -> i64 {
-    ((v >> 1) as i64) ^ -((v & 1) as i64)
-}
-
-/// Byte length of each section in the chosen dialect, in wire order.
-fn section_lens(store: &Storage, compressed: bool) -> [usize; 4] {
-    let n = store.n_nodes();
-    let e = store.n_edges();
-    let edge_start = if compressed {
-        (0..n)
-            .map(|v| varint_len((store.edge_start_at(v + 1) - store.edge_start_at(v)) as u64))
-            .sum()
-    } else {
-        4 * (n + 1)
-    };
-    let edge_target = if compressed {
-        let mut prev = 0i64;
-        let mut total = 0usize;
-        for i in 0..e {
-            let t = store.edge_target_at(i) as i64;
-            total += varint_len(zigzag(t - prev));
-            prev = t;
-        }
-        total
-    } else {
-        4 * e
-    };
-    [8 * n, edge_start, e, edge_target]
-}
-
-/// Section offsets (first at [`HEADER_LEN`], each aligned to 8) and the
-/// total encoded size (the last section's end, unpadded).
-fn section_layout(lens: &[usize; 4]) -> ([usize; 4], usize) {
-    let mut offsets = [0usize; 4];
+/// Section offsets for the given section lengths (first at
+/// [`HEADER_LEN`], each aligned to 8) and the total encoded size, which
+/// leaves [`LABEL_TAIL`] bytes after the labels.
+fn layout(lens: [usize; 3]) -> ([usize; 3], usize) {
+    let mut offsets = [0usize; 3];
     let mut off = HEADER_LEN;
     for (slot, len) in offsets.iter_mut().zip(lens) {
         *slot = off;
         off = align8(off + len);
     }
-    (offsets, offsets[3] + lens[3])
+    (offsets, align8(offsets[2] + lens[2] + LABEL_TAIL))
 }
 
-/// Serialized size of `syn` in the v2 dialect — a size-only pass, no
-/// encoding. Keeps `FrozenSynopsis::serialized_len` in sync with
-/// [`encode`] by construction (both derive from [`section_lens`]).
-pub(crate) fn encoded_len(syn: &FrozenSynopsis, compressed: bool) -> usize {
-    section_layout(&section_lens(&syn.store, compressed)).1
+/// Section offsets `[counts, edge_start, edge_label]` of the canonical
+/// uncompressed snapshot of an `n_nodes`-node synopsis.
+pub(crate) fn uncompressed_offsets(n_nodes: usize) -> [usize; 3] {
+    layout([8 * n_nodes, 4 * (n_nodes + 1), n_nodes - 1]).0
 }
 
-/// Encodes `syn` into the v2 wire format.
-pub(crate) fn encode(syn: &FrozenSynopsis, compressed: bool) -> Vec<u8> {
-    let store = &syn.store;
-    let n = store.n_nodes();
-    let e = store.n_edges();
-    let lens = section_lens(store, compressed);
-    let (offsets, total) = section_layout(&lens);
-
-    let mut counts = Vec::with_capacity(lens[0]);
-    for v in 0..n {
-        counts.extend_from_slice(&store.count(v).to_bits().to_le_bytes());
-    }
-    let mut edge_start = Vec::with_capacity(lens[1]);
-    if compressed {
-        for v in 0..n {
-            let degree = store.edge_start_at(v + 1) - store.edge_start_at(v);
-            write_varint(&mut edge_start, degree as u64);
+/// Encodes a snapshot from its three uncompressed sections: `counts`
+/// (one little-endian `f64` per node), `edge_start` (`n_nodes + 1`
+/// little-endian `u32` CSR offsets) and `edge_label`. With `compressed`,
+/// `edge_start` is written as per-node degree varints.
+pub(crate) fn encode(
+    meta: &Meta,
+    counts: &[u8],
+    edge_start: &[u8],
+    edge_label: &[u8],
+    compressed: bool,
+) -> Vec<u8> {
+    let degrees;
+    let edge_start = if compressed {
+        let mut out = Vec::with_capacity(counts.len() / 8);
+        for pair in edge_start.windows(8).step_by(4) {
+            write_varint(&mut out, u64::from(le_u32(pair, 4) - le_u32(pair, 0)));
         }
+        degrees = out;
+        &degrees[..]
     } else {
-        for i in 0..=n {
-            edge_start.extend_from_slice(&(store.edge_start_at(i) as u32).to_le_bytes());
-        }
-    }
-    let edge_label = store.edge_labels(0, e).to_vec();
-    let mut edge_target = Vec::with_capacity(lens[3]);
-    if compressed {
-        let mut prev = 0i64;
-        for i in 0..e {
-            let t = store.edge_target_at(i) as i64;
-            write_varint(&mut edge_target, zigzag(t - prev));
-            prev = t;
-        }
-    } else {
-        for i in 0..e {
-            edge_target.extend_from_slice(&store.edge_target_at(i).to_le_bytes());
-        }
-    }
-    let sections = [counts, edge_start, edge_label, edge_target];
-    debug_assert!(sections.iter().map(Vec::len).eq(lens.iter().copied()));
+        edge_start
+    };
+    let sections = [counts, edge_start, edge_label];
+    let (offsets, total) = layout(sections.map(<[u8]>::len));
 
     let mut out = Vec::with_capacity(total);
     out.extend_from_slice(&MAGIC);
     out.extend_from_slice(&VERSION.to_le_bytes());
     let flags = if compressed { FLAG_COMPRESSED } else { 0 };
     out.extend_from_slice(&flags.to_le_bytes());
-    let (tag, clip) = mode_wire(syn.mode);
+    let (tag, clip) = mode_wire(meta.mode);
     out.extend_from_slice(&(tag as u32).to_le_bytes());
     out.extend_from_slice(&(SECTION_NAMES.len() as u32).to_le_bytes());
     out.extend_from_slice(&clip.to_le_bytes());
-    out.extend_from_slice(&syn.privacy.epsilon.to_bits().to_le_bytes());
-    out.extend_from_slice(&syn.privacy.delta.to_bits().to_le_bytes());
-    out.extend_from_slice(&syn.alpha_counts.to_bits().to_le_bytes());
-    out.extend_from_slice(&syn.alpha_absent.to_bits().to_le_bytes());
-    out.extend_from_slice(&(syn.n_docs as u64).to_le_bytes());
-    out.extend_from_slice(&(syn.max_len as u64).to_le_bytes());
-    out.extend_from_slice(&(n as u64).to_le_bytes());
-    out.extend_from_slice(&(e as u64).to_le_bytes());
+    out.extend_from_slice(&meta.privacy.epsilon.to_bits().to_le_bytes());
+    out.extend_from_slice(&meta.privacy.delta.to_bits().to_le_bytes());
+    out.extend_from_slice(&meta.alpha_counts.to_bits().to_le_bytes());
+    out.extend_from_slice(&meta.alpha_absent.to_bits().to_le_bytes());
+    out.extend_from_slice(&(meta.n_docs as u64).to_le_bytes());
+    out.extend_from_slice(&(meta.max_len as u64).to_le_bytes());
+    out.extend_from_slice(&((counts.len() / 8) as u64).to_le_bytes());
+    out.extend_from_slice(&(edge_label.len() as u64).to_le_bytes());
     debug_assert_eq!(out.len(), TABLE_OFF);
-    for (offset, section) in offsets.iter().zip(&sections) {
+    for (offset, section) in offsets.iter().zip(sections) {
         out.extend_from_slice(&(*offset as u64).to_le_bytes());
         out.extend_from_slice(&(section.len() as u64).to_le_bytes());
         out.extend_from_slice(&fnv1a(section).to_le_bytes());
@@ -253,27 +219,19 @@ pub(crate) fn encode(syn: &FrozenSynopsis, compressed: bool) -> Vec<u8> {
     let header_sum = fnv1a(&out);
     out.extend_from_slice(&header_sum.to_le_bytes());
     debug_assert_eq!(out.len(), HEADER_LEN);
-    for (offset, section) in offsets.iter().zip(&sections) {
+    for (offset, section) in offsets.iter().zip(sections) {
         out.resize(*offset, 0); // zeroed alignment padding
         out.extend_from_slice(section);
     }
-    debug_assert_eq!(out.len(), total);
+    out.resize(total, 0); // zeroed label tail
     out
 }
 
-/// Decodes v2 bytes into fully owned storage.
-pub(crate) fn decode_owned(bytes: &[u8]) -> Result<FrozenSynopsis, DecodeError> {
-    decode_impl(bytes, None)
-}
-
-/// Decodes v2 bytes with shared ownership of the buffer: uncompressed
-/// snapshots borrow their arrays from `buf` (zero per-array copies);
-/// compressed ones still decode owned.
-pub(crate) fn decode_shared(buf: &Arc<[u8]>) -> Result<FrozenSynopsis, DecodeError> {
-    decode_impl(buf, Some(buf))
-}
-
-fn decode_impl(bytes: &[u8], shared: Option<&Arc<[u8]>>) -> Result<FrozenSynopsis, DecodeError> {
+/// Decodes a snapshot of either dialect into canonical uncompressed
+/// bytes. An uncompressed input is adopted as is — the `shared` buffer
+/// when given (zero copies), else one copy of `bytes`; a compressed input
+/// is re-encoded.
+pub(crate) fn decode(bytes: &[u8], shared: Option<&Arc<[u8]>>) -> Result<Canonical, DecodeError> {
     let mut cur = Cursor::new(bytes);
     let magic: [u8; 4] = cur.take(4)?.try_into().expect("4-byte magic");
     if magic != MAGIC {
@@ -318,8 +276,8 @@ fn decode_impl(bytes: &[u8], shared: Option<&Arc<[u8]>>) -> Result<FrozenSynopsi
     let n_edges = cur.usize64()?;
     check_tree_shape(n_nodes, n_edges)?;
     debug_assert_eq!(cur.pos(), TABLE_OFF);
-    let mut sections = [(0usize, 0usize); 4];
-    let mut section_sums = [0u64; 4];
+    let mut sections = [(0usize, 0usize); 3];
+    let mut section_sums = [0u64; 3];
     for i in 0..SECTION_NAMES.len() {
         let offset = cur.usize64()?;
         let len = cur.usize64()?;
@@ -343,13 +301,7 @@ fn decode_impl(bytes: &[u8], shared: Option<&Arc<[u8]>>) -> Result<FrozenSynopsi
     let counts_len = n_nodes.checked_mul(8).ok_or(DecodeError::SizeOverflow)?;
     let edge_start_len =
         n_nodes.checked_add(1).and_then(|n| n.checked_mul(4)).ok_or(DecodeError::SizeOverflow)?;
-    let edge_target_len = n_edges.checked_mul(4).ok_or(DecodeError::SizeOverflow)?;
-    let known_lens: [Option<usize>; 4] = [
-        Some(counts_len),
-        (!compressed).then_some(edge_start_len),
-        Some(n_edges),
-        (!compressed).then_some(edge_target_len),
-    ];
+    let known_lens = [Some(counts_len), (!compressed).then_some(edge_start_len), Some(n_edges)];
     let mut expect_off = HEADER_LEN;
     for (i, &(offset, len)) in sections.iter().enumerate() {
         let name = SECTION_NAMES[i];
@@ -366,10 +318,14 @@ fn decode_impl(bytes: &[u8], shared: Option<&Arc<[u8]>>) -> Result<FrozenSynopsi
                 });
             }
         }
-        let end = offset.checked_add(len).ok_or(DecodeError::SizeOverflow)?;
+        let tail = if i + 1 == SECTION_NAMES.len() { LABEL_TAIL } else { 0 };
+        let end = offset
+            .checked_add(len)
+            .and_then(|end| end.checked_add(tail))
+            .ok_or(DecodeError::SizeOverflow)?;
         expect_off = end.checked_add(7).ok_or(DecodeError::SizeOverflow)? & !7;
     }
-    let total = sections[3].0 + sections[3].1;
+    let total = expect_off;
     if bytes.len() < total {
         return Err(DecodeError::Truncated {
             offset: bytes.len(),
@@ -380,85 +336,47 @@ fn decode_impl(bytes: &[u8], shared: Option<&Arc<[u8]>>) -> Result<FrozenSynopsi
     if bytes.len() > total {
         return Err(DecodeError::TrailingGarbage { extra: bytes.len() - total });
     }
-    // Alignment padding must be zero (canonicality: exactly one encoding
-    // per synopsis) and the per-section checksums must hold, so a corrupt
+    // Padding must be zero (canonicality: exactly one encoding per
+    // synopsis) and the per-section checksums must hold, so a corrupt
     // byte anywhere in the payload is caught and *named*.
-    for i in 0..3 {
-        let gap = sections[i].0 + sections[i].1..sections[i + 1].0;
-        if bytes[gap].iter().any(|&b| b != 0) {
+    for i in 0..SECTION_NAMES.len() {
+        let next = sections.get(i + 1).map_or(total, |s| s.0);
+        if bytes[sections[i].0 + sections[i].1..next].iter().any(|&b| b != 0) {
             return Err(DecodeError::Structural(format!(
                 "nonzero alignment padding after section {}",
                 SECTION_NAMES[i]
             )));
         }
     }
-    for (i, &(offset, len)) in sections.iter().enumerate() {
-        let computed = fnv1a(&bytes[offset..offset + len]);
+    let section = |i: usize| &bytes[sections[i].0..sections[i].0 + sections[i].1];
+    for (i, name) in SECTION_NAMES.into_iter().enumerate() {
+        let computed = fnv1a(section(i));
         if computed != section_sums[i] {
             return Err(DecodeError::SectionChecksumMismatch {
-                section: SECTION_NAMES[i],
+                section: name,
                 stored: section_sums[i],
                 computed,
             });
         }
     }
 
-    let store = if compressed {
-        Storage::Owned {
-            counts: bytes[sections[0].0..sections[0].0 + sections[0].1]
-                .chunks_exact(8)
-                .map(|c| le_f64(c, 0))
-                .collect(),
-            edge_start: decode_degrees(
-                &bytes[sections[1].0..sections[1].0 + sections[1].1],
-                n_nodes,
-                n_edges,
-            )?,
-            edge_label: bytes[sections[2].0..sections[2].0 + sections[2].1].to_vec(),
-            edge_target: decode_gaps(
-                &bytes[sections[3].0..sections[3].0 + sections[3].1],
-                n_edges,
-            )?,
-        }
-    } else if let Some(buf) = shared {
-        Storage::Borrowed {
-            buf: Arc::clone(buf),
-            counts_off: sections[0].0,
-            edge_start_off: sections[1].0,
-            edge_label_off: sections[2].0,
-            edge_target_off: sections[3].0,
-            n_nodes,
-            n_edges,
-        }
-    } else {
-        Storage::Owned {
-            counts: bytes[sections[0].0..sections[0].0 + sections[0].1]
-                .chunks_exact(8)
-                .map(|c| le_f64(c, 0))
-                .collect(),
-            edge_start: bytes[sections[1].0..sections[1].0 + sections[1].1]
-                .chunks_exact(4)
-                .map(|c| le_u32(c, 0))
-                .collect(),
-            edge_label: bytes[sections[2].0..sections[2].0 + sections[2].1].to_vec(),
-            edge_target: bytes[sections[3].0..sections[3].0 + sections[3].1]
-                .chunks_exact(4)
-                .map(|c| le_u32(c, 0))
-                .collect(),
-        }
-    };
-    store.validate()?;
-    let fast = store.build_fastpath();
-    Ok(FrozenSynopsis {
-        store,
-        fast,
+    let meta = Meta {
         mode,
         privacy: privacy_from_wire(epsilon, delta),
         alpha_counts,
         alpha_absent,
         n_docs,
         max_len,
-    })
+    };
+    let buf = if compressed {
+        let edge_start = expand_degrees(section(1), n_nodes, n_edges)?;
+        encode(&meta, section(0), &edge_start, section(2), false).into()
+    } else if let Some(buf) = shared {
+        Arc::clone(buf)
+    } else {
+        Arc::from(bytes)
+    };
+    Ok(Canonical { buf, meta, n_nodes })
 }
 
 /// Wire encoding of a [`CountMode`]: `(tag, clip level)`.
@@ -515,7 +433,8 @@ fn privacy_from_wire(epsilon: f64, delta: f64) -> PrivacyParams {
     }
 }
 
-/// Node/edge count sanity of a decoded header.
+/// Node/edge count sanity of a decoded header. CSR offsets are `u32`, so
+/// more edges than that cannot be addressed.
 fn check_tree_shape(n_nodes: usize, n_edges: usize) -> Result<(), DecodeError> {
     if n_nodes == 0 {
         return Err(DecodeError::BadField {
@@ -529,23 +448,26 @@ fn check_tree_shape(n_nodes: usize, n_edges: usize) -> Result<(), DecodeError> {
             detail: format!("{n_edges} != node count {n_nodes} - 1"),
         });
     }
+    if n_edges > u32::MAX as usize {
+        return Err(DecodeError::SizeOverflow);
+    }
     Ok(())
 }
 
 /// Decompresses the `edge_start` section: `n_nodes` per-node degree
-/// varints, prefix-summed back into CSR offsets.
-fn decode_degrees(buf: &[u8], n_nodes: usize, n_edges: usize) -> Result<Vec<u32>, DecodeError> {
-    let mut edge_start = Vec::with_capacity(n_nodes + 1);
-    edge_start.push(0u32);
+/// varints, prefix-summed back into little-endian `u32` CSR offsets.
+fn expand_degrees(buf: &[u8], n_nodes: usize, n_edges: usize) -> Result<Vec<u8>, DecodeError> {
+    let mut edge_start = Vec::with_capacity(4 * (n_nodes + 1));
+    edge_start.extend_from_slice(&0u32.to_le_bytes());
     let mut acc = 0u64;
     let mut pos = 0usize;
     for _ in 0..n_nodes {
         let degree = read_varint(buf, &mut pos, "edge_start")?;
         acc = acc.checked_add(degree).ok_or(DecodeError::SizeOverflow)?;
         if acc > n_edges as u64 {
-            return Err(DecodeError::Structural("CSR offsets do not span the edge arrays".into()));
+            return Err(DecodeError::Structural("CSR offsets do not span the edge array".into()));
         }
-        edge_start.push(acc as u32);
+        edge_start.extend_from_slice(&(acc as u32).to_le_bytes());
     }
     if pos != buf.len() {
         return Err(DecodeError::BadField {
@@ -556,36 +478,14 @@ fn decode_degrees(buf: &[u8], n_nodes: usize, n_edges: usize) -> Result<Vec<u32>
     Ok(edge_start)
 }
 
-/// Decompresses the `edge_target` section: `n_edges` zigzag gap varints
-/// cumulated back into absolute targets.
-fn decode_gaps(buf: &[u8], n_edges: usize) -> Result<Vec<u32>, DecodeError> {
-    let mut edge_target = Vec::with_capacity(n_edges);
-    let mut prev = 0i64;
-    let mut pos = 0usize;
-    for _ in 0..n_edges {
-        let gap = unzigzag(read_varint(buf, &mut pos, "edge_target")?);
-        let t = prev.checked_add(gap).ok_or(DecodeError::SizeOverflow)?;
-        if !(0..=u32::MAX as i64).contains(&t) {
-            return Err(DecodeError::BadField {
-                field: "edge_target",
-                detail: format!("gap-decoded target {t} outside the u32 range"),
-            });
-        }
-        edge_target.push(t as u32);
-        prev = t;
-    }
-    if pos != buf.len() {
-        return Err(DecodeError::BadField {
-            field: "edge_target",
-            detail: format!("{} trailing bytes after {n_edges} gap varints", buf.len() - pos),
-        });
-    }
-    Ok(edge_target)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// Encoded size of `v` as a minimal LEB128 varint.
+    fn varint_len(v: u64) -> usize {
+        ((64 - v.leading_zeros()).max(1) as usize).div_ceil(7)
+    }
 
     #[test]
     fn varints_roundtrip_minimally() {
@@ -623,20 +523,20 @@ mod tests {
     }
 
     #[test]
-    fn zigzag_is_a_bijection_on_gaps() {
-        for v in [0i64, 1, -1, 2, -2, 63, -64, u32::MAX as i64, -(u32::MAX as i64)] {
-            assert_eq!(unzigzag(zigzag(v)), v, "value {v}");
-        }
-        // Small magnitudes map to small codes (what makes gaps cheap).
-        assert_eq!(zigzag(0), 0);
-        assert_eq!(zigzag(-1), 1);
-        assert_eq!(zigzag(1), 2);
-    }
-
-    #[test]
     fn align8_is_the_next_multiple() {
         for (x, want) in [(0usize, 0usize), (1, 8), (7, 8), (8, 8), (9, 16), (192, 192)] {
             assert_eq!(align8(x), want, "align8({x})");
+        }
+    }
+
+    #[test]
+    fn layout_leaves_an_8_byte_read_after_every_label() {
+        for n_nodes in 1..40usize {
+            let offsets = uncompressed_offsets(n_nodes);
+            let (_, total) = layout([8 * n_nodes, 4 * (n_nodes + 1), n_nodes - 1]);
+            assert!(offsets.iter().all(|o| o % 8 == 0), "n_nodes {n_nodes}");
+            assert!(offsets[2] + n_nodes - 1 + LABEL_TAIL <= total, "n_nodes {n_nodes}");
+            assert_eq!(total % 8, 0);
         }
     }
 }

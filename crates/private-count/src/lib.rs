@@ -35,8 +35,7 @@ pub mod baseline;
 pub mod builder;
 pub mod candidates;
 pub mod codec;
-mod codec_v2;
-mod fastpath;
+mod codec_v3;
 pub mod mining;
 pub mod pipeline;
 pub mod qgram;

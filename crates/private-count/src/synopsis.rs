@@ -1,29 +1,25 @@
-//! Frozen serving-layer synopsis: the published trie flattened into an
-//! immutable CSR index.
+//! Frozen serving-layer synopsis: the published trie as one immutable,
+//! checksummed byte buffer that answers queries in place.
 //!
 //! [`PrivateCountStructure`] is the *construction-time* artifact: an
 //! arena trie whose node-by-node pointer chasing is convenient while the
 //! pipeline inserts, prunes and re-counts, but wasteful once the synopsis
 //! is released and only ever *read*. Because the released structure is
 //! pure post-processing, it can be re-shaped freely with no privacy cost —
-//! so [`FrozenSynopsis::freeze`] performs a one-shot flatten into four
-//! contiguous arrays (breadth-first node order, CSR edge lists with
-//! per-node sorted labels), giving allocation-free lookups instead of a
-//! pointer walk through scattered arena nodes. On top of the CSR arrays
-//! sits a derived, never-serialized acceleration index (`fastpath`):
-//! per-node SWAR label blocks or direct child tables, chosen by fanout,
-//! probed branchlessly — one or two cache lines per pattern byte.
+//! so [`FrozenSynopsis::freeze`] writes it straight into the canonical
+//! uncompressed `DPSF` v3 snapshot (`codec_v3`): breadth-first node
+//! numbering, one noisy count per node, CSR edge offsets and per-node
+//! sorted edge labels. Edges are stored in node order, so the child of
+//! edge `e` is node `e + 1` and no child ids are stored at all.
 //!
-//! The frozen form is also the *shippable* form: the sectioned `DPSF` v2
-//! snapshot (`codec_v2`) — 8-byte-aligned sections with per-section
-//! checksums. [`FrozenSynopsis::to_bytes`] writes it uncompressed, which
-//! decodes *borrowed* ([`FrozenSynopsis::from_bytes_shared`]): after
-//! validation the arrays point straight into the shared input buffer (an
-//! `Arc<[u8]>`), so installing a shard performs zero per-array copies.
-//! [`FrozenSynopsis::to_bytes_v2`] with `compressed = true` trades that
-//! for size (`edge_start` as delta+varint degrees, `edge_target` as
-//! zigzag-varint gaps) and always decodes owned. Both dialects round-trip
-//! canonically through [`FrozenSynopsis::to_bytes_v2`].
+//! That one buffer is the synopsis. Queries walk its sections in place;
+//! [`FrozenSynopsis::to_bytes`] copies it out; and
+//! [`FrozenSynopsis::from_bytes_shared`] adopts a received `Arc<[u8]>`
+//! after validation with zero copies. A walk step probes the node's label
+//! run with a SWAR compare — one unaligned 8-byte load per eight edges —
+//! and nodes of degree above 32 answer
+//! from a 256-byte lane table (the wide tier, derived while validating),
+//! so no step scans more than four label words.
 
 use std::sync::Arc;
 
@@ -31,467 +27,367 @@ use dpsc_dpcore::budget::PrivacyParams;
 use dpsc_strkit::trie::Trie;
 
 use crate::codec::{le_f64, le_u32, DecodeError};
-use crate::codec_v2;
-use crate::fastpath::FastPath;
+use crate::codec_v3::{self, Meta};
 use crate::structure::{CountMode, PrivateCountStructure};
 
-/// Raw little-endian `(counts, edge_start, edge_label, edge_target)`
-/// section bytes of a borrowed storage, exactly sized.
-type SectionViews<'a> = (&'a [u8], &'a [u8], &'a [u8], &'a [u8]);
+/// Degree above which a node's child lookup goes through the wide tier
+/// instead of the SWAR scan, which reads at most four label words at
+/// this degree.
+const WIDE_DEGREE: usize = 32;
 
-/// Physical backing of the four CSR arrays.
-///
-/// `Owned` holds decoded `Vec`s (freeze, owned decode, compressed
-/// decode). `Borrowed` points into a shared, already-validated v2 buffer:
-/// the offsets address the little-endian section bytes inside `buf`, and
-/// every accessor reads fields with `from_le_bytes` — safe code, one load
-/// on little-endian targets, no aliasing tricks (the workspace denies
-/// `unsafe`). Cloning a `Borrowed` storage clones the `Arc`, not the data.
-#[derive(Debug, Clone)]
-pub(crate) enum Storage {
-    Owned {
-        counts: Vec<f64>,
-        edge_start: Vec<u32>,
-        edge_label: Vec<u8>,
-        edge_target: Vec<u32>,
-    },
-    Borrowed {
-        buf: Arc<[u8]>,
-        counts_off: usize,
-        edge_start_off: usize,
-        edge_label_off: usize,
-        edge_target_off: usize,
-        n_nodes: usize,
-        n_edges: usize,
-    },
+/// Low bit of every SWAR lane.
+const LANES_LO: u64 = 0x0101_0101_0101_0101;
+/// High bit of every SWAR lane.
+const LANES_HI: u64 = 0x8080_8080_8080_8080;
+
+/// SWAR lane mask of labels equal to `probe`: broadcast-XOR, then the
+/// classic zero-byte detect `(x − 0x01…) & !x & 0x80…`. A borrow can only
+/// start at a true match and only propagate upward, so higher lanes may
+/// carry artifacts but the **lowest** set lane is always a true match.
+#[inline]
+fn swar_eq_mask(labels: u64, probe: u8) -> u64 {
+    let x = labels ^ (LANES_LO.wrapping_mul(probe as u64));
+    x.wrapping_sub(LANES_LO) & !x & LANES_HI
 }
 
-impl Storage {
-    /// Number of nodes (root included).
+/// Child lookup for the nodes of degree above [`WIDE_DEGREE`]: per wide
+/// node, the lane of every byte in its label run, 0 for absent bytes (the
+/// caller confirms a hit against the label itself, so no sentinel is
+/// needed and a degree-256 node still fits a `u8` lane). Wide nodes are
+/// few and, in breadth-first order, near the root — so the id → table
+/// index map only runs up to the last wide node. Derived data: rebuilt
+/// by the validation sweep, never serialized.
+#[derive(Debug, Clone, Default)]
+struct WideTier {
+    /// Per node id up to the last wide node: its index in `lanes`, or
+    /// `u32::MAX` for a narrow node.
+    slot: Vec<u32>,
+    lanes: Vec<[u8; 256]>,
+}
+
+impl WideTier {
+    fn push(&mut self, v: usize, labels: &[u8]) {
+        let mut lanes = [0u8; 256];
+        for (lane, &b) in labels.iter().enumerate() {
+            lanes[b as usize] = lane as u8;
+        }
+        self.slot.resize(v, u32::MAX);
+        self.slot.push(self.lanes.len() as u32);
+        self.lanes.push(lanes);
+    }
+
+    /// Lane of `byte` in wide node `v`'s label run, or 0 if absent.
     #[inline]
-    pub(crate) fn n_nodes(&self) -> usize {
-        match self {
-            Self::Owned { counts, .. } => counts.len(),
-            Self::Borrowed { n_nodes, .. } => *n_nodes,
-        }
+    fn lane(&self, v: usize, byte: u8) -> usize {
+        self.lanes[self.slot[v] as usize][byte as usize] as usize
     }
 
-    /// Number of edges (`n_nodes − 1` for every valid synopsis).
-    #[inline]
-    pub(crate) fn n_edges(&self) -> usize {
-        match self {
-            Self::Owned { edge_label, .. } => edge_label.len(),
-            Self::Borrowed { n_edges, .. } => *n_edges,
-        }
-    }
-
-    /// Noisy count of node `v`.
-    #[inline]
-    pub(crate) fn count(&self, v: usize) -> f64 {
-        match self {
-            Self::Owned { counts, .. } => counts[v],
-            Self::Borrowed { buf, counts_off, .. } => le_f64(buf, counts_off + 8 * v),
-        }
-    }
-
-    /// CSR offset `edge_start[i]` (valid for `i ≤ n_nodes`).
-    #[inline]
-    pub(crate) fn edge_start_at(&self, i: usize) -> usize {
-        match self {
-            Self::Owned { edge_start, .. } => edge_start[i] as usize,
-            Self::Borrowed { buf, edge_start_off, .. } => {
-                le_u32(buf, edge_start_off + 4 * i) as usize
-            }
-        }
-    }
-
-    /// Edge labels `edge_label[lo..hi]` — labels are plain bytes, so both
-    /// storages can hand out a real slice.
-    #[inline]
-    pub(crate) fn edge_labels(&self, lo: usize, hi: usize) -> &[u8] {
-        match self {
-            Self::Owned { edge_label, .. } => &edge_label[lo..hi],
-            Self::Borrowed { buf, edge_label_off, .. } => {
-                &buf[edge_label_off + lo..edge_label_off + hi]
-            }
-        }
-    }
-
-    /// Target of edge `e`.
-    #[inline]
-    pub(crate) fn edge_target_at(&self, e: usize) -> u32 {
-        match self {
-            Self::Owned { edge_target, .. } => edge_target[e],
-            Self::Borrowed { buf, edge_target_off, .. } => le_u32(buf, edge_target_off + 4 * e),
-        }
-    }
-
-    /// Whether the arrays alias a shared input buffer.
-    #[inline]
-    pub(crate) fn is_borrowed(&self) -> bool {
-        matches!(self, Self::Borrowed { .. })
-    }
-
-    /// The borrowed storage's raw little-endian section views
-    /// `(counts, edge_start, edge_label, edge_target)`, exactly sized.
-    /// Hot loops bind these once instead of re-dispatching through the
-    /// enum accessors per element.
-    fn borrowed_views(&self) -> Option<SectionViews<'_>> {
-        match self {
-            Self::Owned { .. } => None,
-            Self::Borrowed {
-                buf,
-                counts_off,
-                edge_start_off,
-                edge_label_off,
-                edge_target_off,
-                n_nodes,
-                n_edges,
-            } => Some((
-                &buf[*counts_off..counts_off + 8 * n_nodes],
-                &buf[*edge_start_off..edge_start_off + 4 * (n_nodes + 1)],
-                &buf[*edge_label_off..edge_label_off + n_edges],
-                &buf[*edge_target_off..edge_target_off + 4 * n_edges],
-            )),
-        }
-    }
-
-    /// Rebuilds the derived acceleration index. Deterministic in the
-    /// logical arrays, so owned and borrowed storages of the same
-    /// synopsis produce identical layouts.
-    pub(crate) fn build_fastpath(&self) -> FastPath {
-        match self {
-            Self::Owned { edge_start, edge_label, edge_target, .. } => {
-                FastPath::build(edge_start, edge_label, edge_target)
-            }
-            borrowed => {
-                let (_, es, lb, tg) = borrowed.borrowed_views().expect("borrowed storage");
-                FastPath::build_with(
-                    borrowed.n_nodes(),
-                    |v| (le_u32(es, 4 * v) as usize, le_u32(es, 4 * v + 4) as usize),
-                    |e| lb[e],
-                    |e| le_u32(tg, 4 * e),
-                )
-            }
-        }
-    }
-
-    /// Structural validation shared by every decoder: the arrays must
-    /// describe a tree the query path can walk without bounds panics, and
-    /// the stored counts must be finite. Checks run *range-first* — an
-    /// adversarial `edge_start` entry past the edge arrays is reported as
-    /// an error before anything indexes with it.
-    pub(crate) fn validate(&self) -> Result<(), DecodeError> {
-        match self {
-            Self::Owned { counts, edge_start, edge_label, edge_target } => validate_seq(
-                counts.len(),
-                edge_label.len(),
-                counts.iter().copied(),
-                edge_start.iter().map(|&x| x as usize),
-                edge_label,
-                edge_target.iter().map(|&x| x as usize),
-            ),
-            borrowed => {
-                let (counts, es, lb, tg) = borrowed.borrowed_views().expect("borrowed storage");
-                validate_seq(
-                    borrowed.n_nodes(),
-                    borrowed.n_edges(),
-                    counts.chunks_exact(8).map(|c| le_f64(c, 0)),
-                    es.chunks_exact(4).map(|c| le_u32(c, 0) as usize),
-                    lb,
-                    tg.chunks_exact(4).map(|c| le_u32(c, 0) as usize),
-                )
-            }
-        }
+    fn memory_bytes(&self) -> usize {
+        self.slot.len() * std::mem::size_of::<u32>() + self.lanes.len() * 256
     }
 }
 
-/// [`Storage::validate`] as one sequential sweep over storage-agnostic
-/// element streams, so each backing monomorphizes to straight-line
-/// chunked loads (no per-element enum dispatch, no random access).
-///
-/// The encoder numbers nodes in breadth-first order, so every edge points
-/// *forward* (`target > source`). Validating that per edge makes a
-/// separate reachability pass redundant: `edges = nodes − 1` targets, all
-/// distinct (the in-degree bit set) and all nonzero, give every non-root
-/// node exactly one incoming edge, and walking those edges backwards
-/// strictly decreases the id until it reaches the root — so cycles and
-/// disconnected components are impossible by construction.
-fn validate_seq(
-    n_nodes: usize,
-    n_edges: usize,
-    counts: impl Iterator<Item = f64>,
-    mut edge_start: impl Iterator<Item = usize>,
-    labels: &[u8],
-    mut targets: impl Iterator<Item = usize>,
-) -> Result<(), DecodeError> {
-    let mut lo = edge_start.next().expect("edge_start holds n_nodes + 1 entries");
-    if lo != 0 {
-        return Err(DecodeError::Structural("CSR offsets do not span the edge arrays".into()));
-    }
-    let mut incoming = vec![false; n_nodes];
-    for v in 0..n_nodes {
-        let hi = edge_start.next().expect("edge_start holds n_nodes + 1 entries");
-        if hi < lo {
-            return Err(DecodeError::Structural(format!("CSR offsets decrease at node {v}")));
-        }
-        if hi > n_edges {
-            return Err(DecodeError::Structural(format!(
-                "CSR offsets exceed the edge arrays at node {v}"
-            )));
-        }
-        for e in lo..hi {
-            if e > lo && labels[e - 1] >= labels[e] {
-                return Err(DecodeError::Structural(format!(
-                    "edge labels of node {v} are not strictly sorted"
-                )));
-            }
-            let t = targets.next().expect("targets hold n_edges entries");
-            if t <= v || t >= n_nodes {
-                return Err(DecodeError::Structural(format!(
-                    "edge target {t} at node {v} breaks the BFS numbering \
-                     (would be unreachable from the root)"
-                )));
-            }
-            if incoming[t] {
-                return Err(DecodeError::Structural(format!("node {t} has two incoming edges")));
-            }
-            incoming[t] = true;
-        }
-        lo = hi;
-    }
-    if lo != n_edges {
-        return Err(DecodeError::Structural("CSR offsets do not span the edge arrays".into()));
-    }
-    for (v, c) in counts.enumerate() {
-        if !c.is_finite() {
-            return Err(DecodeError::BadField {
-                field: "counts",
-                detail: format!("non-finite count {c} at node {v}"),
-            });
-        }
-    }
-    Ok(())
+/// The sections of a synopsis's buffer, bound once per query so the walk
+/// does not re-slice the `Arc` per byte.
+#[derive(Clone, Copy)]
+struct Sections<'a> {
+    counts: &'a [u8],
+    edge_start: &'a [u8],
+    /// The label section through the end of the buffer: the layout's
+    /// zeroed tail keeps an 8-byte load from any edge offset in bounds.
+    labels: &'a [u8],
+    wide: &'a WideTier,
 }
 
-/// Logical array equality across storages. Owned/owned compares the
-/// `Vec`s directly; any mix involving a borrowed storage compares
-/// element-wise through the accessors.
-fn storage_logical_eq(a: &Storage, b: &Storage) -> bool {
-    if let (
-        Storage::Owned { counts: ca, edge_start: sa, edge_label: la, edge_target: ta },
-        Storage::Owned { counts: cb, edge_start: sb, edge_label: lb, edge_target: tb },
-    ) = (a, b)
-    {
-        return ca == cb && sa == sb && la == lb && ta == tb;
-    }
-    let (n, e) = (a.n_nodes(), a.n_edges());
-    n == b.n_nodes()
-        && e == b.n_edges()
-        && (0..n).all(|v| a.count(v) == b.count(v))
-        && (0..=n).all(|i| a.edge_start_at(i) == b.edge_start_at(i))
-        && a.edge_labels(0, e) == b.edge_labels(0, e)
-        && (0..e).all(|i| a.edge_target_at(i) == b.edge_target_at(i))
-}
-
-/// An immutable, flat, serializable `count_Δ` synopsis.
-///
-/// Node `0` is the root (the empty string); nodes are numbered in
-/// breadth-first order, so every node's children occupy a contiguous id
-/// range and the edge arrays of consecutive nodes are adjacent in memory.
-/// For node `v`, the outgoing edges are
-/// `edge_label[edge_start[v]..edge_start[v+1]]` (strictly increasing
-/// labels) with parallel targets in `edge_target`; its noisy count is
-/// `counts[v]`.
-#[derive(Debug, Clone)]
-pub struct FrozenSynopsis {
-    /// The four CSR arrays, owned or borrowed from a shared v2 buffer.
-    pub(crate) store: Storage,
-    pub(crate) mode: CountMode,
-    pub(crate) privacy: PrivacyParams,
-    pub(crate) alpha_counts: f64,
-    pub(crate) alpha_absent: f64,
-    pub(crate) n_docs: usize,
-    pub(crate) max_len: usize,
-    /// Degree-adaptive branchless edge index (SWAR blocks / direct
-    /// tables, see `fastpath`). Derived data: rebuilt identically by
-    /// [`Self::freeze`] and [`Self::from_bytes`], never serialized — the
-    /// wire format is byte-identical to a synopsis without it.
-    pub(crate) fast: FastPath,
-}
-
-/// Equality is *logical*: same metadata and same array contents. Storage
-/// representation (owned vs borrowed) is a serving detail — a borrowed
-/// decode of a snapshot equals its owned decode. (`fast` is derived
-/// deterministically from the arrays, so it cannot differ when the arrays
-/// agree.)
-impl PartialEq for FrozenSynopsis {
-    fn eq(&self, other: &Self) -> bool {
-        self.mode == other.mode
-            && self.privacy == other.privacy
-            && self.alpha_counts == other.alpha_counts
-            && self.alpha_absent == other.alpha_absent
-            && self.n_docs == other.n_docs
-            && self.max_len == other.max_len
-            && storage_logical_eq(&self.store, &other.store)
-    }
-}
-
-impl FrozenSynopsis {
-    /// Flattens a built structure into the frozen serving layout.
-    /// One pass of `O(nodes)` work; the input is unchanged (post-processing).
-    pub fn freeze(structure: &PrivateCountStructure) -> Self {
-        let trie = structure.trie();
-        let n = trie.len();
-        // Breadth-first order: children (already label-sorted in the arena)
-        // receive contiguous frozen ids, so target ranges are contiguous too.
-        let mut order: Vec<u32> = Vec::with_capacity(n);
-        order.push(Trie::<f64>::ROOT);
-        let mut head = 0usize;
-        while head < order.len() {
-            let u = order[head];
-            head += 1;
-            order.extend(trie.children(u));
-        }
-        debug_assert_eq!(order.len(), n);
-        let mut frozen_of = vec![0u32; n];
-        for (fid, &tid) in order.iter().enumerate() {
-            frozen_of[tid as usize] = fid as u32;
-        }
-        let mut counts = Vec::with_capacity(n);
-        let mut edge_start = Vec::with_capacity(n + 1);
-        let mut edge_label = Vec::with_capacity(n.saturating_sub(1));
-        let mut edge_target = Vec::with_capacity(n.saturating_sub(1));
-        edge_start.push(0);
-        for &tid in &order {
-            counts.push(*trie.value(tid));
-            for &(sym, c) in trie.edges(tid) {
-                edge_label.push(sym);
-                edge_target.push(frozen_of[c as usize]);
-            }
-            edge_start.push(edge_label.len() as u32);
-        }
-        let (n_docs, max_len) = structure.db_params();
-        let store = Storage::Owned { counts, edge_start, edge_label, edge_target };
-        let fast = store.build_fastpath();
-        Self {
-            store,
-            fast,
-            mode: structure.mode(),
-            privacy: structure.privacy(),
-            alpha_counts: structure.alpha_counts(),
-            alpha_absent: structure.alpha_absent(),
-            n_docs,
-            max_len,
-        }
-    }
-
-    /// The frozen node spelling `pattern`, if present — the branchless
-    /// tiered walk (`fastpath`): one SWAR block probe or direct-table
-    /// load per pattern byte.
+impl Sections<'_> {
+    /// Edge range `edge_start[v]..edge_start[v + 1]` of node `v`, read
+    /// with one 8-byte load.
     #[inline]
-    fn locate(&self, pattern: &[u8]) -> Option<u32> {
-        let mut cur = 0u32;
-        for &b in pattern {
-            cur = self.fast.step(cur, b)?;
-        }
-        Some(cur)
+    fn span(&self, v: usize) -> (usize, usize) {
+        let w = u64::from_le_bytes(self.edge_start[4 * v..4 * v + 8].try_into().expect("8 bytes"));
+        (w as u32 as usize, (w >> 32) as usize)
     }
 
-    /// Reference walk: per-byte binary search over the CSR label ranges.
-    /// Kept (not dead code) as the differential-testing oracle for the
-    /// fast path and as the baseline the serving benchmarks compare
-    /// against; answers are bit-identical to [`Self::locate`].
+    /// The child of node `v` along `byte`, if any. Edge `e` leads to node
+    /// `e + 1`; the label run is probed eight lanes per load. Lanes past
+    /// the node's last edge (the next node's labels, or the zeroed tail)
+    /// sit above every real lane, so a lowest match among them means no
+    /// real lane matched and is discarded. The layout's tail keeps the
+    /// last word inside the buffer.
     #[inline]
-    fn locate_naive(&self, pattern: &[u8]) -> Option<u32> {
-        let mut cur = 0u32;
-        for &b in pattern {
-            let lo = self.store.edge_start_at(cur as usize);
-            let hi = self.store.edge_start_at(cur as usize + 1);
-            let i = self.store.edge_labels(lo, hi).binary_search(&b).ok()?;
-            cur = self.store.edge_target_at(lo + i);
+    fn step(&self, v: usize, byte: u8) -> Option<usize> {
+        let (lo, hi) = self.span(v);
+        if hi - lo > WIDE_DEGREE {
+            let e = lo + self.wide.lane(v, byte);
+            return (self.labels[e] == byte).then_some(e + 1);
         }
-        Some(cur)
+        let words = &self.labels[lo..lo + 8 * (hi - lo).div_ceil(8)];
+        for (i, word) in words.chunks_exact(8).enumerate() {
+            let mask = swar_eq_mask(u64::from_le_bytes(word.try_into().expect("8 bytes")), byte);
+            if mask != 0 {
+                let e = lo + 8 * i + (mask.trailing_zeros() >> 3) as usize;
+                return (e < hi).then_some(e + 1);
+            }
+        }
+        None
+    }
+
+    /// Reference step: binary search over the node's label run.
+    #[inline]
+    fn step_naive(&self, v: usize, byte: u8) -> Option<usize> {
+        let (lo, hi) = self.span(v);
+        let i = self.labels[lo..hi].binary_search(&byte).ok()?;
+        Some(lo + i + 1)
+    }
+
+    /// The node spelling `pattern`, if present.
+    #[inline]
+    fn locate(&self, pattern: &[u8]) -> Option<usize> {
+        pattern.iter().try_fold(0, |v, &b| self.step(v, b))
+    }
+
+    /// [`Self::locate`] through [`Self::step_naive`].
+    #[inline]
+    fn locate_naive(&self, pattern: &[u8]) -> Option<usize> {
+        pattern.iter().try_fold(0, |v, &b| self.step_naive(v, b))
     }
 
     /// Walks four patterns in lockstep, one byte per pattern per
-    /// iteration: the four child-step loads are independent, so the CPU
-    /// overlaps their latencies instead of serializing one walk at a
-    /// time. A finished pattern (exhausted or missed) keeps its state.
+    /// iteration: the four child steps are independent, so the CPU
+    /// overlaps their load latencies instead of serializing one walk at
+    /// a time. A finished pattern (exhausted or missed) keeps its state.
     #[inline]
-    fn locate4(&self, pats: [&[u8]; 4]) -> [Option<u32>; 4] {
-        let mut cur = [Some(0u32); 4];
+    fn locate4(&self, pats: [&[u8]; 4]) -> [Option<usize>; 4] {
+        let mut cur = [Some(0usize); 4];
         let max_len = pats.iter().map(|p| p.len()).max().unwrap_or(0);
         for d in 0..max_len {
             for i in 0..4 {
-                if let Some(c) = cur[i] {
-                    if let Some(&b) = pats[i].get(d) {
-                        cur[i] = self.fast.step(c, b);
-                    }
+                if let (Some(v), Some(&b)) = (cur[i], pats[i].get(d)) {
+                    cur[i] = self.step(v, b);
                 }
             }
         }
         cur
     }
 
+    /// Noisy count of `node`, 0 for an absent pattern.
     #[inline]
-    fn count_of(&self, node: Option<u32>) -> f64 {
-        match node {
-            Some(v) => self.store.count(v as usize),
-            None => 0.0,
+    fn answer(&self, node: Option<usize>) -> f64 {
+        node.map_or(0.0, |v| le_f64(self.counts, 8 * v))
+    }
+}
+
+/// The structural sweep every snapshot passes before it answers a query:
+/// one sequential pass checking three rules.
+///
+/// 1. `edge_start` starts at 0, never decreases, and ends at
+///    `n_nodes − 1` (the edge count);
+/// 2. every node `v` with edges has `edge_start[v] ≥ v`, so its children
+///    (nodes `edge_start[v] + 1 …`) come after it;
+/// 3. each node's labels are strictly increasing.
+///
+/// A tree follows: edge `e` leads to node `e + 1`, so every node `c ≥ 1`
+/// has exactly one parent (the node whose edge range holds `c − 1`), and
+/// by rule 2 that parent is numbered below `c`. Following parents
+/// strictly decreases the id until it reaches the root, so cycles and
+/// detached components cannot exist, and rule 3 makes each child step
+/// unique. The same pass rejects non-finite counts and builds the wide
+/// tier. Offsets are range-checked before anything indexes with them.
+fn validate(buf: &[u8], n_nodes: usize, offsets: [usize; 3]) -> Result<WideTier, DecodeError> {
+    let [counts_off, edge_start_off, label_off] = offsets;
+    let n_edges = n_nodes - 1;
+    let labels = &buf[label_off..label_off + n_edges];
+    let counts = buf[counts_off..counts_off + 8 * n_nodes].chunks_exact(8);
+    let ends = buf[edge_start_off + 4..edge_start_off + 4 * (n_nodes + 1)].chunks_exact(4);
+    let span_error = || DecodeError::Structural("CSR offsets do not span the edge array".into());
+    if le_u32(buf, edge_start_off) != 0 {
+        return Err(span_error());
+    }
+    let mut wide = WideTier::default();
+    let mut lo = 0usize;
+    for (v, (end, count)) in ends.zip(counts).enumerate() {
+        let hi = le_u32(end, 0) as usize;
+        if hi < lo {
+            return Err(DecodeError::Structural(format!("CSR offsets decrease at node {v}")));
+        }
+        if hi > n_edges {
+            return Err(DecodeError::Structural(format!(
+                "CSR offsets exceed the edge array at node {v}"
+            )));
+        }
+        if hi > lo {
+            if lo < v {
+                return Err(DecodeError::Structural(format!(
+                    "edge_start[{v}] = {lo} < {v}: node {v} has a backward edge to node {}",
+                    lo + 1
+                )));
+            }
+            let run = &labels[lo..hi];
+            if run.windows(2).any(|w| w[0] >= w[1]) {
+                return Err(DecodeError::Structural(format!(
+                    "edge labels of node {v} are not strictly sorted"
+                )));
+            }
+            if run.len() > WIDE_DEGREE {
+                wide.push(v, run);
+            }
+        }
+        let c = le_f64(count, 0);
+        if !c.is_finite() {
+            return Err(DecodeError::BadField {
+                field: "counts",
+                detail: format!("non-finite count {c} at node {v}"),
+            });
+        }
+        lo = hi;
+    }
+    if lo != n_edges {
+        return Err(span_error());
+    }
+    Ok(wide)
+}
+
+/// An immutable, flat, serializable `count_Δ` synopsis: a validated
+/// canonical `DPSF` v3 snapshot that answers queries from its own bytes.
+///
+/// Node `0` is the root (the empty string); nodes are numbered in
+/// breadth-first order with children in label order. For node `v`, the
+/// outgoing edges are `edge_start[v]..edge_start[v+1]` with strictly
+/// increasing labels, edge `e` leads to node `e + 1`, and the noisy count
+/// is `counts[v]`.
+#[derive(Debug, Clone)]
+pub struct FrozenSynopsis {
+    /// The canonical uncompressed snapshot — owned alone or shared with
+    /// whoever handed it to [`Self::from_bytes_shared`].
+    buf: Arc<[u8]>,
+    meta: Meta,
+    n_nodes: usize,
+    /// Section offsets `[counts, edge_start, edge_label]` in `buf`.
+    offsets: [usize; 3],
+    wide: WideTier,
+}
+
+/// Equality is byte equality of the snapshots, which is exact: the
+/// encoding is canonical, so equal synopses have one byte representation.
+impl PartialEq for FrozenSynopsis {
+    fn eq(&self, other: &Self) -> bool {
+        *self.buf == *other.buf
+    }
+}
+
+impl FrozenSynopsis {
+    /// Flattens a built structure into its snapshot. One breadth-first
+    /// pass of `O(nodes)` work; the input is unchanged (post-processing).
+    pub fn freeze(structure: &PrivateCountStructure) -> Self {
+        let trie = structure.trie();
+        let n = trie.len();
+        // The queue receives children in edge order, so the child of the
+        // `e`-th emitted edge is queue entry `e + 1`.
+        let mut order: Vec<u32> = Vec::with_capacity(n);
+        order.push(Trie::<f64>::ROOT);
+        let mut counts = Vec::with_capacity(8 * n);
+        let mut edge_start = Vec::with_capacity(4 * (n + 1));
+        let mut edge_label = Vec::with_capacity(n - 1);
+        edge_start.extend_from_slice(&0u32.to_le_bytes());
+        let mut head = 0usize;
+        while head < order.len() {
+            let u = order[head];
+            head += 1;
+            counts.extend_from_slice(&trie.value(u).to_bits().to_le_bytes());
+            for &(sym, child) in trie.edges(u) {
+                edge_label.push(sym);
+                order.push(child);
+            }
+            edge_start.extend_from_slice(&(edge_label.len() as u32).to_le_bytes());
+        }
+        debug_assert_eq!(order.len(), n);
+        let (n_docs, max_len) = structure.db_params();
+        let meta = Meta {
+            mode: structure.mode(),
+            privacy: structure.privacy(),
+            alpha_counts: structure.alpha_counts(),
+            alpha_absent: structure.alpha_absent(),
+            n_docs,
+            max_len,
+        };
+        let buf = codec_v3::encode(&meta, &counts, &edge_start, &edge_label, false);
+        Self::adopt(codec_v3::Canonical { buf: buf.into(), meta, n_nodes: n })
+            .expect("freeze writes a valid snapshot")
+    }
+
+    /// Validates a canonical snapshot's structure and wraps it.
+    fn adopt(canonical: codec_v3::Canonical) -> Result<Self, DecodeError> {
+        let codec_v3::Canonical { buf, meta, n_nodes } = canonical;
+        let offsets = codec_v3::uncompressed_offsets(n_nodes);
+        let wide = validate(&buf, n_nodes, offsets)?;
+        Ok(Self { buf, meta, n_nodes, offsets, wide })
+    }
+
+    /// The query view of the buffer.
+    #[inline]
+    fn sections(&self) -> Sections<'_> {
+        let [counts, edge_start, edge_label] = self.offsets;
+        Sections {
+            counts: &self.buf[counts..edge_start],
+            edge_start: &self.buf[edge_start..edge_label],
+            labels: &self.buf[edge_label..],
+            wide: &self.wide,
         }
     }
 
     /// Noisy `count_Δ(P, D)`; absent patterns return 0, exactly as
-    /// [`PrivateCountStructure::query`]. Allocation-free; one branchless
-    /// edge probe per pattern byte (`O(|P|)` for fanout ≤ 8 and ≥ 32,
-    /// `O(|P| · ⌈σ/8⌉)` worst case in between).
+    /// [`PrivateCountStructure::query`]. Allocation-free; one SWAR probe
+    /// per eight edges of each visited node, or one lane-table load for
+    /// a wide node.
     #[inline]
     pub fn query(&self, pattern: &[u8]) -> f64 {
-        self.count_of(self.locate(pattern))
+        let s = self.sections();
+        s.answer(s.locate(pattern))
     }
 
-    /// [`Self::query`] through the reference binary-search walk — the
-    /// pre-acceleration `O(|P| log σ)` path. Exists so tests, benchmarks
-    /// and the serving load generator can assert, at runtime, that the
-    /// fast path is behaviorally invisible (bit-identical answers).
+    /// [`Self::query`] through the reference binary-search walk
+    /// (`O(|P| log σ)`). Exists so tests, benchmarks and the serving load
+    /// generator can assert, at runtime, that the SWAR walk and the wide
+    /// tier are behaviorally invisible (bit-identical answers).
     #[inline]
     pub fn query_naive(&self, pattern: &[u8]) -> f64 {
-        self.count_of(self.locate_naive(pattern))
+        let s = self.sections();
+        s.answer(s.locate_naive(pattern))
     }
 
     /// Whether the pattern is represented in the synopsis.
     #[inline]
     pub fn contains(&self, pattern: &[u8]) -> bool {
-        self.locate(pattern).is_some()
+        self.sections().locate(pattern).is_some()
     }
 
     /// [`Self::contains`] through the reference binary-search walk.
     #[inline]
     pub fn contains_naive(&self, pattern: &[u8]) -> bool {
-        self.locate_naive(pattern).is_some()
+        self.sections().locate_naive(pattern).is_some()
     }
 
     /// The lockstep batch kernel: answers `patterns` into `out`
     /// (equal lengths), four patterns per iteration.
     fn query_batch_into(&self, patterns: &[&[u8]], out: &mut [f64]) {
         debug_assert_eq!(patterns.len(), out.len());
+        let s = self.sections();
         let mut quads = patterns.chunks_exact(4);
         let mut outs = out.chunks_exact_mut(4);
         for (quad, o) in quads.by_ref().zip(outs.by_ref()) {
-            let located = self.locate4([quad[0], quad[1], quad[2], quad[3]]);
+            let located = s.locate4([quad[0], quad[1], quad[2], quad[3]]);
             for (slot, node) in o.iter_mut().zip(located) {
-                *slot = self.count_of(node);
+                *slot = s.answer(node);
             }
         }
         for (p, slot) in quads.remainder().iter().zip(outs.into_remainder()) {
-            *slot = self.query(p);
+            *slot = s.answer(s.locate(p));
         }
     }
 
     /// Answers a batch of queries in order. One output allocation; the
     /// per-pattern lookups are allocation-free and advance four patterns
-    /// per iteration ([`Self::locate4`]) to hide load latency.
+    /// per iteration (`locate4`) to hide load latency.
     pub fn query_batch(&self, patterns: &[&[u8]]) -> Vec<f64> {
         let mut out = vec![0.0f64; patterns.len()];
         self.query_batch_into(patterns, &mut out);
@@ -524,105 +420,120 @@ impl FrozenSynopsis {
     /// The count mode (`Δ`).
     #[inline]
     pub fn mode(&self) -> CountMode {
-        self.mode
+        self.meta.mode
     }
 
     /// The privacy guarantee of the construction that produced this synopsis.
     #[inline]
     pub fn privacy(&self) -> PrivacyParams {
-        self.privacy
+        self.meta.privacy
     }
 
     /// Error bound on stored noisy counts (high probability).
     #[inline]
     pub fn alpha_counts(&self) -> f64 {
-        self.alpha_counts
+        self.meta.alpha_counts
     }
 
     /// True-count bound for strings not present in the synopsis.
     #[inline]
     pub fn alpha_absent(&self) -> f64 {
-        self.alpha_absent
+        self.meta.alpha_absent
     }
 
     /// Overall additive error `α` (present or absent patterns).
     pub fn alpha(&self) -> f64 {
-        self.alpha_counts.max(self.alpha_absent)
+        self.meta.alpha_counts.max(self.meta.alpha_absent)
     }
 
     /// Number of nodes, root included.
     #[inline]
     pub fn node_count(&self) -> usize {
-        self.store.n_nodes()
+        self.n_nodes
     }
 
     /// Database size parameters `(n, ℓ)` the synopsis was built from.
     pub fn db_params(&self) -> (usize, usize) {
-        (self.n_docs, self.max_len)
+        (self.meta.n_docs, self.meta.max_len)
     }
 
-    /// Whether the CSR arrays alias a shared input buffer (zero-copy
-    /// decode via [`Self::from_bytes_shared`]) rather than owned `Vec`s.
+    /// The snapshot buffer the synopsis answers from: the canonical
+    /// uncompressed encoding, [`Self::to_bytes`] without the copy. After
+    /// [`Self::from_bytes_shared`] of an uncompressed snapshot it is the
+    /// caller's buffer itself (`Arc::ptr_eq` holds).
     #[inline]
-    pub fn is_borrowed(&self) -> bool {
-        self.store.is_borrowed()
+    pub fn shared_bytes(&self) -> &Arc<[u8]> {
+        &self.buf
     }
 
-    /// Size of [`Self::to_bytes`] in bytes, from a size-only encoding
-    /// pass, so a layout change cannot silently desync the two.
+    /// Size of [`Self::to_bytes`] in bytes.
     pub fn serialized_len(&self) -> usize {
-        codec_v2::encoded_len(self, false)
+        self.buf.len()
     }
 
-    /// Bytes of in-memory acceleration data (`fastpath` blocks and
-    /// tables) carried on top of the serialized arrays. Never shipped:
-    /// rebuilt locally on decode.
+    /// Bytes of derived acceleration data held beside the snapshot: the
+    /// wide tier's lane tables (256 bytes per node of degree above 32,
+    /// plus 4 bytes per node id up to the last such node),
+    /// zero when no node is that wide. Never shipped: rebuilt by the
+    /// validation sweep on every decode.
     pub fn accel_memory_bytes(&self) -> usize {
-        self.fast.memory_bytes()
+        self.wide.memory_bytes()
     }
 
-    /// Serializes to the uncompressed `DPSF` v2 snapshot (see `codec_v2`
-    /// for the layout): raw little-endian sections eligible for zero-copy
-    /// borrowed decode via [`Self::from_bytes_shared`]. Canonical:
-    /// `from_bytes(b)?.to_bytes() == b`.
+    /// Serializes to the uncompressed `DPSF` v3 snapshot (see `codec_v3`
+    /// for the layout): a copy of the buffer the synopsis answers from.
+    /// Canonical: `from_bytes(b)?.to_bytes() == b`.
     pub fn to_bytes(&self) -> Vec<u8> {
-        codec_v2::encode(self, false)
+        self.buf.to_vec()
     }
 
-    /// Serializes to an explicit dialect. `to_bytes_v2(false)` is
-    /// [`Self::to_bytes`]; with `compressed` the edge arrays use delta/gap
-    /// varints (smaller, decodes owned). Both are canonical:
-    /// `from_bytes(b)?.to_bytes_v2(compressed) == b`.
+    /// Serializes to an explicit dialect of the current format.
+    /// `to_bytes_v2(false)` is [`Self::to_bytes`]; with `compressed`,
+    /// `edge_start` is written as degree varints (smaller; decoding
+    /// re-encodes the uncompressed form). Both are canonical:
+    /// `from_bytes(b)?.to_bytes_v2(compressed) == b`. (The name predates
+    /// format v3 and is kept for existing callers.)
     pub fn to_bytes_v2(&self, compressed: bool) -> Vec<u8> {
-        codec_v2::encode(self, compressed)
+        if !compressed {
+            return self.to_bytes();
+        }
+        let [counts, edge_start, edge_label] = self.offsets;
+        let n = self.n_nodes;
+        codec_v3::encode(
+            &self.meta,
+            &self.buf[counts..counts + 8 * n],
+            &self.buf[edge_start..edge_start + 4 * (n + 1)],
+            &self.buf[edge_label..edge_label + n - 1],
+            true,
+        )
     }
 
     /// Parses a snapshot written by [`Self::to_bytes`] or
-    /// [`Self::to_bytes_v2`] (either dialect) into fully owned storage.
+    /// [`Self::to_bytes_v2`] (either dialect), copying it into one new
+    /// buffer (a compressed input is re-encoded uncompressed).
     ///
-    /// Decoding is defensive: every read is length-checked, declared array
+    /// Decoding is defensive: every read is length-checked, declared
     /// sizes are validated against the actual input length *before* any
-    /// allocation, the checksums must match, and the decoded CSR
-    /// arrays must describe a well-formed tree (monotone offsets, sorted
-    /// labels, every non-root node exactly one incoming edge, every node
-    /// reachable from the root) carrying only finite counts. Truncated,
-    /// version-mismatched or corrupted inputs return `Err`, never panic,
-    /// and accepted encodings are canonical.
+    /// allocation, the checksums and zero padding must hold, and the
+    /// arrays must pass the three-rule tree check (monotone offsets
+    /// spanning the edges, children after their parent, sorted labels)
+    /// and carry only finite counts. Truncated, version-mismatched or
+    /// corrupted inputs return `Err`, never panic, and accepted encodings
+    /// are canonical.
     ///
     /// # Errors
     /// A [`DecodeError`] describing the first defect found.
     pub fn from_bytes(bytes: &[u8]) -> Result<Self, DecodeError> {
-        codec_v2::decode_owned(bytes)
+        Self::adopt(codec_v3::decode(bytes, None)?)
     }
 
-    /// Like [`Self::from_bytes`], but hands the decoder shared ownership
-    /// of the input. An uncompressed snapshot decodes *borrowed*: the
-    /// arrays point into `buf` with zero per-array copies, and the buffer
-    /// stays alive for as long as the synopsis does. Compressed inputs
-    /// fall back to an owned decode. Validation is identical to
-    /// [`Self::from_bytes`] in every case.
+    /// Like [`Self::from_bytes`], but takes shared ownership of the
+    /// input. An uncompressed snapshot is adopted with zero copies: the
+    /// synopsis answers from `buf` itself and keeps it alive. A
+    /// compressed input is re-encoded into a new buffer. Validation is
+    /// identical to [`Self::from_bytes`] in every case.
     pub fn from_bytes_shared(buf: Arc<[u8]>) -> Result<Self, DecodeError> {
-        codec_v2::decode_shared(&buf)
+        Self::adopt(codec_v3::decode(&buf, Some(&buf))?)
     }
 }
 
@@ -638,6 +549,10 @@ impl PrivateCountStructure {
 mod tests {
     use super::*;
 
+    fn structure_of(trie: Trie<f64>, mode: CountMode) -> PrivateCountStructure {
+        PrivateCountStructure::new(trie, mode, PrivacyParams::pure(1.0), 1.5, 2.5, 6, 5)
+    }
+
     fn toy_structure() -> PrivateCountStructure {
         let mut trie: Trie<f64> = Trie::new(20.0);
         let a = trie.insert_path(b"a", |_| 0.0);
@@ -648,15 +563,101 @@ mod tests {
         *trie.value_mut(ab) = 4.125;
         *trie.value_mut(ac) = 3.5;
         *trie.value_mut(b) = 6.0;
-        PrivateCountStructure::new(
-            trie,
-            CountMode::Substring,
-            PrivacyParams::pure(1.0),
-            1.5,
-            2.5,
-            6,
-            5,
-        )
+        structure_of(trie, CountMode::Substring)
+    }
+
+    /// A root with children `labels` (value = label + 0.5); the first
+    /// child gets children `next` (value = label + 0.25), so the root's
+    /// label run is directly followed by bytes the root must not match.
+    fn star(labels: &[u8], next: &[u8]) -> PrivateCountStructure {
+        let mut trie: Trie<f64> = Trie::new(100.0);
+        for &b in labels {
+            let id = trie.insert_path(&[b], |_| 0.0);
+            *trie.value_mut(id) = f64::from(b) + 0.5;
+        }
+        for &b in next {
+            let id = trie.insert_path(&[labels[0], b], |_| 0.0);
+            *trie.value_mut(id) = f64::from(b) + 0.25;
+        }
+        structure_of(trie, CountMode::Substring)
+    }
+
+    /// Every one-byte probe of the root and of its first child agrees
+    /// across the SWAR walk, the binary-search walk and the arena trie.
+    fn assert_all_probes_agree(labels: &[u8], next: &[u8]) {
+        let s = star(labels, next);
+        let f = s.freeze();
+        for probe in 0..=255u8 {
+            for pat in [vec![probe], vec![labels[0], probe]] {
+                let want = s.query(&pat).to_bits();
+                assert_eq!(f.query(&pat).to_bits(), want, "labels {labels:?}, pattern {pat:?}");
+                assert_eq!(f.query_naive(&pat).to_bits(), want, "labels {labels:?} {pat:?}");
+                assert_eq!(f.contains(&pat), s.contains(&pat), "labels {labels:?} {pat:?}");
+            }
+        }
+    }
+
+    #[test]
+    fn swar_mask_finds_lowest_matching_lane() {
+        let word = u64::from_le_bytes([3, 7, 7, 9, 0x80, 0xFF, 0, 1]);
+        for (lane, byte) in [(0u32, 3u8), (1, 7), (3, 9), (4, 0x80), (5, 0xFF), (6, 0)] {
+            let mask = swar_eq_mask(word, byte);
+            assert_ne!(mask, 0, "byte {byte:#04x} must match");
+            assert_eq!(mask.trailing_zeros() >> 3, lane, "byte {byte:#04x}");
+        }
+        assert_eq!(swar_eq_mask(word, 5), 0);
+        assert_eq!(swar_eq_mask(word, 2), 0);
+    }
+
+    #[test]
+    fn every_degree_agrees_with_binary_search() {
+        // Degrees crossing every boundary: one partial label word, exactly
+        // one word, several words, the widest scanned node, the wide tier.
+        let next = [0x00, 0x01, 0x7F, 0x80, 0xFE, 0xFF];
+        for degree in [1usize, 2, 7, 8, 9, 15, 16, 17, 31, 32, 33, 64, 200, 256] {
+            let labels: Vec<u8> = (0..degree).map(|i| (i * 256 / degree) as u8).collect();
+            assert_all_probes_agree(&labels, &next);
+            let f = star(&labels, &next).freeze();
+            let wide = usize::from(degree > WIDE_DEGREE);
+            assert_eq!(f.accel_memory_bytes(), wide * 260, "degree {degree}");
+        }
+    }
+
+    #[test]
+    fn wide_node_below_a_narrow_root_agrees() {
+        // Node 1 is the only wide node, so the tier's id map has a narrow
+        // entry for the root before it.
+        let next: Vec<u8> = (0..40u8).map(|i| i * 6).collect();
+        assert_all_probes_agree(b"ab", &next);
+        let f = star(b"ab", &next).freeze();
+        assert_eq!(f.accel_memory_bytes(), 2 * 4 + 256);
+    }
+
+    #[test]
+    fn swar_borrow_corners_agree() {
+        // Labels at the zero-detect's borrow and sign corners, clustered
+        // runs, and a root run followed by the child's labels.
+        let cases: &[(&[u8], &[u8])] = &[
+            (&[0x00], &[0x00, 0xFF]),
+            (&[0xFF], &[0x00]),
+            (&[0x00, 0x01, 0x7F, 0x80, 0x81, 0xFE, 0xFF], &[0x02, 0x7E]),
+            (&[0x7F, 0x80], &[0x00, 0x01, 0x7F, 0x80]),
+            (&[0x40, 0x41, 0x42, 0x43, 0x44, 0x45, 0x46, 0x47, 0x48], &[0x49, 0x4A]),
+            (&[0x01, 0x02, 0x03, 0x04, 0x05, 0x06, 0x07, 0x08, 0x09, 0x0A], &[0x00, 0x0B]),
+        ];
+        for (labels, next) in cases {
+            assert_all_probes_agree(labels, next);
+        }
+    }
+
+    #[test]
+    fn leaf_nodes_miss_every_probe() {
+        let f = star(b"a", b"").freeze();
+        for probe in 0..=255u8 {
+            assert_eq!(f.query(&[b'a', probe]), 0.0, "leaf must have no children");
+            assert!(!f.contains(&[b'a', probe]));
+        }
+        assert_eq!(f.query(b"a"), f64::from(b'a') + 0.5);
     }
 
     #[test]
@@ -674,7 +675,7 @@ mod tests {
         assert_eq!(f.alpha_absent(), s.alpha_absent());
         assert_eq!(f.alpha(), s.alpha());
         assert_eq!(f.db_params(), s.db_params());
-        assert!(!f.is_borrowed());
+        assert_eq!(f.accel_memory_bytes(), 0);
     }
 
     #[test]
@@ -695,7 +696,8 @@ mod tests {
         let s = toy_structure();
         let f = s.freeze();
         let bytes = f.to_bytes();
-        assert_eq!(bytes, f.to_bytes_v2(false), "to_bytes is uncompressed v2");
+        assert_eq!(bytes, f.to_bytes_v2(false), "to_bytes is the uncompressed dialect");
+        assert_eq!(bytes[..], f.shared_bytes()[..], "to_bytes copies the served buffer");
         assert_eq!(bytes.len(), f.serialized_len());
         let back = FrozenSynopsis::from_bytes(&bytes).expect("roundtrip parses");
         assert_eq!(back, f);
@@ -707,9 +709,8 @@ mod tests {
         let f = toy_structure().freeze();
         for compressed in [false, true] {
             let bytes = f.to_bytes_v2(compressed);
-            let back = FrozenSynopsis::from_bytes(&bytes).expect("v2 parses");
+            let back = FrozenSynopsis::from_bytes(&bytes).expect("snapshot parses");
             assert_eq!(back, f, "compressed={compressed}");
-            assert!(!back.is_borrowed(), "from_bytes decodes owned");
             // Canonical: re-serializing in the same dialect reproduces
             // the input bytes.
             assert_eq!(back.to_bytes_v2(compressed), bytes, "compressed={compressed}");
@@ -717,32 +718,31 @@ mod tests {
     }
 
     #[test]
-    fn v2_borrowed_decode_answers_identically() {
+    fn shared_decode_answers_from_the_callers_buffer() {
         let f = toy_structure().freeze();
-        let shared: Arc<[u8]> = f.to_bytes_v2(false).into();
-        let borrowed = FrozenSynopsis::from_bytes_shared(Arc::clone(&shared)).expect("parses");
-        assert!(borrowed.is_borrowed(), "uncompressed v2 must borrow");
-        assert_eq!(borrowed, f);
+        let shared: Arc<[u8]> = f.to_bytes().into();
+        let adopted = FrozenSynopsis::from_bytes_shared(Arc::clone(&shared)).expect("parses");
+        assert!(Arc::ptr_eq(adopted.shared_bytes(), &shared), "uncompressed must not copy");
+        assert_eq!(Arc::strong_count(&shared), 2);
+        assert_eq!(adopted, f);
         for pat in [&b""[..], b"a", b"ab", b"ac", b"b", b"ba", b"abc", b"zz"] {
-            assert_eq!(borrowed.query(pat).to_bits(), f.query(pat).to_bits(), "pattern {pat:?}");
-            assert_eq!(
-                borrowed.query_naive(pat).to_bits(),
-                f.query_naive(pat).to_bits(),
-                "pattern {pat:?}"
-            );
+            assert_eq!(adopted.query(pat).to_bits(), f.query(pat).to_bits(), "pattern {pat:?}");
+            assert_eq!(adopted.query_naive(pat).to_bits(), f.query_naive(pat).to_bits());
         }
-        // Borrowed re-encodes canonically too.
-        assert_eq!(borrowed.to_bytes(), &shared[..]);
-        // Compressed inputs fall back to an owned decode.
+        drop(adopted);
+        assert_eq!(Arc::strong_count(&shared), 1, "the synopsis released the buffer");
+        // A compressed input is re-encoded into a buffer of its own.
         let compressed: Arc<[u8]> = f.to_bytes_v2(true).into();
-        assert!(!FrozenSynopsis::from_bytes_shared(compressed).expect("parses").is_borrowed());
+        let expanded = FrozenSynopsis::from_bytes_shared(Arc::clone(&compressed)).unwrap();
+        assert!(!Arc::ptr_eq(expanded.shared_bytes(), &compressed));
+        assert_eq!(expanded.shared_bytes()[..], shared[..]);
     }
 
     #[test]
     fn compressed_dialect_is_smaller() {
-        // The 192-byte sectioned header only amortizes on realistic
-        // sizes, so build a few hundred nodes (all strings of length ≤ 3
-        // over a 6-letter alphabet) rather than the 5-node toy.
+        // The 168-byte header only amortizes on realistic sizes, so
+        // build a few hundred nodes (all strings of length ≤ 3 over a
+        // 6-letter alphabet) rather than the 5-node toy.
         let mut trie: Trie<f64> = Trie::new(100.0);
         let sigma = b"abcdef";
         for (i, &a) in sigma.iter().enumerate() {
@@ -753,19 +753,10 @@ mod tests {
                 }
             }
         }
-        let f = PrivateCountStructure::new(
-            trie,
-            CountMode::Substring,
-            PrivacyParams::pure(1.0),
-            1.5,
-            2.5,
-            50,
-            8,
-        )
-        .freeze();
-        let v2 = f.to_bytes().len();
-        let v2c = f.to_bytes_v2(true).len();
-        assert!(v2c < v2, "compressed v2 ({v2c}) must undercut uncompressed v2 ({v2})");
+        let f = structure_of(trie, CountMode::Substring).freeze();
+        let plain = f.to_bytes().len();
+        let packed = f.to_bytes_v2(true).len();
+        assert!(packed < plain, "compressed ({packed}) must undercut uncompressed ({plain})");
         // And the compressed dialect still roundtrips bit-exactly.
         let back = FrozenSynopsis::from_bytes(&f.to_bytes_v2(true)).expect("parses");
         assert_eq!(back, f);
@@ -787,16 +778,17 @@ mod tests {
         assert_eq!(f.node_count(), 1);
         assert_eq!(f.query(b""), 7.5);
         assert_eq!(f.query(b"a"), 0.0);
+        assert_eq!(f.query_naive(b"a"), 0.0);
         for compressed in [false, true] {
             let bytes = f.to_bytes_v2(compressed);
-            let back = FrozenSynopsis::from_bytes(&bytes).expect("v2 parses");
+            let back = FrozenSynopsis::from_bytes(&bytes).expect("snapshot parses");
             assert_eq!(back, f);
             assert_eq!(back.to_bytes_v2(compressed), bytes);
         }
         let shared: Arc<[u8]> = f.to_bytes().into();
-        let borrowed = FrozenSynopsis::from_bytes_shared(shared).expect("parses");
-        assert!(borrowed.is_borrowed());
-        assert_eq!(borrowed.query(b""), 7.5);
+        let adopted = FrozenSynopsis::from_bytes_shared(Arc::clone(&shared)).expect("parses");
+        assert!(Arc::ptr_eq(adopted.shared_bytes(), &shared));
+        assert_eq!(adopted.query(b""), 7.5);
     }
 
     #[test]
@@ -831,29 +823,6 @@ mod tests {
             .unwrap_err()
             .to_string()
             .contains("version"));
-    }
-
-    #[test]
-    fn disconnected_cycle_is_rejected() {
-        // Hand-build the arrays for: childless root, plus nodes 1 ⇄ 2
-        // forming a cycle. Every non-root node has in-degree exactly one
-        // and edges = nodes − 1, so only the BFS-order edge check (which
-        // is what makes every node reachable from the root) can catch it:
-        // the cycle necessarily contains a backward edge (2 → 1).
-        let good = toy_structure().freeze();
-        let cyclic = FrozenSynopsis {
-            store: Storage::Owned {
-                counts: vec![1.0, 2.0, 3.0],
-                edge_start: vec![0, 0, 1, 2],
-                edge_label: vec![b'a', b'a'],
-                edge_target: vec![2, 1],
-            },
-            ..good
-        };
-        for compressed in [false, true] {
-            let err = FrozenSynopsis::from_bytes(&cyclic.to_bytes_v2(compressed)).unwrap_err();
-            assert!(err.to_string().contains("BFS"), "unexpected error: {err}");
-        }
     }
 
     #[test]

@@ -1,15 +1,18 @@
-//! Differential tests for the accelerated query layout (`fastpath`).
+//! Differential tests for the snapshot walk.
 //!
-//! The acceleration tiers (SWAR label blocks, direct child tables) must be
-//! *behaviorally invisible*: for every trie shape and every probe byte,
-//! [`FrozenSynopsis::query`] / [`FrozenSynopsis::contains`] must be
-//! bit-identical to the naive binary-search walk
-//! ([`FrozenSynopsis::query_naive`] / [`FrozenSynopsis::contains_naive`])
-//! and to the arena-trie walk in [`PrivateCountStructure::query`]. The
-//! suite sweeps random tries (including full degree-256 nodes and
-//! adversarial label sets near the SWAR borrow boundaries), degenerate
-//! patterns (empty / absent / over-long), every batch entry point, and a
-//! proptest sweep through the frozen ↔ decoded round trip.
+//! The SWAR label probe and the wide tier (lane tables for nodes of
+//! degree above 32) must be *behaviorally invisible*: for every trie
+//! shape and every probe byte, [`FrozenSynopsis::query`] /
+//! [`FrozenSynopsis::contains`] must be bit-identical to the naive
+//! binary-search walk ([`FrozenSynopsis::query_naive`] /
+//! [`FrozenSynopsis::contains_naive`]) and to the arena-trie walk in
+//! [`PrivateCountStructure::query`]. The suite sweeps random tries
+//! (including full degree-256 nodes and adversarial label sets near the
+//! SWAR borrow boundaries), degenerate patterns (empty / absent /
+//! over-long), every batch entry point, and a proptest sweep through the
+//! frozen ↔ decoded round trip, copied and shared.
+
+use std::sync::Arc;
 
 use dpsc_dpcore::budget::PrivacyParams;
 use dpsc_private_count::{CountMode, FrozenSynopsis, PrivateCountStructure};
@@ -53,7 +56,9 @@ fn assert_differential(s: &PrivateCountStructure, patterns: &[Vec<u8>]) {
     let bytes = f.to_bytes();
     assert_eq!(bytes.len(), f.serialized_len(), "serialized_len must match to_bytes");
     let decoded = FrozenSynopsis::from_bytes(&bytes).expect("roundtrip parses");
-    assert_eq!(decoded, f, "decoded synopsis (incl. rebuilt accel) must equal original");
+    assert_eq!(decoded, f, "decoded synopsis must equal original");
+    let shared = FrozenSynopsis::from_bytes_shared(Arc::from(bytes)).expect("shared parses");
+    assert_eq!(shared.accel_memory_bytes(), f.accel_memory_bytes(), "wide tier rebuilt alike");
 
     let refs: Vec<&[u8]> = patterns.iter().map(|p| p.as_slice()).collect();
     let fast: Vec<f64> = refs.iter().map(|p| f.query(p)).collect();
@@ -66,6 +71,7 @@ fn assert_differential(s: &PrivateCountStructure, patterns: &[Vec<u8>]) {
             decoded.query(p).to_bits(),
             "fast vs decoded fast, pattern {p:?}"
         );
+        assert_eq!(got.to_bits(), shared.query(p).to_bits(), "fast vs shared, pattern {p:?}");
         assert_eq!(f.contains(p), f.contains_naive(p), "contains vs naive, pattern {p:?}");
         assert_eq!(f.contains(p), s.contains(p), "contains vs trie walk, pattern {p:?}");
     }
@@ -97,7 +103,7 @@ fn probe_patterns(labels: &[u8], max_len: usize, rng: &mut StdRng) -> Vec<Vec<u8
 
 #[test]
 fn small_alphabet_tries_match_naive_walk() {
-    // Degrees ≤ 8: the single-u64 SWAR tier.
+    // Degrees ≤ 8: one label word per probe.
     let mut rng = StdRng::seed_from_u64(0xFA57_0001);
     for labels in [&b"ab"[..], b"abcdefgh", b"\x00\x01\x02"] {
         let trie = random_trie(labels, 40, 6, &mut rng);
@@ -108,10 +114,11 @@ fn small_alphabet_tries_match_naive_walk() {
 
 #[test]
 fn mid_fanout_tries_match_naive_walk() {
-    // Degrees 9..=32: the multi-block SWAR tier, including partial final
-    // blocks of every residue mod 8.
+    // Degrees 9..=32: several label words per probe, including partial
+    // final words of every residue mod 8; 33 and 64 cross into the wide
+    // tier.
     let mut rng = StdRng::seed_from_u64(0xFA57_0002);
-    for sigma in [9usize, 15, 16, 17, 24, 31, 32] {
+    for sigma in [9usize, 15, 16, 17, 24, 31, 32, 33, 64] {
         let labels: Vec<u8> = (0..sigma as u8).map(|i| b'a'.wrapping_add(i)).collect();
         let trie = random_trie(&labels, 120, 5, &mut rng);
         let pats = probe_patterns(&labels, 5, &mut rng);
@@ -120,8 +127,8 @@ fn mid_fanout_tries_match_naive_walk() {
 }
 
 #[test]
-fn degree_256_root_uses_table_and_matches() {
-    // A full-fanout root (all 256 labels) exercises the direct-table tier;
+fn degree_256_root_uses_the_wide_tier_and_matches() {
+    // A full-fanout root (all 256 labels) exercises the wide tier;
     // children keep mixed small/mid degrees.
     let mut rng = StdRng::seed_from_u64(0xFA57_0003);
     let mut trie: Trie<f64> = Trie::new(500.0);
@@ -142,7 +149,9 @@ fn degree_256_root_uses_table_and_matches() {
     let all: Vec<u8> = (0..=255u8).collect();
     let mut pats = probe_patterns(&all, 4, &mut rng);
     pats.extend((0..=255u8).map(|b| vec![b]));
-    assert_differential(&structure_of(trie), &pats);
+    let s = structure_of(trie);
+    assert!(s.freeze().accel_memory_bytes() >= 260, "the root must be in the wide tier");
+    assert_differential(&s, &pats);
 }
 
 #[test]
@@ -172,7 +181,7 @@ fn adversarial_labels_near_borrow_boundaries_match() {
 
 #[test]
 fn root_only_and_single_chain_edge_cases() {
-    // Leaf-only root: zero blocks, every probe is a miss.
+    // Leaf-only root: no edges, every probe is a miss.
     assert_differential(&structure_of(Trie::new(3.25)), &[vec![], vec![0], vec![97], vec![255]]);
     // Single chain: every node has degree exactly 1.
     let mut trie: Trie<f64> = Trie::new(9.0);
@@ -193,11 +202,11 @@ fn root_only_and_single_chain_edge_cases() {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(48))]
 
-    /// Random tries over a byte-select alphabet: the frozen fast path, the
+    /// Random tries over a byte-select alphabet: the snapshot walk, the
     /// naive walk, the arena walk, and the decoded round trip agree on
     /// random and planted patterns alike.
     #[test]
-    fn fastpath_is_behaviorally_invisible(
+    fn snapshot_walk_is_behaviorally_invisible(
         paths in proptest::collection::vec(
             proptest::collection::vec(
                 proptest::sample::select(vec![0u8, 1, 9, 64, 65, 127, 128, 200, 255]),

@@ -602,8 +602,8 @@ impl Server {
     }
 
     /// The `LoadSnapshot` implementation. Without a store: the original
-    /// shared-ownership install (an uncompressed v2 snapshot serves
-    /// borrowed straight from the wire buffer). With a store: decode
+    /// shared-ownership install (an uncompressed snapshot is served
+    /// straight from the wire buffer). With a store: decode
     /// (which validates), persist crash-safely, then install the decoded
     /// synopsis under the durable epoch — in that order, so the daemon
     /// never serves an epoch it cannot recover, and a persist failure

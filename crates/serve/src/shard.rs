@@ -96,11 +96,11 @@ impl ShardManager {
     }
 
     /// [`Self::load_snapshot`] with shared ownership of the buffer: an
-    /// uncompressed snapshot ([`FrozenSynopsis::to_bytes`]) decodes
-    /// *borrowed* — after validation its arrays point into `bytes`, which
-    /// the installed [`ShardSnapshot`] keeps alive through the synopsis —
-    /// so installing a shard performs zero per-array copies. Compressed
-    /// inputs decode owned, exactly as [`Self::load_snapshot`].
+    /// uncompressed snapshot ([`FrozenSynopsis::to_bytes`]) is validated
+    /// and then served from `bytes` itself, which the installed
+    /// [`ShardSnapshot`] keeps alive through the synopsis — so installing
+    /// a shard copies nothing. Compressed inputs are re-encoded into a
+    /// new buffer, exactly as [`Self::load_snapshot`].
     pub fn load_snapshot_shared(
         &self,
         shard: u32,
@@ -309,15 +309,18 @@ mod tests {
         let f = synopsis(6.5);
         let shared: Arc<[u8]> = f.to_bytes().into();
         let snap = m.load_snapshot_shared(4, Arc::clone(&shared)).unwrap();
-        assert!(snap.synopsis.is_borrowed(), "uncompressed v2 must serve borrowed");
+        assert!(
+            Arc::ptr_eq(snap.synopsis.shared_bytes(), &shared),
+            "an uncompressed snapshot must serve from the installed buffer"
+        );
         assert_eq!(snap.serialized_len, shared.len());
         assert_eq!(snap.synopsis.query(b"a"), 6.5);
         assert_eq!(snap.synopsis, f, "borrowed decode is logically identical");
-        // Compressed bytes through the shared path install owned and
-        // answer bit-identically.
+        // Compressed bytes through the shared path are re-encoded into a
+        // buffer of their own and answer bit-identically.
         let compressed: Arc<[u8]> = f.to_bytes_v2(true).into();
-        let snap = m.load_snapshot_shared(5, compressed).unwrap();
-        assert!(!snap.synopsis.is_borrowed());
+        let snap = m.load_snapshot_shared(5, Arc::clone(&compressed)).unwrap();
+        assert!(!Arc::ptr_eq(snap.synopsis.shared_bytes(), &compressed));
         assert_eq!(snap.synopsis.query(b"a").to_bits(), 6.5f64.to_bits());
         assert_eq!(snap.synopsis, f);
     }

@@ -403,7 +403,7 @@ pub struct RecoveredSnapshot {
     /// The durable epoch recovered.
     pub epoch: u64,
     /// The validated payload, shared so the shard manager can serve an
-    /// uncompressed v2 snapshot borrowed straight from it.
+    /// uncompressed snapshot straight from it.
     pub bytes: Arc<[u8]>,
 }
 

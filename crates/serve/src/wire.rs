@@ -109,8 +109,8 @@ pub enum Request {
         shard: u32,
         /// `FrozenSynopsis::to_bytes` payload. Shared ownership so the
         /// server can hand the buffer to the shard manager without
-        /// copying — an uncompressed v2 snapshot is then served
-        /// *borrowed* straight from these bytes.
+        /// copying — an uncompressed snapshot is then served straight
+        /// from these bytes.
         snapshot: Arc<[u8]>,
     },
     /// Ask the daemon to stop accepting connections and exit. Honored
@@ -588,7 +588,8 @@ pub fn decode_request(body: &[u8]) -> Result<Request, DecodeError> {
             let shard = cur.u32()?;
             let len = cur.usize64()?;
             // The one unavoidable copy: frame buffer → Arc. Everything
-            // downstream (manager install, borrowed v2 decode) shares it.
+            // downstream (manager install, zero-copy snapshot decode)
+            // shares it.
             Request::LoadSnapshot { shard, snapshot: cur.take(len)?.into() }
         }
         OP_SHUTDOWN => Request::Shutdown,

@@ -50,8 +50,9 @@
 //!         let frozen = structure.freeze();
 //!         let answers = frozen.query_batch(&[&b"ab"[..], b"be", b"zz"]);
 //!         assert_eq!(answers.len(), 3);
-//!         let shipped = FrozenSynopsis::from_bytes_shared(frozen.to_bytes().into()).unwrap();
-//!         assert!(shipped.is_borrowed());
+//!         let bytes: std::sync::Arc<[u8]> = frozen.to_bytes().into();
+//!         let shipped = FrozenSynopsis::from_bytes_shared(bytes.clone()).unwrap();
+//!         assert!(std::sync::Arc::ptr_eq(shipped.shared_bytes(), &bytes)); // served in place
 //!         assert_eq!(shipped, frozen);
 //!     }
 //!     Err(e) => println!("construction aborted (FAIL branch): {e}"),

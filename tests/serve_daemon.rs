@@ -286,9 +286,9 @@ fn stats_surface_per_shard_sizes_and_utility_bounds() {
 
 /// Shipping an uncompressed snapshot over the wire installs it
 /// *borrowed*: the resident synopsis answers straight out of the received
-/// frame buffer (zero per-array copies), bit-identically to a local
-/// decode, and hot-swapping to a compressed snapshot on the same shard
-/// lands owned with the same answers.
+/// frame buffer, which nothing else holds, bit-identically to a local
+/// decode; hot-swapping to a compressed snapshot on the same shard
+/// re-encodes the same canonical buffer with the same answers.
 #[test]
 fn v2_snapshots_serve_borrowed_over_the_wire() {
     let (frozen, patterns) = dp_built(35);
@@ -297,18 +297,21 @@ fn v2_snapshots_serve_borrowed_over_the_wire() {
     let handle = spawn_daemon(Arc::clone(&manager));
     let mut client = Client::connect(handle.addr()).expect("client connects");
 
-    client.load_snapshot(1, &v2).expect("v2 snapshot loads");
+    client.load_snapshot(1, &v2).expect("snapshot loads");
     let resident = manager.snapshot(1).expect("shard resident");
-    assert!(resident.synopsis.is_borrowed(), "wire-shipped uncompressed v2 must serve borrowed");
+    let served_buf = resident.synopsis.shared_bytes();
+    assert_eq!(served_buf[..], v2[..], "the shipped bytes are the served buffer");
+    assert_eq!(Arc::strong_count(served_buf), 1, "the daemon kept no second copy holder");
     assert_eq!(resident.serialized_len, v2.len());
     for p in &patterns {
         let served = client.query(1, p).expect("query answered");
         assert_eq!(served.to_bits(), frozen.query(p).to_bits(), "pattern {p:?}");
     }
 
-    // Swapping the same shard to a compressed snapshot lands owned.
+    // Swapping the same shard to a compressed snapshot serves the
+    // canonical uncompressed form it decodes to.
     client.load_snapshot(1, &frozen.to_bytes_v2(true)).expect("compressed snapshot loads");
-    assert!(!manager.snapshot(1).unwrap().synopsis.is_borrowed());
+    assert_eq!(manager.snapshot(1).unwrap().synopsis.shared_bytes()[..], v2[..]);
     for p in &patterns {
         let served = client.query(1, p).expect("query answered");
         assert_eq!(served.to_bits(), frozen.query(p).to_bits(), "pattern {p:?}");

@@ -1,9 +1,11 @@
-//! Robustness of the `DPSF` v2 snapshot codec on a *real* DP-built
-//! structure, for both dialects (uncompressed/borrowable and
-//! delta-compressed): exact round-trips, `Err` (never a panic) on
-//! truncations, version/magic damage, bit flips, splices, and noise,
-//! forged-but-restamped header fields, and a differential sweep asserting
-//! that owned, compressed, and borrowed decodes answer bit-identically.
+//! Robustness of the `DPSF` v3 snapshot codec on a *real* DP-built
+//! structure, for both dialects (uncompressed, served in place, and
+//! degree-compressed): exact round-trips, `Err` (never a panic) on
+//! truncations, version/magic damage (including a v2 buffer), bit flips,
+//! splices, and noise, forged-but-restamped header fields and arrays (one
+//! forgery per structural rule), and a differential sweep asserting that
+//! copied, compressed, and shared decodes answer bit-identically. (The
+//! file keeps its `v2` name so the test ids stay stable across formats.)
 
 mod common;
 
@@ -16,9 +18,9 @@ use proptest::prelude::*;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
-// v2 header layout landmarks (see DESIGN.md §13): the section table
-// starts at 88 with 24-byte entries {offset, len, checksum}, the header
-// checksum sits at 184, and sections begin at 192.
+// v3 header layout landmarks (see DESIGN.md §13): the section table
+// starts at 88 with three 24-byte entries {offset, len, checksum}, the
+// header checksum sits at 160, and sections begin at 168.
 const CLIP_OFF: usize = 16;
 const DELTA_OFF: usize = 32;
 const ALPHA_COUNTS_OFF: usize = 40;
@@ -26,8 +28,9 @@ const ALPHA_ABSENT_OFF: usize = 48;
 const N_NODES_OFF: usize = 72;
 const TABLE_OFF: usize = 88;
 const TABLE_ENTRY_LEN: usize = 24;
-const HEADER_SUM_OFF: usize = 184;
-const HEADER_LEN: usize = 192;
+const HEADER_SUM_OFF: usize = 160;
+const HEADER_LEN: usize = 168;
+const SECTIONS: usize = 3;
 
 /// A genuinely constructed (Theorem 1) synopsis plus its corpus.
 fn built() -> (PrivateCountStructure, FrozenSynopsis, Vec<Vec<u8>>) {
@@ -60,7 +63,7 @@ fn section(bytes: &[u8], i: usize) -> (usize, usize) {
 fn patch_and_restamp_v2(bytes: &[u8], at: usize, patch: &[u8]) -> Vec<u8> {
     let mut out = bytes.to_vec();
     out[at..at + patch.len()].copy_from_slice(patch);
-    for i in 0..4 {
+    for i in 0..SECTIONS {
         let (off, len) = section(&out, i);
         let sum = fnv1a(&out[off..off + len]).to_le_bytes();
         let entry = TABLE_OFF + TABLE_ENTRY_LEN * i;
@@ -145,13 +148,14 @@ fn v2_alignment_padding_is_validated() {
     let (_, frozen, _) = built();
     let bytes = frozen.to_bytes_v2(true);
     // Compressed sections have data-dependent lengths, so padding gaps
-    // between them are near-certain. Corrupt every padding byte in turn:
-    // it is outside all section checksums, so only an explicit zero-check
+    // between them are near-certain, and the label section is always
+    // followed by a zeroed tail. Corrupt every padding byte in turn: it
+    // is outside all section checksums, so only an explicit zero-check
     // can reject it.
     let mut covered = false;
-    for i in 0..3 {
+    for i in 0..SECTIONS {
         let (off, len) = section(&bytes, i);
-        let (next_off, _) = section(&bytes, i + 1);
+        let next_off = if i + 1 < SECTIONS { section(&bytes, i + 1).0 } else { bytes.len() };
         for pad in off + len..next_off {
             covered = true;
             let forged = patch_and_restamp_v2(&bytes, pad, &[0x5A]);
@@ -209,13 +213,13 @@ fn v2_borrowed_and_owned_answer_bit_identically() {
     let (structure, frozen, docs) = built();
     let v2u: Arc<[u8]> = frozen.to_bytes_v2(false).into();
     let borrowed = FrozenSynopsis::from_bytes_shared(Arc::clone(&v2u)).expect("shared decode");
-    assert!(borrowed.is_borrowed(), "uncompressed v2 via Arc must decode borrowed");
+    assert!(Arc::ptr_eq(borrowed.shared_bytes(), &v2u), "an uncompressed Arc must not be copied");
     let owned = FrozenSynopsis::from_bytes(&v2u).expect("owned decode");
-    assert!(!owned.is_borrowed());
-    // Compressed v2 falls back to owned storage through the same entry
-    // point.
+    assert!(!Arc::ptr_eq(owned.shared_bytes(), &v2u));
+    // A compressed snapshot through the same entry point is re-encoded
+    // into the canonical uncompressed buffer.
     let v2c = FrozenSynopsis::from_bytes_shared(frozen.to_bytes_v2(true).into()).unwrap();
-    assert!(!v2c.is_borrowed());
+    assert_eq!(v2c.shared_bytes()[..], v2u[..]);
 
     for syn in [&borrowed, &owned, &v2c] {
         assert_eq!(*syn, frozen);
@@ -236,7 +240,7 @@ fn v2_borrowed_and_owned_answer_bit_identically() {
             }
         }
     }
-    // The borrowed synopsis re-encodes canonically from its byte views.
+    // The shared synopsis re-encodes canonically from its own buffer.
     assert_eq!(borrowed.to_bytes(), v2u.as_ref());
 }
 
@@ -284,6 +288,102 @@ fn v2_forged_oversized_edge_start_is_an_error_not_a_panic() {
     assert!(format!("{err}").contains("CSR"), "unexpected error: {err}");
 }
 
+/// The uncompressed `edge_start` section as CSR offsets.
+fn edge_starts(bytes: &[u8]) -> Vec<u32> {
+    let (off, len) = section(bytes, 1);
+    bytes[off..off + len]
+        .chunks_exact(4)
+        .map(|c| u32::from_le_bytes(c.try_into().unwrap()))
+        .collect()
+}
+
+/// Overwrites the uncompressed `edge_start` section with `starts` and
+/// restamps every checksum, so only the structural sweep can object.
+fn forge_edge_starts(bytes: &[u8], starts: &[u32]) -> Vec<u8> {
+    let raw: Vec<u8> = starts.iter().flat_map(|s| s.to_le_bytes()).collect();
+    patch_and_restamp_v2(bytes, section(bytes, 1).0, &raw)
+}
+
+fn structural_error(forged: &[u8]) -> String {
+    let err = FrozenSynopsis::from_bytes(forged).expect_err("forged snapshot parsed");
+    assert!(FrozenSynopsis::from_bytes_shared(forged.into()).is_err(), "shared path parsed");
+    err.to_string()
+}
+
+#[test]
+fn forged_decreasing_edge_start_is_rejected() {
+    // Rule 1: offsets never decrease.
+    let bytes = built().1.to_bytes();
+    let mut starts = edge_starts(&bytes);
+    let k = (1..starts.len()).find(|&k| starts[k - 1] > 0).expect("a node with edges");
+    starts[k] = starts[k - 1] - 1;
+    let err = structural_error(&forge_edge_starts(&bytes, &starts));
+    assert!(err.contains("decrease"), "unexpected error: {err}");
+}
+
+#[test]
+fn forged_edge_start_must_end_at_the_edge_count() {
+    // Rule 1: the last offset is n_nodes − 1. Drop the last edge from
+    // every offset that reached it, which keeps the offsets monotone.
+    let (_, frozen, _) = built();
+    let bytes = frozen.to_bytes();
+    let mut starts = edge_starts(&bytes);
+    let n_edges = (frozen.node_count() - 1) as u32;
+    assert_eq!(*starts.last().unwrap(), n_edges);
+    for s in starts.iter_mut().filter(|s| **s == n_edges) {
+        *s = n_edges - 1;
+    }
+    let err = structural_error(&forge_edge_starts(&bytes, &starts));
+    assert!(err.contains("span"), "unexpected error: {err}");
+}
+
+#[test]
+fn forged_backward_child_is_rejected() {
+    // Rule 2: edge_start[v] ≥ v for every node with edges. Handing the
+    // root's edges to node 1 makes edge 0 lead from node 1 to itself — a
+    // cycle that leaves the root childless — while the offsets stay
+    // monotone and still span the edges.
+    let bytes = built().1.to_bytes();
+    let mut starts = edge_starts(&bytes);
+    assert!(starts[2] > starts[1], "node 1 has children");
+    starts[1] = 0;
+    let forged = forge_edge_starts(&bytes, &starts);
+    // Relabel node 1's merged run in order, so rule 3 holds and only
+    // rule 2 is left to object.
+    let run: Vec<u8> = (0..starts[2] as u8).collect();
+    let forged = patch_and_restamp_v2(&forged, section(&forged, 2).0, &run);
+    let err = structural_error(&forged);
+    assert!(err.contains("backward"), "unexpected error: {err}");
+}
+
+#[test]
+fn forged_unsorted_labels_are_rejected() {
+    // Rule 3: labels strictly increase within a node.
+    let bytes = built().1.to_bytes();
+    let starts = edge_starts(&bytes);
+    let v = (0..starts.len() - 1).find(|&v| starts[v + 1] - starts[v] >= 2).expect("degree ≥ 2");
+    let (label_off, _) = section(&bytes, 2);
+    let at = label_off + starts[v] as usize;
+    let swapped = [bytes[at + 1], bytes[at]];
+    let err = structural_error(&patch_and_restamp_v2(&bytes, at, &swapped));
+    assert!(err.contains("not strictly sorted"), "unexpected error: {err}");
+}
+
+#[test]
+fn v2_snapshot_is_refused_by_version() {
+    // A well-formed buffer labelled with the retired v2 tag is refused
+    // before any layout is trusted, in both dialects.
+    let (_, frozen, _) = built();
+    for compressed in [false, true] {
+        let v2 = patch_and_restamp_v2(&frozen.to_bytes_v2(compressed), 4, &2u16.to_le_bytes());
+        assert_eq!(
+            FrozenSynopsis::from_bytes(&v2).unwrap_err(),
+            DecodeError::UnsupportedVersion { found: 2, expected: 3 }
+        );
+        assert!(FrozenSynopsis::from_bytes_shared(v2.into()).is_err());
+    }
+}
+
 #[test]
 fn version_and_magic_damage_errors() {
     let (_, frozen, _) = built();
@@ -308,7 +408,7 @@ fn version_and_magic_damage_errors() {
         v1[4..6].copy_from_slice(&1u16.to_le_bytes());
         assert_eq!(
             FrozenSynopsis::from_bytes(&v1).unwrap_err(),
-            DecodeError::UnsupportedVersion { found: 1, expected: 2 }
+            DecodeError::UnsupportedVersion { found: 1, expected: 3 }
         );
     }
 }
@@ -410,8 +510,9 @@ proptest! {
         let v2_compressed =
             FrozenSynopsis::from_bytes(&frozen.to_bytes_v2(true)).expect("v2c decodes");
         let shared: Arc<[u8]> = frozen.to_bytes().into();
-        let v2_borrowed = FrozenSynopsis::from_bytes_shared(shared).expect("borrowed decodes");
-        prop_assert!(v2_borrowed.is_borrowed());
+        let v2_borrowed =
+            FrozenSynopsis::from_bytes_shared(Arc::clone(&shared)).expect("borrowed decodes");
+        prop_assert!(Arc::ptr_eq(v2_borrowed.shared_bytes(), &shared));
         for doc in &docs {
             for i in 0..doc.len() {
                 for j in i + 1..=doc.len() {
