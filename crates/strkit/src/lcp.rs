@@ -1,11 +1,10 @@
 //! Longest-common-prefix arrays (Kasai's algorithm).
 //!
 //! `lcp[i]` is the length of the longest common prefix of the suffixes
-//! ranked `i-1` and `i` in the suffix array (`lcp\[0\] = 0`). Together with a
-//! range-minimum structure this yields `O(1)` longest common extensions
-//! ([`crate::lce`]) and lets us walk the virtual suffix *tree* (branching
-//! nodes = LCP intervals), which is how `dpsc-textindex` implements the
-//! paper's suffix-tree traversals (Lemma 7, Lemma 21).
+//! ranked `i-1` and `i` in the suffix array (`lcp\[0\] = 0`). It lets us walk
+//! the virtual suffix *tree* (branching nodes = LCP intervals), which is how
+//! `dpsc-textindex` implements the paper's suffix-tree traversals (Lemma 7,
+//! Lemma 21).
 
 use crate::suffix_array::SuffixArray;
 
@@ -19,12 +18,15 @@ impl LcpArray {
     /// Builds the LCP array with Kasai's `O(n)` algorithm.
     ///
     /// Works for any integer text; generic over the symbol type so the same
-    /// code serves byte texts and sentinel-augmented integer texts.
+    /// code serves byte texts and sentinel-augmented integer texts. The
+    /// inverse suffix array Kasai walks is built here and freed on return.
     pub fn build<T: PartialEq>(text: &[T], sa: &SuffixArray) -> Self {
         let n = text.len();
         assert_eq!(n, sa.len(), "text/suffix-array length mismatch");
+        // Output before scratch: the inverse then takes the larger free
+        // block and hands it back whole for the caller's next allocation.
         let mut lcp = vec![0u32; n];
-        let rank = sa.rank();
+        let rank = sa.inverse();
         let sa_arr = sa.sa();
         let mut h = 0usize;
         for i in 0..n {
@@ -47,6 +49,11 @@ impl LcpArray {
     #[inline]
     pub fn values(&self) -> &[u32] {
         &self.lcp
+    }
+
+    /// Heap memory held by the array, in bytes.
+    pub fn heap_bytes(&self) -> usize {
+        4 * self.lcp.capacity()
     }
 
     /// Length.

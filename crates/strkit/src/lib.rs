@@ -7,10 +7,6 @@
 //! * [`SuffixArray`] — SA-IS linear-time suffix array construction over byte
 //!   or small-integer texts (the paper's suffix-tree substrate, §2.1).
 //! * [`LcpArray`] — Kasai's linear-time longest-common-prefix array.
-//! * [`SparseTableRmq`] — `O(1)` range-minimum queries after `O(N log N)`
-//!   preprocessing; powers [`Lce`] longest-common-extension queries, the
-//!   substitute for the `O(1)`-LCE structures of \[6,30,45\] in the paper.
-//! * [`Lce`] — longest common extension between arbitrary text positions.
 //! * [`RollingHash`] — double polynomial rolling hash (fast substring
 //!   equality / concatenation lookups).
 //! * [`Trie`] — counted tries over byte strings (the `T_C` structure of the
@@ -24,18 +20,14 @@
 
 pub mod alphabet;
 pub mod hash;
-pub mod lce;
 pub mod lcp;
-pub mod rmq;
 pub mod search;
 pub mod suffix_array;
 pub mod trie;
 
 pub use alphabet::Alphabet;
 pub use hash::RollingHash;
-pub use lce::Lce;
 pub use lcp::LcpArray;
-pub use rmq::SparseTableRmq;
 pub use suffix_array::SuffixArray;
 pub use trie::Trie;
 

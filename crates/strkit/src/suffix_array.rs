@@ -12,16 +12,25 @@
 //! * integer texts with alphabets larger than 256
 //!   ([`SuffixArray::from_ints`]) — needed for the generalized text with `n`
 //!   distinct sentinels `$_1 < … < $_n < Σ`.
+//!
+//! Construction runs on `u32` arrays, with `u32::MAX` marking an empty slot.
+//! Besides the shifted input copy and the output it allocates one type byte
+//! per position and the bucket arrays: the sorted LMS suffixes, their names
+//! and the reduced string of each recursion level all live in the output
+//! array, as in Nong's reference implementation. Only the suffix array is
+//! kept; the inverse permutation is computed on demand
+//! ([`SuffixArray::inverse`]).
 
-/// A suffix array over a text, with rank (inverse) array.
+/// Marks an unfilled slot of the suffix array under construction.
+const EMPTY: u32 = u32::MAX;
+
+/// A suffix array over a text.
 ///
 /// Invariant: `sa` is a permutation of `0..n` such that
-/// `text[sa[i]..] < text[sa[i+1]..]` lexicographically, and
-/// `rank[sa[i]] == i`.
+/// `text[sa[i]..] < text[sa[i+1]..]` lexicographically.
 #[derive(Debug, Clone)]
 pub struct SuffixArray {
     sa: Vec<u32>,
-    rank: Vec<u32>,
 }
 
 impl SuffixArray {
@@ -32,53 +41,45 @@ impl SuffixArray {
     /// `Vec<u32>` copy that routing through [`Self::from_ints`] would cost,
     /// building the shifted SA-IS input directly.
     pub fn from_bytes(text: &[u8]) -> Self {
-        assert!(text.len() <= u32::MAX as usize - 2, "text too long for u32 indexing");
-        let n = text.len();
-        if n == 0 {
-            return Self { sa: Vec::new(), rank: Vec::new() };
-        }
-        let mut s: Vec<usize> = Vec::with_capacity(n + 1);
-        s.extend(text.iter().map(|&b| b as usize + 1));
-        s.push(0);
-        Self::from_shifted(&s, 257)
+        let mut s = shifted_input(text.len());
+        s.extend(text.iter().map(|&b| u32::from(b) + 1));
+        Self::from_shifted(s, 257)
     }
 
     /// Builds the suffix array of an integer text whose symbols lie in
     /// `[0, sigma)` in `O(n + sigma)` time.
     ///
     /// # Panics
-    /// Panics if any symbol is `>= sigma`.
+    /// Panics if any symbol is `>= sigma`, if `sigma >= u32::MAX`, or if the
+    /// text plus its sentinel does not fit `u32` positions.
     pub fn from_ints(text: &[u32], sigma: usize) -> Self {
+        assert!(sigma < EMPTY as usize, "alphabet too large for u32 buckets");
         assert!(
             text.iter().all(|&c| (c as usize) < sigma),
             "text symbol outside declared alphabet"
         );
-        assert!(text.len() <= u32::MAX as usize - 2, "text too long for u32 indexing");
-        let n = text.len();
-        if n == 0 {
-            return Self { sa: Vec::new(), rank: Vec::new() };
-        }
-        // Shift symbols by +1 and append a unique smallest sentinel 0; SA-IS
-        // requires the sentinel. We strip it from the result.
-        let mut s: Vec<usize> = Vec::with_capacity(n + 1);
-        s.extend(text.iter().map(|&c| c as usize + 1));
-        s.push(0);
-        Self::from_shifted(&s, sigma + 1)
+        // Shift symbols by +1 so SA-IS can append a unique smallest
+        // sentinel 0; its suffix is stripped from the result.
+        let mut s = shifted_input(text.len());
+        s.extend(text.iter().map(|&c| c + 1));
+        Self::from_shifted(s, sigma + 1)
     }
 
-    /// Shared tail of the constructors: runs SA-IS on the already-shifted,
-    /// sentinel-terminated input `s` and strips the sentinel suffix.
-    fn from_shifted(s: &[usize], sigma: usize) -> Self {
-        let n = s.len() - 1;
-        let sa_with_sentinel = sais(s, sigma);
-        // sa_with_sentinel[0] is the sentinel suffix (position n); drop it.
-        debug_assert_eq!(sa_with_sentinel[0], n);
-        let sa: Vec<u32> = sa_with_sentinel[1..].iter().map(|&i| i as u32).collect();
-        let mut rank = vec![0u32; n];
-        for (r, &p) in sa.iter().enumerate() {
-            rank[p as usize] = r as u32;
+    /// Shared tail of the constructors: appends the sentinel to the shifted
+    /// input `s`, runs SA-IS and strips the sentinel suffix in place.
+    fn from_shifted(mut s: Vec<u32>, sigma: usize) -> Self {
+        let n = s.len();
+        if n == 0 {
+            return Self { sa: Vec::new() };
         }
-        Self { sa, rank }
+        s.push(0);
+        let mut sa = vec![EMPTY; n + 1];
+        sais(&s, sigma, &mut sa);
+        drop(s);
+        // The sentinel suffix (position n) is the smallest.
+        debug_assert_eq!(sa[0] as usize, n);
+        sa.remove(0);
+        Self { sa }
     }
 
     /// The suffix array: `self.sa()[i]` is the start of the `i`-th smallest
@@ -88,11 +89,19 @@ impl SuffixArray {
         &self.sa
     }
 
-    /// The inverse permutation: `self.rank()[p]` is the lexicographic rank of
-    /// the suffix starting at `p`.
-    #[inline]
-    pub fn rank(&self) -> &[u32] {
-        &self.rank
+    /// The inverse permutation, computed in `O(n)`: `self.inverse()[p]` is
+    /// the lexicographic rank of the suffix starting at `p`.
+    pub fn inverse(&self) -> Vec<u32> {
+        let mut inv = vec![0u32; self.sa.len()];
+        for (r, &p) in self.sa.iter().enumerate() {
+            inv[p as usize] = r as u32;
+        }
+        inv
+    }
+
+    /// Heap memory held by the array, in bytes.
+    pub fn heap_bytes(&self) -> usize {
+        4 * self.sa.capacity()
     }
 
     /// Text length.
@@ -108,6 +117,16 @@ impl SuffixArray {
     }
 }
 
+/// An empty SA-IS input with room for `n` symbols and the sentinel.
+///
+/// # Panics
+/// Panics unless `n + 1 < u32::MAX`: every position, the sentinel's
+/// included, must differ from the [`EMPTY`] marker.
+fn shifted_input(n: usize) -> Vec<u32> {
+    assert!(n + 1 < EMPTY as usize, "text too long for u32 indexing");
+    Vec::with_capacity(n + 1)
+}
+
 /// Naive `O(n² log n)` suffix array used as ground truth in tests.
 pub fn naive_suffix_array(text: &[u8]) -> Vec<u32> {
     let mut sa: Vec<u32> = (0..text.len() as u32).collect();
@@ -115,22 +134,8 @@ pub fn naive_suffix_array(text: &[u8]) -> Vec<u32> {
     sa
 }
 
-/// SA-IS over `s` with symbols in `[0, sigma)`; `s` must end with a unique
-/// smallest sentinel (value 0 appearing exactly once, at the end).
-fn sais(s: &[usize], sigma: usize) -> Vec<usize> {
-    let n = s.len();
-    debug_assert!(n >= 1);
-    debug_assert_eq!(s[n - 1], 0);
-    if n == 1 {
-        return vec![0];
-    }
-    let mut sa = vec![usize::MAX; n];
-    sais_inner(s, sigma, &mut sa);
-    sa
-}
-
 /// Type of each suffix: S-type (`true`) or L-type (`false`).
-fn classify(s: &[usize]) -> Vec<bool> {
+fn classify(s: &[u32]) -> Vec<bool> {
     let n = s.len();
     let mut is_s = vec![false; n];
     is_s[n - 1] = true;
@@ -147,40 +152,40 @@ fn is_lms(is_s: &[bool], i: usize) -> bool {
 
 /// Computes, for each symbol, the exclusive end of its bucket (`tails=true`)
 /// or the inclusive start (`tails=false`).
-fn buckets(s: &[usize], sigma: usize, tails: bool) -> Vec<usize> {
-    let mut count = vec![0usize; sigma];
+fn buckets(s: &[u32], sigma: usize, tails: bool) -> Vec<u32> {
+    let mut count = vec![0u32; sigma];
     for &c in s {
-        count[c] += 1;
+        count[c as usize] += 1;
     }
-    let mut out = vec![0usize; sigma];
-    let mut sum = 0usize;
-    for c in 0..sigma {
+    let mut sum = 0u32;
+    for c in count.iter_mut() {
+        let size = *c;
         if tails {
-            sum += count[c];
-            out[c] = sum; // exclusive end
+            sum += size;
+            *c = sum; // exclusive end
         } else {
-            out[c] = sum; // inclusive start
-            sum += count[c];
+            *c = sum; // inclusive start
+            sum += size;
         }
     }
-    out
+    count
 }
 
 /// Induced sorting: given LMS suffixes already placed in `sa` (everything
-/// else `usize::MAX`), fill in L-type then S-type suffixes.
-fn induce(s: &[usize], sigma: usize, is_s: &[bool], sa: &mut [usize]) {
+/// else [`EMPTY`]), fill in L-type then S-type suffixes.
+fn induce(s: &[u32], sigma: usize, is_s: &[bool], sa: &mut [u32]) {
     let n = s.len();
     // Left-to-right pass placing L-type suffixes at bucket heads.
     let mut heads = buckets(s, sigma, false);
     for i in 0..n {
         let p = sa[i];
-        if p == usize::MAX || p == 0 {
+        if p == EMPTY || p == 0 {
             continue;
         }
-        let j = p - 1;
+        let j = p as usize - 1;
         if !is_s[j] {
-            let c = s[j];
-            sa[heads[c]] = j;
+            let c = s[j] as usize;
+            sa[heads[c] as usize] = j as u32;
             heads[c] += 1;
         }
     }
@@ -188,86 +193,111 @@ fn induce(s: &[usize], sigma: usize, is_s: &[bool], sa: &mut [usize]) {
     let mut tails = buckets(s, sigma, true);
     for i in (0..n).rev() {
         let p = sa[i];
-        if p == usize::MAX || p == 0 {
+        if p == EMPTY || p == 0 {
             continue;
         }
-        let j = p - 1;
+        let j = p as usize - 1;
         if is_s[j] {
-            let c = s[j];
+            let c = s[j] as usize;
             tails[c] -= 1;
-            sa[tails[c]] = j;
+            sa[tails[c] as usize] = j as u32;
         }
     }
 }
 
-fn sais_inner(s: &[usize], sigma: usize, sa: &mut [usize]) {
+/// SA-IS over `s` with symbols in `[0, sigma)` into `sa` (`sa.len() ==
+/// s.len()`); `s` must end with a unique smallest sentinel (value 0
+/// appearing exactly once, at the end).
+fn sais(s: &[u32], sigma: usize, sa: &mut [u32]) {
     let n = s.len();
+    debug_assert_eq!(sa.len(), n);
+    debug_assert_eq!(s[n - 1], 0);
+    if n == 1 {
+        sa[0] = 0;
+        return;
+    }
     let is_s = classify(s);
 
     // Step 1: place LMS suffixes at the ends of their buckets (arbitrary
     // order) and induce to approximately sort them.
-    sa.fill(usize::MAX);
-    {
-        let mut tails = buckets(s, sigma, true);
-        for i in (1..n).rev() {
-            if is_lms(&is_s, i) {
-                let c = s[i];
-                tails[c] -= 1;
-                sa[tails[c]] = i;
-            }
+    sa.fill(EMPTY);
+    let mut tails = buckets(s, sigma, true);
+    for i in (1..n).rev() {
+        if is_lms(&is_s, i) {
+            let c = s[i] as usize;
+            tails[c] -= 1;
+            sa[tails[c] as usize] = i as u32;
         }
     }
     induce(s, sigma, &is_s, sa);
 
-    // Step 2: compact the (now sorted) LMS suffixes and name their LMS
-    // substrings.
-    let mut lms_sorted: Vec<usize> = sa.iter().copied().filter(|&p| is_lms(&is_s, p)).collect();
-    let num_lms = lms_sorted.len();
-    // Name LMS substrings in sorted order; equal adjacent substrings share a
-    // name.
-    let mut name_of = vec![usize::MAX; n];
-    let mut name = 0usize;
-    let mut prev = usize::MAX;
-    for &p in &lms_sorted {
-        if prev != usize::MAX && !lms_substrings_equal(s, &is_s, prev, p) {
+    // Step 2: compact the (now sorted) LMS suffixes into `sa[..m]`. There
+    // are `m ≤ n / 2` of them, since no two LMS positions are adjacent.
+    let mut m = 0usize;
+    for i in 0..n {
+        let p = sa[i];
+        if p != EMPTY && is_lms(&is_s, p as usize) {
+            sa[m] = p;
+            m += 1;
+        }
+    }
+    // Name LMS substrings in sorted order (equal adjacent substrings share
+    // a name). Position `p`'s name goes to `sa[m + p / 2]`: the halves of
+    // non-adjacent positions are distinct and land past the sorted prefix.
+    sa[m..].fill(EMPTY);
+    let mut name = 0u32;
+    for k in 0..m {
+        let p = sa[k] as usize;
+        if k > 0 && !lms_substrings_equal(s, &is_s, sa[k - 1] as usize, p) {
             name += 1;
         }
-        if prev == usize::MAX {
-            // first LMS substring gets name 0
-        }
-        name_of[p] = name;
-        prev = p;
+        sa[m + p / 2] = name;
     }
-    let num_names = if num_lms == 0 { 0 } else { name + 1 };
-
-    // Step 3: if names are not yet unique, recurse on the reduced string.
-    let lms_positions: Vec<usize> = (1..n).filter(|&i| is_lms(&is_s, i)).collect();
-    if num_names < num_lms {
-        let reduced: Vec<usize> = lms_positions.iter().map(|&p| name_of[p]).collect();
-        // The reduced string ends with the sentinel's LMS (position n-1 has
-        // name 0 and is the unique minimum because the sentinel is unique).
-        let mut sub_sa = vec![usize::MAX; reduced.len()];
-        sais_inner(&reduced, num_names, &mut sub_sa);
-        for (r, &idx) in sub_sa.iter().enumerate() {
-            lms_sorted[r] = lms_positions[idx];
+    let num_names = name as usize + 1;
+    // Gather the names in text order into the tail `sa[n - m..]`: the
+    // reduced string. Scanning right to left never overwrites an unread
+    // name.
+    let mut j = n;
+    for i in (m..n).rev() {
+        if sa[i] != EMPTY {
+            j -= 1;
+            sa[j] = sa[i];
         }
+    }
+
+    // Step 3: sort the reduced string into `sa[..m]` (recursing while
+    // names repeat), then map its indices back to LMS positions, reusing
+    // the tail for the LMS positions in text order.
+    let (head, tail) = sa.split_at_mut(n - m);
+    let sorted = &mut head[..m];
+    if num_names < m {
+        sais(tail, num_names, sorted);
     } else {
-        // Names unique: order LMS positions by name directly.
-        for &p in &lms_positions {
-            lms_sorted[name_of[p]] = p;
+        for (i, &name) in tail.iter().enumerate() {
+            sorted[name as usize] = i as u32;
         }
-        lms_sorted.truncate(num_lms);
+    }
+    let mut j = 0;
+    for i in 1..n {
+        if is_lms(&is_s, i) {
+            tail[j] = i as u32;
+            j += 1;
+        }
+    }
+    for r in sorted.iter_mut() {
+        *r = tail[*r as usize];
     }
 
-    // Step 4: final induced sort from the exactly-sorted LMS suffixes.
-    sa.fill(usize::MAX);
-    {
-        let mut tails = buckets(s, sigma, true);
-        for &p in lms_sorted.iter().rev() {
-            let c = s[p];
-            tails[c] -= 1;
-            sa[tails[c]] = p;
-        }
+    // Step 4: final induced sort from the exactly-sorted LMS suffixes,
+    // moved from `sa[..m]` to their bucket tails largest first. The `k`-th
+    // smallest lands at a slot `≥ k`, so no unread entry is overwritten.
+    sa[m..].fill(EMPTY);
+    let mut tails = buckets(s, sigma, true);
+    for k in (0..m).rev() {
+        let p = std::mem::replace(&mut sa[k], EMPTY);
+        let c = s[p as usize] as usize;
+        tails[c] -= 1;
+        sa[tails[c] as usize] = p;
     }
     induce(s, sigma, &is_s, sa);
 }
@@ -276,7 +306,7 @@ fn sais_inner(s: &[usize], sigma: usize, sa: &mut [usize]) {
 ///
 /// An LMS substring runs from an LMS position to the next LMS position
 /// (inclusive); the sentinel's LMS substring is just the sentinel.
-fn lms_substrings_equal(s: &[usize], is_s: &[bool], a: usize, b: usize) -> bool {
+fn lms_substrings_equal(s: &[u32], is_s: &[bool], a: usize, b: usize) -> bool {
     let n = s.len();
     if a == n - 1 || b == n - 1 {
         return a == b;
@@ -301,13 +331,47 @@ fn lms_substrings_equal(s: &[usize], is_s: &[bool], a: usize, b: usize) -> bool 
 mod tests {
     use super::*;
 
+    /// Checks `sa` against a naive sort of the suffixes of `text`, and its
+    /// inverse against the definition.
+    fn check_ints(text: &[u32], sa: &SuffixArray) {
+        let mut expected: Vec<u32> = (0..text.len() as u32).collect();
+        expected.sort_by(|&a, &b| text[a as usize..].cmp(&text[b as usize..]));
+        assert_eq!(sa.sa(), expected.as_slice(), "text={text:?}");
+        let inv = sa.inverse();
+        for (r, &p) in sa.sa().iter().enumerate() {
+            assert_eq!(inv[p as usize] as usize, r);
+        }
+    }
+
     fn check(text: &[u8]) {
         let sa = SuffixArray::from_bytes(text);
-        let expected = naive_suffix_array(text);
-        assert_eq!(sa.sa(), expected.as_slice(), "text={:?}", text);
-        for (r, &p) in sa.sa().iter().enumerate() {
-            assert_eq!(sa.rank()[p as usize] as usize, r);
+        assert_eq!(sa.sa(), naive_suffix_array(text).as_slice(), "text={:?}", text);
+        let ints: Vec<u32> = text.iter().map(|&b| b as u32).collect();
+        check_ints(&ints, &sa);
+    }
+
+    /// Number of SA-IS levels `text` needs: one more for every level whose
+    /// LMS substrings still repeat. Names come from a naive sort of the LMS
+    /// suffixes, so this mirrors the construction without running it.
+    fn recursion_depth(text: &[u32]) -> usize {
+        let mut s: Vec<u32> = text.iter().map(|&c| c + 1).collect();
+        s.push(0);
+        for depth in 1.. {
+            let is_s = classify(&s);
+            let mut lms: Vec<usize> = (1..s.len()).filter(|&i| is_lms(&is_s, i)).collect();
+            let text_order = lms.clone();
+            lms.sort_by(|&a, &b| s[a..].cmp(&s[b..]));
+            let mut name_of = vec![0u32; s.len()];
+            for k in 1..lms.len() {
+                let same = lms_substrings_equal(&s, &is_s, lms[k - 1], lms[k]);
+                name_of[lms[k]] = name_of[lms[k - 1]] + u32::from(!same);
+            }
+            if name_of[lms[lms.len() - 1]] as usize + 1 == lms.len() {
+                return depth;
+            }
+            s = text_order.iter().map(|&p| name_of[p]).collect();
         }
+        unreachable!()
     }
 
     #[test]
@@ -340,10 +404,7 @@ mod tests {
             ints.push(i as u32); // sentinel $_i, all distinct and < letters
         }
         let sa = SuffixArray::from_ints(&ints, 256 + n_docs as usize);
-        // Validate against a naive sort of the integer suffixes.
-        let mut expected: Vec<u32> = (0..ints.len() as u32).collect();
-        expected.sort_by(|&a, &b| ints[a as usize..].cmp(&ints[b as usize..]));
-        assert_eq!(sa.sa(), expected.as_slice());
+        check_ints(&ints, &sa);
     }
 
     #[test]
@@ -367,7 +428,7 @@ mod tests {
             let ints: Vec<u32> = text.iter().map(|&b| b as u32).collect();
             let by_ints = SuffixArray::from_ints(&ints, 256);
             assert_eq!(by_bytes.sa(), by_ints.sa(), "trial {trial}, text={text:?}");
-            assert_eq!(by_bytes.rank(), by_ints.rank(), "trial {trial}");
+            assert_eq!(by_bytes.inverse(), by_ints.inverse(), "trial {trial}");
         }
     }
 
@@ -381,5 +442,52 @@ mod tests {
     fn repetitive_blocks() {
         check(b"aabaabaabaab");
         check(b"abaababaabaababaababa");
+    }
+
+    /// Generalized texts with thousands of distinct sentinels, the shape
+    /// `CorpusIndex` builds: many tiny documents over a two-letter alphabet.
+    #[test]
+    fn thousands_of_sentinels() {
+        for n_docs in [1000u32, 3000] {
+            let mut ints = Vec::new();
+            for i in 0..n_docs {
+                let len = (i * 7 + 3) % 6;
+                ints.extend((0..len).map(|k| n_docs + (i * i + k) % 2));
+                ints.push(i);
+            }
+            let sa = SuffixArray::from_ints(&ints, n_docs as usize + 2);
+            check_ints(&ints, &sa);
+        }
+    }
+
+    /// Texts that keep SA-IS recursing sort correctly: a Fibonacci word,
+    /// the Thue–Morse word and a nested period-3 word (`w ← w·w·b`) each
+    /// need at least three levels. A unary run (one level: its only LMS
+    /// suffix is the sentinel) and a flat period-3 text (two levels: one
+    /// repeated LMS substring) are the degenerate ends.
+    #[test]
+    fn deep_recursion() {
+        let (mut fib, mut prev) = (b"ab".to_vec(), b"a".to_vec());
+        while fib.len() < 2000 {
+            let next = [fib.as_slice(), prev.as_slice()].concat();
+            prev = std::mem::replace(&mut fib, next);
+        }
+        let thue_morse: Vec<u8> = (0..2048u32).map(|i| b'a' + (i.count_ones() % 2) as u8).collect();
+        let mut nested = b"a".to_vec();
+        while nested.len() < 1500 {
+            nested = [nested.as_slice(), nested.as_slice(), b"b"].concat();
+        }
+        let unary = vec![b'a'; 1500];
+        let period3: Vec<u8> = (0..1800).map(|i| b"abc"[i % 3]).collect();
+        let depth =
+            |text: &[u8]| recursion_depth(&text.iter().map(|&c| c as u32).collect::<Vec<_>>());
+        for text in [fib, thue_morse, nested] {
+            assert!(depth(&text) >= 3, "depth {} for {:?}…", depth(&text), &text[..12]);
+            check(&text);
+        }
+        for (text, levels) in [(unary, 1), (period3, 2)] {
+            assert_eq!(depth(&text), levels);
+            check(&text);
+        }
     }
 }

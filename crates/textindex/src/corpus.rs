@@ -17,23 +17,36 @@
 //!   interval ([`CorpusIndex::document_count`], backed by the
 //!   prev-occurrence + wavelet-matrix structure in
 //!   [`crate::doc_counter`]).
+//!
+//! The index exists only while a private synopsis is built, so it is kept
+//! lean: per text position it holds the text, the suffix array and the LCP
+//! array (4 bytes each), the rolling-hash prefixes (12 bytes, with powers
+//! only up to `ℓ`), the document counter (about `⌈log₂ N⌉ · 1.25` bits) and
+//! a rank bitvector over the sentinels (1.25 bits) that maps a position to
+//! its document. [`CorpusIndex::build`] runs the steps in the order text →
+//! suffix array → document counter → LCP → hash, so each step's scratch
+//! (the SA-IS buffers, the per-position document ids, Kasai's inverse
+//! suffix array) is freed before the next one allocates. DESIGN.md §10
+//! ("Index diet") has the per-step byte counts.
 
 use dpsc_strkit::alphabet::{Alphabet, Database};
-use dpsc_strkit::hash::{HashValue, RollingHash};
+use dpsc_strkit::hash::{hash_symbols, HashValue, RollingHash};
 use dpsc_strkit::lcp::LcpArray;
 use dpsc_strkit::search::{find_interval, SaInterval};
 use dpsc_strkit::suffix_array::SuffixArray;
 
 use crate::doc_counter::DocDistinctCounter;
+use crate::range_count::RankBits;
 
 /// Immutable index over a [`Database`].
 #[derive(Debug, Clone)]
 pub struct CorpusIndex {
     /// Concatenated text with per-document sentinels, in `u32` encoding.
     text: Vec<u32>,
-    /// Document id owning each text position (sentinels belong to their
-    /// document).
-    doc_of: Vec<u32>,
+    /// One bit per text position, set at the sentinels: the document owning
+    /// a position (sentinels belong to their document) is the number of
+    /// sentinels before it.
+    sentinels: RankBits,
     /// Start offset of each document in `text`.
     doc_start: Vec<u32>,
     sa: SuffixArray,
@@ -53,25 +66,31 @@ impl CorpusIndex {
         let n_docs = db.n();
         let total: usize = db.total_len() + n_docs;
         let mut text = Vec::with_capacity(total);
-        let mut doc_of = Vec::with_capacity(total);
         let mut doc_start = Vec::with_capacity(n_docs);
+        let mut sentinel_words = vec![0u64; total.div_ceil(64)];
         for (i, doc) in db.documents().iter().enumerate() {
             doc_start.push(text.len() as u32);
-            for &b in doc {
-                text.push(n_docs as u32 + b as u32);
-                doc_of.push(i as u32);
-            }
+            text.extend(doc.iter().map(|&b| n_docs as u32 + b as u32));
+            sentinel_words[text.len() / 64] |= 1 << (text.len() % 64);
             text.push(i as u32); // sentinel $_i
-            doc_of.push(i as u32);
         }
-        let sigma = n_docs + 256;
-        let sa = SuffixArray::from_ints(&text, sigma);
+        let sentinels = RankBits::new(&sentinel_words);
+        drop(sentinel_words);
+        let sa = SuffixArray::from_ints(&text, n_docs + 256);
+        let doc_counter = {
+            let mut doc_of = Vec::with_capacity(total);
+            for (i, doc) in db.documents().iter().enumerate() {
+                doc_of.extend(std::iter::repeat_n(i as u32, doc.len() + 1));
+            }
+            DocDistinctCounter::build(&sa, &doc_of)
+        };
         let lcp = LcpArray::build(&text, &sa);
-        let hash = RollingHash::new(&text);
-        let doc_counter = DocDistinctCounter::build(&sa, &doc_of);
+        // Every hashed string is a candidate or a q-gram, never longer
+        // than a document.
+        let hash = RollingHash::with_max_len(&text, db.max_len());
         Self {
             text,
-            doc_of,
+            sentinels,
             doc_start,
             sa,
             lcp,
@@ -81,6 +100,17 @@ impl CorpusIndex {
             alphabet: db.alphabet(),
             doc_counter,
         }
+    }
+
+    /// Heap memory held by the index, in bytes: the capacities of all its
+    /// components.
+    pub fn heap_bytes(&self) -> usize {
+        4 * (self.text.capacity() + self.doc_start.capacity())
+            + self.sentinels.heap_bytes()
+            + self.sa.heap_bytes()
+            + self.lcp.heap_bytes()
+            + self.hash.heap_bytes()
+            + self.doc_counter.heap_bytes()
     }
 
     /// Number of documents `n`.
@@ -244,7 +274,7 @@ impl CorpusIndex {
             debug_assert!(touched.is_empty());
             let sa = self.sa.sa();
             for r in iv.lo..iv.hi {
-                let doc = self.doc_of[sa[r as usize] as usize];
+                let doc = self.sentinels.rank1(sa[r as usize] as usize) as u32;
                 let slot = &mut counts[doc as usize];
                 if *slot == 0 {
                     touched.push(doc);
@@ -285,7 +315,7 @@ impl CorpusIndex {
         (iv.lo..iv.hi)
             .map(|r| {
                 let pos = self.sa.sa()[r as usize] as usize;
-                let doc = self.doc_of[pos] as usize;
+                let doc = self.doc_of(pos);
                 (doc, pos - self.doc_start[doc] as usize)
             })
             .collect()
@@ -308,7 +338,7 @@ impl CorpusIndex {
     /// after `pos` (i.e. before its sentinel). Occurrence starts with
     /// `remaining ≥ |P|` are exactly the valid in-document matches.
     pub fn remaining_in_doc(&self, pos: usize) -> usize {
-        let doc = self.doc_of[pos] as usize;
+        let doc = self.doc_of(pos);
         let sentinel = if doc + 1 < self.n_docs {
             self.doc_start[doc + 1] as usize - 1
         } else {
@@ -317,10 +347,11 @@ impl CorpusIndex {
         sentinel - pos
     }
 
-    /// Document id owning text position `pos`.
+    /// Document id owning text position `pos`: one rank query, `O(1)`.
     #[inline]
     pub fn doc_of(&self, pos: usize) -> usize {
-        self.doc_of[pos] as usize
+        assert!(pos < self.text.len(), "position out of bounds");
+        self.sentinels.rank1(pos)
     }
 
     /// Rolling hash of `text[pos .. pos + len)` (internal symbol space, so
@@ -335,12 +366,10 @@ impl CorpusIndex {
         self.hash.concat(a, b)
     }
 
-    /// Hash of an arbitrary pattern in the corpus symbol space.
+    /// Hash of an arbitrary pattern in the corpus symbol space, folded
+    /// symbol by symbol without allocating.
     pub fn hash_pattern(&self, pattern: &[u8]) -> HashValue {
-        let encoded: Vec<u32> = pattern.iter().map(|&b| self.encode(b)).collect();
-        // Hash in the same parameter space as the corpus text.
-        let h = RollingHash::new(&encoded);
-        h.substring(0, encoded.len())
+        hash_symbols(pattern.iter().map(|&b| self.encode(b)))
     }
 
     /// Decodes `text[pos .. pos+len)` back to raw bytes.
@@ -494,12 +523,88 @@ mod tests {
     fn hash_pattern_matches_substring_hash() {
         let db = paper_db();
         let idx = CorpusIndex::build(&db);
-        // "abs" occurs in document 2 at offset 0; find its text position.
-        let occ = idx.occurrences(b"abs");
-        assert_eq!(occ.len(), 1);
-        let iv = idx.interval(b"abs");
-        let pos = idx.suffix_array().sa()[iv.lo as usize] as usize;
-        assert_eq!(idx.substring_hash(pos, 3), idx.hash_pattern(b"abs"));
-        assert_eq!(idx.decode_substring(pos, 3), b"abs".to_vec());
+        let mut pos = 0;
+        for doc in db.documents() {
+            for i in 0..doc.len() {
+                for j in i..=doc.len() {
+                    let want = idx.substring_hash(pos + i, j - i);
+                    assert_eq!(idx.hash_pattern(&doc[i..j]), want, "{:?}", &doc[i..j]);
+                    assert_eq!(idx.decode_substring(pos + i, j - i), doc[i..j].to_vec());
+                }
+            }
+            pos += doc.len() + 1;
+        }
+    }
+
+    /// A corpus over "ab" whose first sentinel sits at text position `bit`,
+    /// followed by enough documents to span the next rank block.
+    fn corpus_with_sentinel_at(bit: usize) -> Database {
+        let letters = |len: usize, seed: usize| -> Vec<u8> {
+            (0..len).map(|k| b"ab"[(seed * 7 + k * k + k / 3) % 2]).collect()
+        };
+        let mut docs = vec![letters(bit, bit)];
+        let mut len = bit + 1;
+        while len < bit + 700 {
+            let doc_len = 1 + (docs.len() * 37) % 90;
+            docs.push(letters(doc_len, docs.len()));
+            len += doc_len + 1;
+        }
+        Database::from_documents(Alphabet::lowercase(2), docs).unwrap()
+    }
+
+    #[test]
+    fn doc_lookups_match_naive_at_rank_word_and_block_edges() {
+        for bit in [63usize, 64, 511, 512] {
+            let db = corpus_with_sentinel_at(bit);
+            let idx = CorpusIndex::build(&db);
+            let mut naive_doc = Vec::new();
+            let mut naive_remaining = Vec::new();
+            for (d, doc) in db.documents().iter().enumerate() {
+                naive_doc.extend(std::iter::repeat_n(d, doc.len() + 1));
+                naive_remaining.extend((0..=doc.len()).rev());
+            }
+            assert_eq!(naive_doc[bit], 0);
+            assert_eq!(naive_doc[bit + 1], 1);
+            for pos in 0..idx.text_len() {
+                assert_eq!(idx.doc_of(pos), naive_doc[pos], "bit {bit} pos {pos}");
+                assert_eq!(idx.remaining_in_doc(pos), naive_remaining[pos], "bit {bit} pos {pos}");
+            }
+            for pat in [&b"a"[..], b"ab", b"bba", b"abab", b"aabb"] {
+                let mut got = idx.occurrences(pat);
+                got.sort_unstable();
+                let mut want = Vec::new();
+                for (d, doc) in db.documents().iter().enumerate() {
+                    for (off, w) in doc.windows(pat.len()).enumerate() {
+                        if w == pat {
+                            want.push((d, off));
+                        }
+                    }
+                }
+                assert_eq!(got, want, "bit {bit} pattern {pat:?}");
+            }
+        }
+    }
+
+    /// The per-occurrence tally path (`1 < Δ < ℓ`) on a corpus that spans
+    /// hundreds of rank blocks.
+    #[test]
+    fn clipped_counts_match_naive_on_a_markov_corpus() {
+        use dpsc_workloads::markov_corpus;
+        use rand::rngs::StdRng;
+        use rand::{Rng, SeedableRng};
+        let db = markov_corpus(400, 48, 4, 0.6, &mut StdRng::seed_from_u64(21));
+        let idx = CorpusIndex::build(&db);
+        let docs = db.documents();
+        let mut rng = StdRng::seed_from_u64(22);
+        for _ in 0..300 {
+            let doc = &docs[rng.gen_range(0..docs.len())];
+            let start = rng.gen_range(0..doc.len());
+            let len = rng.gen_range(1..=6usize).min(doc.len() - start);
+            let p = &doc[start..start + len];
+            for delta in [2, db.max_len() - 1] {
+                let want: u64 = docs.iter().map(|d| naive_count(p, d).min(delta) as u64).sum();
+                assert_eq!(idx.count_clipped(p, delta), want, "{p:?} at Δ = {delta}");
+            }
+        }
     }
 }

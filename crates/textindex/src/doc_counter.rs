@@ -37,7 +37,7 @@ impl DocDistinctCounter {
                 std::mem::replace(&mut last_rank_of_doc[d], r as u32 + 1)
             })
             .collect();
-        Self { matrix: WaveletMatrix::build(&prev) }
+        Self { matrix: WaveletMatrix::from_vec(prev) }
     }
 
     /// Number of distinct documents among ranks `[iv.lo, iv.hi)`.

@@ -13,8 +13,10 @@
 /// rank/select queries", WEA 2008), interleaved with the bits: each 512-bit
 /// block carries the count of ones before it and seven 9-bit counts of the
 /// ones before each later word of the block. A rank reads one block.
+/// Besides the matrix levels, `CorpusIndex` keeps one over its sentinel
+/// positions to map a text position to its document.
 #[derive(Debug, Clone)]
-struct RankBits {
+pub(crate) struct RankBits {
     /// `len / 512 + 1` blocks, so `rank1(len)` reads a block too.
     blocks: Vec<RankBlock>,
 }
@@ -30,7 +32,7 @@ struct RankBlock {
 
 impl RankBits {
     /// Takes the bits as little-endian `u64` words.
-    fn new(words: &[u64]) -> Self {
+    pub(crate) fn new(words: &[u64]) -> Self {
         let mut blocks = Vec::with_capacity(words.len() / 8 + 1);
         let mut before = 0u64;
         for k in 0..=words.len() / 8 {
@@ -50,7 +52,7 @@ impl RankBits {
 
     /// Ones among the first `i` bits.
     #[inline]
-    fn rank1(&self, i: usize) -> usize {
+    pub(crate) fn rank1(&self, i: usize) -> usize {
         let block = &self.blocks[i / 512];
         let w = (i / 64) % 8;
         // For w = 0 the wrapped shift lands on `in_block`'s always-zero top
@@ -62,7 +64,8 @@ impl RankBits {
         (block.before + sub) as usize + partial as usize
     }
 
-    fn heap_bytes(&self) -> usize {
+    /// Heap memory held by the blocks, in bytes.
+    pub(crate) fn heap_bytes(&self) -> usize {
         std::mem::size_of::<RankBlock>() * self.blocks.capacity()
     }
 }
@@ -82,29 +85,37 @@ pub struct WaveletMatrix {
 impl WaveletMatrix {
     /// Builds the matrix over `values`, with `⌈log₂(max + 1)⌉` levels.
     pub fn build(values: &[u32]) -> Self {
-        let n = values.len();
-        let max = values.iter().copied().max().unwrap_or(0);
+        Self::from_vec(values.to_vec())
+    }
+
+    /// [`Self::build`] over an owned buffer, which becomes the first
+    /// level's scratch: the build then allocates one more `u32` per value
+    /// besides the levels themselves.
+    pub(crate) fn from_vec(mut cur: Vec<u32>) -> Self {
+        let n = cur.len();
+        let max = cur.iter().copied().max().unwrap_or(0);
         let bits = u32::BITS - max.leading_zeros();
-        let mut cur = values.to_vec();
         let mut next = vec![0u32; n];
-        let mut ones = vec![0u32; n];
         let mut levels = Vec::with_capacity(bits as usize);
         let mut zeros = Vec::with_capacity(bits as usize);
         for level in 0..bits {
             let shift = bits - 1 - level;
             let mut words = vec![0u64; n.div_ceil(64)];
-            // Branchless stable partition: every value is written to both
-            // buffers and only the cursor its bit selects advances.
-            let (mut z, mut o) = (0usize, 0usize);
-            for (i, &v) in cur.iter().enumerate() {
-                let bit = ((v >> shift) & 1) as usize;
-                words[i / 64] |= (bit as u64) << (i % 64);
-                next[z] = v;
-                ones[o] = v;
-                z += 1 - bit;
-                o += bit;
+            for (word, chunk) in words.iter_mut().zip(cur.chunks(64)) {
+                for (k, &v) in chunk.iter().enumerate() {
+                    *word |= u64::from((v >> shift) & 1) << k;
+                }
             }
-            next[z..].copy_from_slice(&ones[..o]);
+            let z = n - words.iter().map(|w| w.count_ones() as usize).sum::<usize>();
+            // Branchless stable partition: zeros fill `next[..z]` and ones
+            // `next[z..]`, each value written at the cursor its bit selects.
+            let (mut zero_at, mut one_at) = (0usize, z);
+            for &v in &cur {
+                let bit = ((v >> shift) & 1) as usize;
+                next[if bit == 0 { zero_at } else { one_at }] = v;
+                zero_at += 1 - bit;
+                one_at += bit;
+            }
             std::mem::swap(&mut cur, &mut next);
             levels.push(RankBits::new(&words));
             zeros.push(z);

@@ -2,7 +2,6 @@
 //! layers everything else trusts.
 
 use dp_substring_counting::strkit::alphabet::{Alphabet, Database};
-use dp_substring_counting::strkit::lce::Lce;
 use dp_substring_counting::strkit::lcp::{naive_lcp, LcpArray};
 use dp_substring_counting::strkit::search::count_occurrences;
 use dp_substring_counting::strkit::suffix_array::{naive_suffix_array, SuffixArray};
@@ -41,13 +40,6 @@ proptest! {
             let b = sa.sa()[i] as usize;
             prop_assert_eq!(lcp.values()[i] as usize, naive_lcp(&text[a..], &text[b..]));
         }
-    }
-
-    #[test]
-    fn lce_matches_naive(text in small_text(), i in 0usize..60, j in 0usize..60) {
-        prop_assume!(i <= text.len() && j <= text.len());
-        let lce = Lce::from_bytes(&text);
-        prop_assert_eq!(lce.lce(i, j), naive_lcp(&text[i..], &text[j..]));
     }
 
     #[test]
