@@ -2,8 +2,8 @@
 //! pipelines, the fast q-gram algorithm of Theorem 4 (whose
 //! `O(nℓ(log q + log|Σ|))` claim is experiment `t4_scaling`), the three
 //! build phases in isolation, and the worker-thread sweep of the parallel
-//! build path (`results/BENCH_build.json` carries the tracked numbers; the
-//! groups here are for interactive `cargo bench` work).
+//! build path. The groups here are for interactive `cargo bench` work; the
+//! tracked build numbers are perfbench's (`build_s`, `pipeline.*_ms`).
 
 use criterion::{black_box, criterion_group, criterion_main, BenchmarkId, Criterion};
 use dpsc_dpcore::budget::PrivacyParams;
@@ -75,8 +75,9 @@ fn bench_theorem4(c: &mut Criterion) {
     group.finish();
 }
 
-/// The dna-small regime of `experiments -- build_throughput`, shared by the
-/// phase and thread-sweep groups below.
+/// The regime of the dna-small build scenario in `tests/common/golden.rs`
+/// (its corpus is seeded differently), shared by the phase and
+/// thread-sweep groups below.
 fn build_bench_setup() -> (CorpusIndex, f64) {
     let mut rng = StdRng::seed_from_u64(0xB11D_BEAC);
     let n = 1024;

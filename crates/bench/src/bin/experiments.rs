@@ -37,16 +37,8 @@ fn registry() -> Vec<(&'static str, &'static str, Runner)> {
         ("serving_throughput", "Serving: trie walk vs frozen synopsis", || {
             vec![exps::serving::serving_throughput()]
         }),
-        (
-            "serve_throughput",
-            "Serving daemon: wire-protocol load generator (BENCH_serve.json)",
-            || vec![exps::serve::serve_throughput()],
-        ),
         ("audit", "Statistical DP/utility conformance matrix", || {
             vec![exps::audit::audit_conformance()]
-        }),
-        ("build_throughput", "Build pipeline: phase timings × threads (BENCH_build.json)", || {
-            vec![exps::build::build_throughput()]
         }),
     ]
 }

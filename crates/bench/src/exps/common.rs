@@ -1,65 +1,13 @@
-//! Shared measurement machinery for the error-scaling experiments, plus
-//! the workload-family corpus factory used by the perf baselines.
+//! Shared measurement machinery for the error-scaling experiments.
 
 use dpsc_dpcore::budget::PrivacyParams;
 use dpsc_private_count::pipeline::{build_count_trie, run_pipeline_on_trie, PipelineParams};
-use dpsc_strkit::alphabet::Database;
 use dpsc_strkit::trie::Trie;
 use dpsc_textindex::CorpusIndex;
-use dpsc_workloads::{dna_corpus, log_corpus, text_corpus};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 
 use crate::{frequent_probe_set, mean, median, run_trials};
-
-/// Workload family for the perf baselines (`build_throughput`,
-/// `serve_throughput`): which `dpsc-workloads` generator produces a
-/// scenario's corpus.
-#[derive(Debug, Clone, Copy)]
-pub enum Workload {
-    /// σ = 4 genome reads with planted motifs ([`dna_corpus`]).
-    Dna,
-    /// σ = 27 natural-language stand-in: six-byte Zipf vocabulary tokens
-    /// joined by a separator ([`text_corpus`]).
-    Text,
-    /// σ = 76 access-log stand-in: lines with a 13-byte planted route
-    /// prefix ([`log_corpus`]).
-    Log,
-}
-
-impl Workload {
-    /// The artifact-facing name of the family.
-    pub fn as_str(self) -> &'static str {
-        match self {
-            Workload::Dna => "dna",
-            Workload::Text => "text",
-            Workload::Log => "log",
-        }
-    }
-
-    /// Deterministic corpus of `n` documents with `max_len == ell`. Text
-    /// documents are `(ell+1)/7` six-byte tokens joined by a separator
-    /// (`ell = 14·6 + 13 = 97` gives ~1.03 MB at n = 10624); log lines
-    /// are `ell`-byte lines with a 13-byte planted route (~1.08 MB at
-    /// n = 36000, ell = 30). Document lengths are kept moderate on
-    /// purpose: the per-level candidate noise scale grows like
-    /// `ℓ·log ℓ / ε`, so at fixed corpus size many shorter documents
-    /// keep `τ` far above the noise (no FAIL branch) where fewer long
-    /// ones would flood level 4+ with spurious pairs.
-    pub fn make_corpus(self, n: usize, ell: usize, rng: &mut StdRng) -> Database {
-        const TEXT_TOKEN_LEN: usize = 6;
-        let db = match self {
-            Workload::Dna => dna_corpus(n, ell, 8, &[0.9, 0.8, 0.7, 0.6, 0.5, 0.4], rng).db,
-            Workload::Text => {
-                let tokens_per_doc = (ell + 1) / (TEXT_TOKEN_LEN + 1);
-                text_corpus(n, tokens_per_doc, TEXT_TOKEN_LEN, 512, 1.0, rng).db
-            }
-            Workload::Log => log_corpus(n, ell, 13, 64, 1.0, rng).db,
-        };
-        assert_eq!(db.max_len(), ell, "workload corpus must realise the declared ell");
-        db
-    }
-}
 
 /// Error statistics of a mechanism over a fixed probe trie.
 #[derive(Debug, Clone, Copy)]

@@ -4,12 +4,10 @@
 //! renders them to stdout and into `results/*.json` / EXPERIMENTS.md.
 
 pub mod audit;
-pub mod build;
 pub mod common;
 pub mod lower;
 pub mod mining;
 pub mod qgrams;
-pub mod serve;
 pub mod serving;
 pub mod t1;
 pub mod t2;

@@ -1,6 +1,7 @@
 //! Build-phase span instrumentation: named wall-clock intervals recorded
 //! during construction (candidate doubling, exact-count trie, noise,
-//! prune) and surfaced by the bench harness in `BENCH_build.json`.
+//! prune). perfbench reports their durations as `pipeline.*_ms`, and
+//! `tests/golden_digests.rs` pins their item counts.
 //!
 //! The same span vocabulary is reused by the serving daemon's trace ring
 //! (`dpsc-serve::trace`) so an operator sees one naming scheme across

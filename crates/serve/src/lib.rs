@@ -45,7 +45,7 @@
 //! * [`server`] (Linux) / [`client`] — the TCP daemon (one epoll event
 //!   loop plus an installer thread for snapshot loads) with
 //!   per-connection request batching, and the blocking client used by
-//!   the examples, tests, and the `serve_throughput` load generator.
+//!   the examples, the tests, and perfbench's load generator.
 //!
 //! ```no_run
 //! use std::sync::Arc;

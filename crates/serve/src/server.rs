@@ -147,7 +147,8 @@ pub struct ServerConfig {
     pub idle_timeout: Option<Duration>,
     /// Capacity of the structured trace ring (rounded up to a power of
     /// two; 0 disables tracing entirely — the emit sites reduce to one
-    /// branch, the counters-only mode the overhead benchmark measures).
+    /// branch, the counters-only mode `tests/alloc_counts.rs` compares
+    /// against).
     /// Drained over the wire by the `Trace` op.
     pub trace_capacity: usize,
     /// Answers slower than this are counted and logged to the trace

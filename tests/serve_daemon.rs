@@ -455,12 +455,13 @@ fn shutdown_gate_admits_by_policy_and_refuses_with_an_error() {
     handle.shutdown();
 }
 
-/// Hundreds of simultaneous connections on one event-loop thread, all
-/// held open at once, every answer bit-identical to the local oracle —
-/// and shutdown still joins promptly with hundreds of connections live.
-#[test]
-fn hundreds_of_concurrent_connections_serve_bit_identically() {
-    const CONNS: usize = 256;
+/// Opens `conns` connections from a few client threads and holds every
+/// one open until all have been answered: one event-loop thread serves
+/// them all, every answer is bit-identical to the local oracle, the
+/// daemon's counters match the client side exactly, and shutdown still
+/// joins promptly with every connection live.
+fn concurrent_connections_serve_bit_identically(conns: usize) {
+    const CLIENT_THREADS: usize = 8;
     let gen = synthetic(42.0);
     let probe: Vec<Vec<u8>> = (0..50u8)
         .map(|i| vec![b'a' + (i % 4), b'a' + ((i / 4) % 4), b'a' + ((i / 16) % 4)])
@@ -473,26 +474,41 @@ fn hundreds_of_concurrent_connections_serve_bit_identically() {
     let handle = Server::spawn(ServerConfig::default(), manager).expect("daemon binds");
     let addr = handle.addr();
 
-    let barrier = std::sync::Barrier::new(CONNS);
-    std::thread::scope(|scope| {
-        let mut joins = Vec::new();
-        for _ in 0..CONNS {
-            joins.push(scope.spawn(|| {
-                let mut client = Client::connect(addr).expect("client connects");
-                // Everyone connects before anyone queries: all CONNS
-                // sockets are simultaneously open at the server.
-                barrier.wait();
-                let served = client.query_batch(0, &refs).expect("batch answered");
-                let bits: Vec<u64> = served.iter().map(|v| v.to_bits()).collect();
-                assert_eq!(bits, expect, "served bits must match the local oracle");
-                client
-            }));
-        }
-        // Keep every connection alive until all have been answered.
-        let clients: Vec<Client> =
-            joins.into_iter().map(|j| j.join().expect("client ok")).collect();
-        drop(clients);
+    let per_thread = conns.div_ceil(CLIENT_THREADS);
+    let threads = conns.div_ceil(per_thread);
+    let barrier = std::sync::Barrier::new(threads);
+    let clients: Vec<Client> = std::thread::scope(|scope| {
+        let joins: Vec<_> = (0..threads)
+            .map(|t| {
+                let n = per_thread.min(conns - t * per_thread);
+                let (barrier, refs, expect) = (&barrier, &refs, &expect);
+                scope.spawn(move || {
+                    let mut clients: Vec<Client> =
+                        (0..n).map(|_| Client::connect(addr).expect("client connects")).collect();
+                    // Everyone connects before anyone queries.
+                    barrier.wait();
+                    for client in &mut clients {
+                        let served = client.query_batch(0, refs).expect("batch answered");
+                        let bits: Vec<u64> = served.iter().map(|v| v.to_bits()).collect();
+                        assert_eq!(&bits, expect, "served bits must match the local oracle");
+                    }
+                    clients
+                })
+            })
+            .collect();
+        joins.into_iter().flat_map(|j| j.join().expect("client thread ok")).collect()
     });
+    assert_eq!(clients.len(), conns);
+
+    // Every connection is still open: the daemon holds all of them and
+    // counted exactly the lookups the clients sent.
+    let mut admin = Client::connect(addr).expect("admin connects");
+    let report = admin.metrics().expect("metrics answered");
+    assert_eq!(report.conns_open, conns as u64 + 1, "every connection held open at once");
+    assert_eq!(report.conns_accepted, conns as u64 + 1);
+    assert_eq!(report.ops.query_batch, conns as u64);
+    assert_eq!(report.patterns_total, (conns * probe.len()) as u64, "lookups lost or invented");
+    assert_eq!(report.ops.errors, 0);
 
     let (done_tx, done_rx) = std::sync::mpsc::channel();
     std::thread::spawn(move || {
@@ -501,7 +517,22 @@ fn hundreds_of_concurrent_connections_serve_bit_identically() {
     });
     done_rx
         .recv_timeout(std::time::Duration::from_secs(10))
-        .expect("shutdown joins promptly after a 256-connection storm");
+        .unwrap_or_else(|_| panic!("shutdown joins promptly with {conns} connections open"));
+    drop((admin, clients));
+}
+
+#[test]
+fn hundreds_of_concurrent_connections_serve_bit_identically() {
+    concurrent_connections_serve_bit_identically(256);
+}
+
+/// The 10k-class point: 4,096 connections held open at once. Slow in a
+/// debug build, so it runs on request (`cargo test --release --test
+/// serve_daemon -- --ignored`).
+#[test]
+#[ignore = "4,096 sockets; run in release with --ignored"]
+fn thousands_of_concurrent_connections_serve_bit_identically() {
+    concurrent_connections_serve_bit_identically(4096);
 }
 
 /// The `Metrics` op end to end: counters reconcile exactly with what
