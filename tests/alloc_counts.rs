@@ -9,7 +9,8 @@
 //! - a daemon spends a pinned number of heap allocations per 16-pattern
 //!   `QueryBatch` frame, within 2%;
 //! - turning tracing on (trace ring plus slow-op log) adds no allocations
-//!   per frame, within one per 100 frames.
+//!   per frame, within one per 100 frames, with a traced and an untraced
+//!   daemon serving the same frames in alternating blocks.
 //!
 //! This binary holds a single test, so no other test allocates while it
 //! measures. The client side of the frame loop writes pre-encoded
@@ -28,7 +29,7 @@ use std::time::Duration;
 
 use dp_substring_counting::prelude::*;
 use dp_substring_counting::serve::wire::{encode_request, encode_response};
-use dp_substring_counting::serve::{Request, Response};
+use dp_substring_counting::serve::{Request, Response, ServerHandle};
 use golden::Shard;
 
 /// Per shard id: (allocations, bytes) of a borrowed install. Only the
@@ -41,6 +42,8 @@ const INSTALL_ALLOCS: [(usize, usize); 4] = [(0, 0), (0, 0), (0, 0), (2, 1040)];
 const FRAME_PATTERNS: usize = 16;
 /// Frames in each measured window.
 const FRAMES: usize = 2000;
+/// Frames per turn when the two daemons alternate.
+const BLOCK: usize = 100;
 /// Pause before each frame; see [`allocs_serving`].
 const IDLE_PAUSE: Duration = Duration::from_micros(500);
 /// Heap allocations the daemon makes per frame, tracing off: 25.77
@@ -71,47 +74,38 @@ fn frames(shards: &[Shard], count: usize) -> Vec<(Vec<u8>, Vec<u8>)> {
         .collect()
 }
 
-/// Serves `frames` one round trip at a time over one connection, checking
-/// every response byte for byte, and returns the allocations made while
-/// it ran (the first `warmup` frames excluded). Nothing in the loop
-/// allocates on the client side.
-///
-/// The event loop allocates one event batch per wakeup, and a frame that
-/// arrives while the loop is still draining its socket needs no wakeup.
-/// So each frame is sent only after [`IDLE_PAUSE`], by which time the
-/// daemon waits in `epoll_wait` again, so every frame costs one wakeup.
-/// A frame that still beat the loop would lower the count by one, far
-/// inside the tolerances.
-fn allocs_serving(
-    shards: &[Shard],
-    config: ServerConfig,
-    frames: &[(Vec<u8>, Vec<u8>)],
-    warmup: usize,
-) -> usize {
+/// A daemon serving `shards` under `config`, with one client connection.
+fn spawn_daemon(shards: &[Shard], config: ServerConfig) -> (ServerHandle, TcpStream) {
     let manager = Arc::new(ShardManager::new());
     for s in shards {
         manager.install(s.id, s.frozen.clone(), s.frozen.serialized_len());
     }
     let handle = Server::spawn(config, manager).expect("daemon binds");
-    let mut stream = TcpStream::connect(handle.addr()).expect("client connects");
+    let stream = TcpStream::connect(handle.addr()).expect("client connects");
     stream.set_nodelay(true).expect("nodelay");
-    let longest = frames.iter().map(|(_, resp)| resp.len()).max().unwrap_or(0);
-    let mut buf = vec![0u8; longest];
-    let mut before = counting_alloc::allocs();
-    for (k, (req, want)) in frames.iter().enumerate() {
-        if k == warmup {
-            before = counting_alloc::allocs();
-        }
+    (handle, stream)
+}
+
+/// Serves `frames` one round trip at a time over `stream`, checking every
+/// response byte for byte against its `query_naive` encoding, and returns
+/// the allocations made while it ran. Nothing in the loop allocates on
+/// the client side: `buf` holds the longest response.
+///
+/// The event loop allocates one event batch per wakeup, and a frame that
+/// arrives while the loop is still draining its socket needs no wakeup.
+/// So each frame is sent only after [`IDLE_PAUSE`], by which time the
+/// daemon waits in `epoll_wait` again, so every frame costs one wakeup.
+/// A frame that still beat the loop would lower the count by one.
+fn allocs_serving(stream: &mut TcpStream, frames: &[(Vec<u8>, Vec<u8>)], buf: &mut [u8]) -> usize {
+    let before = counting_alloc::allocs();
+    for (req, want) in frames {
         std::thread::sleep(IDLE_PAUSE);
         stream.write_all(req).expect("frame written");
         let got = &mut buf[..want.len()];
         stream.read_exact(got).expect("response read");
-        assert!(got[..] == want[..], "frame {k}: response differs from query_naive's");
+        assert!(got[..] == want[..], "response differs from query_naive's");
     }
-    let allocs = counting_alloc::allocs() - before;
-    drop(stream);
-    handle.shutdown();
-    allocs
+    counting_alloc::allocs() - before
 }
 
 #[test]
@@ -143,7 +137,7 @@ fn serving_heap_work_matches_its_pinned_counts() {
     }
 
     let warmup = 4 * shards.len();
-    let stream = frames(&shards, warmup + FRAMES);
+    let all_frames = frames(&shards, warmup + FRAMES);
     let off =
         ServerConfig { trace_capacity: 0, slow_op_threshold: None, ..ServerConfig::default() };
     let on = ServerConfig {
@@ -151,8 +145,24 @@ fn serving_heap_work_matches_its_pinned_counts() {
         slow_op_threshold: Some(Duration::from_millis(50)),
         ..ServerConfig::default()
     };
-    let allocs_off = allocs_serving(&shards, off, &stream, warmup);
-    let allocs_on = allocs_serving(&shards, on, &stream, warmup);
+    // Both daemons serve the same frames, in alternating blocks, so host
+    // load that makes the loop miss its idle wait falls on both alike.
+    // The idle daemon blocks in `epoll_wait` with no timeout and
+    // allocates nothing meanwhile.
+    let (handle_off, mut off_stream) = spawn_daemon(&shards, off);
+    let (handle_on, mut on_stream) = spawn_daemon(&shards, on);
+    let mut buf = vec![0u8; all_frames.iter().map(|(_, resp)| resp.len()).max().unwrap_or(0)];
+    let (warm, measured) = all_frames.split_at(warmup);
+    allocs_serving(&mut off_stream, warm, &mut buf);
+    allocs_serving(&mut on_stream, warm, &mut buf);
+    let (mut allocs_off, mut allocs_on) = (0, 0);
+    for block in measured.chunks(BLOCK) {
+        allocs_off += allocs_serving(&mut off_stream, block, &mut buf);
+        allocs_on += allocs_serving(&mut on_stream, block, &mut buf);
+    }
+    drop((off_stream, on_stream));
+    handle_off.shutdown();
+    handle_on.shutdown();
     let per_frame = allocs_off as f64 / FRAMES as f64;
     println!(
         "allocations per frame: {per_frame:.3} tracing off, {:.3} on",

@@ -62,6 +62,8 @@ struct ShardGolden {
     node_count: usize,
     /// Uncompressed snapshot size.
     serialized_len: usize,
+    /// Compressed (delta-encoded) snapshot size.
+    serialized_len_v2: usize,
     snapshot_digest: u64,
     universe_digest: u64,
 }
@@ -69,10 +71,10 @@ struct ShardGolden {
 /// By shard id ([`SHARDS`]).
 #[rustfmt::skip]
 const SHARD_GOLDEN: [ShardGolden; 4] = [
-    ShardGolden { corpus_bytes: 65_536, node_count: 5857, serialized_len: 76_320, snapshot_digest: 0xb214_9770_34a7_898f, universe_digest: 0x39ee_c4f1_e1cd_4ab3 },
-    ShardGolden { corpus_bytes: 131_072, node_count: 2264, serialized_len: 29_616, snapshot_digest: 0xdc89_7817_6ee6_abb4, universe_digest: 0x1444_fadd_f748_50b6 },
-    ShardGolden { corpus_bytes: 1_030_528, node_count: 466, serialized_len: 6240, snapshot_digest: 0xa34e_9f80_3775_6a3a, universe_digest: 0x1ca8_ac1f_6f5e_4075 },
-    ShardGolden { corpus_bytes: 1_080_000, node_count: 349, serialized_len: 4720, snapshot_digest: 0xcd6a_f943_a299_6923, universe_digest: 0x44a5_3b27_7aff_30c2 },
+    ShardGolden { corpus_bytes: 65_536, node_count: 5857, serialized_len: 76_320, serialized_len_v2: 58_752, snapshot_digest: 0xb214_9770_34a7_898f, universe_digest: 0x39ee_c4f1_e1cd_4ab3 },
+    ShardGolden { corpus_bytes: 131_072, node_count: 2264, serialized_len: 29_616, serialized_len_v2: 22_816, snapshot_digest: 0xdc89_7817_6ee6_abb4, universe_digest: 0x1444_fadd_f748_50b6 },
+    ShardGolden { corpus_bytes: 1_030_528, node_count: 466, serialized_len: 6240, serialized_len_v2: 4840, snapshot_digest: 0xa34e_9f80_3775_6a3a, universe_digest: 0x1ca8_ac1f_6f5e_4075 },
+    ShardGolden { corpus_bytes: 1_080_000, node_count: 349, serialized_len: 4720, serialized_len_v2: 3672, snapshot_digest: 0xcd6a_f943_a299_6923, universe_digest: 0x44a5_3b27_7aff_30c2 },
 ];
 
 #[test]
@@ -115,10 +117,12 @@ fn build_scenarios_release_their_pinned_digests_and_span_counts() {
 }
 
 /// Both snapshot dialects decode to the same synopsis and re-encode to
-/// the same bytes, and the compressed one is smaller.
-fn assert_codec_round_trips(shard: &Shard, bytes: &[u8]) {
+/// the same bytes, and the compressed one has its pinned size, smaller
+/// than the uncompressed one.
+fn assert_codec_round_trips(shard: &Shard, bytes: &[u8], want: &ShardGolden) {
     let name = shard.scenario.name;
     let compressed = shard.frozen.to_bytes_v2(true);
+    assert_eq!(compressed.len(), want.serialized_len_v2, "{name}: compressed snapshot size");
     for (is_compressed, b) in [(false, bytes), (true, &compressed[..])] {
         let back = FrozenSynopsis::from_bytes(b).expect("snapshot decodes");
         assert_eq!(back, shard.frozen, "{name}: compressed={is_compressed} decode drifted");
@@ -147,7 +151,7 @@ fn serve_shards_release_their_pinned_digests_and_serve_bit_identically() {
         assert_eq!(bytes.len(), want.serialized_len, "{name}: snapshot size");
         assert_eq!(fnv1a(bytes), want.snapshot_digest, "{name}: snapshot digest");
         assert_eq!(shard.universe_digest(), want.universe_digest, "{name}: universe digest");
-        assert_codec_round_trips(shard, bytes);
+        assert_codec_round_trips(shard, bytes, want);
     }
 
     // Ship the uncompressed snapshots over the wire: the daemon serves each

@@ -456,18 +456,24 @@ fn shutdown_gate_admits_by_policy_and_refuses_with_an_error() {
 }
 
 /// Opens `conns` connections from a few client threads and holds every
-/// one open until all have been answered: one event-loop thread serves
-/// them all, every answer is bit-identical to the local oracle, the
+/// one open until all have been answered. Each thread sends its request
+/// on every one of its connections before it reads any answer, so all
+/// `conns` requests are in flight at once and the one event-loop thread
+/// finds many sockets ready per wakeup (a full 1,024-event batch at
+/// 4,096). Every answer is bit-identical to the local oracle, the
 /// daemon's counters match the client side exactly, and shutdown still
 /// joins promptly with every connection live.
 fn concurrent_connections_serve_bit_identically(conns: usize) {
+    use dp_substring_counting::serve::wire::{encode_request, encode_response};
+
     const CLIENT_THREADS: usize = 8;
     let gen = synthetic(42.0);
     let probe: Vec<Vec<u8>> = (0..50u8)
         .map(|i| vec![b'a' + (i % 4), b'a' + ((i / 4) % 4), b'a' + ((i / 16) % 4)])
         .collect();
     let refs: Vec<&[u8]> = probe.iter().map(|p| p.as_slice()).collect();
-    let expect: Vec<u64> = gen.query_batch(&refs).iter().map(|v| v.to_bits()).collect();
+    let request = encode_request(&Request::QueryBatch { shard: 0, patterns: probe.clone() });
+    let expect = encode_response(&Response::QueryBatch { values: gen.query_batch(&refs) });
 
     let manager = Arc::new(ShardManager::new());
     manager.install(0, gen, 0);
@@ -477,22 +483,30 @@ fn concurrent_connections_serve_bit_identically(conns: usize) {
     let per_thread = conns.div_ceil(CLIENT_THREADS);
     let threads = conns.div_ceil(per_thread);
     let barrier = std::sync::Barrier::new(threads);
-    let clients: Vec<Client> = std::thread::scope(|scope| {
+    let clients: Vec<TcpStream> = std::thread::scope(|scope| {
         let joins: Vec<_> = (0..threads)
             .map(|t| {
                 let n = per_thread.min(conns - t * per_thread);
-                let (barrier, refs, expect) = (&barrier, &refs, &expect);
+                let (barrier, request, expect) = (&barrier, &request, &expect);
                 scope.spawn(move || {
-                    let mut clients: Vec<Client> =
-                        (0..n).map(|_| Client::connect(addr).expect("client connects")).collect();
+                    let mut streams: Vec<TcpStream> = (0..n)
+                        .map(|_| {
+                            let s = TcpStream::connect(addr).expect("client connects");
+                            s.set_read_timeout(Some(Duration::from_secs(30))).unwrap();
+                            s
+                        })
+                        .collect();
                     // Everyone connects before anyone queries.
                     barrier.wait();
-                    for client in &mut clients {
-                        let served = client.query_batch(0, refs).expect("batch answered");
-                        let bits: Vec<u64> = served.iter().map(|v| v.to_bits()).collect();
-                        assert_eq!(&bits, expect, "served bits must match the local oracle");
+                    for s in &mut streams {
+                        s.write_all(request).expect("request written");
                     }
-                    clients
+                    let mut got = vec![0u8; expect.len()];
+                    for s in &mut streams {
+                        s.read_exact(&mut got).expect("batch answered");
+                        assert!(got == *expect, "served bits must match the local oracle");
+                    }
+                    streams
                 })
             })
             .collect();
