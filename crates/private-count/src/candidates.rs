@@ -19,13 +19,17 @@
 //!
 //! ## Lookup engineering
 //! The paper asks substring-concatenation queries against the suffix tree
-//! (\[7,8\]); we answer them with rolling hashes: each level precomputes the
-//! map *hash of distinct `2^k`-substring → SA interval* (one LCP scan via
-//! [`dpsc_textindex::depth_groups`]) in a reusable open-addressed table
-//! ([`IntervalTable`]), so a pair lookup is `O(1)` expected with no hashing
-//! beyond a fingerprint mix and no per-level allocator round trip.
-//! Suffix/prefix overlaps for `C_m` are hash comparisons over a pooled
-//! candidate buffer. See DESIGN.md §2 for the substitution rationale.
+//! (\[7,8\]); we answer them from the text instead of probing every pair.
+//! Every candidate carries its suffix-array interval, so the concatenations
+//! `q1 · q2` that occur are exactly the depth-`2^k` runs inside `q1`'s
+//! interval: one LCP walk over that interval splits it into runs, and each
+//! run's second half is resolved to its row by one rolling-hash lookup in a
+//! `|P|`-entry table. The pair scan then walks all `|P|` columns, draws the
+//! noise of every pair, and counts only the occurring ones. The walks of a
+//! level cover disjoint intervals, so they read the SA and LCP arrays at
+//! most once; on sparse levels they touch a small part of them. Suffix/prefix
+//! overlaps for `C_m` are hash comparisons over a pooled candidate buffer.
+//! See DESIGN.md §2 for the substitution rationale.
 //!
 //! ## Parallelism and determinism
 //! The pair scan of each doubling level is embarrassingly parallel and
@@ -45,7 +49,7 @@ use dpsc_dpcore::budget::PrivacyParams;
 use dpsc_dpcore::noise::Noise;
 use dpsc_strkit::hash::HashValue;
 use dpsc_strkit::search::SaInterval;
-use dpsc_textindex::{depth_groups, CorpusIndex};
+use dpsc_textindex::CorpusIndex;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
@@ -118,8 +122,8 @@ pub const OVERLAP_SAFETY_CAP: usize = 1 << 22;
 
 /// One candidate string with its hash in the corpus symbol space and its
 /// suffix-array interval (empty for candidates absent from the corpus).
-/// Carrying the interval lets the next level's pair scan extend it
-/// directly instead of consulting a per-level substring table.
+/// Carrying the interval lets the next level's pair scan find the
+/// occurring concatenations by walking it.
 #[derive(Debug, Clone)]
 pub(crate) struct Cand {
     pub(crate) bytes: Vec<u8>,
@@ -141,75 +145,41 @@ fn stream_tag(level: usize, chunk: usize) -> u64 {
 /// every parallelism setting.
 const PAIR_CHUNK_ROWS: usize = 16;
 
-/// Reusable open-addressed map `HashValue → SaInterval` (linear probing,
-/// power-of-two capacity, generation-stamped slots so clearing is O(1)).
-/// One instance lives across all doubling levels: rebuilding the per-level
-/// substring map reuses the same allocation instead of growing a fresh
-/// `HashMap` per level, and lookups probe a contiguous slot array keyed by
-/// [`HashValue::fingerprint`] with full-key confirmation per slot.
-pub(crate) struct IntervalTable {
-    slots: Vec<TableSlot>,
+/// The rows of one level's candidates, keyed by hash: an open-addressed
+/// table of row numbers (linear probing on [`HashValue::fingerprint`], load
+/// factor ≤ 1/2), each probe confirmed against the row's full hash.
+struct RowIndex<'a> {
+    cands: &'a [Cand],
+    slots: Vec<u32>,
     mask: usize,
-    generation: u32,
 }
 
-#[derive(Clone, Copy)]
-struct TableSlot {
-    gen: u32,
-    key: HashValue,
-    iv: SaInterval,
-}
+const NO_ROW: u32 = u32::MAX;
 
-const EMPTY_SLOT: TableSlot = TableSlot { gen: 0, key: HashValue::EMPTY, iv: SaInterval::EMPTY };
-
-impl IntervalTable {
-    pub(crate) fn new() -> Self {
-        Self { slots: Vec::new(), mask: 0, generation: 0 }
-    }
-
-    /// Clears the table and ensures capacity for `len` entries at a load
-    /// factor ≤ 1/2. Reuses (never shrinks) the slot array whenever it is
-    /// big enough; a full wipe happens only on growth or on the
-    /// once-in-2³² generation wrap.
-    pub(crate) fn reset(&mut self, len: usize) {
-        let want = (len.max(1) * 2).next_power_of_two();
-        if self.slots.len() < want || self.generation == u32::MAX {
-            let new_len = want.max(self.slots.len());
-            self.slots.clear();
-            self.slots.resize(new_len, EMPTY_SLOT);
-            self.mask = self.slots.len() - 1;
-            self.generation = 1;
-        } else {
-            self.generation += 1;
-        }
-    }
-
-    pub(crate) fn insert(&mut self, key: HashValue, iv: SaInterval) {
-        let mut i = key.fingerprint() as usize & self.mask;
-        loop {
-            let slot = &mut self.slots[i];
-            if slot.gen != self.generation {
-                *slot = TableSlot { gen: self.generation, key, iv };
-                return;
+impl<'a> RowIndex<'a> {
+    fn new(cands: &'a [Cand]) -> Self {
+        let mask = (cands.len().max(1) * 2).next_power_of_two() - 1;
+        let mut slots = vec![NO_ROW; mask + 1];
+        for (row, c) in cands.iter().enumerate() {
+            let mut i = c.hash.fingerprint() as usize & mask;
+            while slots[i] != NO_ROW {
+                i = (i + 1) & mask;
             }
-            if slot.key == key {
-                slot.iv = iv;
-                return;
-            }
-            i = (i + 1) & self.mask;
+            slots[i] = row as u32;
         }
+        Self { cands, slots, mask }
     }
 
     #[inline]
-    pub(crate) fn get(&self, key: HashValue) -> Option<SaInterval> {
+    fn get(&self, key: HashValue) -> Option<u32> {
         let mut i = key.fingerprint() as usize & self.mask;
         loop {
-            let slot = &self.slots[i];
-            if slot.gen != self.generation {
+            let row = self.slots[i];
+            if row == NO_ROW {
                 return None;
             }
-            if slot.key == key {
-                return Some(slot.iv);
+            if self.cands[row as usize].hash == key {
+                return Some(row);
             }
             i = (i + 1) & self.mask;
         }
@@ -273,7 +243,6 @@ pub(crate) fn doubling_levels<R: Rng + ?Sized>(
         return Err(CandidateOverflow { level: 0, size: current.len(), cap });
     }
     let mut levels = vec![current];
-    let mut table = IntervalTable::new();
 
     for k in 1..=max_power {
         let len = 1usize << k;
@@ -281,30 +250,9 @@ pub(crate) fn doubling_levels<R: Rng + ?Sized>(
             break;
         }
         let current = levels.last().expect("at least level 0");
-        // Adaptive pair-count strategy. Sparse levels (the common case:
-        // |P|² pair extensions cost less than one pass over the text)
-        // extend each `Q_1` interval by `Q_2`'s symbols — exact, O(len·log)
-        // per pair, and skips the per-level substring sweep entirely.
-        // Dense levels (noise-flooded regimes) amortize one `depth_groups`
-        // sweep into the reusable open-addressed table for O(1) lookups.
-        // Both paths produce identical exact counts, so the released set —
-        // and hence determinism — does not depend on the choice.
-        let pairs = current.len() * current.len();
-        let dense = pairs.saturating_mul(len) / 2 > idx.text_len();
-        let lookup = if dense {
-            let groups = depth_groups(idx, len);
-            table.reset(groups.len());
-            for g in &groups {
-                table.insert(idx.substring_hash(g.witness_pos as usize, len), g.interval);
-            }
-            PairLookup::Table(&table)
-        } else {
-            PairLookup::Extend
-        };
         let next = scan_level_pairs(
             idx,
             current,
-            lookup,
             noise,
             tau,
             delta_clip,
@@ -320,17 +268,53 @@ pub(crate) fn doubling_levels<R: Rng + ?Sized>(
     Ok(DoublingLevels { levels, alpha, tau })
 }
 
-/// How a level's pair scan resolves concatenation intervals.
-#[derive(Clone, Copy)]
-enum PairLookup<'a> {
-    /// Dense level: precomputed `depth_groups` table, O(1) per pair.
-    Table(&'a IntervalTable),
-    /// Sparse level: extend `Q_1`'s interval by `Q_2`'s symbols.
-    Extend,
+/// The concatenations `q1 · P[j]` of length `2·half` that occur in the
+/// text, as `(j, interval)` in ascending `j`, for the `Q_1` row whose
+/// depth-`half` interval is `iv`. Written to `out`.
+///
+/// Walks `iv` once, splitting it into depth-`2·half` runs with the LCP
+/// array (as [`dpsc_textindex::depth_groups`] does, but only inside `iv`),
+/// and resolves each run's second half by its hash in `rows`. A run starts
+/// only at a rank whose suffix has `2·half` symbols left in its document;
+/// ranks inside a run need no such check, since an LCP of `2·half` with a
+/// valid suffix rules out a sentinel.
+fn occurring_pairs(
+    idx: &CorpusIndex,
+    iv: SaInterval,
+    rows: &RowIndex<'_>,
+    half: usize,
+    out: &mut Vec<(u32, SaInterval)>,
+) {
+    out.clear();
+    let sa = idx.suffix_array().sa();
+    let lcp = idx.lcp().values();
+    let len = 2 * half;
+    let hi = iv.hi as usize;
+    let mut r = iv.lo as usize;
+    while r < hi {
+        let mut end = r + 1;
+        while end < hi && lcp[end] as usize >= len {
+            end += 1;
+        }
+        let pos = sa[r] as usize;
+        if idx.remaining_in_doc(pos) >= len {
+            if let Some(j) = rows.get(idx.substring_hash(pos + half, half)) {
+                out.push((j, SaInterval { lo: r as u32, hi: end as u32 }));
+            }
+        }
+        r = end;
+    }
+    // Runs come in lexicographic order of their second halves, and a level
+    // is itself sorted (letters in order, then pairs in `(q1, q2)` order),
+    // so the rows arrive ascending.
+    debug_assert!(out.is_sorted_by_key(|&(j, _)| j));
 }
 
 /// Scans all `|P|²` concatenation pairs of one doubling level, adding noise
 /// to every pair's clipped count and keeping those that clear `tau`.
+/// Only the pairs that occur in the text are counted
+/// ([`occurring_pairs`]); every other pair has count 0 but still draws its
+/// noise, in `(q1, q2)` order.
 /// Returns `Err(observed_size)` when the survivors exceed `cap` — the FAIL
 /// decision is exact and thread-count independent: the survivor count is a
 /// deterministic function of the chunk streams, workers only stop early
@@ -341,7 +325,6 @@ enum PairLookup<'a> {
 fn scan_level_pairs(
     idx: &CorpusIndex,
     current: &[Cand],
-    lookup: PairLookup<'_>,
     noise: Noise,
     tau: f64,
     delta_clip: usize,
@@ -355,9 +338,11 @@ fn scan_level_pairs(
     let half = len / 2;
     let n_chunks = rows.div_ceil(PAIR_CHUNK_ROWS);
     let found = AtomicUsize::new(0);
+    let row_index = RowIndex::new(current);
 
     let scan_chunk = |chunk: usize, out: &mut Vec<Cand>| {
         let mut rng = StdRng::seed_from_u64(derive_stream(stream_base, stream_tag(level, chunk)));
+        let mut hits = Vec::new();
         let start = chunk * PAIR_CHUNK_ROWS;
         for q1 in &current[start..rows.min(start + PAIR_CHUNK_ROWS)] {
             // Once the global survivor count has passed the cap the level's
@@ -365,24 +350,12 @@ fn scan_level_pairs(
             if found.load(Ordering::Relaxed) > cap {
                 return;
             }
-            for q2 in current {
-                // The concat hash is needed per pair in table mode but only
-                // per *survivor* in extend mode; compute it at most once.
-                let (iv, hash) = match lookup {
-                    PairLookup::Table(table) => {
-                        let hash = idx.concat_hash(q1.hash, q2.hash);
-                        (table.get(hash).unwrap_or(SaInterval::EMPTY), Some(hash))
-                    }
-                    PairLookup::Extend => {
-                        let mut iv = q1.iv;
-                        for (d, &b) in q2.bytes.iter().enumerate() {
-                            if iv.is_empty() {
-                                break;
-                            }
-                            iv = idx.extend_interval(iv, half + d, b);
-                        }
-                        (iv, None)
-                    }
+            occurring_pairs(idx, q1.iv, &row_index, half, &mut hits);
+            let mut next_hit = hits.iter().peekable();
+            for (j, q2) in current.iter().enumerate() {
+                let iv = match next_hit.next_if(|&&(hit, _)| hit as usize == j) {
+                    Some(&(_, iv)) => iv,
+                    None => SaInterval::EMPTY,
                 };
                 let true_count = if iv.is_empty() {
                     0.0
@@ -393,7 +366,7 @@ fn scan_level_pairs(
                     let mut bytes = Vec::with_capacity(len);
                     bytes.extend_from_slice(&q1.bytes);
                     bytes.extend_from_slice(&q2.bytes);
-                    let hash = hash.unwrap_or_else(|| idx.concat_hash(q1.hash, q2.hash));
+                    let hash = idx.concat_hash(q1.hash, q2.hash);
                     out.push(Cand { bytes, hash, iv });
                     if found.fetch_add(1, Ordering::Relaxed) + 1 > cap {
                         return;
@@ -608,7 +581,7 @@ fn extend_with_overlaps(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use dpsc_strkit::alphabet::Database;
+    use dpsc_strkit::alphabet::{Alphabet, Database};
     use rand::rngs::StdRng;
     use rand::SeedableRng;
 
@@ -737,6 +710,118 @@ mod tests {
         };
         let set = build_candidates_approx(&idx, &p, &mut rng).unwrap();
         assert!(set.strings.iter().any(|s| s == b"absab"));
+    }
+
+    /// The oracle for [`occurring_pairs`]: `idx.interval(q1 ‖ q2)` over
+    /// every `q2` of the level, nonempty results only.
+    fn naive_occurring_pairs(
+        idx: &CorpusIndex,
+        q1: &Cand,
+        level: &[Cand],
+    ) -> Vec<(u32, SaInterval)> {
+        level
+            .iter()
+            .enumerate()
+            .filter_map(|(j, q2)| {
+                let iv = idx.interval(&[q1.bytes.as_slice(), &q2.bytes].concat());
+                (!iv.is_empty()).then_some((j as u32, iv))
+            })
+            .collect()
+    }
+
+    /// Runs the doubling levels over `docs` (alphabet `a..=d`, so `d` never
+    /// occurs) and checks every row's occurring pairs at every level
+    /// against the oracle. `flooded` uses a tiny ε (Laplace scale 192 at
+    /// ℓ = 12) and τ = −100, so about 70% of all pairs pass, occurring or
+    /// not. Returns how many strings of the scanned levels are absent
+    /// from the text: each is an absent row and an absent second half of
+    /// every pair it ends.
+    fn check_occurring_pairs(
+        docs: Vec<Vec<u8>>,
+        flooded: bool,
+        seed: u64,
+    ) -> Result<usize, String> {
+        let db = Database::from_documents(Alphabet::lowercase(4), docs).unwrap();
+        let idx = CorpusIndex::build(&db);
+        let (privacy, tau) = if flooded {
+            (PrivacyParams::pure(0.5), -100.0)
+        } else {
+            (PrivacyParams::pure(1e9), 0.9)
+        };
+        let max_power = (db.max_len() as f64).log2().floor() as usize;
+        let doubling = doubling_levels(
+            &idx,
+            db.max_len(),
+            privacy,
+            0.1,
+            false,
+            Some(tau),
+            usize::MAX,
+            max_power,
+            1,
+            &mut StdRng::seed_from_u64(seed),
+        )
+        .map_err(|e| e.to_string())?;
+        let mut absent = 0;
+        let mut got = Vec::new();
+        for (k, level) in doubling.levels.iter().enumerate().skip(1) {
+            let current = &doubling.levels[k - 1];
+            let rows = RowIndex::new(current);
+            absent += current.iter().filter(|c| c.iv.is_empty()).count();
+            for q1 in current {
+                occurring_pairs(&idx, q1.iv, &rows, 1 << (k - 1), &mut got);
+                let want = naive_occurring_pairs(&idx, q1, current);
+                if got != want {
+                    return Err(format!("level {k} row {:?}: {got:?} != {want:?}", q1.bytes));
+                }
+            }
+            // Released pairs carry the oracle's interval (empty if absent).
+            for c in level {
+                let want = idx.interval(&c.bytes);
+                if c.iv.is_empty() != want.is_empty() || (!want.is_empty() && c.iv != want) {
+                    return Err(format!("level {k} survivor {:?}: {:?}", c.bytes, c.iv));
+                }
+            }
+        }
+        Ok(absent)
+    }
+
+    fn small_docs() -> impl proptest::Strategy<Value = Vec<Vec<u8>>> {
+        proptest::collection::vec(
+            proptest::collection::vec(proptest::sample::select(b"abc".to_vec()), 1..13),
+            1..7,
+        )
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::ProptestConfig::with_cases(48))]
+
+        #[test]
+        fn occurring_pairs_match_naive_oracle(
+            docs in small_docs(),
+            flooded in 0u8..2,
+            seed in 0u64..1 << 20,
+        ) {
+            let outcome = check_occurring_pairs(docs, flooded == 1, seed);
+            proptest::prop_assert!(outcome.is_ok(), "{}", outcome.unwrap_err());
+        }
+    }
+
+    #[test]
+    fn occurring_pairs_cover_short_docs_single_docs_and_absent_strings() {
+        // Documents shorter than every doubled length, and a lone document.
+        let multi = ["a", "ab", "abc", "abcabcab", "cabbac", "bbbbbbbbbbbb"];
+        let single = ["abcabcaabbcc"];
+        for docs in [&multi[..], &single[..]] {
+            let docs: Vec<Vec<u8>> = docs.iter().map(|d| d.as_bytes().to_vec()).collect();
+            let mut flooded_absent = 0;
+            for seed in 0..4 {
+                let absent = check_occurring_pairs(docs.clone(), false, seed).unwrap();
+                assert_eq!(absent, 0, "noiseless levels hold only occurring strings");
+                flooded_absent += check_occurring_pairs(docs.clone(), true, seed).unwrap();
+            }
+            assert!(flooded_absent > 0, "flooded levels hold absent strings");
+        }
     }
 
     #[test]

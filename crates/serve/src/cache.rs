@@ -14,7 +14,7 @@
 //! looking up different patterns rarely contend. Within a segment, entries form a
 //! doubly-linked LRU list over a slab; the map from fingerprint to slab
 //! slot confirms the full key on every probe (same fingerprint-probe +
-//! full-confirm discipline as the build path's `IntervalTable`), so a
+//! full-confirm discipline as the build path's `candidates::RowIndex`), so a
 //! fingerprint collision can evict a twin but can never answer with the
 //! wrong value.
 
