@@ -433,7 +433,7 @@ fn audit_observability_surfaces() -> ScenarioResult {
     const CANARIES: [&[u8]; 3] = [b"CANARY-ALPHA-0001", b"CANARY-BRAVO-0002", b"CANARY-CHARLIE-3"];
 
     let manager = Arc::new(ShardManager::new());
-    manager.install(0, frozen, 0);
+    manager.install(0, frozen);
     let config = ServerConfig {
         slow_op_threshold: Some(Duration::from_nanos(1)),
         ..ServerConfig::default()

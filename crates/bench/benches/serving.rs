@@ -13,9 +13,9 @@
 //!
 //! The `serving_step_by_degree` group isolates the per-byte edge-probe
 //! cost of the snapshot walk across node fanouts: star tries with root
-//! degree 2…256 cover the one-word SWAR probe (≤ 8), the multi-word scan
-//! (9…32) and the wide tier's lane tables (> 32), benchmarked against the
-//! naive binary-search walk on the same synopsis.
+//! degree 2…256 cover the one-word SWAR probe (≤ 8) and the multi-word
+//! scan (up to 32 words), benchmarked against the naive binary-search walk
+//! on the same synopsis.
 
 use criterion::{black_box, criterion_group, criterion_main, BenchmarkId, Criterion};
 use dpsc_bench::exps::serving::{dp_built, synthetic};

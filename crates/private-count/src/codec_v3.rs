@@ -1,15 +1,15 @@
 //! `DPSF` v3: the snapshot codec, and the only format a
 //! [`FrozenSynopsis`](crate::synopsis::FrozenSynopsis) writes and reads.
-//! Its canonical uncompressed encoding *is* the query structure: a
-//! synopsis holds exactly these bytes and walks them in place. Three
-//! arrays sit in 8-byte-aligned sections, each with its own checksum, so
-//! a corrupt byte is reported by section:
+//! Its one encoding *is* the query structure: a synopsis holds exactly
+//! these bytes and walks them in place. Three arrays sit in
+//! 8-byte-aligned sections, each with its own checksum, so a corrupt byte
+//! is reported by section:
 //!
 //! ```text
 //! off   size  field
 //!   0      4  magic "DPSF"
 //!   4      2  version = 3 (u16 LE)
-//!   6      2  flags (bit 0 = compressed edge_start; others reserved = 0)
+//!   6      2  flags (all 16 bits reserved = 0)
 //!   8      4  mode tag (u32 LE)
 //!  12      4  section count = 3 (u32 LE)
 //!  16      8  clip level (u64 LE)
@@ -31,32 +31,29 @@
 //! one byte per edge, strictly increasing within each node.
 //!
 //! **In-place reads.** Every section offset is a multiple of 8 and the
-//! uncompressed sections are raw little-endian arrays, so the synopsis
-//! reads its fields with `from_le_bytes` on fixed-size ranges (safe code;
-//! a plain load on little-endian targets), which keeps the workspace's
+//! sections are raw little-endian arrays, so the synopsis reads its
+//! fields with `from_le_bytes` on fixed-size ranges (safe code; a plain
+//! load on little-endian targets), which keeps the workspace's
 //! `unsafe_code = "deny"` intact. The tail padding guarantees 8 readable
 //! bytes from every label offset, so the query walk's 8-byte label loads
 //! never need a bounds fallback.
 //!
-//! **Compression** (flag bit 0): `edge_start` is stored as per-node
-//! degrees in minimal LEB128 varints; `counts` and `edge_label` stay raw.
-//! Minimal varints are enforced on decode, so both dialects are
-//! canonical: `from_bytes(b)?.to_bytes_v2(compressed) == b`. A compressed
-//! snapshot decodes by re-encoding the canonical uncompressed form.
+//! **One encoding.** Section offsets and lengths follow from the node
+//! count, padding must be zero, and every header field has one accepted
+//! spelling, so each synopsis has exactly one encoding:
+//! `from_bytes(b)?.to_bytes() == b`.
 
 use std::sync::Arc;
 
 use dpsc_dpcore::budget::PrivacyParams;
 
-use crate::codec::{fnv1a, le_u32, require_finite, Cursor, DecodeError};
+use crate::codec::{fnv1a, require_finite, Cursor, DecodeError};
 use crate::structure::CountMode;
 
 /// Magic bytes opening the binary format ("DP Synopsis, Frozen").
 const MAGIC: [u8; 4] = *b"DPSF";
 /// Version tag of the format.
 const VERSION: u16 = 3;
-/// Flag bit 0: `edge_start` is varint-compressed.
-const FLAG_COMPRESSED: u16 = 1;
 /// The three sections, in their fixed on-wire order.
 const SECTION_NAMES: [&str; 3] = ["counts", "edge_start", "edge_label"];
 /// Bytes of fixed header fields before the section table.
@@ -88,64 +85,12 @@ pub(crate) struct Meta {
     pub(crate) max_len: usize,
 }
 
-/// A checksum-verified snapshot in canonical uncompressed form. Its
-/// structure is validated by the synopsis that adopts it.
+/// A checksum-verified canonical snapshot. Its structure is validated by
+/// the synopsis that adopts it.
 pub(crate) struct Canonical {
     pub(crate) buf: Arc<[u8]>,
     pub(crate) meta: Meta,
     pub(crate) n_nodes: usize,
-}
-
-/// Appends `v` as a minimal LEB128 varint.
-fn write_varint(out: &mut Vec<u8>, mut v: u64) {
-    loop {
-        let byte = (v & 0x7F) as u8;
-        v >>= 7;
-        if v == 0 {
-            out.push(byte);
-            return;
-        }
-        out.push(byte | 0x80);
-    }
-}
-
-/// Reads one minimal LEB128 varint from `buf` at `*pos`. Rejects
-/// truncation, >64-bit values, and non-minimal encodings (a redundant
-/// zero final byte) — minimality is what makes compressed snapshots
-/// canonical.
-fn read_varint(buf: &[u8], pos: &mut usize, field: &'static str) -> Result<u64, DecodeError> {
-    let mut value = 0u64;
-    let mut shift = 0u32;
-    loop {
-        let b = *buf
-            .get(*pos)
-            .ok_or(DecodeError::BadField { field, detail: "varint truncated".to_string() })?;
-        *pos += 1;
-        let payload = (b & 0x7F) as u64;
-        if shift == 63 && payload > 1 {
-            return Err(DecodeError::BadField {
-                field,
-                detail: "varint overflows u64".to_string(),
-            });
-        }
-        value |= payload << shift;
-        if b & 0x80 == 0 {
-            if shift > 0 && b == 0 {
-                return Err(DecodeError::BadField {
-                    field,
-                    detail: "non-minimal varint (redundant zero final byte)".to_string(),
-                });
-            }
-            return Ok(value);
-        }
-        shift += 7;
-        if shift > 63 {
-            return Err(DecodeError::BadField {
-                field,
-                detail: "varint longer than 10 bytes".to_string(),
-            });
-        }
-    }
 }
 
 /// Section offsets for the given section lengths (first at
@@ -161,42 +106,23 @@ fn layout(lens: [usize; 3]) -> ([usize; 3], usize) {
     (offsets, align8(offsets[2] + lens[2] + LABEL_TAIL))
 }
 
-/// Section offsets `[counts, edge_start, edge_label]` of the canonical
-/// uncompressed snapshot of an `n_nodes`-node synopsis.
-pub(crate) fn uncompressed_offsets(n_nodes: usize) -> [usize; 3] {
+/// Section offsets `[counts, edge_start, edge_label]` of the snapshot of
+/// an `n_nodes`-node synopsis.
+pub(crate) fn section_offsets(n_nodes: usize) -> [usize; 3] {
     layout([8 * n_nodes, 4 * (n_nodes + 1), n_nodes - 1]).0
 }
 
-/// Encodes a snapshot from its three uncompressed sections: `counts`
-/// (one little-endian `f64` per node), `edge_start` (`n_nodes + 1`
-/// little-endian `u32` CSR offsets) and `edge_label`. With `compressed`,
-/// `edge_start` is written as per-node degree varints.
-pub(crate) fn encode(
-    meta: &Meta,
-    counts: &[u8],
-    edge_start: &[u8],
-    edge_label: &[u8],
-    compressed: bool,
-) -> Vec<u8> {
-    let degrees;
-    let edge_start = if compressed {
-        let mut out = Vec::with_capacity(counts.len() / 8);
-        for pair in edge_start.windows(8).step_by(4) {
-            write_varint(&mut out, u64::from(le_u32(pair, 4) - le_u32(pair, 0)));
-        }
-        degrees = out;
-        &degrees[..]
-    } else {
-        edge_start
-    };
+/// Encodes a snapshot from its three sections: `counts` (one
+/// little-endian `f64` per node), `edge_start` (`n_nodes + 1`
+/// little-endian `u32` CSR offsets) and `edge_label`.
+pub(crate) fn encode(meta: &Meta, counts: &[u8], edge_start: &[u8], edge_label: &[u8]) -> Vec<u8> {
     let sections = [counts, edge_start, edge_label];
     let (offsets, total) = layout(sections.map(<[u8]>::len));
 
     let mut out = Vec::with_capacity(total);
     out.extend_from_slice(&MAGIC);
     out.extend_from_slice(&VERSION.to_le_bytes());
-    let flags = if compressed { FLAG_COMPRESSED } else { 0 };
-    out.extend_from_slice(&flags.to_le_bytes());
+    out.extend_from_slice(&0u16.to_le_bytes()); // flags
     let (tag, clip) = mode_wire(meta.mode);
     out.extend_from_slice(&(tag as u32).to_le_bytes());
     out.extend_from_slice(&(SECTION_NAMES.len() as u32).to_le_bytes());
@@ -227,11 +153,10 @@ pub(crate) fn encode(
     out
 }
 
-/// Decodes a snapshot of either dialect into canonical uncompressed
-/// bytes. An uncompressed input is adopted as is — the `shared` buffer
-/// when given (zero copies), else one copy of `bytes`; a compressed input
-/// is re-encoded.
-pub(crate) fn decode(bytes: &[u8], shared: Option<&Arc<[u8]>>) -> Result<Canonical, DecodeError> {
+/// Checks a snapshot's header, layout, padding and checksums, and adopts
+/// the buffer as is: no copy.
+pub(crate) fn decode(buf: Arc<[u8]>) -> Result<Canonical, DecodeError> {
+    let bytes = &buf[..];
     let mut cur = Cursor::new(bytes);
     let magic: [u8; 4] = cur.take(4)?.try_into().expect("4-byte magic");
     if magic != MAGIC {
@@ -242,13 +167,12 @@ pub(crate) fn decode(bytes: &[u8], shared: Option<&Arc<[u8]>>) -> Result<Canonic
         return Err(DecodeError::UnsupportedVersion { found: version, expected: VERSION });
     }
     let flags = cur.u16()?;
-    if flags & !FLAG_COMPRESSED != 0 {
+    if flags != 0 {
         return Err(DecodeError::BadField {
             field: "flags",
             detail: format!("reserved flag bits set: {flags:#06x}"),
         });
     }
-    let compressed = flags & FLAG_COMPRESSED != 0;
     let tag = cur.u32()?;
     let tag = u8::try_from(tag).map_err(|_| DecodeError::BadField {
         field: "mode tag",
@@ -293,15 +217,14 @@ pub(crate) fn decode(bytes: &[u8], shared: Option<&Arc<[u8]>>) -> Result<Canonic
         return Err(DecodeError::ChecksumMismatch { stored, computed });
     }
     // The layout is fully determined by the header counts: each section
-    // must sit at the next 8-aligned offset, and the fixed-width sections
-    // must have exactly their computed size. Anything else is
-    // non-canonical and rejected. A checksummed header can still be
-    // forged, so the size arithmetic must not overflow on adversarial
-    // counts.
+    // must sit at the next 8-aligned offset and have exactly its computed
+    // size. Anything else is non-canonical and rejected. A checksummed
+    // header can still be forged, so the size arithmetic must not overflow
+    // on adversarial counts.
     let counts_len = n_nodes.checked_mul(8).ok_or(DecodeError::SizeOverflow)?;
     let edge_start_len =
         n_nodes.checked_add(1).and_then(|n| n.checked_mul(4)).ok_or(DecodeError::SizeOverflow)?;
-    let known_lens = [Some(counts_len), (!compressed).then_some(edge_start_len), Some(n_edges)];
+    let want_lens = [counts_len, edge_start_len, n_edges];
     let mut expect_off = HEADER_LEN;
     for (i, &(offset, len)) in sections.iter().enumerate() {
         let name = SECTION_NAMES[i];
@@ -310,13 +233,11 @@ pub(crate) fn decode(bytes: &[u8], shared: Option<&Arc<[u8]>>) -> Result<Canonic
                 "section {name} at offset {offset}, layout requires {expect_off}"
             )));
         }
-        if let Some(want) = known_lens[i] {
-            if len != want {
-                return Err(DecodeError::BadField {
-                    field: "section length",
-                    detail: format!("section {name} is {len} bytes, layout requires {want}"),
-                });
-            }
+        if len != want_lens[i] {
+            return Err(DecodeError::BadField {
+                field: "section length",
+                detail: format!("section {name} is {len} bytes, layout requires {}", want_lens[i]),
+            });
         }
         let tail = if i + 1 == SECTION_NAMES.len() { LABEL_TAIL } else { 0 };
         let end = offset
@@ -348,9 +269,8 @@ pub(crate) fn decode(bytes: &[u8], shared: Option<&Arc<[u8]>>) -> Result<Canonic
             )));
         }
     }
-    let section = |i: usize| &bytes[sections[i].0..sections[i].0 + sections[i].1];
     for (i, name) in SECTION_NAMES.into_iter().enumerate() {
-        let computed = fnv1a(section(i));
+        let computed = fnv1a(&bytes[sections[i].0..sections[i].0 + sections[i].1]);
         if computed != section_sums[i] {
             return Err(DecodeError::SectionChecksumMismatch {
                 section: name,
@@ -367,14 +287,6 @@ pub(crate) fn decode(bytes: &[u8], shared: Option<&Arc<[u8]>>) -> Result<Canonic
         alpha_absent,
         n_docs,
         max_len,
-    };
-    let buf = if compressed {
-        let edge_start = expand_degrees(section(1), n_nodes, n_edges)?;
-        encode(&meta, section(0), &edge_start, section(2), false).into()
-    } else if let Some(buf) = shared {
-        Arc::clone(buf)
-    } else {
-        Arc::from(bytes)
     };
     Ok(Canonical { buf, meta, n_nodes })
 }
@@ -454,73 +366,9 @@ fn check_tree_shape(n_nodes: usize, n_edges: usize) -> Result<(), DecodeError> {
     Ok(())
 }
 
-/// Decompresses the `edge_start` section: `n_nodes` per-node degree
-/// varints, prefix-summed back into little-endian `u32` CSR offsets.
-fn expand_degrees(buf: &[u8], n_nodes: usize, n_edges: usize) -> Result<Vec<u8>, DecodeError> {
-    let mut edge_start = Vec::with_capacity(4 * (n_nodes + 1));
-    edge_start.extend_from_slice(&0u32.to_le_bytes());
-    let mut acc = 0u64;
-    let mut pos = 0usize;
-    for _ in 0..n_nodes {
-        let degree = read_varint(buf, &mut pos, "edge_start")?;
-        acc = acc.checked_add(degree).ok_or(DecodeError::SizeOverflow)?;
-        if acc > n_edges as u64 {
-            return Err(DecodeError::Structural("CSR offsets do not span the edge array".into()));
-        }
-        edge_start.extend_from_slice(&(acc as u32).to_le_bytes());
-    }
-    if pos != buf.len() {
-        return Err(DecodeError::BadField {
-            field: "edge_start",
-            detail: format!("{} trailing bytes after {n_nodes} degree varints", buf.len() - pos),
-        });
-    }
-    Ok(edge_start)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    /// Encoded size of `v` as a minimal LEB128 varint.
-    fn varint_len(v: u64) -> usize {
-        ((64 - v.leading_zeros()).max(1) as usize).div_ceil(7)
-    }
-
-    #[test]
-    fn varints_roundtrip_minimally() {
-        let values = [0u64, 1, 127, 128, 129, 16_383, 16_384, u32::MAX as u64, u64::MAX];
-        for &v in &values {
-            let mut buf = Vec::new();
-            write_varint(&mut buf, v);
-            assert_eq!(buf.len(), varint_len(v), "value {v}");
-            let mut pos = 0;
-            assert_eq!(read_varint(&buf, &mut pos, "test").unwrap(), v);
-            assert_eq!(pos, buf.len(), "value {v} fully consumed");
-        }
-    }
-
-    #[test]
-    fn non_minimal_and_oversized_varints_are_rejected() {
-        // 0x80 0x00 encodes 0 with a redundant continuation byte.
-        let mut pos = 0;
-        assert!(read_varint(&[0x80, 0x00], &mut pos, "test").is_err());
-        // Truncated: continuation bit set, no next byte.
-        let mut pos = 0;
-        assert!(read_varint(&[0x80], &mut pos, "test").is_err());
-        // 11 bytes of continuation overflow u64.
-        let mut pos = 0;
-        assert!(read_varint(&[0xFF; 11], &mut pos, "test").is_err());
-        // 10th byte may carry only the top bit of a u64.
-        let mut buf = vec![0xFF; 9];
-        buf.push(0x02);
-        let mut pos = 0;
-        assert!(read_varint(&buf, &mut pos, "test").is_err());
-        let mut buf = vec![0xFF; 9];
-        buf.push(0x01);
-        let mut pos = 0;
-        assert_eq!(read_varint(&buf, &mut pos, "test").unwrap(), u64::MAX);
-    }
 
     #[test]
     fn align8_is_the_next_multiple() {
@@ -532,7 +380,7 @@ mod tests {
     #[test]
     fn layout_leaves_an_8_byte_read_after_every_label() {
         for n_nodes in 1..40usize {
-            let offsets = uncompressed_offsets(n_nodes);
+            let offsets = section_offsets(n_nodes);
             let (_, total) = layout([8 * n_nodes, 4 * (n_nodes + 1), n_nodes - 1]);
             assert!(offsets.iter().all(|o| o % 8 == 0), "n_nodes {n_nodes}");
             assert!(offsets[2] + n_nodes - 1 + LABEL_TAIL <= total, "n_nodes {n_nodes}");

@@ -7,19 +7,18 @@
 //! is released and only ever *read*. Because the released structure is
 //! pure post-processing, it can be re-shaped freely with no privacy cost —
 //! so [`FrozenSynopsis::freeze`] writes it straight into the canonical
-//! uncompressed `DPSF` v3 snapshot (`codec_v3`): breadth-first node
-//! numbering, one noisy count per node, CSR edge offsets and per-node
-//! sorted edge labels. Edges are stored in node order, so the child of
-//! edge `e` is node `e + 1` and no child ids are stored at all.
+//! `DPSF` v3 snapshot (`codec_v3`): breadth-first node numbering, one
+//! noisy count per node, CSR edge offsets and per-node sorted edge
+//! labels. Edges are stored in node order, so the child of edge `e` is
+//! node `e + 1` and no child ids are stored at all.
 //!
 //! That one buffer is the synopsis. Queries walk its sections in place;
 //! [`FrozenSynopsis::to_bytes`] copies it out; and
 //! [`FrozenSynopsis::from_bytes_shared`] adopts a received `Arc<[u8]>`
 //! after validation with zero copies. A walk step probes the node's label
-//! run with a SWAR compare — one unaligned 8-byte load per eight edges —
-//! and nodes of degree above 32 answer
-//! from a 256-byte lane table (the wide tier, derived while validating),
-//! so no step scans more than four label words.
+//! run with a SWAR compare — one unaligned 8-byte load per eight edges, so
+//! a step scans at most 32 label words (a node with all 256 labels). No
+//! data is derived beside the buffer.
 
 use std::sync::Arc;
 
@@ -29,11 +28,6 @@ use dpsc_strkit::trie::Trie;
 use crate::codec::{le_f64, le_u32, DecodeError};
 use crate::codec_v3::{self, Meta};
 use crate::structure::{CountMode, PrivateCountStructure};
-
-/// Degree above which a node's child lookup goes through the wide tier
-/// instead of the SWAR scan, which reads at most four label words at
-/// this degree.
-const WIDE_DEGREE: usize = 32;
 
 /// Low bit of every SWAR lane.
 const LANES_LO: u64 = 0x0101_0101_0101_0101;
@@ -50,43 +44,6 @@ fn swar_eq_mask(labels: u64, probe: u8) -> u64 {
     x.wrapping_sub(LANES_LO) & !x & LANES_HI
 }
 
-/// Child lookup for the nodes of degree above [`WIDE_DEGREE`]: per wide
-/// node, the lane of every byte in its label run, 0 for absent bytes (the
-/// caller confirms a hit against the label itself, so no sentinel is
-/// needed and a degree-256 node still fits a `u8` lane). Wide nodes are
-/// few and, in breadth-first order, near the root — so the id → table
-/// index map only runs up to the last wide node. Derived data: rebuilt
-/// by the validation sweep, never serialized.
-#[derive(Debug, Clone, Default)]
-struct WideTier {
-    /// Per node id up to the last wide node: its index in `lanes`, or
-    /// `u32::MAX` for a narrow node.
-    slot: Vec<u32>,
-    lanes: Vec<[u8; 256]>,
-}
-
-impl WideTier {
-    fn push(&mut self, v: usize, labels: &[u8]) {
-        let mut lanes = [0u8; 256];
-        for (lane, &b) in labels.iter().enumerate() {
-            lanes[b as usize] = lane as u8;
-        }
-        self.slot.resize(v, u32::MAX);
-        self.slot.push(self.lanes.len() as u32);
-        self.lanes.push(lanes);
-    }
-
-    /// Lane of `byte` in wide node `v`'s label run, or 0 if absent.
-    #[inline]
-    fn lane(&self, v: usize, byte: u8) -> usize {
-        self.lanes[self.slot[v] as usize][byte as usize] as usize
-    }
-
-    fn memory_bytes(&self) -> usize {
-        self.slot.len() * std::mem::size_of::<u32>() + self.lanes.len() * 256
-    }
-}
-
 /// The sections of a synopsis's buffer, bound once per query so the walk
 /// does not re-slice the `Arc` per byte.
 #[derive(Clone, Copy)]
@@ -96,7 +53,6 @@ struct Sections<'a> {
     /// The label section through the end of the buffer: the layout's
     /// zeroed tail keeps an 8-byte load from any edge offset in bounds.
     labels: &'a [u8],
-    wide: &'a WideTier,
 }
 
 impl Sections<'_> {
@@ -117,10 +73,6 @@ impl Sections<'_> {
     #[inline]
     fn step(&self, v: usize, byte: u8) -> Option<usize> {
         let (lo, hi) = self.span(v);
-        if hi - lo > WIDE_DEGREE {
-            let e = lo + self.wide.lane(v, byte);
-            return (self.labels[e] == byte).then_some(e + 1);
-        }
         let words = &self.labels[lo..lo + 8 * (hi - lo).div_ceil(8)];
         for (i, word) in words.chunks_exact(8).enumerate() {
             let mask = swar_eq_mask(u64::from_le_bytes(word.try_into().expect("8 bytes")), byte);
@@ -191,9 +143,9 @@ impl Sections<'_> {
 /// by rule 2 that parent is numbered below `c`. Following parents
 /// strictly decreases the id until it reaches the root, so cycles and
 /// detached components cannot exist, and rule 3 makes each child step
-/// unique. The same pass rejects non-finite counts and builds the wide
-/// tier. Offsets are range-checked before anything indexes with them.
-fn validate(buf: &[u8], n_nodes: usize, offsets: [usize; 3]) -> Result<WideTier, DecodeError> {
+/// unique. The same pass rejects non-finite counts. Offsets are
+/// range-checked before anything indexes with them.
+fn validate(buf: &[u8], n_nodes: usize, offsets: [usize; 3]) -> Result<(), DecodeError> {
     let [counts_off, edge_start_off, label_off] = offsets;
     let n_edges = n_nodes - 1;
     let labels = &buf[label_off..label_off + n_edges];
@@ -203,7 +155,6 @@ fn validate(buf: &[u8], n_nodes: usize, offsets: [usize; 3]) -> Result<WideTier,
     if le_u32(buf, edge_start_off) != 0 {
         return Err(span_error());
     }
-    let mut wide = WideTier::default();
     let mut lo = 0usize;
     for (v, (end, count)) in ends.zip(counts).enumerate() {
         let hi = le_u32(end, 0) as usize;
@@ -222,14 +173,10 @@ fn validate(buf: &[u8], n_nodes: usize, offsets: [usize; 3]) -> Result<WideTier,
                     lo + 1
                 )));
             }
-            let run = &labels[lo..hi];
-            if run.windows(2).any(|w| w[0] >= w[1]) {
+            if labels[lo..hi].windows(2).any(|w| w[0] >= w[1]) {
                 return Err(DecodeError::Structural(format!(
                     "edge labels of node {v} are not strictly sorted"
                 )));
-            }
-            if run.len() > WIDE_DEGREE {
-                wide.push(v, run);
             }
         }
         let c = le_f64(count, 0);
@@ -244,7 +191,7 @@ fn validate(buf: &[u8], n_nodes: usize, offsets: [usize; 3]) -> Result<WideTier,
     if lo != n_edges {
         return Err(span_error());
     }
-    Ok(wide)
+    Ok(())
 }
 
 /// An immutable, flat, serializable `count_Δ` synopsis: a validated
@@ -257,14 +204,13 @@ fn validate(buf: &[u8], n_nodes: usize, offsets: [usize; 3]) -> Result<WideTier,
 /// is `counts[v]`.
 #[derive(Debug, Clone)]
 pub struct FrozenSynopsis {
-    /// The canonical uncompressed snapshot — owned alone or shared with
-    /// whoever handed it to [`Self::from_bytes_shared`].
+    /// The canonical snapshot — owned alone or shared with whoever
+    /// handed it to [`Self::from_bytes_shared`].
     buf: Arc<[u8]>,
     meta: Meta,
     n_nodes: usize,
     /// Section offsets `[counts, edge_start, edge_label]` in `buf`.
     offsets: [usize; 3],
-    wide: WideTier,
 }
 
 /// Equality is byte equality of the snapshots, which is exact: the
@@ -310,7 +256,7 @@ impl FrozenSynopsis {
             n_docs,
             max_len,
         };
-        let buf = codec_v3::encode(&meta, &counts, &edge_start, &edge_label, false);
+        let buf = codec_v3::encode(&meta, &counts, &edge_start, &edge_label);
         Self::adopt(codec_v3::Canonical { buf: buf.into(), meta, n_nodes: n })
             .expect("freeze writes a valid snapshot")
     }
@@ -318,9 +264,9 @@ impl FrozenSynopsis {
     /// Validates a canonical snapshot's structure and wraps it.
     fn adopt(canonical: codec_v3::Canonical) -> Result<Self, DecodeError> {
         let codec_v3::Canonical { buf, meta, n_nodes } = canonical;
-        let offsets = codec_v3::uncompressed_offsets(n_nodes);
-        let wide = validate(&buf, n_nodes, offsets)?;
-        Ok(Self { buf, meta, n_nodes, offsets, wide })
+        let offsets = codec_v3::section_offsets(n_nodes);
+        validate(&buf, n_nodes, offsets)?;
+        Ok(Self { buf, meta, n_nodes, offsets })
     }
 
     /// The query view of the buffer.
@@ -331,14 +277,12 @@ impl FrozenSynopsis {
             counts: &self.buf[counts..edge_start],
             edge_start: &self.buf[edge_start..edge_label],
             labels: &self.buf[edge_label..],
-            wide: &self.wide,
         }
     }
 
     /// Noisy `count_Δ(P, D)`; absent patterns return 0, exactly as
     /// [`PrivateCountStructure::query`]. Allocation-free; one SWAR probe
-    /// per eight edges of each visited node, or one lane-table load for
-    /// a wide node.
+    /// per eight edges of each visited node.
     #[inline]
     pub fn query(&self, pattern: &[u8]) -> f64 {
         let s = self.sections();
@@ -347,8 +291,8 @@ impl FrozenSynopsis {
 
     /// [`Self::query`] through the reference binary-search walk
     /// (`O(|P| log σ)`). Exists so tests, benchmarks and the serving load
-    /// generator can assert, at runtime, that the SWAR walk and the wide
-    /// tier are behaviorally invisible (bit-identical answers).
+    /// generator can assert, at runtime, that the SWAR walk is
+    /// behaviorally invisible (bit-identical answers).
     #[inline]
     pub fn query_naive(&self, pattern: &[u8]) -> f64 {
         let s = self.sections();
@@ -457,9 +401,8 @@ impl FrozenSynopsis {
         (self.meta.n_docs, self.meta.max_len)
     }
 
-    /// The snapshot buffer the synopsis answers from: the canonical
-    /// uncompressed encoding, [`Self::to_bytes`] without the copy. After
-    /// [`Self::from_bytes_shared`] of an uncompressed snapshot it is the
+    /// The snapshot buffer the synopsis answers from: [`Self::to_bytes`]
+    /// without the copy. After [`Self::from_bytes_shared`] it is the
     /// caller's buffer itself (`Arc::ptr_eq` holds).
     #[inline]
     pub fn shared_bytes(&self) -> &Arc<[u8]> {
@@ -471,46 +414,33 @@ impl FrozenSynopsis {
         self.buf.len()
     }
 
-    /// Bytes of derived acceleration data held beside the snapshot: the
-    /// wide tier's lane tables (256 bytes per node of degree above 32,
-    /// plus 4 bytes per node id up to the last such node),
-    /// zero when no node is that wide. Never shipped: rebuilt by the
-    /// validation sweep on every decode.
+    /// Bytes of derived acceleration data held beside the snapshot: always
+    /// 0, since the walk reads only the snapshot. Kept only because the
+    /// benchmark reports it as `synopsis.accel_bytes`.
     pub fn accel_memory_bytes(&self) -> usize {
-        self.wide.memory_bytes()
+        0
     }
 
-    /// Serializes to the uncompressed `DPSF` v3 snapshot (see `codec_v3`
-    /// for the layout): a copy of the buffer the synopsis answers from.
+    /// Serializes to the `DPSF` v3 snapshot (see `codec_v3` for the
+    /// layout): a copy of the buffer the synopsis answers from.
     /// Canonical: `from_bytes(b)?.to_bytes() == b`.
     pub fn to_bytes(&self) -> Vec<u8> {
         self.buf.to_vec()
     }
 
-    /// Serializes to an explicit dialect of the current format.
-    /// `to_bytes_v2(false)` is [`Self::to_bytes`]; with `compressed`,
-    /// `edge_start` is written as degree varints (smaller; decoding
-    /// re-encodes the uncompressed form). Both are canonical:
-    /// `from_bytes(b)?.to_bytes_v2(compressed) == b`. (The name predates
-    /// format v3 and is kept for existing callers.)
+    /// [`Self::to_bytes`] under its pre-v3 name, kept only because the
+    /// benchmark still calls it as `to_bytes_v2(false)`.
+    ///
+    /// # Panics
+    /// If `compressed` is true: the compressed dialect is retired.
+    #[doc(hidden)]
     pub fn to_bytes_v2(&self, compressed: bool) -> Vec<u8> {
-        if !compressed {
-            return self.to_bytes();
-        }
-        let [counts, edge_start, edge_label] = self.offsets;
-        let n = self.n_nodes;
-        codec_v3::encode(
-            &self.meta,
-            &self.buf[counts..counts + 8 * n],
-            &self.buf[edge_start..edge_start + 4 * (n + 1)],
-            &self.buf[edge_label..edge_label + n - 1],
-            true,
-        )
+        assert!(!compressed, "the compressed DPSF dialect is retired");
+        self.to_bytes()
     }
 
-    /// Parses a snapshot written by [`Self::to_bytes`] or
-    /// [`Self::to_bytes_v2`] (either dialect), copying it into one new
-    /// buffer (a compressed input is re-encoded uncompressed).
+    /// Parses a snapshot written by [`Self::to_bytes`], copying it into
+    /// one new buffer.
     ///
     /// Decoding is defensive: every read is length-checked, declared
     /// sizes are validated against the actual input length *before* any
@@ -524,16 +454,17 @@ impl FrozenSynopsis {
     /// # Errors
     /// A [`DecodeError`] describing the first defect found.
     pub fn from_bytes(bytes: &[u8]) -> Result<Self, DecodeError> {
-        Self::adopt(codec_v3::decode(bytes, None)?)
+        Self::from_bytes_shared(Arc::from(bytes))
     }
 
     /// Like [`Self::from_bytes`], but takes shared ownership of the
-    /// input. An uncompressed snapshot is adopted with zero copies: the
-    /// synopsis answers from `buf` itself and keeps it alive. A
-    /// compressed input is re-encoded into a new buffer. Validation is
-    /// identical to [`Self::from_bytes`] in every case.
+    /// input and copies nothing: the synopsis answers from `buf` itself
+    /// and keeps it alive.
+    ///
+    /// # Errors
+    /// A [`DecodeError`] describing the first defect found.
     pub fn from_bytes_shared(buf: Arc<[u8]>) -> Result<Self, DecodeError> {
-        Self::adopt(codec_v3::decode(&buf, Some(&buf))?)
+        Self::adopt(codec_v3::decode(buf)?)
     }
 }
 
@@ -612,25 +543,20 @@ mod tests {
     #[test]
     fn every_degree_agrees_with_binary_search() {
         // Degrees crossing every boundary: one partial label word, exactly
-        // one word, several words, the widest scanned node, the wide tier.
+        // one word, several words, up to a full-fanout node's 32 words.
         let next = [0x00, 0x01, 0x7F, 0x80, 0xFE, 0xFF];
         for degree in [1usize, 2, 7, 8, 9, 15, 16, 17, 31, 32, 33, 64, 200, 256] {
             let labels: Vec<u8> = (0..degree).map(|i| (i * 256 / degree) as u8).collect();
             assert_all_probes_agree(&labels, &next);
-            let f = star(&labels, &next).freeze();
-            let wide = usize::from(degree > WIDE_DEGREE);
-            assert_eq!(f.accel_memory_bytes(), wide * 260, "degree {degree}");
         }
     }
 
     #[test]
     fn wide_node_below_a_narrow_root_agrees() {
-        // Node 1 is the only wide node, so the tier's id map has a narrow
-        // entry for the root before it.
+        // Node 1 has degree 40 (five label words) and sits below a
+        // degree-2 root, so its run starts mid-word.
         let next: Vec<u8> = (0..40u8).map(|i| i * 6).collect();
         assert_all_probes_agree(b"ab", &next);
-        let f = star(b"ab", &next).freeze();
-        assert_eq!(f.accel_memory_bytes(), 2 * 4 + 256);
     }
 
     #[test]
@@ -675,7 +601,6 @@ mod tests {
         assert_eq!(f.alpha_absent(), s.alpha_absent());
         assert_eq!(f.alpha(), s.alpha());
         assert_eq!(f.db_params(), s.db_params());
-        assert_eq!(f.accel_memory_bytes(), 0);
     }
 
     #[test]
@@ -696,7 +621,7 @@ mod tests {
         let s = toy_structure();
         let f = s.freeze();
         let bytes = f.to_bytes();
-        assert_eq!(bytes, f.to_bytes_v2(false), "to_bytes is the uncompressed dialect");
+        assert_eq!(bytes, f.to_bytes_v2(false), "to_bytes_v2(false) is to_bytes");
         assert_eq!(bytes[..], f.shared_bytes()[..], "to_bytes copies the served buffer");
         assert_eq!(bytes.len(), f.serialized_len());
         let back = FrozenSynopsis::from_bytes(&bytes).expect("roundtrip parses");
@@ -705,24 +630,11 @@ mod tests {
     }
 
     #[test]
-    fn both_dialects_roundtrip_canonically() {
-        let f = toy_structure().freeze();
-        for compressed in [false, true] {
-            let bytes = f.to_bytes_v2(compressed);
-            let back = FrozenSynopsis::from_bytes(&bytes).expect("snapshot parses");
-            assert_eq!(back, f, "compressed={compressed}");
-            // Canonical: re-serializing in the same dialect reproduces
-            // the input bytes.
-            assert_eq!(back.to_bytes_v2(compressed), bytes, "compressed={compressed}");
-        }
-    }
-
-    #[test]
     fn shared_decode_answers_from_the_callers_buffer() {
         let f = toy_structure().freeze();
         let shared: Arc<[u8]> = f.to_bytes().into();
         let adopted = FrozenSynopsis::from_bytes_shared(Arc::clone(&shared)).expect("parses");
-        assert!(Arc::ptr_eq(adopted.shared_bytes(), &shared), "uncompressed must not copy");
+        assert!(Arc::ptr_eq(adopted.shared_bytes(), &shared), "a shared decode must not copy");
         assert_eq!(Arc::strong_count(&shared), 2);
         assert_eq!(adopted, f);
         for pat in [&b""[..], b"a", b"ab", b"ac", b"b", b"ba", b"abc", b"zz"] {
@@ -731,35 +643,6 @@ mod tests {
         }
         drop(adopted);
         assert_eq!(Arc::strong_count(&shared), 1, "the synopsis released the buffer");
-        // A compressed input is re-encoded into a buffer of its own.
-        let compressed: Arc<[u8]> = f.to_bytes_v2(true).into();
-        let expanded = FrozenSynopsis::from_bytes_shared(Arc::clone(&compressed)).unwrap();
-        assert!(!Arc::ptr_eq(expanded.shared_bytes(), &compressed));
-        assert_eq!(expanded.shared_bytes()[..], shared[..]);
-    }
-
-    #[test]
-    fn compressed_dialect_is_smaller() {
-        // The 168-byte header only amortizes on realistic sizes, so
-        // build a few hundred nodes (all strings of length ≤ 3 over a
-        // 6-letter alphabet) rather than the 5-node toy.
-        let mut trie: Trie<f64> = Trie::new(100.0);
-        let sigma = b"abcdef";
-        for (i, &a) in sigma.iter().enumerate() {
-            for (j, &b) in sigma.iter().enumerate() {
-                for (k, &c) in sigma.iter().enumerate() {
-                    let id = trie.insert_path(&[a, b, c], |_| 0.0);
-                    *trie.value_mut(id) = (i * 36 + j * 6 + k) as f64;
-                }
-            }
-        }
-        let f = structure_of(trie, CountMode::Substring).freeze();
-        let plain = f.to_bytes().len();
-        let packed = f.to_bytes_v2(true).len();
-        assert!(packed < plain, "compressed ({packed}) must undercut uncompressed ({plain})");
-        // And the compressed dialect still roundtrips bit-exactly.
-        let back = FrozenSynopsis::from_bytes(&f.to_bytes_v2(true)).expect("parses");
-        assert_eq!(back, f);
     }
 
     #[test]
@@ -779,12 +662,10 @@ mod tests {
         assert_eq!(f.query(b""), 7.5);
         assert_eq!(f.query(b"a"), 0.0);
         assert_eq!(f.query_naive(b"a"), 0.0);
-        for compressed in [false, true] {
-            let bytes = f.to_bytes_v2(compressed);
-            let back = FrozenSynopsis::from_bytes(&bytes).expect("snapshot parses");
-            assert_eq!(back, f);
-            assert_eq!(back.to_bytes_v2(compressed), bytes);
-        }
+        let bytes = f.to_bytes();
+        let back = FrozenSynopsis::from_bytes(&bytes).expect("snapshot parses");
+        assert_eq!(back, f);
+        assert_eq!(back.to_bytes(), bytes);
         let shared: Arc<[u8]> = f.to_bytes().into();
         let adopted = FrozenSynopsis::from_bytes_shared(Arc::clone(&shared)).expect("parses");
         assert!(Arc::ptr_eq(adopted.shared_bytes(), &shared));
@@ -793,19 +674,17 @@ mod tests {
 
     #[test]
     fn every_truncation_is_rejected() {
-        for compressed in [false, true] {
-            let bytes = toy_structure().freeze().to_bytes_v2(compressed);
-            for len in 0..bytes.len() {
-                assert!(
-                    FrozenSynopsis::from_bytes(&bytes[..len]).is_err(),
-                    "prefix of length {len} must not parse (compressed={compressed})"
-                );
-            }
-            // Trailing garbage is rejected too.
-            let mut extended = bytes.clone();
-            extended.push(0);
-            assert!(FrozenSynopsis::from_bytes(&extended).is_err());
+        let bytes = toy_structure().freeze().to_bytes();
+        for len in 0..bytes.len() {
+            assert!(
+                FrozenSynopsis::from_bytes(&bytes[..len]).is_err(),
+                "prefix of length {len} must not parse"
+            );
         }
+        // Trailing garbage is rejected too.
+        let mut extended = bytes.clone();
+        extended.push(0);
+        assert!(FrozenSynopsis::from_bytes(&extended).is_err());
     }
 
     #[test]
@@ -827,17 +706,15 @@ mod tests {
 
     #[test]
     fn single_bit_flips_are_rejected() {
-        for compressed in [false, true] {
-            let bytes = toy_structure().freeze().to_bytes_v2(compressed);
-            for pos in 0..bytes.len() {
-                for bit in 0..8 {
-                    let mut corrupt = bytes.clone();
-                    corrupt[pos] ^= 1 << bit;
-                    assert!(
-                        FrozenSynopsis::from_bytes(&corrupt).is_err(),
-                        "bit {bit} of byte {pos} flipped silently (compressed={compressed})"
-                    );
-                }
+        let bytes = toy_structure().freeze().to_bytes();
+        for pos in 0..bytes.len() {
+            for bit in 0..8 {
+                let mut corrupt = bytes.clone();
+                corrupt[pos] ^= 1 << bit;
+                assert!(
+                    FrozenSynopsis::from_bytes(&corrupt).is_err(),
+                    "bit {bit} of byte {pos} flipped silently"
+                );
             }
         }
     }

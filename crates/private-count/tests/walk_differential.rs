@@ -1,7 +1,6 @@
 //! Differential tests for the snapshot walk.
 //!
-//! The SWAR label probe and the wide tier (lane tables for nodes of
-//! degree above 32) must be *behaviorally invisible*: for every trie
+//! The SWAR label probe must be *behaviorally invisible*: for every trie
 //! shape and every probe byte, [`FrozenSynopsis::query`] /
 //! [`FrozenSynopsis::contains`] must be bit-identical to the naive
 //! binary-search walk ([`FrozenSynopsis::query_naive`] /
@@ -58,7 +57,6 @@ fn assert_differential(s: &PrivateCountStructure, patterns: &[Vec<u8>]) {
     let decoded = FrozenSynopsis::from_bytes(&bytes).expect("roundtrip parses");
     assert_eq!(decoded, f, "decoded synopsis must equal original");
     let shared = FrozenSynopsis::from_bytes_shared(Arc::from(bytes)).expect("shared parses");
-    assert_eq!(shared.accel_memory_bytes(), f.accel_memory_bytes(), "wide tier rebuilt alike");
 
     let refs: Vec<&[u8]> = patterns.iter().map(|p| p.as_slice()).collect();
     let fast: Vec<f64> = refs.iter().map(|p| f.query(p)).collect();
@@ -93,7 +91,7 @@ fn probe_patterns(labels: &[u8], max_len: usize, rng: &mut StdRng) -> Vec<Vec<u8
         let len = rng.gen_range(1..=max_len + 2); // over-long included
         pats.push((0..len).map(|_| labels[rng.gen_range(0..labels.len())]).collect());
     }
-    // Bytes *outside* the label set probe the miss path of every tier.
+    // Bytes *outside* the label set probe the miss path.
     for &b in &[0u8, 1, 127, 128, 255] {
         pats.push(vec![b]);
         pats.push(vec![labels[0], b]);
@@ -114,9 +112,8 @@ fn small_alphabet_tries_match_naive_walk() {
 
 #[test]
 fn mid_fanout_tries_match_naive_walk() {
-    // Degrees 9..=32: several label words per probe, including partial
-    // final words of every residue mod 8; 33 and 64 cross into the wide
-    // tier.
+    // Degrees 9..=64: several label words per probe, including partial
+    // final words of every residue mod 8.
     let mut rng = StdRng::seed_from_u64(0xFA57_0002);
     for sigma in [9usize, 15, 16, 17, 24, 31, 32, 33, 64] {
         let labels: Vec<u8> = (0..sigma as u8).map(|i| b'a'.wrapping_add(i)).collect();
@@ -128,8 +125,9 @@ fn mid_fanout_tries_match_naive_walk() {
 
 #[test]
 fn degree_256_root_uses_the_wide_tier_and_matches() {
-    // A full-fanout root (all 256 labels) exercises the wide tier;
-    // children keep mixed small/mid degrees.
+    // A full-fanout root (all 256 labels) makes the SWAR scan read all 32
+    // label words; children keep mixed small/mid degrees. (The name
+    // predates the removal of the lane-table tier for such nodes.)
     let mut rng = StdRng::seed_from_u64(0xFA57_0003);
     let mut trie: Trie<f64> = Trie::new(500.0);
     for b in 0..=255u8 {
@@ -149,9 +147,7 @@ fn degree_256_root_uses_the_wide_tier_and_matches() {
     let all: Vec<u8> = (0..=255u8).collect();
     let mut pats = probe_patterns(&all, 4, &mut rng);
     pats.extend((0..=255u8).map(|b| vec![b]));
-    let s = structure_of(trie);
-    assert!(s.freeze().accel_memory_bytes() >= 260, "the root must be in the wide tier");
-    assert_differential(&s, &pats);
+    assert_differential(&structure_of(trie), &pats);
 }
 
 #[test]

@@ -164,7 +164,7 @@ fn key_fingerprint(shard: u32, epoch: u64, pattern: &[u8]) -> u64 {
     h
 }
 
-/// The serving-layer query cache: [`SEGMENTS`] independently locked LRU
+/// The serving-layer query cache: `SEGMENTS` independently locked LRU
 /// segments plus global hit/miss counters.
 pub struct QueryCache {
     segments: Vec<Mutex<Segment>>,

@@ -24,13 +24,13 @@
 //!   `(shard, epoch, pattern)`, so a hot swap invalidates by
 //!   construction (old epochs become unaddressable) and hits are
 //!   bit-identical to cold walks of the same epoch.
-//! * [`metrics`] — [`MetricsRegistry`](metrics::MetricsRegistry):
+//! * [`metrics`] — [`MetricsRegistry`]:
 //!   lock-free per-op counters, global/per-op/per-shard fixed-bucket
 //!   latency histograms, event-loop utilization, and a slow-op log,
 //!   snapshotted by the `Metrics` wire op and rendered as a
 //!   Prometheus-style text exposition by `MetricsText`.
-//! * [`trace`] — [`TraceRing`](trace::TraceRing): a bounded lock-free
-//!   ring of structured [`TraceEvent`](trace::TraceEvent)s (connection
+//! * [`trace`] — [`TraceRing`]: a bounded lock-free
+//!   ring of structured [`TraceEvent`]s (connection
 //!   lifecycle, frame service, snapshot-store crash points, overload
 //!   decisions), drained over the wire by the `Trace` op. Events carry
 //!   pattern fingerprints and lengths only — never pattern bytes.
@@ -38,7 +38,7 @@
 //!   store (write-temp → fsync → rename → fsync(dir) under a
 //!   checksummed append-only `MANIFEST`), with epoch retention, the
 //!   `Rollback` wire op's backing re-install, and a deterministic
-//!   fault-injection [`StoreIo`](store::StoreIo) layer for enumerating
+//!   fault-injection [`StoreIo`] layer for enumerating
 //!   crash points under test.
 //! * [`poll`] (Linux) — a std-only edge-triggered epoll wrapper plus a
 //!   self-pipe waker, the readiness layer under the daemon.

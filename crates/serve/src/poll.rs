@@ -6,7 +6,7 @@
 //! PR 1 vendoring pattern: declare exactly the C entry points we need
 //! (`epoll_create1`, `epoll_ctl`, `epoll_wait`, `pipe2`, `read`,
 //! `write`) against the libc that `std` already links, and wrap them in
-//! a minimal safe API. Everything `unsafe` lives in the [`sys`]
+//! a minimal safe API. Everything `unsafe` lives in the `sys`
 //! submodule behind four shim functions; the rest of the crate stays
 //! under the workspace `unsafe_code = "deny"` lint.
 //!

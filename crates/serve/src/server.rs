@@ -13,7 +13,7 @@
 //! [`Server::bind`] creates the epoll set and the self-pipe and registers
 //! the listener, so a host that cannot provide them fails the bind.
 //!
-//! Every request goes through [`Server::answer`], the per-round snapshot
+//! Every request goes through `Server::answer`, the per-round snapshot
 //! pinning that keeps every `QueryBatch` on exactly one epoch, the
 //! [`QueryCache`], and the [`MetricsRegistry`] counters, under one
 //! connection-lifecycle contract:
@@ -603,8 +603,8 @@ impl Server {
     }
 
     /// The `LoadSnapshot` implementation. Without a store: the original
-    /// shared-ownership install (an uncompressed snapshot is served
-    /// straight from the wire buffer). With a store: decode
+    /// shared-ownership install (the snapshot is served straight from
+    /// the wire buffer). With a store: decode
     /// (which validates), persist crash-safely, then install the decoded
     /// synopsis under the durable epoch — in that order, so the daemon
     /// never serves an epoch it cannot recover, and a persist failure
@@ -640,7 +640,7 @@ impl Server {
                 }
             }
         };
-        let snap = self.manager.install_at(shard, synopsis, snapshot.len(), epoch);
+        let snap = self.manager.install_at(shard, synopsis, epoch);
         self.trace_emit(TraceEvent {
             shard,
             epoch: snap.epoch,

@@ -41,10 +41,9 @@ use crate::wire::{MetricsShard, ShardStats};
 pub struct ShardSnapshot {
     /// Globally unique, strictly increasing install stamp.
     pub epoch: u64,
-    /// Canonical `DPSF` encoding size of `synopsis`, recorded at install
-    /// time so `Stats` does not re-serialize on demand.
-    pub serialized_len: usize,
-    /// The synopsis answering this shard's queries.
+    /// The synopsis answering this shard's queries. Its snapshot length,
+    /// [`FrozenSynopsis::serialized_len`], is what `Stats` and `Metrics`
+    /// report.
     pub synopsis: FrozenSynopsis,
 }
 
@@ -79,8 +78,8 @@ impl ShardManager {
     /// epoch. The write lock is held only for the map insert (a pointer
     /// swap); in-flight readers keep their pinned `Arc` and finish on the
     /// old epoch.
-    pub fn install(&self, shard: u32, synopsis: FrozenSynopsis, serialized_len: usize) -> u64 {
-        self.install_arc(shard, synopsis, serialized_len).epoch
+    pub fn install(&self, shard: u32, synopsis: FrozenSynopsis) -> u64 {
+        self.install_arc(shard, synopsis).epoch
     }
 
     /// Load → validate → swap: decodes `bytes` (full checksum and
@@ -92,23 +91,21 @@ impl ShardManager {
         bytes: &[u8],
     ) -> Result<Arc<ShardSnapshot>, DecodeError> {
         let synopsis = FrozenSynopsis::from_bytes(bytes)?;
-        Ok(self.install_arc(shard, synopsis, bytes.len()))
+        Ok(self.install_arc(shard, synopsis))
     }
 
-    /// [`Self::load_snapshot`] with shared ownership of the buffer: an
-    /// uncompressed snapshot ([`FrozenSynopsis::to_bytes`]) is validated
-    /// and then served from `bytes` itself, which the installed
-    /// [`ShardSnapshot`] keeps alive through the synopsis — so installing
-    /// a shard copies nothing. Compressed inputs are re-encoded into a
-    /// new buffer, exactly as [`Self::load_snapshot`].
+    /// [`Self::load_snapshot`] with shared ownership of the buffer: the
+    /// snapshot ([`FrozenSynopsis::to_bytes`]) is validated and then
+    /// served from `bytes` itself, which the installed [`ShardSnapshot`]
+    /// keeps alive through the synopsis — so installing a shard copies
+    /// nothing.
     pub fn load_snapshot_shared(
         &self,
         shard: u32,
         bytes: Arc<[u8]>,
     ) -> Result<Arc<ShardSnapshot>, DecodeError> {
-        let serialized_len = bytes.len();
         let synopsis = FrozenSynopsis::from_bytes_shared(bytes)?;
-        Ok(self.install_arc(shard, synopsis, serialized_len))
+        Ok(self.install_arc(shard, synopsis))
     }
 
     /// [`Self::load_snapshot_shared`] under an *explicit* epoch — the
@@ -124,9 +121,8 @@ impl ShardManager {
         bytes: Arc<[u8]>,
         epoch: u64,
     ) -> Result<Arc<ShardSnapshot>, DecodeError> {
-        let serialized_len = bytes.len();
         let synopsis = FrozenSynopsis::from_bytes_shared(bytes)?;
-        Ok(self.install_at(shard, synopsis, serialized_len, epoch))
+        Ok(self.install_at(shard, synopsis, epoch))
     }
 
     /// Installs a pre-validated synopsis under an explicit (durable)
@@ -139,7 +135,6 @@ impl ShardManager {
         &self,
         shard: u32,
         synopsis: FrozenSynopsis,
-        serialized_len: usize,
         epoch: u64,
     ) -> Arc<ShardSnapshot> {
         let mut shards = self.shards.write().expect("shard map not poisoned");
@@ -149,7 +144,7 @@ impl ShardManager {
                 return Arc::clone(resident);
             }
         }
-        let snap = Arc::new(ShardSnapshot { epoch, serialized_len, synopsis });
+        let snap = Arc::new(ShardSnapshot { epoch, synopsis });
         shards.insert(shard, Arc::clone(&snap));
         snap
     }
@@ -160,15 +155,10 @@ impl ShardManager {
     /// allocating outside would let an older epoch's insert land last
     /// and silently shadow a newer snapshot whose caller was already
     /// told "success".
-    fn install_arc(
-        &self,
-        shard: u32,
-        synopsis: FrozenSynopsis,
-        serialized_len: usize,
-    ) -> Arc<ShardSnapshot> {
+    fn install_arc(&self, shard: u32, synopsis: FrozenSynopsis) -> Arc<ShardSnapshot> {
         let mut shards = self.shards.write().expect("shard map not poisoned");
         let epoch = self.next_epoch.fetch_add(1, Ordering::Relaxed);
-        let snap = Arc::new(ShardSnapshot { epoch, serialized_len, synopsis });
+        let snap = Arc::new(ShardSnapshot { epoch, synopsis });
         shards.insert(shard, Arc::clone(&snap));
         snap
     }
@@ -201,7 +191,7 @@ impl ShardManager {
             .map(|(&shard_id, snap)| MetricsShard {
                 shard_id,
                 epoch: snap.epoch,
-                serialized_len: snap.serialized_len as u64,
+                serialized_len: snap.synopsis.serialized_len() as u64,
                 ops: 0,
                 latency_p50_ns: 0.0,
                 latency_p99_ns: 0.0,
@@ -224,7 +214,7 @@ impl ShardManager {
                     shard_id,
                     epoch: snap.epoch,
                     node_count: s.node_count() as u64,
-                    serialized_len: snap.serialized_len as u64,
+                    serialized_len: s.serialized_len() as u64,
                     n_docs: n_docs as u64,
                     max_len: max_len as u64,
                     epsilon: privacy.epsilon,
@@ -266,21 +256,26 @@ mod tests {
         let m = ShardManager::new();
         assert!(m.is_empty());
         assert!(m.snapshot(0).is_none());
-        let e0 = m.install(0, synopsis(5.0), 100);
-        let e1 = m.install(1, synopsis(7.0), 200);
+        let e0 = m.install(0, synopsis(5.0));
+        let e1 = m.install(1, synopsis(7.0));
         assert!(e1 > e0);
         assert_eq!(m.len(), 2);
         assert_eq!(m.shard_ids(), vec![0, 1]);
         assert_eq!(m.snapshot(0).unwrap().synopsis.query(b"a"), 5.0);
         assert_eq!(m.snapshot(1).unwrap().synopsis.query(b"a"), 7.0);
+        // A plain install ships no bytes; the reported length is still
+        // the synopsis's snapshot length.
+        let len = synopsis(5.0).serialized_len() as u64;
+        assert!(m.stats().iter().all(|s| s.serialized_len == len));
+        assert!(m.metrics_shards().iter().all(|s| s.serialized_len == len));
     }
 
     #[test]
     fn hot_swap_leaves_pinned_readers_on_the_old_epoch() {
         let m = ShardManager::new();
-        m.install(0, synopsis(1.0), 0);
+        m.install(0, synopsis(1.0));
         let pinned = m.snapshot(0).unwrap();
-        let new_epoch = m.install(0, synopsis(2.0), 0);
+        let new_epoch = m.install(0, synopsis(2.0));
         // The pinned snapshot still answers from the old epoch…
         assert_eq!(pinned.synopsis.query(b"a"), 1.0);
         assert!(pinned.epoch < new_epoch);
@@ -293,7 +288,7 @@ mod tests {
     #[test]
     fn load_snapshot_rejects_corrupt_bytes_and_keeps_serving() {
         let m = ShardManager::new();
-        m.install(3, synopsis(9.0), 0);
+        m.install(3, synopsis(9.0));
         let before = m.snapshot(3).unwrap().epoch;
         let mut bytes = synopsis(1.0).to_bytes();
         bytes[10] ^= 0xFF;
@@ -311,18 +306,11 @@ mod tests {
         let snap = m.load_snapshot_shared(4, Arc::clone(&shared)).unwrap();
         assert!(
             Arc::ptr_eq(snap.synopsis.shared_bytes(), &shared),
-            "an uncompressed snapshot must serve from the installed buffer"
+            "the snapshot must serve from the installed buffer"
         );
-        assert_eq!(snap.serialized_len, shared.len());
+        assert_eq!(snap.synopsis.serialized_len(), shared.len());
         assert_eq!(snap.synopsis.query(b"a"), 6.5);
         assert_eq!(snap.synopsis, f, "borrowed decode is logically identical");
-        // Compressed bytes through the shared path are re-encoded into a
-        // buffer of their own and answer bit-identically.
-        let compressed: Arc<[u8]> = f.to_bytes_v2(true).into();
-        let snap = m.load_snapshot_shared(5, Arc::clone(&compressed)).unwrap();
-        assert!(!Arc::ptr_eq(snap.synopsis.shared_bytes(), &compressed));
-        assert_eq!(snap.synopsis.query(b"a").to_bits(), 6.5f64.to_bits());
-        assert_eq!(snap.synopsis, f);
     }
 
     #[test]
@@ -334,11 +322,11 @@ mod tests {
         assert_eq!(snap.epoch, 40);
         // The counter moved past the durable epoch: a store-less install
         // cannot collide.
-        assert!(m.install(1, synopsis(1.0), 0) > 40);
+        assert!(m.install(1, synopsis(1.0)) > 40);
         // A stale durable epoch loses to the resident snapshot.
         let newer = m.load_snapshot_shared_at(0, synopsis(9.0).to_bytes().into(), 50).unwrap();
         assert_eq!(newer.epoch, 50);
-        let stale = m.install_at(0, synopsis(2.0), 0, 45);
+        let stale = m.install_at(0, synopsis(2.0), 45);
         assert_eq!(stale.epoch, 50, "older epoch must not shadow a newer resident");
         assert_eq!(m.snapshot(0).unwrap().synopsis.query(b"a"), 9.0);
     }

@@ -402,8 +402,8 @@ pub struct RecoveredSnapshot {
     pub corpus: u32,
     /// The durable epoch recovered.
     pub epoch: u64,
-    /// The validated payload, shared so the shard manager can serve an
-    /// uncompressed snapshot straight from it.
+    /// The validated payload, shared so the shard manager can serve the
+    /// snapshot straight from it.
     pub bytes: Arc<[u8]>,
 }
 

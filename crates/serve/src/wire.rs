@@ -3,11 +3,11 @@
 //!
 //! Every message is one *frame*: a little-endian `u32` body length
 //! followed by the body. The body follows the same codec discipline as
-//! the `DPSF` snapshot format ([`FrozenSynopsis::to_bytes`]
-//! (dpsc_private_count::FrozenSynopsis::to_bytes)): a 4-byte magic
-//! (`DPSQ` for requests, `DPSR` for responses), a `u16` protocol
-//! version, the opcode/status bytes, the payload, and a trailing FNV-1a
-//! checksum of everything before it. Decoding is defensive throughout —
+//! the `DPSF` snapshot format
+//! ([`FrozenSynopsis::to_bytes`](dpsc_private_count::FrozenSynopsis::to_bytes)):
+//! a 4-byte magic (`DPSQ` for requests, `DPSR` for responses), a `u16`
+//! protocol version, the opcode/status bytes, the payload, and a trailing
+//! FNV-1a checksum of everything before it. Decoding is defensive throughout —
 //! length-checked reads, a hard frame-size cap *before* any allocation,
 //! checksum verification — and reports defects through the same typed
 //! [`DecodeError`] the snapshot codec uses. Accepted frames are
@@ -109,8 +109,8 @@ pub enum Request {
         shard: u32,
         /// `FrozenSynopsis::to_bytes` payload. Shared ownership so the
         /// server can hand the buffer to the shard manager without
-        /// copying — an uncompressed snapshot is then served straight
-        /// from these bytes.
+        /// copying — the snapshot is then served straight from these
+        /// bytes.
         snapshot: Arc<[u8]>,
     },
     /// Ask the daemon to stop accepting connections and exit. Honored

@@ -4,9 +4,9 @@
 //!
 //! For each build scenario, traced builds at 1 and 4 worker threads pin
 //! the corpus size, the digest of the released snapshot, and the item
-//! counts of the four build spans. For each serving shard it pins the snapshot and universe
-//! digests and the snapshot's size, checks both codec dialects round-trip
-//! canonically, and serves the shard's whole universe through a daemon,
+//! counts of the four build spans. For each serving shard it pins the
+//! snapshot and universe digests and the snapshot's size, checks the
+//! snapshot round-trips canonically, and serves the shard's whole universe through a daemon,
 //! bit-identical to `query_naive`. Every pinned figure comes from the
 //! committed perf baselines these tests replace.
 
@@ -60,10 +60,8 @@ const BUILD_GOLDEN: [BuildGolden; 5] = [
 struct ShardGolden {
     corpus_bytes: usize,
     node_count: usize,
-    /// Uncompressed snapshot size.
+    /// Snapshot size.
     serialized_len: usize,
-    /// Compressed (delta-encoded) snapshot size.
-    serialized_len_v2: usize,
     snapshot_digest: u64,
     universe_digest: u64,
 }
@@ -71,10 +69,10 @@ struct ShardGolden {
 /// By shard id ([`SHARDS`]).
 #[rustfmt::skip]
 const SHARD_GOLDEN: [ShardGolden; 4] = [
-    ShardGolden { corpus_bytes: 65_536, node_count: 5857, serialized_len: 76_320, serialized_len_v2: 58_752, snapshot_digest: 0xb214_9770_34a7_898f, universe_digest: 0x39ee_c4f1_e1cd_4ab3 },
-    ShardGolden { corpus_bytes: 131_072, node_count: 2264, serialized_len: 29_616, serialized_len_v2: 22_816, snapshot_digest: 0xdc89_7817_6ee6_abb4, universe_digest: 0x1444_fadd_f748_50b6 },
-    ShardGolden { corpus_bytes: 1_030_528, node_count: 466, serialized_len: 6240, serialized_len_v2: 4840, snapshot_digest: 0xa34e_9f80_3775_6a3a, universe_digest: 0x1ca8_ac1f_6f5e_4075 },
-    ShardGolden { corpus_bytes: 1_080_000, node_count: 349, serialized_len: 4720, serialized_len_v2: 3672, snapshot_digest: 0xcd6a_f943_a299_6923, universe_digest: 0x44a5_3b27_7aff_30c2 },
+    ShardGolden { corpus_bytes: 65_536, node_count: 5857, serialized_len: 76_320, snapshot_digest: 0xb214_9770_34a7_898f, universe_digest: 0x39ee_c4f1_e1cd_4ab3 },
+    ShardGolden { corpus_bytes: 131_072, node_count: 2264, serialized_len: 29_616, snapshot_digest: 0xdc89_7817_6ee6_abb4, universe_digest: 0x1444_fadd_f748_50b6 },
+    ShardGolden { corpus_bytes: 1_030_528, node_count: 466, serialized_len: 6240, snapshot_digest: 0xa34e_9f80_3775_6a3a, universe_digest: 0x1ca8_ac1f_6f5e_4075 },
+    ShardGolden { corpus_bytes: 1_080_000, node_count: 349, serialized_len: 4720, snapshot_digest: 0xcd6a_f943_a299_6923, universe_digest: 0x44a5_3b27_7aff_30c2 },
 ];
 
 #[test]
@@ -116,30 +114,6 @@ fn build_scenarios_release_their_pinned_digests_and_span_counts() {
     }
 }
 
-/// Both snapshot dialects decode to the same synopsis and re-encode to
-/// the same bytes, and the compressed one has its pinned size, smaller
-/// than the uncompressed one.
-fn assert_codec_round_trips(shard: &Shard, bytes: &[u8], want: &ShardGolden) {
-    let name = shard.scenario.name;
-    let compressed = shard.frozen.to_bytes_v2(true);
-    assert_eq!(compressed.len(), want.serialized_len_v2, "{name}: compressed snapshot size");
-    for (is_compressed, b) in [(false, bytes), (true, &compressed[..])] {
-        let back = FrozenSynopsis::from_bytes(b).expect("snapshot decodes");
-        assert_eq!(back, shard.frozen, "{name}: compressed={is_compressed} decode drifted");
-        assert_eq!(
-            back.to_bytes_v2(is_compressed),
-            b,
-            "{name}: compressed={is_compressed} encoding is not canonical"
-        );
-    }
-    assert!(
-        compressed.len() < bytes.len(),
-        "{name}: compressed snapshot ({} B) must undercut uncompressed ({} B)",
-        compressed.len(),
-        bytes.len()
-    );
-}
-
 #[test]
 fn serve_shards_release_their_pinned_digests_and_serve_bit_identically() {
     let shards: Vec<Shard> = (0..SHARDS.len() as u32).map(golden::build_shard).collect();
@@ -151,12 +125,14 @@ fn serve_shards_release_their_pinned_digests_and_serve_bit_identically() {
         assert_eq!(bytes.len(), want.serialized_len, "{name}: snapshot size");
         assert_eq!(fnv1a(bytes), want.snapshot_digest, "{name}: snapshot digest");
         assert_eq!(shard.universe_digest(), want.universe_digest, "{name}: universe digest");
-        assert_codec_round_trips(shard, bytes, want);
+        let back = FrozenSynopsis::from_bytes(bytes).expect("snapshot decodes");
+        assert_eq!(back, shard.frozen, "{name}: decode drifted");
+        assert_eq!(back.to_bytes(), *bytes, "{name}: encoding is not canonical");
     }
 
-    // Ship the uncompressed snapshots over the wire: the daemon serves each
-    // shard from the received buffer, so the answers below also check
-    // zero-copy serving.
+    // Ship the snapshots over the wire: the daemon serves each shard from
+    // the received buffer, so the answers below also check zero-copy
+    // serving.
     let manager = Arc::new(ShardManager::new());
     let handle =
         Server::spawn(ServerConfig::default(), Arc::clone(&manager)).expect("daemon binds");

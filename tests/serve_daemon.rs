@@ -99,7 +99,7 @@ fn served_answers_are_bit_identical_to_local_queries() {
 fn pipelined_bursts_answer_in_order() {
     let (frozen, patterns) = dp_built(32);
     let manager = Arc::new(ShardManager::new());
-    manager.install(0, frozen.clone(), frozen.to_bytes().len());
+    manager.install(0, frozen.clone());
     let handle = spawn_daemon(Arc::clone(&manager));
     let mut client = Client::connect(handle.addr()).expect("client connects");
 
@@ -164,7 +164,7 @@ fn hot_swap_never_blends_epochs_for_concurrent_readers() {
     assert_ne!(expect_a, expect_b);
 
     let manager = Arc::new(ShardManager::new());
-    manager.install(0, gen_a.clone(), bytes_a.len());
+    manager.install(0, gen_a.clone());
     let handle = spawn_daemon(Arc::clone(&manager));
     let addr = handle.addr();
 
@@ -224,7 +224,7 @@ fn cache_hits_are_bit_identical_and_epoch_keyed() {
     let gen_a = synthetic(10.0);
     let gen_b = synthetic(20.0);
     let manager = Arc::new(ShardManager::new());
-    manager.install(0, gen_a.clone(), 0);
+    manager.install(0, gen_a.clone());
     let handle = spawn_daemon(Arc::clone(&manager));
     let mut client = Client::connect(handle.addr()).expect("client connects");
 
@@ -284,37 +284,33 @@ fn stats_surface_per_shard_sizes_and_utility_bounds() {
     handle.shutdown();
 }
 
-/// Shipping an uncompressed snapshot over the wire installs it
-/// *borrowed*: the resident synopsis answers straight out of the received
-/// frame buffer, which nothing else holds, bit-identically to a local
-/// decode; hot-swapping to a compressed snapshot on the same shard
-/// re-encodes the same canonical buffer with the same answers.
+/// Shipping a snapshot over the wire installs it *borrowed*: the
+/// resident synopsis answers straight out of the received frame buffer,
+/// which nothing else holds, bit-identically to a local decode.
+/// Hot-swapping the same shard to a second release installs that buffer
+/// borrowed too, and its answers are the new release's.
 #[test]
 fn v2_snapshots_serve_borrowed_over_the_wire() {
-    let (frozen, patterns) = dp_built(35);
-    let v2 = frozen.to_bytes();
     let manager = Arc::new(ShardManager::new());
     let handle = spawn_daemon(Arc::clone(&manager));
     let mut client = Client::connect(handle.addr()).expect("client connects");
 
-    client.load_snapshot(1, &v2).expect("snapshot loads");
-    let resident = manager.snapshot(1).expect("shard resident");
-    let served_buf = resident.synopsis.shared_bytes();
-    assert_eq!(served_buf[..], v2[..], "the shipped bytes are the served buffer");
-    assert_eq!(Arc::strong_count(served_buf), 1, "the daemon kept no second copy holder");
-    assert_eq!(resident.serialized_len, v2.len());
-    for p in &patterns {
-        let served = client.query(1, p).expect("query answered");
-        assert_eq!(served.to_bits(), frozen.query(p).to_bits(), "pattern {p:?}");
-    }
-
-    // Swapping the same shard to a compressed snapshot serves the
-    // canonical uncompressed form it decodes to.
-    client.load_snapshot(1, &frozen.to_bytes_v2(true)).expect("compressed snapshot loads");
-    assert_eq!(manager.snapshot(1).unwrap().synopsis.shared_bytes()[..], v2[..]);
-    for p in &patterns {
-        let served = client.query(1, p).expect("query answered");
-        assert_eq!(served.to_bits(), frozen.query(p).to_bits(), "pattern {p:?}");
+    let mut previous: Vec<u8> = Vec::new();
+    for seed in [35, 36] {
+        let (frozen, patterns) = dp_built(seed);
+        let bytes = frozen.to_bytes();
+        assert_ne!(bytes, previous, "seed {seed}: the swap must change the release");
+        client.load_snapshot(1, &bytes).expect("snapshot loads");
+        let resident = manager.snapshot(1).expect("shard resident");
+        let served_buf = resident.synopsis.shared_bytes();
+        assert_eq!(served_buf[..], bytes[..], "seed {seed}: served bytes");
+        assert_eq!(Arc::strong_count(served_buf), 1, "seed {seed}: a second copy holder was kept");
+        assert_eq!(resident.synopsis.serialized_len(), bytes.len());
+        for p in &patterns {
+            let served = client.query(1, p).expect("query answered");
+            assert_eq!(served.to_bits(), frozen.query(p).to_bits(), "seed {seed}, pattern {p:?}");
+        }
+        previous = bytes;
     }
     handle.shutdown();
 }
@@ -476,7 +472,7 @@ fn concurrent_connections_serve_bit_identically(conns: usize) {
     let expect = encode_response(&Response::QueryBatch { values: gen.query_batch(&refs) });
 
     let manager = Arc::new(ShardManager::new());
-    manager.install(0, gen, 0);
+    manager.install(0, gen);
     let handle = Server::spawn(ServerConfig::default(), manager).expect("daemon binds");
     let addr = handle.addr();
 
@@ -621,7 +617,7 @@ fn metrics_reconcile_with_client_side_counts() {
 fn tiny_write_budget_backpressure_preserves_order_and_answers() {
     let gen = synthetic(3.0);
     let manager = Arc::new(ShardManager::new());
-    manager.install(0, gen.clone(), 0);
+    manager.install(0, gen.clone());
     let config = ServerConfig { write_high_water: 2048, ..ServerConfig::default() };
     let handle = Server::spawn(config, manager).expect("daemon binds");
     let mut client = Client::connect(handle.addr()).expect("client connects");
@@ -682,7 +678,7 @@ fn admission_bound_sheds_overloaded_and_healthy_conns_stay_correct() {
     let expect: Vec<u64> = gen.query_batch(&refs).iter().map(|v| v.to_bits()).collect();
 
     let manager = Arc::new(ShardManager::new());
-    manager.install(0, gen.clone(), 0);
+    manager.install(0, gen.clone());
     let config = ServerConfig { max_conns: 2, ..ServerConfig::default() };
     let handle = Server::spawn(config, manager).expect("daemon binds");
 
@@ -740,7 +736,7 @@ fn admission_bound_sheds_overloaded_and_healthy_conns_stay_correct() {
 fn slow_loris_is_evicted_while_healthy_conns_keep_answering() {
     let gen = synthetic(12.0);
     let manager = Arc::new(ShardManager::new());
-    manager.install(0, gen.clone(), 0);
+    manager.install(0, gen.clone());
     let config =
         ServerConfig { read_deadline: Some(Duration::from_millis(200)), ..ServerConfig::default() };
     let handle = Server::spawn(config, manager).expect("daemon binds");
@@ -777,7 +773,7 @@ fn slow_loris_is_evicted_while_healthy_conns_keep_answering() {
 fn idle_connections_are_reaped_but_active_ones_survive() {
     let gen = synthetic(13.0);
     let manager = Arc::new(ShardManager::new());
-    manager.install(0, gen.clone(), 0);
+    manager.install(0, gen.clone());
     let config =
         ServerConfig { idle_timeout: Some(Duration::from_millis(200)), ..ServerConfig::default() };
     let handle = Server::spawn(config, manager).expect("daemon binds");
@@ -865,7 +861,7 @@ fn queries_stay_responsive_while_an_install_is_stuck_in_persist() {
     )
     .expect("fresh store opens without touching the gate");
     let manager = Arc::new(ShardManager::new());
-    manager.install(0, old_gen.clone(), 0);
+    manager.install(0, old_gen.clone());
     let config = ServerConfig { store: Some(Arc::new(store)), ..ServerConfig::default() };
     let handle = Server::spawn(config, manager).expect("daemon binds");
     let addr = handle.addr();
@@ -954,7 +950,7 @@ fn client_io_timeout_fires_on_a_silent_socket() {
 fn retry_policy_reconnects_after_overload_and_answers_correctly() {
     let gen = synthetic(21.0);
     let manager = Arc::new(ShardManager::new());
-    manager.install(0, gen.clone(), 0);
+    manager.install(0, gen.clone());
     let config = ServerConfig { max_conns: 1, ..ServerConfig::default() };
     let handle = Server::spawn(config, manager).expect("daemon binds");
     let addr = handle.addr();
@@ -993,7 +989,7 @@ fn trace_op_round_trips_with_exact_frame_events() {
 
     let gen = synthetic(17.0);
     let manager = Arc::new(ShardManager::new());
-    manager.install(0, gen.clone(), 0);
+    manager.install(0, gen.clone());
     let config = ServerConfig::default();
     let handle = Server::spawn(config, manager).expect("daemon binds");
     let mut client = Client::connect(handle.addr()).expect("client connects");
@@ -1082,7 +1078,7 @@ fn trace_op_round_trips_with_exact_frame_events() {
 fn adversarial_load_reconciles_counters_with_trace_events() {
     let gen = synthetic(23.0);
     let manager = Arc::new(ShardManager::new());
-    manager.install(0, gen.clone(), 0);
+    manager.install(0, gen.clone());
     let config = ServerConfig {
         max_conns: 2,
         read_deadline: Some(Duration::from_millis(200)),
@@ -1230,7 +1226,7 @@ fn slow_op_log_reconciles_and_exposes_over_the_wire() {
 
     let gen = synthetic(29.0);
     let manager = Arc::new(ShardManager::new());
-    manager.install(0, gen.clone(), 0);
+    manager.install(0, gen.clone());
     let config = ServerConfig {
         slow_op_threshold: Some(Duration::from_nanos(1)),
         ..ServerConfig::default()

@@ -1,11 +1,11 @@
 //! Robustness of the `DPSF` v3 snapshot codec on a *real* DP-built
-//! structure, for both dialects (uncompressed, served in place, and
-//! degree-compressed): exact round-trips, `Err` (never a panic) on
-//! truncations, version/magic damage (including a v2 buffer), bit flips,
-//! splices, and noise, forged-but-restamped header fields and arrays (one
+//! structure: exact round-trips, `Err` (never a panic) on truncations,
+//! version/magic damage (including a v2 buffer), bit flips, splices, and
+//! noise, forged-but-restamped header fields, flag words and arrays (one
 //! forgery per structural rule), and a differential sweep asserting that
-//! copied, compressed, and shared decodes answer bit-identically. (The
-//! file keeps its `v2` name so the test ids stay stable across formats.)
+//! copied and shared decodes answer bit-identically. (The file and several
+//! tests keep their `v2` names so the test ids stay stable across
+//! formats.)
 
 mod common;
 
@@ -21,6 +21,7 @@ use rand::{Rng, SeedableRng};
 // v3 header layout landmarks (see DESIGN.md §13): the section table
 // starts at 88 with three 24-byte entries {offset, len, checksum}, the
 // header checksum sits at 160, and sections begin at 168.
+const FLAGS_OFF: usize = 6;
 const CLIP_OFF: usize = 16;
 const DELTA_OFF: usize = 32;
 const ALPHA_COUNTS_OFF: usize = 40;
@@ -77,133 +78,119 @@ fn patch_and_restamp_v2(bytes: &[u8], at: usize, patch: &[u8]) -> Vec<u8> {
 #[test]
 fn v2_roundtrip_preserves_queries_exactly() {
     let (structure, frozen, docs) = built();
-    for compressed in [false, true] {
-        let bytes = frozen.to_bytes_v2(compressed);
-        let back = FrozenSynopsis::from_bytes(&bytes).expect("round-trip parses");
-        assert_eq!(back, frozen);
-        for doc in &docs {
-            for i in 0..doc.len() {
-                for j in i + 1..=doc.len() {
-                    let pat = &doc[i..j];
-                    assert_eq!(back.query(pat).to_bits(), structure.query(pat).to_bits());
-                }
+    let bytes = frozen.to_bytes();
+    let back = FrozenSynopsis::from_bytes(&bytes).expect("round-trip parses");
+    assert_eq!(back, frozen);
+    for doc in &docs {
+        for i in 0..doc.len() {
+            for j in i + 1..=doc.len() {
+                let pat = &doc[i..j];
+                assert_eq!(back.query(pat).to_bits(), structure.query(pat).to_bits());
             }
         }
-        // Serializing the decoded synopsis reproduces the identical bytes.
-        assert_eq!(back.to_bytes_v2(compressed), bytes, "compressed={compressed} not canonical");
     }
-    // The default encoding is the uncompressed dialect.
-    assert_eq!(frozen.to_bytes(), frozen.to_bytes_v2(false));
-    assert_eq!(frozen.serialized_len(), frozen.to_bytes().len());
+    // Serializing the decoded synopsis reproduces the identical bytes.
+    assert_eq!(back.to_bytes(), bytes, "not canonical");
+    assert_eq!(frozen.serialized_len(), bytes.len());
 }
 
 #[test]
 fn v2_truncations_and_extensions_error() {
     let (_, frozen, _) = built();
-    for compressed in [false, true] {
-        let bytes = frozen.to_bytes_v2(compressed);
-        // Every strict prefix fails — the whole 192-byte header territory
-        // is covered exhaustively, the sections by stride.
-        for len in (0..bytes.len()).filter(|&l| l < 200 || l % 37 == 0) {
-            assert!(
-                FrozenSynopsis::from_bytes(&bytes[..len]).is_err(),
-                "prefix {len} parsed (compressed={compressed})"
-            );
-        }
-        for extra in [1usize, 8, 1024] {
-            let mut e = bytes.clone();
-            e.extend(std::iter::repeat_n(0xAB, extra));
-            assert!(
-                FrozenSynopsis::from_bytes(&e).is_err(),
-                "extension {extra} parsed (compressed={compressed})"
-            );
-        }
+    let bytes = frozen.to_bytes();
+    // Every strict prefix fails — the whole 192-byte header territory is
+    // covered exhaustively, the sections by stride.
+    for len in (0..bytes.len()).filter(|&l| l < 200 || l % 37 == 0) {
+        assert!(FrozenSynopsis::from_bytes(&bytes[..len]).is_err(), "prefix {len} parsed");
+    }
+    for extra in [1usize, 8, 1024] {
+        let mut e = bytes.clone();
+        e.extend(std::iter::repeat_n(0xAB, extra));
+        assert!(FrozenSynopsis::from_bytes(&e).is_err(), "extension {extra} parsed");
     }
 }
 
 #[test]
 fn v2_bit_flip_corpus_errors() {
     let (_, frozen, _) = built();
-    for compressed in [false, true] {
-        let bytes = frozen.to_bytes_v2(compressed);
-        // Strided single-bit flips across header, section table, section
-        // payloads, alignment padding, and checksums; the stride is
-        // coprime to 8 so every bit index is exercised.
-        for pos in (0..bytes.len()).step_by(13) {
-            for bit in 0..8 {
-                let mut m = bytes.clone();
-                m[pos] ^= 1 << bit;
-                assert!(
-                    FrozenSynopsis::from_bytes(&m).is_err(),
-                    "bit {bit} of byte {pos}/{} flipped silently (compressed={compressed})",
-                    bytes.len()
-                );
-            }
+    let bytes = frozen.to_bytes();
+    // Strided single-bit flips across header, section table, section
+    // payloads, alignment padding, and checksums; the stride is coprime to
+    // 8 so every bit index is exercised.
+    for pos in (0..bytes.len()).step_by(13) {
+        for bit in 0..8 {
+            let mut m = bytes.clone();
+            m[pos] ^= 1 << bit;
+            assert!(
+                FrozenSynopsis::from_bytes(&m).is_err(),
+                "bit {bit} of byte {pos}/{} flipped silently",
+                bytes.len()
+            );
         }
     }
 }
 
 #[test]
 fn v2_alignment_padding_is_validated() {
-    let (_, frozen, _) = built();
-    let bytes = frozen.to_bytes_v2(true);
-    // Compressed sections have data-dependent lengths, so padding gaps
-    // between them are near-certain, and the label section is always
-    // followed by a zeroed tail. Corrupt every padding byte in turn: it
-    // is outside all section checksums, so only an explicit zero-check
-    // can reject it.
-    let mut covered = false;
+    // `edge_start` holds `n_nodes + 1` four-byte offsets, so with an even
+    // node count it ends 4 bytes short of an 8-byte boundary: the only gap
+    // between sections. The label section is always followed by a zeroed
+    // tail. Corrupt every padding byte in turn: it is outside all section
+    // checksums, so only an explicit zero-check can reject it.
+    let (_, frozen, _) = built_in(CountMode::Document);
+    assert_eq!(frozen.node_count() % 2, 0, "the gap after edge_start needs an even node count");
+    let bytes = frozen.to_bytes();
+    let mut padded = [0usize; SECTIONS];
     for i in 0..SECTIONS {
         let (off, len) = section(&bytes, i);
         let next_off = if i + 1 < SECTIONS { section(&bytes, i + 1).0 } else { bytes.len() };
         for pad in off + len..next_off {
-            covered = true;
+            padded[i] += 1;
             let forged = patch_and_restamp_v2(&bytes, pad, &[0x5A]);
             let err =
                 FrozenSynopsis::from_bytes(&forged).expect_err("nonzero alignment padding parsed");
             assert!(format!("{err}").contains("padding"), "unexpected error: {err}");
         }
     }
-    assert!(covered, "corpus produced no inter-section padding to test");
+    assert_eq!(padded[..2], [0, 4], "padding after counts and after edge_start");
+    assert!(padded[2] >= 7, "label tail of {} bytes", padded[2]);
 }
 
 #[test]
 fn v2_random_mutation_corpus_never_panics() {
     let (_, frozen, _) = built();
     let mut rng = StdRng::seed_from_u64(0xD0C2);
-    for compressed in [false, true] {
-        let bytes = frozen.to_bytes_v2(compressed);
-        for _ in 0..250 {
-            let mut m = bytes.clone();
-            match rng.gen_range(0..4u32) {
-                0 => {
-                    let start = rng.gen_range(0..m.len());
-                    let len = rng.gen_range(1..64usize).min(m.len() - start);
-                    for b in &mut m[start..start + len] {
-                        *b = rng.gen();
-                    }
-                }
-                1 => {
-                    let start = rng.gen_range(0..m.len());
-                    let len = rng.gen_range(1..64usize).min(m.len() - start);
-                    m.drain(start..start + len);
-                }
-                2 => {
-                    let start = rng.gen_range(0..m.len());
-                    let len = rng.gen_range(1..64usize).min(m.len() - start);
-                    let window: Vec<u8> = m[start..start + len].to_vec();
-                    let at = rng.gen_range(0..m.len());
-                    m.splice(at..at, window);
-                }
-                _ => {
-                    let len = rng.gen_range(0..2048usize);
-                    m = (0..len).map(|_| rng.gen()).collect();
+    let bytes = frozen.to_bytes();
+    for _ in 0..500 {
+        let mut m = bytes.clone();
+        match rng.gen_range(0..4u32) {
+            0 => {
+                let start = rng.gen_range(0..m.len());
+                let len = rng.gen_range(1..64usize).min(m.len() - start);
+                for b in &mut m[start..start + len] {
+                    *b = rng.gen();
                 }
             }
-            if let Ok(parsed) = FrozenSynopsis::from_bytes(&m) {
-                assert_eq!(parsed.to_bytes_v2(compressed), m, "accepted a non-canonical encoding");
-                assert_eq!(parsed, frozen, "accepted a mutated synopsis as different content");
+            1 => {
+                let start = rng.gen_range(0..m.len());
+                let len = rng.gen_range(1..64usize).min(m.len() - start);
+                m.drain(start..start + len);
             }
+            2 => {
+                let start = rng.gen_range(0..m.len());
+                let len = rng.gen_range(1..64usize).min(m.len() - start);
+                let window: Vec<u8> = m[start..start + len].to_vec();
+                let at = rng.gen_range(0..m.len());
+                m.splice(at..at, window);
+            }
+            _ => {
+                let len = rng.gen_range(0..2048usize);
+                m = (0..len).map(|_| rng.gen()).collect();
+            }
+        }
+        if let Ok(parsed) = FrozenSynopsis::from_bytes(&m) {
+            assert_eq!(parsed.to_bytes(), m, "accepted a non-canonical encoding");
+            assert_eq!(parsed, frozen, "accepted a mutated synopsis as different content");
         }
     }
 }
@@ -211,17 +198,13 @@ fn v2_random_mutation_corpus_never_panics() {
 #[test]
 fn v2_borrowed_and_owned_answer_bit_identically() {
     let (structure, frozen, docs) = built();
-    let v2u: Arc<[u8]> = frozen.to_bytes_v2(false).into();
+    let v2u: Arc<[u8]> = frozen.to_bytes().into();
     let borrowed = FrozenSynopsis::from_bytes_shared(Arc::clone(&v2u)).expect("shared decode");
-    assert!(Arc::ptr_eq(borrowed.shared_bytes(), &v2u), "an uncompressed Arc must not be copied");
+    assert!(Arc::ptr_eq(borrowed.shared_bytes(), &v2u), "a shared Arc must not be copied");
     let owned = FrozenSynopsis::from_bytes(&v2u).expect("owned decode");
     assert!(!Arc::ptr_eq(owned.shared_bytes(), &v2u));
-    // A compressed snapshot through the same entry point is re-encoded
-    // into the canonical uncompressed buffer.
-    let v2c = FrozenSynopsis::from_bytes_shared(frozen.to_bytes_v2(true).into()).unwrap();
-    assert_eq!(v2c.shared_bytes()[..], v2u[..]);
 
-    for syn in [&borrowed, &owned, &v2c] {
+    for syn in [&borrowed, &owned] {
         assert_eq!(*syn, frozen);
     }
     for doc in &docs {
@@ -229,7 +212,7 @@ fn v2_borrowed_and_owned_answer_bit_identically() {
             for j in i + 1..=doc.len() {
                 let pat = &doc[i..j];
                 let want = structure.query(pat).to_bits();
-                for (label, syn) in [("borrowed", &borrowed), ("owned", &owned), ("v2c", &v2c)] {
+                for (label, syn) in [("borrowed", &borrowed), ("owned", &owned)] {
                     assert_eq!(syn.query(pat).to_bits(), want, "{label} disagrees on {pat:?}");
                     assert_eq!(
                         syn.query_naive(pat).to_bits(),
@@ -247,38 +230,32 @@ fn v2_borrowed_and_owned_answer_bit_identically() {
 #[test]
 fn v2_forged_non_finite_fields_error() {
     let (_, frozen, _) = built();
-    for compressed in [false, true] {
-        let bytes = frozen.to_bytes_v2(compressed);
-        for bad in [f64::NAN, f64::INFINITY, f64::NEG_INFINITY] {
-            let le = bad.to_le_bytes();
-            for (field, at) in
-                [("alpha_counts", ALPHA_COUNTS_OFF), ("alpha_absent", ALPHA_ABSENT_OFF)]
-            {
-                let forged = patch_and_restamp_v2(&bytes, at, &le);
-                let err = FrozenSynopsis::from_bytes(&forged)
-                    .expect_err("restamped non-finite alpha parsed");
-                assert!(format!("{err}").contains(field), "wrong error for {field}: {err}");
-            }
-            if !compressed {
-                // Counts are raw f64s only in the uncompressed dialect.
-                let (counts_off, _) = section(&bytes, 0);
-                let forged = patch_and_restamp_v2(&bytes, counts_off, &le);
-                let err = FrozenSynopsis::from_bytes(&forged)
-                    .expect_err("restamped non-finite count parsed");
-                assert!(format!("{err}").contains("count"), "wrong error: {err}");
-                // The borrowed path must reject it too — validation runs
-                // before any query can touch the bytes.
-                let shared: Arc<[u8]> = forged.into();
-                assert!(FrozenSynopsis::from_bytes_shared(shared).is_err());
-            }
+    let bytes = frozen.to_bytes();
+    for bad in [f64::NAN, f64::INFINITY, f64::NEG_INFINITY] {
+        let le = bad.to_le_bytes();
+        for (field, at) in [("alpha_counts", ALPHA_COUNTS_OFF), ("alpha_absent", ALPHA_ABSENT_OFF)]
+        {
+            let forged = patch_and_restamp_v2(&bytes, at, &le);
+            let err =
+                FrozenSynopsis::from_bytes(&forged).expect_err("restamped non-finite alpha parsed");
+            assert!(format!("{err}").contains(field), "wrong error for {field}: {err}");
         }
+        let (counts_off, _) = section(&bytes, 0);
+        let forged = patch_and_restamp_v2(&bytes, counts_off, &le);
+        let err =
+            FrozenSynopsis::from_bytes(&forged).expect_err("restamped non-finite count parsed");
+        assert!(format!("{err}").contains("count"), "wrong error: {err}");
+        // The borrowed path must reject it too — validation runs before
+        // any query can touch the bytes.
+        let shared: Arc<[u8]> = forged.into();
+        assert!(FrozenSynopsis::from_bytes_shared(shared).is_err());
     }
 }
 
 #[test]
 fn v2_forged_oversized_edge_start_is_an_error_not_a_panic() {
     let (_, frozen, _) = built();
-    let bytes = frozen.to_bytes_v2(false);
+    let bytes = frozen.to_bytes();
     // Point node 0's CSR end past every edge array; with all checksums
     // restamped, only the structural range check stands between this and
     // an out-of-bounds index.
@@ -288,7 +265,7 @@ fn v2_forged_oversized_edge_start_is_an_error_not_a_panic() {
     assert!(format!("{err}").contains("CSR"), "unexpected error: {err}");
 }
 
-/// The uncompressed `edge_start` section as CSR offsets.
+/// The `edge_start` section as CSR offsets.
 fn edge_starts(bytes: &[u8]) -> Vec<u32> {
     let (off, len) = section(bytes, 1);
     bytes[off..off + len]
@@ -297,7 +274,7 @@ fn edge_starts(bytes: &[u8]) -> Vec<u32> {
         .collect()
 }
 
-/// Overwrites the uncompressed `edge_start` section with `starts` and
+/// Overwrites the `edge_start` section with `starts` and
 /// restamps every checksum, so only the structural sweep can object.
 fn forge_edge_starts(bytes: &[u8], starts: &[u32]) -> Vec<u8> {
     let raw: Vec<u8> = starts.iter().flat_map(|s| s.to_le_bytes()).collect();
@@ -372,45 +349,51 @@ fn forged_unsorted_labels_are_rejected() {
 #[test]
 fn v2_snapshot_is_refused_by_version() {
     // A well-formed buffer labelled with the retired v2 tag is refused
-    // before any layout is trusted, in both dialects.
+    // before any layout is trusted.
     let (_, frozen, _) = built();
-    for compressed in [false, true] {
-        let v2 = patch_and_restamp_v2(&frozen.to_bytes_v2(compressed), 4, &2u16.to_le_bytes());
-        assert_eq!(
-            FrozenSynopsis::from_bytes(&v2).unwrap_err(),
-            DecodeError::UnsupportedVersion { found: 2, expected: 3 }
+    let bytes = frozen.to_bytes();
+    let v2 = patch_and_restamp_v2(&bytes, 4, &2u16.to_le_bytes());
+    assert_eq!(
+        FrozenSynopsis::from_bytes(&v2).unwrap_err(),
+        DecodeError::UnsupportedVersion { found: 2, expected: 3 }
+    );
+    assert!(FrozenSynopsis::from_bytes_shared(v2.into()).is_err());
+    // So is any flag bit, bit 0 (the retired compressed dialect)
+    // included. The restamped header checksum leaves the flags check as
+    // the only objection.
+    for flags in [0x0001u16, 0x0002, 0x8000, 0xFFFF] {
+        let forged = patch_and_restamp_v2(&bytes, FLAGS_OFF, &flags.to_le_bytes());
+        let err = FrozenSynopsis::from_bytes(&forged).expect_err("flagged snapshot parsed");
+        assert!(
+            matches!(err, DecodeError::BadField { field: "flags", .. }),
+            "flags {flags:#06x}: unexpected error {err}"
         );
-        assert!(FrozenSynopsis::from_bytes_shared(v2.into()).is_err());
+        assert!(FrozenSynopsis::from_bytes_shared(forged.into()).is_err());
     }
 }
 
 #[test]
 fn version_and_magic_damage_errors() {
     let (_, frozen, _) = built();
-    for compressed in [false, true] {
-        let bytes = frozen.to_bytes_v2(compressed);
-        for pos in 0..6 {
-            for val in [0u8, 1, 2, 7, 0xFF] {
-                let mut m = bytes.clone();
-                if m[pos] == val {
-                    continue;
-                }
-                m[pos] = val;
-                assert!(
-                    FrozenSynopsis::from_bytes(&m).is_err(),
-                    "byte {pos} := {val} parsed (compressed={compressed})"
-                );
+    let bytes = frozen.to_bytes();
+    for pos in 0..6 {
+        for val in [0u8, 1, 2, 7, 0xFF] {
+            let mut m = bytes.clone();
+            if m[pos] == val {
+                continue;
             }
+            m[pos] = val;
+            assert!(FrozenSynopsis::from_bytes(&m).is_err(), "byte {pos} := {val} parsed");
         }
-        // A buffer claiming the retired v1 format is refused by version,
-        // before any v1 layout is assumed.
-        let mut v1 = bytes.clone();
-        v1[4..6].copy_from_slice(&1u16.to_le_bytes());
-        assert_eq!(
-            FrozenSynopsis::from_bytes(&v1).unwrap_err(),
-            DecodeError::UnsupportedVersion { found: 1, expected: 3 }
-        );
     }
+    // A buffer claiming the retired v1 format is refused by version,
+    // before any v1 layout is assumed.
+    let mut v1 = bytes.clone();
+    v1[4..6].copy_from_slice(&1u16.to_le_bytes());
+    assert_eq!(
+        FrozenSynopsis::from_bytes(&v1).unwrap_err(),
+        DecodeError::UnsupportedVersion { found: 1, expected: 3 }
+    );
 }
 
 #[test]
@@ -421,12 +404,9 @@ fn empty_and_tiny_inputs_error() {
         assert!(FrozenSynopsis::from_bytes(&vec![0xFFu8; len]).is_err());
     }
     // A bare valid header with nothing after it is still truncated.
-    let (_, frozen, _) = built();
-    for compressed in [false, true] {
-        let bytes = frozen.to_bytes_v2(compressed);
-        assert!(FrozenSynopsis::from_bytes(&bytes[..16]).is_err());
-        assert!(FrozenSynopsis::from_bytes(&bytes[..HEADER_LEN]).is_err());
-    }
+    let bytes = built().1.to_bytes();
+    assert!(FrozenSynopsis::from_bytes(&bytes[..16]).is_err());
+    assert!(FrozenSynopsis::from_bytes(&bytes[..HEADER_LEN]).is_err());
 }
 
 #[test]
@@ -434,34 +414,25 @@ fn v2_forged_clip_level_must_match_the_mode_tag() {
     // `built()` is Substring mode (clip field 0): a nonzero clip level
     // under that tag is non-canonical, so even a restamped forgery fails.
     let (_, frozen, _) = built();
-    for compressed in [false, true] {
-        let forged =
-            patch_and_restamp_v2(&frozen.to_bytes_v2(compressed), CLIP_OFF, &5u64.to_le_bytes());
-        let err = FrozenSynopsis::from_bytes(&forged).expect_err("clip under Substring parsed");
-        assert!(format!("{err}").contains("clip"), "unexpected error: {err}");
-    }
+    let forged = patch_and_restamp_v2(&frozen.to_bytes(), CLIP_OFF, &5u64.to_le_bytes());
+    let err = FrozenSynopsis::from_bytes(&forged).expect_err("clip under Substring parsed");
+    assert!(format!("{err}").contains("clip"), "unexpected error: {err}");
     // The same patch on a Clipped-mode synopsis is meaningful and fine.
     let (_, clipped, _) = built_in(CountMode::Clipped(7));
-    for compressed in [false, true] {
-        let reclipped =
-            patch_and_restamp_v2(&clipped.to_bytes_v2(compressed), CLIP_OFF, &5u64.to_le_bytes());
-        let parsed = FrozenSynopsis::from_bytes(&reclipped).expect("valid clipped encoding");
-        assert_eq!(parsed.mode(), CountMode::Clipped(5));
-        assert_eq!(parsed.to_bytes_v2(compressed), reclipped, "canonical re-serialization");
-    }
+    let reclipped = patch_and_restamp_v2(&clipped.to_bytes(), CLIP_OFF, &5u64.to_le_bytes());
+    let parsed = FrozenSynopsis::from_bytes(&reclipped).expect("valid clipped encoding");
+    assert_eq!(parsed.mode(), CountMode::Clipped(5));
+    assert_eq!(parsed.to_bytes(), reclipped, "canonical re-serialization");
 }
 
 #[test]
 fn v2_forged_negative_zero_delta_errors() {
     // `built()` is pure DP (δ = +0.0). `-0.0` passes a plain range check
     // but would re-serialize as `+0.0`, so the decoder must refuse it.
-    let (_, frozen, _) = built();
-    for compressed in [false, true] {
-        let bytes = frozen.to_bytes_v2(compressed);
-        let forged = patch_and_restamp_v2(&bytes, DELTA_OFF, &(-0.0f64).to_le_bytes());
-        let err = FrozenSynopsis::from_bytes(&forged).expect_err("-0.0 delta parsed");
-        assert!(format!("{err}").contains("delta"), "unexpected error: {err}");
-    }
+    let bytes = built().1.to_bytes();
+    let forged = patch_and_restamp_v2(&bytes, DELTA_OFF, &(-0.0f64).to_le_bytes());
+    let err = FrozenSynopsis::from_bytes(&forged).expect_err("-0.0 delta parsed");
+    assert!(format!("{err}").contains("delta"), "unexpected error: {err}");
 }
 
 #[test]
@@ -474,16 +445,13 @@ fn v2_forged_node_count_overflow_is_an_error_not_a_panic() {
     let mut counts = [0u8; 16];
     counts[..8].copy_from_slice(&n_nodes.to_le_bytes());
     counts[8..].copy_from_slice(&(n_nodes - 1).to_le_bytes());
-    for compressed in [false, true] {
-        let forged = patch_and_restamp_v2(&frozen.to_bytes_v2(compressed), N_NODES_OFF, &counts);
-        assert_eq!(FrozenSynopsis::from_bytes(&forged).unwrap_err(), DecodeError::SizeOverflow);
-        assert!(FrozenSynopsis::from_bytes_shared(forged.into()).is_err());
-    }
+    let forged = patch_and_restamp_v2(&frozen.to_bytes(), N_NODES_OFF, &counts);
+    assert_eq!(FrozenSynopsis::from_bytes(&forged).unwrap_err(), DecodeError::SizeOverflow);
+    assert!(FrozenSynopsis::from_bytes_shared(forged.into()).is_err());
 }
 
-/// Builds a real structure on tiny random corpora (retrying the
-/// legitimate FAIL branch on derived seeds) and asserts all three decode
-/// paths agree bit-for-bit.
+/// Builds a real structure on tiny random corpora, retrying the
+/// legitimate FAIL branch on derived seeds.
 fn build_small(docs: Vec<Vec<u8>>, seed: u64) -> Option<(PrivateCountStructure, Vec<Vec<u8>>)> {
     let db = Database::from_documents(Alphabet::lowercase(26), docs.clone()).expect("valid docs");
     let idx = CorpusIndex::build(&db);
@@ -496,6 +464,8 @@ fn build_small(docs: Vec<Vec<u8>>, seed: u64) -> Option<(PrivateCountStructure, 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(16))]
 
+    /// The owned and borrowed decodes answer bit-identically to the
+    /// frozen original. (The id predates the retired compressed dialect.)
     #[test]
     fn owned_compressed_and_borrowed_decode_bit_identically(
         docs in proptest::collection::vec(
@@ -507,8 +477,6 @@ proptest! {
         let (structure, docs) = common::with_retry_seeds(seed, 6, |s| build_small(docs.clone(), s));
         let frozen = structure.freeze();
         let v2_owned = FrozenSynopsis::from_bytes(&frozen.to_bytes()).expect("v2 decodes");
-        let v2_compressed =
-            FrozenSynopsis::from_bytes(&frozen.to_bytes_v2(true)).expect("v2c decodes");
         let shared: Arc<[u8]> = frozen.to_bytes().into();
         let v2_borrowed =
             FrozenSynopsis::from_bytes_shared(Arc::clone(&shared)).expect("borrowed decodes");
@@ -519,16 +487,14 @@ proptest! {
                     let pat = &doc[i..j];
                     let want = frozen.query(pat).to_bits();
                     prop_assert_eq!(v2_owned.query(pat).to_bits(), want);
-                    prop_assert_eq!(v2_compressed.query(pat).to_bits(), want);
                     prop_assert_eq!(v2_borrowed.query(pat).to_bits(), want);
                 }
             }
         }
-        // Absent patterns exercise the early-exit paths of all storages.
+        // Absent patterns exercise the early-exit paths of both decodes.
         for pat in [b"zz".as_slice(), b"xyzw", b"qqqqqqqq"] {
             let want = frozen.query(pat).to_bits();
             prop_assert_eq!(v2_owned.query(pat).to_bits(), want);
-            prop_assert_eq!(v2_compressed.query(pat).to_bits(), want);
             prop_assert_eq!(v2_borrowed.query(pat).to_bits(), want);
         }
     }
