@@ -1,6 +1,7 @@
-//! The golden scenarios: five Theorem-1 document-count builds and four
-//! serving shards over the dna, text and log workload families, with the
-//! corpus and build seeds the pinned digests were taken at.
+//! The golden scenarios: five Theorem-1 document-count builds, five
+//! releases in the other modes and theorems, and four serving shards over
+//! the dna, text and log workload families, with the corpus and build
+//! seeds the pinned digests were taken at.
 //!
 //! Included (`#[path = "common/golden.rs"] mod golden;`) by
 //! `golden_digests.rs`, which pins each scenario's release digest and work
@@ -116,6 +117,124 @@ pub const BUILDS: [Scenario; 5] = [
         ell: 30,
         epsilon: 16.0,
         tau_frac: 0.10,
+    },
+];
+
+/// A release in a mode or theorem other than a pure Document build.
+#[derive(Debug, Clone, Copy)]
+pub enum Release {
+    /// Theorem 1 (`build_pure`) or, with `delta > 0`, Theorem 2
+    /// (`build_approx`, Gaussian noise).
+    Build { mode: CountMode, delta: f64 },
+    /// Theorem 3 (`build_qgram_pure`).
+    QgramPure { q: usize, mode: CountMode },
+    /// Theorem 4 (`build_qgram_fast`).
+    QgramFast { q: usize, mode: CountMode, delta: f64 },
+}
+
+/// One release over the corpus of a build scenario.
+#[derive(Debug)]
+pub struct ModeScenario {
+    pub name: &'static str,
+    /// Whose corpus regime (family, `n`, `ℓ`) the release runs on.
+    pub corpus: &'static Scenario,
+    pub release: Release,
+    pub epsilon: f64,
+    /// Threshold τ as a fraction of `n` (candidates and q-grams; builds
+    /// keep every trie node).
+    pub tau_frac: f64,
+}
+
+impl ModeScenario {
+    /// Runs the release on `idx` (the index of [`Self::corpus`]'s corpus)
+    /// at `threads` workers; the q-gram theorems are sequential.
+    pub fn release(
+        &self,
+        idx: &CorpusIndex,
+        threads: usize,
+        rng: &mut StdRng,
+    ) -> PrivateCountStructure {
+        let tau = self.tau_frac * self.corpus.n as f64;
+        match self.release {
+            Release::Build { mode, delta } => {
+                let params = if delta > 0.0 {
+                    BuildParams::new(mode, PrivacyParams::approx(self.epsilon, delta), 0.1)
+                } else {
+                    BuildParams::new(mode, PrivacyParams::pure(self.epsilon), 0.1)
+                }
+                .with_thresholds(tau, f64::NEG_INFINITY)
+                .with_threads(threads);
+                let built = if delta > 0.0 {
+                    build_approx(idx, &params, rng)
+                } else {
+                    build_pure(idx, &params, rng)
+                };
+                built.expect("golden regimes avoid the FAIL branch")
+            }
+            Release::QgramPure { q, mode } => {
+                let params = QgramParams {
+                    q,
+                    mode,
+                    privacy: PrivacyParams::pure(self.epsilon),
+                    beta: 0.1,
+                    tau_override: Some(tau),
+                    level_cap_override: None,
+                };
+                build_qgram_pure(idx, &params, rng).expect("golden regimes avoid the FAIL branch")
+            }
+            Release::QgramFast { q, mode, delta } => {
+                let params = FastQgramParams {
+                    q,
+                    mode,
+                    privacy: PrivacyParams::approx(self.epsilon, delta),
+                    beta: 0.1,
+                    tau_override: Some(tau),
+                };
+                build_qgram_fast(idx, &params, rng).expect("golden regimes avoid the FAIL branch")
+            }
+        }
+    }
+}
+
+/// Base seed of the mode scenarios: scenario `i` draws its corpus from
+/// stream `i + 1` and its release from stream `(i + 1) << 8`.
+pub const MODE_SEED: u64 = 0x30DE_5EED;
+
+pub const MODES: [ModeScenario; 5] = [
+    ModeScenario {
+        name: "dna-small-substring",
+        corpus: &BUILDS[0],
+        release: Release::Build { mode: CountMode::Substring, delta: 0.0 },
+        epsilon: 20.0,
+        tau_frac: 0.6,
+    },
+    ModeScenario {
+        name: "dna-small-clipped-3",
+        corpus: &BUILDS[0],
+        release: Release::Build { mode: CountMode::Clipped(3), delta: 0.0 },
+        epsilon: 20.0,
+        tau_frac: 0.5,
+    },
+    ModeScenario {
+        name: "log-approx",
+        corpus: &BUILDS[4],
+        release: Release::Build { mode: CountMode::Document, delta: 1e-6 },
+        epsilon: 16.0,
+        tau_frac: 0.10,
+    },
+    ModeScenario {
+        name: "dna-small-qgram-pure",
+        corpus: &BUILDS[0],
+        release: Release::QgramPure { q: 6, mode: CountMode::Clipped(2) },
+        epsilon: 20.0,
+        tau_frac: 0.1,
+    },
+    ModeScenario {
+        name: "dna-mid-qgram-fast",
+        corpus: &BUILDS[1],
+        release: Release::QgramFast { q: 6, mode: CountMode::Document, delta: 1e-6 },
+        epsilon: 20.0,
+        tau_frac: 0.1,
     },
 ];
 

@@ -4,7 +4,10 @@
 //!
 //! For each build scenario, traced builds at 1 and 4 worker threads pin
 //! the corpus size, the digest of the released snapshot, and the item
-//! counts of the four build spans. For each serving shard it pins the
+//! counts of the four build spans. For each mode scenario (Substring and
+//! `Clipped(3)` builds, a Gaussian build and the two q-gram theorems) it
+//! pins the released snapshot's digest and node count, at 1 and 4 worker
+//! threads. For each serving shard it pins the
 //! snapshot and universe digests and the snapshot's size, checks the
 //! snapshot round-trips canonically, and serves the shard's whole universe through a daemon,
 //! bit-identical to `query_naive`. Every pinned figure comes from the
@@ -19,7 +22,7 @@ use dp_substring_counting::dpcore::stream::derive_stream;
 use dp_substring_counting::prelude::*;
 use dp_substring_counting::private_count::codec::fnv1a;
 use dp_substring_counting::private_count::{build_pure_traced, SpanRecorder};
-use golden::{Shard, BUILDS, BUILD_SEED, SHARDS};
+use golden::{Shard, BUILDS, BUILD_SEED, MODES, MODE_SEED, SHARDS};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 
@@ -54,6 +57,24 @@ const BUILD_GOLDEN: [BuildGolden; 5] = [
     BuildGolden { corpus_bytes: 262_144, candidates: 768, trie_nodes: 1296, kept_nodes: 1296, digest: 0x1a80_0d52_a7c2_f2e6 },
     BuildGolden { corpus_bytes: 1_030_528, candidates: 338, trie_nodes: 484, kept_nodes: 484, digest: 0x0a9a_f87e_da1e_20dc },
     BuildGolden { corpus_bytes: 1_080_000, candidates: 240, trie_nodes: 293, kept_nodes: 293, digest: 0x3bb1_6d37_bc2b_8bf8 },
+];
+
+/// What one mode scenario releases.
+struct ModeGolden {
+    corpus_bytes: usize,
+    node_count: usize,
+    /// [`release_digest`] of the released snapshot.
+    digest: u64,
+}
+
+/// By [`MODES`] index.
+#[rustfmt::skip]
+const MODE_GOLDEN: [ModeGolden; 5] = [
+    ModeGolden { corpus_bytes: 65_536, node_count: 938, digest: 0xae1a_6204_e994_2ff4 },
+    ModeGolden { corpus_bytes: 65_536, node_count: 2955, digest: 0x34b7_64b4_18db_080b },
+    ModeGolden { corpus_bytes: 1_080_000, node_count: 357, digest: 0xbf9f_62c6_02a9_9530 },
+    ModeGolden { corpus_bytes: 65_536, node_count: 272, digest: 0x6734_af0f_6675_0b28 },
+    ModeGolden { corpus_bytes: 131_072, node_count: 199, digest: 0xdb01_09b4_1d73_53e7 },
 ];
 
 /// What one serving shard releases.
@@ -108,6 +129,32 @@ fn build_scenarios_release_their_pinned_digests_and_span_counts() {
                     ("prune", want.kept_nodes),
                 ],
                 "{} at {threads} threads: span item counts",
+                sc.name
+            );
+        }
+    }
+}
+
+#[test]
+fn mode_scenarios_release_their_pinned_digests() {
+    for (i, (sc, want)) in MODES.iter().zip(&MODE_GOLDEN).enumerate() {
+        let tag = i as u64 + 1;
+        let db = sc.corpus.corpus(&mut StdRng::seed_from_u64(derive_stream(MODE_SEED, tag)));
+        assert_eq!(db.total_len(), want.corpus_bytes, "{}: corpus size", sc.name);
+        let idx = CorpusIndex::build(&db);
+        for threads in [1, 4] {
+            let mut rng = StdRng::seed_from_u64(derive_stream(MODE_SEED, tag << 8));
+            let frozen = sc.release(&idx, threads, &mut rng).freeze();
+            let digest = release_digest(&frozen.to_bytes());
+            assert_eq!(
+                frozen.node_count(),
+                want.node_count,
+                "{} at {threads} threads: nodes",
+                sc.name
+            );
+            assert_eq!(
+                digest, want.digest,
+                "{} at {threads} threads: digest {digest:016x}",
                 sc.name
             );
         }
