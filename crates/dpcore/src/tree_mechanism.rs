@@ -25,24 +25,6 @@ pub fn dyadic_levels(t: usize) -> usize {
     (usize::BITS - t.leading_zeros()) as usize
 }
 
-/// Decomposes the prefix `[1, m]` (1-indexed, inclusive) into disjoint
-/// dyadic intervals, returned as `(start, size)` with `start` 0-indexed.
-///
-/// Follows the binary representation of `m` from the most significant bit:
-/// the decomposition has at most [`dyadic_levels`]`(m)` parts.
-pub fn decompose_prefix(m: usize) -> Vec<(usize, usize)> {
-    let mut out = Vec::new();
-    let mut covered = 0usize;
-    let mut remaining = m;
-    while remaining > 0 {
-        let size = 1usize << (usize::BITS - 1 - remaining.leading_zeros());
-        out.push((covered, size));
-        covered += size;
-        remaining -= size;
-    }
-    out
-}
-
 /// The binary-tree mechanism over one sequence.
 ///
 /// Stores the noisy dyadic partial sums; queries return noisy prefix sums.
@@ -95,12 +77,20 @@ impl BinaryTreeMechanism {
     }
 
     /// Noisy prefix sum of the first `m` elements (`m ∈ [0, T]`).
+    ///
+    /// The prefix `[1, m]` splits into one aligned dyadic interval per set
+    /// bit of `m`, at most [`dyadic_levels`]`(m)` of them. They are added
+    /// largest first, without allocating.
     pub fn prefix(&self, m: usize) -> f64 {
         assert!(m <= self.t, "prefix length out of range");
         let mut sum = 0.0;
-        for (start, size) in decompose_prefix(m) {
-            let level = size.trailing_zeros() as usize;
-            sum += self.noisy[level][start / size];
+        let mut covered = 0usize;
+        let mut rest = m;
+        while rest > 0 {
+            let level = (usize::BITS - 1 - rest.leading_zeros()) as usize;
+            sum += self.noisy[level][covered >> level];
+            covered += 1 << level;
+            rest -= 1 << level;
         }
         sum
     }
@@ -183,23 +173,6 @@ mod tests {
     use super::*;
     use rand::rngs::StdRng;
     use rand::SeedableRng;
-
-    #[test]
-    fn decompose_prefix_covers_exactly() {
-        for m in 1..=64usize {
-            let parts = decompose_prefix(m);
-            // Disjoint, contiguous from 0, total length m, aligned.
-            let mut covered = 0usize;
-            for &(start, size) in &parts {
-                assert_eq!(start, covered);
-                assert!(size.is_power_of_two());
-                assert_eq!(start % size, 0, "interval not aligned");
-                covered += size;
-            }
-            assert_eq!(covered, m);
-            assert!(parts.len() <= dyadic_levels(m));
-        }
-    }
 
     #[test]
     fn zero_noise_gives_exact_prefix_sums() {

@@ -64,7 +64,8 @@ pub fn build_simple_trie<R: Rng + ?Sized>(
         laplace_sup_error(eps_level, 2.0 * ell as f64, k_counts.ceil() as usize, params.beta);
     let tau = params.tau_override.unwrap_or(2.0 * alpha);
 
-    let mut trie: Trie<f64> = Trie::new(idx.count_clipped(b"", delta_clip) as f64);
+    let counts = idx.clipped_counter(delta_clip);
+    let mut trie: Trie<f64> = Trie::new(counts.count(b"") as f64);
     let mut frontier: Vec<(u32, Vec<u8>)> = vec![(Trie::<f64>::ROOT, Vec::new())];
     let mut pattern = Vec::with_capacity(max_depth);
     'levels: for _depth in 1..=max_depth {
@@ -75,7 +76,7 @@ pub fn build_simple_trie<R: Rng + ?Sized>(
                 pattern.clear();
                 pattern.extend_from_slice(prefix);
                 pattern.push(letter);
-                let c = idx.count_clipped(&pattern, delta_clip) as f64;
+                let c = counts.count(&pattern) as f64;
                 let noisy = c + noise.sample(rng);
                 if noisy >= tau {
                     let child = trie.ensure_child(*node, letter, noisy);

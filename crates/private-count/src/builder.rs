@@ -10,10 +10,8 @@ use dpsc_dpcore::budget::{BudgetAccountant, PrivacyParams};
 use dpsc_textindex::CorpusIndex;
 use rand::Rng;
 
-use crate::candidates::{
-    build_candidates_approx, build_candidates_pure, CandidateOverflow, CandidateParams,
-};
-use crate::pipeline::{run_pipeline_traced, PipelineParams};
+use crate::candidates::{build_candidates_with, CandidateOverflow, CandidateParams};
+use crate::pipeline::{run_pipeline_with, PipelineParams};
 use crate::spans::SpanRecorder;
 use crate::structure::{CountMode, PrivateCountStructure};
 
@@ -149,12 +147,10 @@ fn build_impl<R: Rng + ?Sized>(
         threads: params.threads,
     };
     let cand_started = rec.map(|r| r.mark());
-    let candidates = if gaussian {
-        build_candidates_approx(idx, &cand_params, rng)
-    } else {
-        build_candidates_pure(idx, &cand_params, rng)
-    }
-    .map_err(BuildError::CandidateOverflow)?;
+    // Steps 1 and 2 count with one counter, derived here for 1 < Δ < ℓ.
+    let counts = idx.clipped_counter(delta_clip);
+    let candidates = build_candidates_with(&counts, &cand_params, gaussian, rng)
+        .map_err(BuildError::CandidateOverflow)?;
     if let (Some(r), Some(s)) = (rec, cand_started) {
         r.close("candidates", s, candidates.strings.len() as u64);
     }
@@ -171,7 +167,7 @@ fn build_impl<R: Rng + ?Sized>(
         prune_override: params.prune_override,
         threads: params.threads,
     };
-    let out = run_pipeline_traced(idx, &candidates.strings, &pipe_params, rng, rec);
+    let out = run_pipeline_with(&counts, &candidates.strings, &pipe_params, rng, rec);
     accountant.charge(third).expect("step 3 within budget");
     accountant.charge(third).expect("step 4 within budget");
 

@@ -49,7 +49,7 @@ use dpsc_dpcore::budget::PrivacyParams;
 use dpsc_dpcore::noise::Noise;
 use dpsc_strkit::hash::HashValue;
 use dpsc_strkit::search::SaInterval;
-use dpsc_textindex::CorpusIndex;
+use dpsc_textindex::{ClippedCounter, CorpusIndex};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
@@ -201,11 +201,10 @@ pub(crate) struct DoublingLevels {
 ///
 /// All noise flows from chunk streams derived off a single base draw from
 /// `rng`, so the result depends on the caller's RNG state but not on
-/// `threads` (see the module docs).
+/// `threads` (see the module docs). `counts` gives the index and `Δ`.
 #[allow(clippy::too_many_arguments)] // crate-internal; parameters are the paper's own knobs
 pub(crate) fn doubling_levels<R: Rng + ?Sized>(
-    idx: &CorpusIndex,
-    delta_clip: usize,
+    counts: &ClippedCounter<'_>,
     privacy: PrivacyParams,
     beta: f64,
     gaussian: bool,
@@ -215,6 +214,8 @@ pub(crate) fn doubling_levels<R: Rng + ?Sized>(
     threads: usize,
     rng: &mut R,
 ) -> Result<DoublingLevels, CandidateOverflow> {
+    let idx = counts.index();
+    let delta_clip = counts.delta();
     let ell = idx.max_len();
     let n = idx.n_docs();
     let sigma = idx.alphabet_size();
@@ -234,7 +235,7 @@ pub(crate) fn doubling_levels<R: Rng + ?Sized>(
     for sym_idx in 0..sigma {
         let letter = idx.alphabet_base() + sym_idx as u8;
         let iv = idx.interval(&[letter]);
-        let c = idx.count_clipped_in_interval(iv, delta_clip) as f64;
+        let c = counts.count_in_interval(iv, 1) as f64;
         if c + noise.sample(&mut rng0) >= tau {
             current.push(Cand { bytes: vec![letter], hash: idx.hash_pattern(&[letter]), iv });
         }
@@ -250,19 +251,8 @@ pub(crate) fn doubling_levels<R: Rng + ?Sized>(
             break;
         }
         let current = levels.last().expect("at least level 0");
-        let next = scan_level_pairs(
-            idx,
-            current,
-            noise,
-            tau,
-            delta_clip,
-            cap,
-            len,
-            k,
-            threads,
-            stream_base,
-        )
-        .map_err(|size| CandidateOverflow { level: k, size, cap })?;
+        let next = scan_level_pairs(counts, current, noise, tau, cap, len, k, threads, stream_base)
+            .map_err(|size| CandidateOverflow { level: k, size, cap })?;
         levels.push(next);
     }
     Ok(DoublingLevels { levels, alpha, tau })
@@ -323,17 +313,17 @@ fn occurring_pairs(
 /// bit-identical for every thread count.
 #[allow(clippy::too_many_arguments)] // crate-internal hot path
 fn scan_level_pairs(
-    idx: &CorpusIndex,
+    counts: &ClippedCounter<'_>,
     current: &[Cand],
     noise: Noise,
     tau: f64,
-    delta_clip: usize,
     cap: usize,
     len: usize,
     level: usize,
     threads: usize,
     stream_base: u64,
 ) -> Result<Vec<Cand>, usize> {
+    let idx = counts.index();
     let rows = current.len();
     let half = len / 2;
     let n_chunks = rows.div_ceil(PAIR_CHUNK_ROWS);
@@ -357,11 +347,8 @@ fn scan_level_pairs(
                     Some(&(_, iv)) => iv,
                     None => SaInterval::EMPTY,
                 };
-                let true_count = if iv.is_empty() {
-                    0.0
-                } else {
-                    idx.count_clipped_in_interval(iv, delta_clip) as f64
-                };
+                let true_count =
+                    if iv.is_empty() { 0.0 } else { counts.count_in_interval(iv, len) as f64 };
                 if true_count + noise.sample(&mut rng) >= tau {
                     let mut bytes = Vec::with_capacity(len);
                     bytes.extend_from_slice(&q1.bytes);
@@ -423,7 +410,7 @@ pub fn build_candidates_pure<R: Rng + ?Sized>(
     rng: &mut R,
 ) -> Result<CandidateSet, CandidateOverflow> {
     assert!(params.privacy.is_pure(), "Lemma 6 requires δ = 0");
-    build_candidates_impl(idx, params, false, rng)
+    build_candidates_with(&idx.clipped_counter(params.delta_clip), params, false, rng)
 }
 
 /// Builds the candidate set with Gaussian noise (Lemma 15, (ε,δ)-DP).
@@ -433,7 +420,7 @@ pub fn build_candidates_approx<R: Rng + ?Sized>(
     rng: &mut R,
 ) -> Result<CandidateSet, CandidateOverflow> {
     assert!(params.privacy.delta > 0.0, "Lemma 15 requires δ > 0");
-    build_candidates_impl(idx, params, true, rng)
+    build_candidates_with(&idx.clipped_counter(params.delta_clip), params, true, rng)
 }
 
 /// Per-level noise and the analytic sup-error `α` over `K` counts.
@@ -461,20 +448,23 @@ fn level_noise(
     }
 }
 
-fn build_candidates_impl<R: Rng + ?Sized>(
-    idx: &CorpusIndex,
+/// Step 1 with Laplace or, if `gaussian`, Gaussian noise, counting with
+/// `counts` (whose clip level is `params.delta_clip`).
+pub(crate) fn build_candidates_with<R: Rng + ?Sized>(
+    counts: &ClippedCounter<'_>,
     params: &CandidateParams,
     gaussian: bool,
     rng: &mut R,
 ) -> Result<CandidateSet, CandidateOverflow> {
+    debug_assert_eq!(counts.delta(), params.delta_clip);
+    let idx = counts.index();
     let ell = idx.max_len();
     let n = idx.n_docs();
     let max_power = (ell as f64).log2().floor() as usize; // ⌊log ℓ⌋
     let cap = params.level_cap_override.unwrap_or(n * ell);
 
     let doubling = doubling_levels(
-        idx,
-        params.delta_clip,
+        counts,
         params.privacy,
         params.beta,
         gaussian,
@@ -750,8 +740,7 @@ mod tests {
         };
         let max_power = (db.max_len() as f64).log2().floor() as usize;
         let doubling = doubling_levels(
-            &idx,
-            db.max_len(),
+            &idx.clipped_counter(db.max_len()),
             privacy,
             0.1,
             false,

@@ -9,7 +9,7 @@
 
 use std::collections::HashSet;
 
-use dpsc_textindex::{depth_groups, CorpusIndex};
+use dpsc_textindex::{depth_groups, ClippedCounter, CorpusIndex};
 
 /// Result of auditing a mined set.
 #[derive(Debug, Clone)]
@@ -44,6 +44,16 @@ pub fn frequent_substrings(
     threshold: f64,
     fixed_len: Option<usize>,
 ) -> Vec<Vec<u8>> {
+    frequent_with(&idx.clipped_counter(delta_clip), threshold, fixed_len)
+}
+
+/// [`frequent_substrings`] counting with `counts`.
+fn frequent_with(
+    counts: &ClippedCounter<'_>,
+    threshold: f64,
+    fixed_len: Option<usize>,
+) -> Vec<Vec<u8>> {
+    let idx = counts.index();
     let mut out = Vec::new();
     let lens: Vec<usize> = match fixed_len {
         Some(q) => vec![q],
@@ -51,7 +61,7 @@ pub fn frequent_substrings(
     };
     for d in lens {
         for g in depth_groups(idx, d) {
-            let c = idx.count_clipped_in_interval(g.interval, delta_clip) as f64;
+            let c = counts.count_in_interval(g.interval, d) as f64;
             if c >= threshold {
                 out.push(idx.decode_substring(g.witness_pos as usize, d));
             }
@@ -70,20 +80,17 @@ pub fn evaluate_mining(
     alpha: f64,
     fixed_len: Option<usize>,
 ) -> MiningEvaluation {
+    let counts = idx.clipped_counter(delta_clip);
     let reported_set: HashSet<&[u8]> = reported.iter().map(|s| s.as_slice()).collect();
     // Clause (1): strings with count ≥ τ + α must all be reported.
-    let must_report = frequent_substrings(idx, delta_clip, tau + alpha, fixed_len);
+    let must_report = frequent_with(&counts, tau + alpha, fixed_len);
     let missed: Vec<Vec<u8>> =
         must_report.into_iter().filter(|s| !reported_set.contains(s.as_slice())).collect();
     // Clause (2): reported strings must have count > τ − α.
-    let spurious: Vec<Vec<u8>> = reported
-        .iter()
-        .filter(|s| (idx.count_clipped(s, delta_clip) as f64) <= tau - alpha)
-        .cloned()
-        .collect();
+    let spurious: Vec<Vec<u8>> =
+        reported.iter().filter(|s| (counts.count(s) as f64) <= tau - alpha).cloned().collect();
     // Precision/recall at the raw threshold τ.
-    let qualifying: HashSet<Vec<u8>> =
-        frequent_substrings(idx, delta_clip, tau, fixed_len).into_iter().collect();
+    let qualifying: HashSet<Vec<u8>> = frequent_with(&counts, tau, fixed_len).into_iter().collect();
     let hit = reported.iter().filter(|s| qualifying.contains(*s)).count();
     let precision = if reported.is_empty() { 1.0 } else { hit as f64 / reported.len() as f64 };
     let recall = if qualifying.is_empty() { 1.0 } else { hit as f64 / qualifying.len() as f64 };

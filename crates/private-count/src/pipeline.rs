@@ -25,7 +25,7 @@ use dpsc_hierarchy::tree::Tree;
 
 use crate::spans::SpanRecorder;
 use dpsc_strkit::trie::Trie;
-use dpsc_textindex::CorpusIndex;
+use dpsc_textindex::{ClippedCounter, CorpusIndex};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
@@ -80,10 +80,18 @@ pub struct PipelineOutput {
 /// child label arrives in increasing order, so the arena append fast path
 /// applies throughout.
 pub fn build_count_trie(idx: &CorpusIndex, candidates: &[Vec<u8>], delta_clip: usize) -> Trie<u64> {
-    let root_count = idx.count_clipped(b"", delta_clip);
+    count_trie(&idx.clipped_counter(delta_clip), candidates)
+}
+
+/// [`build_count_trie`] counting with `counts`.
+fn count_trie(counts: &ClippedCounter<'_>, candidates: &[Vec<u8>]) -> Trie<u64> {
+    let idx = counts.index();
+    let root_count = counts.count(b"");
     let mut trie: Trie<u64> = Trie::new(root_count);
     let mut sorted: Vec<&[u8]> = candidates.iter().map(|c| c.as_slice()).collect();
-    sorted.sort_unstable();
+    // Step 1 emits one sorted run per candidate length; the stable sort
+    // merges runs instead of re-sorting them.
+    sorted.sort();
     sorted.dedup();
     // stack[d] = (node, interval) of the current candidate's prefix of
     // length d + 1; truncated to the LCP with the next candidate.
@@ -102,7 +110,7 @@ pub fn build_count_trie(idx: &CorpusIndex, candidates: &[Vec<u8>], delta_clip: u
             cur = trie.ensure_child(cur, b, 0);
             if trie.len() > before {
                 // Newly created node: compute its true clipped count once.
-                *trie.value_mut(cur) = idx.count_clipped_in_interval(iv, delta_clip);
+                *trie.value_mut(cur) = counts.count_in_interval(iv, depth + 1);
             }
             stack.push((cur, iv));
         }
@@ -133,10 +141,23 @@ pub fn run_pipeline_traced<R: Rng + ?Sized>(
     rng: &mut R,
     rec: Option<&SpanRecorder>,
 ) -> PipelineOutput {
-    let ell = idx.max_len();
-    let delta_clip = params.delta_clip.clamp(1, ell);
+    let delta_clip = params.delta_clip.clamp(1, idx.max_len());
+    run_pipeline_with(&idx.clipped_counter(delta_clip), candidates, params, rng, rec)
+}
+
+/// [`run_pipeline_traced`] counting Step 2 with `counts`, whose clip level
+/// is `params.delta_clip` clamped to `[1, ℓ]`.
+pub(crate) fn run_pipeline_with<R: Rng + ?Sized>(
+    counts: &ClippedCounter<'_>,
+    candidates: &[Vec<u8>],
+    params: &PipelineParams,
+    rng: &mut R,
+    rec: Option<&SpanRecorder>,
+) -> PipelineOutput {
+    let ell = counts.index().max_len();
+    debug_assert_eq!(counts.delta(), params.delta_clip.clamp(1, ell));
     let started = rec.map(|r| r.mark());
-    let counts_trie = build_count_trie(idx, candidates, delta_clip);
+    let counts_trie = count_trie(counts, candidates);
     if let (Some(r), Some(s)) = (rec, started) {
         r.close("count_trie", s, counts_trie.len() as u64);
     }

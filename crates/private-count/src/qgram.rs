@@ -57,18 +57,9 @@ pub fn build_qgram_pure<R: Rng + ?Sized>(
 
     // Phase A (ε/2): doubling levels up to 2^{⌊log q⌋}.
     let j = (q as f64).log2().floor() as usize;
-    let doubling = doubling_levels(
-        idx,
-        delta_clip,
-        half,
-        beta_half,
-        false,
-        params.tau_override,
-        cap,
-        j,
-        1,
-        rng,
-    )?;
+    let counts = idx.clipped_counter(delta_clip);
+    let doubling =
+        doubling_levels(&counts, half, beta_half, false, params.tau_override, cap, j, 1, rng)?;
     let top: &[Cand] = doubling.levels.last().map(|v| v.as_slice()).unwrap_or(&[]);
     let pow = 1usize << j;
 
@@ -105,13 +96,11 @@ pub fn build_qgram_pure<R: Rng + ?Sized>(
     let alpha = laplace_sup_error(half.epsilon, l1, k_counts.ceil() as usize, beta_half);
     let tau = params.tau_override.unwrap_or(2.0 * alpha);
 
-    let mut trie: Trie<f64> = Trie::new(idx.count_clipped(b"", delta_clip) as f64);
+    let mut trie: Trie<f64> = Trie::new(counts.count(b"") as f64);
     for gram in &cq {
         let hash = idx.hash_pattern(gram);
-        let true_count = count_of
-            .get(&hash)
-            .map(|&iv| idx.count_clipped_in_interval(iv, delta_clip))
-            .unwrap_or(0) as f64;
+        let true_count =
+            count_of.get(&hash).map(|&iv| counts.count_in_interval(iv, q)).unwrap_or(0) as f64;
         let noisy = true_count + noise.sample(rng);
         if noisy >= tau {
             let node = trie.insert_path(gram, |_| f64::NAN);

@@ -130,11 +130,13 @@ fn build_qgram_fast_impl<R: Rng + ?Sized>(
     let floor = if enforce_clamp { alpha } else { f64::NEG_INFINITY };
     let tau = params.tau_override.unwrap_or(2.0 * alpha).max(floor);
 
+    let counts = idx.clipped_counter(delta_clip);
+
     // Phase 0: distinct letters present in the corpus (zero-count letters
     // skipped — the Lemma 19 move).
     let mut marked: HashSet<HashValue> = HashSet::new();
     for g in depth_groups(idx, 1) {
-        let c = idx.count_clipped_in_interval(g.interval, delta_clip) as f64;
+        let c = counts.count_in_interval(g.interval, 1) as f64;
         if c + noise.sample(rng) >= tau {
             marked.insert(idx.substring_hash(g.witness_pos as usize, 1));
         }
@@ -156,7 +158,7 @@ fn build_qgram_fast_impl<R: Rng + ?Sized>(
             let left = idx.substring_hash(p, half);
             let right = idx.substring_hash(p + half, half);
             if marked.contains(&left) && marked.contains(&right) {
-                let c = idx.count_clipped_in_interval(g.interval, delta_clip) as f64;
+                let c = counts.count_in_interval(g.interval, len) as f64;
                 if c + noise.sample(rng) >= tau {
                     next.insert(idx.substring_hash(p, len));
                 }
@@ -171,14 +173,14 @@ fn build_qgram_fast_impl<R: Rng + ?Sized>(
     // Final phase: distinct q-grams with marked length-2^j prefix and
     // suffix; survivors are published with their noisy counts.
     let pow = 1usize << j;
-    let mut trie: Trie<f64> = Trie::new(idx.count_clipped(b"", delta_clip) as f64);
+    let mut trie: Trie<f64> = Trie::new(counts.count(b"") as f64);
     let mut published = 0usize;
     for g in depth_groups(idx, q) {
         let p = g.witness_pos as usize;
         let prefix = idx.substring_hash(p, pow);
         let suffix = idx.substring_hash(p + q - pow, pow);
         if marked.contains(&prefix) && marked.contains(&suffix) {
-            let c = idx.count_clipped_in_interval(g.interval, delta_clip) as f64;
+            let c = counts.count_in_interval(g.interval, q) as f64;
             let noisy = c + noise.sample(rng);
             if noisy >= tau {
                 let gram = idx.decode_substring(p, q);

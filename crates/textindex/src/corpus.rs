@@ -14,20 +14,23 @@
 //! * `count_Δ(P, D)` = per-document clipped sum over the interval
 //!   ([`CorpusIndex::count_clipped`]);
 //! * `count_1(P, D)` (Document Count) = number of distinct documents in the
-//!   interval ([`CorpusIndex::document_count`], backed by the
-//!   prev-occurrence + wavelet-matrix structure in
-//!   [`crate::doc_counter`]).
+//!   interval ([`CorpusIndex::document_count`]);
+//! * `count_Δ(P, D)` for `1 < Δ < ℓ` = the same count over the `Δ`-th
+//!   previous same-document rank ([`ClippedCounter`]), derived once per
+//!   clip level. Both are depth-keyed counters ([`crate::doc_counter`]).
 //!
 //! The index exists only while a private synopsis is built, so it is kept
 //! lean: per text position it holds the text, the suffix array and the LCP
 //! array (4 bytes each), the rolling-hash prefixes (12 bytes, with powers
-//! only up to `ℓ`), the document counter (about `⌈log₂ N⌉ · 1.25` bits) and
-//! a rank bitvector over the sentinels (1.25 bits) that maps a position to
-//! its document. [`CorpusIndex::build`] runs the steps in the order text →
-//! suffix array → document counter → LCP → hash, so each step's scratch
-//! (the SA-IS buffers, the per-position document ids, Kasai's inverse
-//! suffix array) is freed before the next one allocates. DESIGN.md §10
+//! only up to `ℓ`), the document counter (about `⌈log₂(ℓ+2)⌉ · 1.25` bits)
+//! and a rank bitvector over the sentinels (1.25 bits) that maps a position
+//! to its document. [`CorpusIndex::build`] runs the steps in the order
+//! text → suffix array → LCP → document counter → hash, so each step's
+//! scratch (the SA-IS buffers, Kasai's inverse suffix array, the counter's
+//! depth keys) is freed before the next one allocates. DESIGN.md §10
 //! ("Index diet") has the per-step byte counts.
+
+use std::borrow::Cow;
 
 use dpsc_strkit::alphabet::{Alphabet, Database};
 use dpsc_strkit::hash::{hash_symbols, HashValue, RollingHash};
@@ -59,9 +62,10 @@ pub struct CorpusIndex {
 }
 
 impl CorpusIndex {
-    /// Builds the index in `O(N log N)` time for `N = Σ|S_i| + n`
-    /// (the `log` comes from the wavelet matrix's `⌈log₂ N⌉` levels, each
-    /// one linear pass; the suffix array itself is linear).
+    /// Builds the index in `O(N log ℓ)` time for `N = Σ|S_i| + n`: the
+    /// suffix array, LCP array and hash are linear, and the document
+    /// counter takes one pass with a binary search over at most `ℓ + 1`
+    /// stack entries per rank, then `⌈log₂(ℓ+2)⌉` linear matrix levels.
     pub fn build(db: &Database) -> Self {
         let n_docs = db.n();
         let total: usize = db.total_len() + n_docs;
@@ -77,14 +81,15 @@ impl CorpusIndex {
         let sentinels = RankBits::new(&sentinel_words);
         drop(sentinel_words);
         let sa = SuffixArray::from_ints(&text, n_docs + 256);
-        let doc_counter = {
-            let mut doc_of = Vec::with_capacity(total);
-            for (i, doc) in db.documents().iter().enumerate() {
-                doc_of.extend(std::iter::repeat_n(i as u32, doc.len() + 1));
-            }
-            DocDistinctCounter::build(&sa, &doc_of)
-        };
         let lcp = LcpArray::build(&text, &sa);
+        let doc_counter = DocDistinctCounter::from_lcp(
+            sa.sa(),
+            lcp.values(),
+            |pos| sentinels.rank1(pos),
+            n_docs,
+            db.max_len(),
+            1,
+        );
         // Every hashed string is a candidate or a q-gram, never longer
         // than a document.
         let hash = RollingHash::with_max_len(&text, db.max_len());
@@ -230,82 +235,71 @@ impl CorpusIndex {
 
     /// `count_Δ(P, D) = Σ_S min(Δ, count(P, S))` (paper §1.1).
     ///
-    /// `O(|P| log N + occ)` via interval iteration with a per-document tally.
+    /// `O(|P| log N + log ℓ)` for `Δ = 1` and `O(|P| log N)` for `Δ ≥ ℓ`.
+    /// For `1 < Δ < ℓ` it derives the `Δ` counter first, `O(N log ℓ)`:
+    /// hold a [`CorpusIndex::clipped_counter`] to count many patterns.
     pub fn count_clipped(&self, pattern: &[u8], delta: usize) -> u64 {
-        assert!(delta >= 1, "Δ must be at least 1");
         if pattern.is_empty() {
-            // count(ε, S) = |S|, clipped at Δ per document.
-            return self.doc_lengths().map(|len| len.min(delta) as u64).sum();
+            assert!(delta >= 1, "Δ must be at least 1");
+            return self.count_clipped_empty(delta);
         }
-        let iv = self.interval(pattern);
-        self.count_clipped_in_interval(iv, delta)
+        self.clipped_counter(delta).count(pattern)
     }
 
-    /// Clipped count over a precomputed interval.
-    ///
-    /// Allocation-free on the hot path: the per-document tally lives in a
-    /// thread-local dense scratch (one `u32` per document plus a touched
-    /// list), reset by touched entries after each call, so repeated calls —
-    /// one per candidate pair in Step 1 and one per new trie node in
-    /// Step 2 — never hit the allocator or hash a key.
-    pub fn count_clipped_in_interval(&self, iv: SaInterval, delta: usize) -> u64 {
-        if iv.is_empty() {
-            return 0;
-        }
-        if delta == 1 {
-            // count_1 is exactly Document Count: distinct documents in the
-            // interval, answered in O(log² N) without touching occurrences.
-            return self.doc_counter.distinct(iv) as u64;
-        }
-        if delta >= self.max_len {
-            // min(Δ, count(P,S)) = count(P,S) whenever Δ ≥ ℓ ≥ count(P,S).
-            return iv.count() as u64;
-        }
-        thread_local! {
-            static TALLY: std::cell::RefCell<(Vec<u32>, Vec<u32>)> =
-                const { std::cell::RefCell::new((Vec::new(), Vec::new())) };
-        }
-        TALLY.with(|cell| {
-            let mut scratch = cell.borrow_mut();
-            let (counts, touched) = &mut *scratch;
-            if counts.len() < self.n_docs {
-                counts.resize(self.n_docs, 0);
-            }
-            debug_assert!(touched.is_empty());
-            let sa = self.sa.sa();
-            for r in iv.lo..iv.hi {
-                let doc = self.sentinels.rank1(sa[r as usize] as usize) as u32;
-                let slot = &mut counts[doc as usize];
-                if *slot == 0 {
-                    touched.push(doc);
-                }
-                *slot += 1;
-            }
-            let mut total = 0u64;
-            for &doc in touched.iter() {
-                let slot = &mut counts[doc as usize];
-                total += (*slot as usize).min(delta) as u64;
-                *slot = 0;
-            }
-            touched.clear();
-            total
-        })
+    /// `count_Δ(ε, D)`: `count(ε, S) = |S|`, clipped at `Δ` per document.
+    fn count_clipped_empty(&self, delta: usize) -> u64 {
+        self.doc_lengths().map(|len| len.min(delta) as u64).sum()
+    }
+
+    /// The `count_Δ` counter at clip level `delta`: the index's document
+    /// counter for `Δ = 1`, the interval width for `Δ ≥ ℓ` (where
+    /// `min(Δ, count(P, S)) = count(P, S)`), and otherwise a `Δ` counter
+    /// derived here in one `O(N log ℓ)` pass over the suffix and LCP
+    /// arrays, `N·⌈log₂(ℓ+2)⌉ · 1.25` bits.
+    pub fn clipped_counter(&self, delta: usize) -> ClippedCounter<'_> {
+        assert!(delta >= 1, "Δ must be at least 1");
+        let docs = if delta == 1 {
+            Some(Cow::Borrowed(&self.doc_counter))
+        } else if delta >= self.max_len {
+            None
+        } else {
+            Some(Cow::Owned(DocDistinctCounter::from_lcp(
+                self.sa.sa(),
+                self.lcp.values(),
+                |pos| self.sentinels.rank1(pos),
+                self.n_docs,
+                self.max_len,
+                delta,
+            )))
+        };
+        ClippedCounter { idx: self, docs, delta }
     }
 
     /// `count_1(P, D)` (Document Count): number of documents containing
-    /// `pattern`. `O(|P| log N)`: the interval search, then `O(log N)` rank
-    /// steps in the wavelet matrix.
+    /// `pattern`. `O(|P| log N + log ℓ)`: the interval search, then
+    /// `⌈log₂(ℓ+2)⌉` rank steps in the wavelet matrix.
     pub fn document_count(&self, pattern: &[u8]) -> usize {
         if pattern.is_empty() {
             return self.n_docs;
         }
         let iv = self.interval(pattern);
-        self.document_count_in_interval(iv)
+        self.document_count_in_interval(iv, pattern.len())
     }
 
-    /// Distinct documents in a precomputed interval.
-    pub fn document_count_in_interval(&self, iv: SaInterval) -> usize {
-        self.doc_counter.distinct(iv)
+    /// Distinct documents in the interval of a length-`depth` pattern.
+    pub fn document_count_in_interval(&self, iv: SaInterval, depth: usize) -> usize {
+        self.debug_check_depth(iv, depth);
+        self.doc_counter.count(iv, depth)
+    }
+
+    /// A non-empty interval of a length-`depth` pattern starts where the
+    /// LCP drops below `depth`; so `1 + lcp[lo]` is always a valid depth.
+    #[inline]
+    fn debug_check_depth(&self, iv: SaInterval, depth: usize) {
+        debug_assert!(
+            iv.is_empty() || (self.lcp.values()[iv.lo as usize] as usize) < depth,
+            "depth {depth} is not the pattern length of interval {iv:?}"
+        );
     }
 
     /// All occurrences of `pattern` as `(document, offset_in_document)`
@@ -401,6 +395,50 @@ fn partition_u32(n: u32, pred: impl Fn(u32) -> bool) -> u32 {
         }
     }
     lo
+}
+
+/// `count_Δ` over suffix-array intervals at one clip level `Δ`
+/// ([`CorpusIndex::clipped_counter`]).
+#[derive(Debug, Clone)]
+pub struct ClippedCounter<'a> {
+    idx: &'a CorpusIndex,
+    /// `None` for `Δ ≥ ℓ`, where `count_Δ` is the interval width.
+    docs: Option<Cow<'a, DocDistinctCounter>>,
+    delta: usize,
+}
+
+impl<'a> ClippedCounter<'a> {
+    /// The index the counter counts over.
+    #[inline]
+    pub fn index(&self) -> &'a CorpusIndex {
+        self.idx
+    }
+
+    /// The clip level `Δ`.
+    #[inline]
+    pub fn delta(&self) -> usize {
+        self.delta
+    }
+
+    /// `count_Δ` of the length-`depth` pattern whose interval is `iv`, in
+    /// `O(log ℓ)`. Allocation-free: one call per candidate pair in Step 1
+    /// and per new trie node in Step 2.
+    #[inline]
+    pub fn count_in_interval(&self, iv: SaInterval, depth: usize) -> u64 {
+        self.idx.debug_check_depth(iv, depth);
+        match &self.docs {
+            Some(docs) => docs.count(iv, depth) as u64,
+            None => iv.count() as u64,
+        }
+    }
+
+    /// `count_Δ(P, D)`, `O(|P| log N + log ℓ)`.
+    pub fn count(&self, pattern: &[u8]) -> u64 {
+        if pattern.is_empty() {
+            return self.idx.count_clipped_empty(self.delta);
+        }
+        self.count_in_interval(self.idx.interval(pattern), pattern.len())
+    }
 }
 
 #[cfg(test)]
@@ -585,7 +623,7 @@ mod tests {
         }
     }
 
-    /// The per-occurrence tally path (`1 < Δ < ℓ`) on a corpus that spans
+    /// The derived clipped counters (`1 < Δ < ℓ`) on a corpus that spans
     /// hundreds of rank blocks.
     #[test]
     fn clipped_counts_match_naive_on_a_markov_corpus() {
@@ -594,6 +632,7 @@ mod tests {
         use rand::{Rng, SeedableRng};
         let db = markov_corpus(400, 48, 4, 0.6, &mut StdRng::seed_from_u64(21));
         let idx = CorpusIndex::build(&db);
+        let counters = [idx.clipped_counter(2), idx.clipped_counter(db.max_len() - 1)];
         let docs = db.documents();
         let mut rng = StdRng::seed_from_u64(22);
         for _ in 0..300 {
@@ -601,9 +640,10 @@ mod tests {
             let start = rng.gen_range(0..doc.len());
             let len = rng.gen_range(1..=6usize).min(doc.len() - start);
             let p = &doc[start..start + len];
-            for delta in [2, db.max_len() - 1] {
+            for counter in &counters {
+                let delta = counter.delta();
                 let want: u64 = docs.iter().map(|d| naive_count(p, d).min(delta) as u64).sum();
-                assert_eq!(idx.count_clipped(p, delta), want, "{p:?} at Δ = {delta}");
+                assert_eq!(counter.count(p), want, "{p:?} at Δ = {delta}");
             }
         }
     }

@@ -7,10 +7,11 @@
 //!   `S_1 $_1 … S_n $_n` (the construction in the paper's Lemma 7), exposing
 //!   `count(P, D)`, the clipped `count_Δ(P, D)`, and `Document Count`
 //!   lookups.
-//! * [`doc_counter::DocDistinctCounter`] — distinct-document counting over
-//!   suffix-array intervals via the prev-occurrence reduction and a
-//!   wavelet matrix ([`range_count::WaveletMatrix`]), `O(log N)` per query
-//!   in `N·⌈log₂ N⌉` bits plus a rank directory.
+//! * [`doc_counter::DocDistinctCounter`] — distinct-document and clipped
+//!   counting over suffix-array intervals via Sadakane's depth-keyed
+//!   reduction and a wavelet matrix ([`range_count::WaveletMatrix`]),
+//!   `O(log ℓ)` per query in `N·⌈log₂(ℓ+2)⌉` bits plus a rank directory;
+//!   [`ClippedCounter`] picks the counter for a clip level `Δ`.
 //! * [`qgrams::depth_groups`] — enumeration of the distinct length-`d`
 //!   substrings (the `d`-minimal suffix-tree nodes of Lemma 21), the engine
 //!   of the fast (ε,δ)-DP q-gram construction (Theorem 4).
@@ -23,7 +24,7 @@ pub mod doc_counter;
 pub mod qgrams;
 pub mod range_count;
 
-pub use corpus::CorpusIndex;
+pub use corpus::{ClippedCounter, CorpusIndex};
 pub use doc_counter::DocDistinctCounter;
 pub use qgrams::{depth_groups, DepthGroup};
 pub use range_count::WaveletMatrix;

@@ -4,10 +4,9 @@
 //! large alphabets", Information Systems 47, 2015) stores `N` values of `b`
 //! bits as `b` bit vectors of length `N`, `N·b` bits plus a 25% rank
 //! directory, and answers [`WaveletMatrix::count_less`] with `2b` rank
-//! queries. This powers the
-//! distinct-document counting of [`crate::doc_counter`] — the classic
-//! colored-range-counting reduction (Muthukrishnan \[58\], cited by the paper
-//! as the non-private document counting substrate).
+//! queries. This powers the document and clipped counting of
+//! [`crate::doc_counter`], whose values are depths of at most `ℓ + 1`, so
+//! `b = ⌈log₂(ℓ+2)⌉`.
 
 /// Bit vector with a rank9 directory (Vigna, "Broadword implementation of
 /// rank/select queries", WEA 2008), interleaved with the bits: each 512-bit
@@ -85,15 +84,16 @@ pub struct WaveletMatrix {
 impl WaveletMatrix {
     /// Builds the matrix over `values`, with `⌈log₂(max + 1)⌉` levels.
     pub fn build(values: &[u32]) -> Self {
-        Self::from_vec(values.to_vec())
+        Self::from_vec(values.to_vec(), values.iter().copied().max().unwrap_or(0))
     }
 
-    /// [`Self::build`] over an owned buffer, which becomes the first
-    /// level's scratch: the build then allocates one more `u32` per value
-    /// besides the levels themselves.
-    pub(crate) fn from_vec(mut cur: Vec<u32>) -> Self {
+    /// The matrix over an owned buffer of values at most `max`, with
+    /// `⌈log₂(max + 1)⌉` levels. The buffer becomes the first level's
+    /// scratch: the build then allocates one more `u32` per value besides
+    /// the levels themselves.
+    pub(crate) fn from_vec(mut cur: Vec<u32>, max: u32) -> Self {
         let n = cur.len();
-        let max = cur.iter().copied().max().unwrap_or(0);
+        debug_assert!(cur.iter().all(|&v| v <= max), "a value exceeds the declared maximum");
         let bits = u32::BITS - max.leading_zeros();
         let mut next = vec![0u32; n];
         let mut levels = Vec::with_capacity(bits as usize);
@@ -109,14 +109,17 @@ impl WaveletMatrix {
             let z = n - words.iter().map(|w| w.count_ones() as usize).sum::<usize>();
             // Branchless stable partition: zeros fill `next[..z]` and ones
             // `next[z..]`, each value written at the cursor its bit selects.
-            let (mut zero_at, mut one_at) = (0usize, z);
-            for &v in &cur {
-                let bit = ((v >> shift) & 1) as usize;
-                next[if bit == 0 { zero_at } else { one_at }] = v;
-                zero_at += 1 - bit;
-                one_at += bit;
+            // No level reads the order after the last one.
+            if shift > 0 {
+                let (mut zero_at, mut one_at) = (0usize, z);
+                for &v in &cur {
+                    let bit = ((v >> shift) & 1) as usize;
+                    next[if bit == 0 { zero_at } else { one_at }] = v;
+                    zero_at += 1 - bit;
+                    one_at += bit;
+                }
+                std::mem::swap(&mut cur, &mut next);
             }
-            std::mem::swap(&mut cur, &mut next);
             levels.push(RankBits::new(&words));
             zeros.push(z);
         }
@@ -150,6 +153,11 @@ impl WaveletMatrix {
             }
         }
         total
+    }
+
+    /// Number of bit levels, `⌈log₂(max + 1)⌉`.
+    pub fn levels(&self) -> usize {
+        self.levels.len()
     }
 
     /// Heap memory held by the matrix, in bytes.
