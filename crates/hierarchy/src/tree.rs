@@ -9,11 +9,15 @@ use rand::Rng;
 /// Node identifier (arena index).
 pub type NodeId = u32;
 
-/// A rooted tree over nodes `0..n`, stored as parent + children arrays.
+/// A rooted tree over nodes `0..n`, stored as a parent array and one
+/// children array indexed by offsets (no heap block per node).
 #[derive(Debug, Clone)]
 pub struct Tree {
     parent: Vec<NodeId>,
-    children: Vec<Vec<NodeId>>,
+    /// Children of `v` are `child_list[child_start[v]..child_start[v + 1]]`,
+    /// in increasing id order.
+    child_start: Vec<u32>,
+    child_list: Vec<NodeId>,
     root: NodeId,
 }
 
@@ -28,7 +32,7 @@ impl Tree {
         let n = parents.len();
         assert!(n > 0, "tree must be non-empty");
         let mut root = None;
-        let mut children = vec![Vec::new(); n];
+        let mut child_start = vec![0u32; n + 1];
         for (v, p) in parents.iter().enumerate() {
             match p {
                 None => {
@@ -37,14 +41,26 @@ impl Tree {
                 }
                 Some(p) => {
                     assert!((*p as usize) < n, "parent out of range");
-                    children[*p as usize].push(v as NodeId);
+                    child_start[*p as usize + 1] += 1;
                 }
             }
         }
         let root = root.expect("no root");
+        for v in 0..n {
+            child_start[v + 1] += child_start[v];
+        }
+        // Filled in id order, so each node's children stay sorted.
+        let mut next = child_start.clone();
+        let mut child_list = vec![0; n - 1];
+        for (v, p) in parents.iter().enumerate() {
+            if let Some(p) = p {
+                child_list[next[*p as usize] as usize] = v as NodeId;
+                next[*p as usize] += 1;
+            }
+        }
         let parent: Vec<NodeId> =
             parents.iter().enumerate().map(|(v, p)| p.unwrap_or(v as NodeId)).collect();
-        let tree = Self { parent, children, root };
+        let tree = Self { parent, child_start, child_list, root };
         // Cycle check: every node must be reachable from the root.
         let mut seen = 0usize;
         let mut stack = vec![root];
@@ -123,13 +139,14 @@ impl Tree {
     /// Children of `v`.
     #[inline]
     pub fn children(&self, v: NodeId) -> &[NodeId] {
-        &self.children[v as usize]
+        &self.child_list
+            [self.child_start[v as usize] as usize..self.child_start[v as usize + 1] as usize]
     }
 
     /// Whether `v` is a leaf.
     #[inline]
     pub fn is_leaf(&self, v: NodeId) -> bool {
-        self.children[v as usize].is_empty()
+        self.children(v).is_empty()
     }
 
     /// All leaves, in increasing id order.
