@@ -32,7 +32,8 @@ pub struct DocDistinctCounter {
     matrix: WaveletMatrix,
 }
 
-/// Ring slot of a document with fewer than `Δ` ranks so far.
+/// An empty ring slot, and the ring start of a document with fewer than
+/// `Δ` ranks, which needs no ring.
 const NO_RANK: u32 = u32::MAX;
 
 impl DocDistinctCounter {
