@@ -23,13 +23,16 @@
 //! Every candidate carries its suffix-array interval, so the concatenations
 //! `q1 · q2` that occur are exactly the depth-`2^k` runs inside `q1`'s
 //! interval: one LCP walk over that interval splits it into runs, and each
-//! run's second half is resolved to its row by one rolling-hash lookup in a
-//! `|P|`-entry table. The pair scan then walks all `|P|` columns, draws the
-//! noise of every pair, and counts only the occurring ones. The walks of a
-//! level cover disjoint intervals, so they read the SA and LCP arrays at
-//! most once; on sparse levels they touch a small part of them. Suffix/prefix
-//! overlaps for `C_m` are hash comparisons over a pooled candidate buffer.
-//! See DESIGN.md §2 for the substitution rationale.
+//! run's second half is resolved to its row exactly by its suffix-array
+//! rank (`CorpusIndex::rank_of`): a level is sorted and its rows have one
+//! length, so their non-empty intervals are disjoint and ascending, and one
+//! binary search over their starts finds the row whose interval holds the
+//! rank. The pair scan then walks all `|P|` columns, draws the noise of
+//! every pair, and counts only the occurring ones. The walks of a level
+//! cover disjoint intervals, so they read the SA and LCP arrays at most
+//! once; on sparse levels they touch a small part of them. Suffix/prefix
+//! overlaps for `C_m` join candidates on their overlapping bytes. See
+//! DESIGN.md §2 for the substitution rationale.
 //!
 //! ## Parallelism and determinism
 //! The pair scan of each doubling level is embarrassingly parallel and
@@ -47,7 +50,6 @@ use std::sync::atomic::{AtomicUsize, Ordering};
 
 use dpsc_dpcore::budget::PrivacyParams;
 use dpsc_dpcore::noise::Noise;
-use dpsc_strkit::hash::HashValue;
 use dpsc_strkit::search::SaInterval;
 use dpsc_textindex::{ClippedCounter, CorpusIndex};
 use rand::rngs::StdRng;
@@ -120,14 +122,12 @@ pub struct CandidateSet {
 /// exhaust memory.
 pub const OVERLAP_SAFETY_CAP: usize = 1 << 22;
 
-/// One candidate string with its hash in the corpus symbol space and its
-/// suffix-array interval (empty for candidates absent from the corpus).
-/// Carrying the interval lets the next level's pair scan find the
-/// occurring concatenations by walking it.
+/// One candidate string with its suffix-array interval (empty for
+/// candidates absent from the corpus). Carrying the interval lets the next
+/// level's pair scan find the occurring concatenations by walking it.
 #[derive(Debug, Clone)]
 pub(crate) struct Cand {
     pub(crate) bytes: Vec<u8>,
-    pub(crate) hash: HashValue,
     pub(crate) iv: SaInterval,
 }
 
@@ -145,44 +145,38 @@ fn stream_tag(level: usize, chunk: usize) -> u64 {
 /// every parallelism setting.
 const PAIR_CHUNK_ROWS: usize = 16;
 
-/// The rows of one level's candidates, keyed by hash: an open-addressed
-/// table of row numbers (linear probing on [`HashValue::fingerprint`], load
-/// factor ≤ 1/2), each probe confirmed against the row's full hash.
-struct RowIndex<'a> {
+/// The rows of one level that occur in the text, by interval. A level is
+/// sorted and its strings have one length, so their non-empty intervals
+/// are disjoint and ascend with the row; absent rows (empty intervals) can
+/// never match.
+struct RowIntervals<'a> {
     cands: &'a [Cand],
-    slots: Vec<u32>,
-    mask: usize,
+    /// Interval starts of the occurring rows, ascending.
+    starts: Vec<u32>,
+    /// The row of each start.
+    rows: Vec<u32>,
 }
 
-const NO_ROW: u32 = u32::MAX;
-
-impl<'a> RowIndex<'a> {
+impl<'a> RowIntervals<'a> {
     fn new(cands: &'a [Cand]) -> Self {
-        let mask = (cands.len().max(1) * 2).next_power_of_two() - 1;
-        let mut slots = vec![NO_ROW; mask + 1];
-        for (row, c) in cands.iter().enumerate() {
-            let mut i = c.hash.fingerprint() as usize & mask;
-            while slots[i] != NO_ROW {
-                i = (i + 1) & mask;
-            }
-            slots[i] = row as u32;
-        }
-        Self { cands, slots, mask }
+        let (starts, rows) = cands
+            .iter()
+            .enumerate()
+            .filter(|(_, c)| !c.iv.is_empty())
+            .map(|(row, c)| (c.iv.lo, row as u32))
+            .unzip();
+        let table = Self { cands, starts, rows };
+        debug_assert!(table.starts.is_sorted_by(|a, b| a < b));
+        table
     }
 
+    /// The row whose interval holds `rank`: the last start `≤ rank`, if
+    /// its interval reaches past `rank`.
     #[inline]
-    fn get(&self, key: HashValue) -> Option<u32> {
-        let mut i = key.fingerprint() as usize & self.mask;
-        loop {
-            let row = self.slots[i];
-            if row == NO_ROW {
-                return None;
-            }
-            if self.cands[row as usize].hash == key {
-                return Some(row);
-            }
-            i = (i + 1) & self.mask;
-        }
+    fn get(&self, rank: u32) -> Option<u32> {
+        let k = self.starts.partition_point(|&lo| lo <= rank).checked_sub(1)?;
+        let row = self.rows[k];
+        (rank < self.cands[row as usize].iv.hi).then_some(row)
     }
 }
 
@@ -237,7 +231,7 @@ pub(crate) fn doubling_levels<R: Rng + ?Sized>(
         let iv = idx.interval(&[letter]);
         let c = counts.count_in_interval(iv, 1) as f64;
         if c + noise.sample(&mut rng0) >= tau {
-            current.push(Cand { bytes: vec![letter], hash: idx.hash_pattern(&[letter]), iv });
+            current.push(Cand { bytes: vec![letter], iv });
         }
     }
     if current.len() > cap {
@@ -264,14 +258,14 @@ pub(crate) fn doubling_levels<R: Rng + ?Sized>(
 ///
 /// Walks `iv` once, splitting it into depth-`2·half` runs with the LCP
 /// array (as [`dpsc_textindex::depth_groups`] does, but only inside `iv`),
-/// and resolves each run's second half by its hash in `rows`. A run starts
+/// and resolves each run's second half by its rank in `rows`. A run starts
 /// only at a rank whose suffix has `2·half` symbols left in its document;
 /// ranks inside a run need no such check, since an LCP of `2·half` with a
 /// valid suffix rules out a sentinel.
 fn occurring_pairs(
     idx: &CorpusIndex,
     iv: SaInterval,
-    rows: &RowIndex<'_>,
+    rows: &RowIntervals<'_>,
     half: usize,
     out: &mut Vec<(u32, SaInterval)>,
 ) {
@@ -288,7 +282,7 @@ fn occurring_pairs(
         }
         let pos = sa[r] as usize;
         if idx.remaining_in_doc(pos) >= len {
-            if let Some(j) = rows.get(idx.substring_hash(pos + half, half)) {
+            if let Some(j) = rows.get(idx.rank_of(pos + half)) {
                 out.push((j, SaInterval { lo: r as u32, hi: end as u32 }));
             }
         }
@@ -328,7 +322,7 @@ fn scan_level_pairs(
     let half = len / 2;
     let n_chunks = rows.div_ceil(PAIR_CHUNK_ROWS);
     let found = AtomicUsize::new(0);
-    let row_index = RowIndex::new(current);
+    let row_index = RowIntervals::new(current);
 
     let scan_chunk = |chunk: usize, out: &mut Vec<Cand>| {
         let mut rng = StdRng::seed_from_u64(derive_stream(stream_base, stream_tag(level, chunk)));
@@ -353,8 +347,7 @@ fn scan_level_pairs(
                     let mut bytes = Vec::with_capacity(len);
                     bytes.extend_from_slice(&q1.bytes);
                     bytes.extend_from_slice(&q2.bytes);
-                    let hash = idx.concat_hash(q1.hash, q2.hash);
-                    out.push(Cand { bytes, hash, iv });
+                    out.push(Cand { bytes, iv });
                     if found.fetch_add(1, Ordering::Relaxed) + 1 > cap {
                         return;
                     }
@@ -482,7 +475,7 @@ pub(crate) fn build_candidates_with<R: Rng + ?Sized>(
         strings.extend(level.iter().map(|c| c.bytes.clone()));
         // C_m for 2^k < m < 2^{k+1}: post-processing of P_{2^k} (no
         // database access, no privacy cost).
-        extend_with_overlaps(idx, level, 1 << k, ell, OVERLAP_SAFETY_CAP, &mut strings);
+        extend_with_overlaps(level, 1 << k, ell, OVERLAP_SAFETY_CAP, &mut strings);
     }
 
     Ok(CandidateSet { strings, alpha: doubling.alpha, tau: doubling.tau, level_sizes })
@@ -493,11 +486,12 @@ pub(crate) fn build_candidates_with<R: Rng + ?Sized>(
 /// `Q1[0..L] · Q2[2L−m..L]` for every pair with a suffix/prefix overlap of
 /// length `2L − m`.
 ///
-/// Matching is hash-indexed: for each overlap length `o`, candidates are
-/// bucketed by length-`o` prefix hash and joined against suffix hashes, so
-/// the cost is `O(|P|·L + matches)` instead of the naive `O(|P|²·L)` — the
-/// practical stand-in for the paper's LCE-based overlap detection (proof of
-/// Lemma 7, Step 2). Hash hits are byte-verified before emission.
+/// Matching is indexed: for each overlap length `o`, candidates are
+/// bucketed by their length-`o` prefix and joined against their length-`o`
+/// suffixes, so the cost is `O(|P|·L + matches)` expected instead of the
+/// naive `O(|P|²·L)` — the practical stand-in for the paper's LCE-based
+/// overlap detection (proof of Lemma 7, Step 2). Buckets hold rows in
+/// ascending order, so the output is in `(Q1, Q2)` order.
 ///
 /// `per_length_cap` is a far-away safety valve (callers pass
 /// [`OVERLAP_SAFETY_CAP`]) bounding memory if a noise-flooded candidate
@@ -506,7 +500,6 @@ pub(crate) fn build_candidates_with<R: Rng + ?Sized>(
 /// used as a tight budget: truncation is arbitrary and could drop frequent
 /// strings. The cap decision never touches the database.
 fn extend_with_overlaps(
-    idx: &CorpusIndex,
     cands: &[Cand],
     len: usize,
     ell: usize,
@@ -517,51 +510,25 @@ fn extend_with_overlaps(
         return;
     }
     let max_m = (2 * len - 1).min(ell);
-    if max_m <= len {
-        return;
-    }
-    // All prefix/suffix hashes of each candidate in O(len) via a per-string
-    // rolling hash (same parameter space as the corpus, so hashes agree
-    // with `idx.hash_pattern`).
-    struct Hashes {
-        prefix: Vec<HashValue>,
-        suffix: Vec<HashValue>,
-    }
-    let hashes: Vec<Hashes> = cands
-        .iter()
-        .map(|c| {
-            let encoded: Vec<u32> =
-                c.bytes.iter().map(|&b| idx.n_docs() as u32 + b as u32).collect();
-            let h = dpsc_strkit::hash::RollingHash::new(&encoded);
-            let prefix = (0..=len).map(|o| h.substring(0, o)).collect();
-            let suffix = (0..=len).map(|o| h.substring(len - o, len)).collect();
-            Hashes { prefix, suffix }
-        })
-        .collect();
     for m in len + 1..=max_m {
         let o = 2 * len - m;
-        // Bucket candidates by their length-o prefix hash.
-        let mut by_prefix: HashMap<HashValue, Vec<u32>> = HashMap::new();
-        for (j, h) in hashes.iter().enumerate() {
-            by_prefix.entry(h.prefix[o]).or_default().push(j as u32);
+        let mut by_prefix: HashMap<&[u8], Vec<u32>> = HashMap::new();
+        for (j, q2) in cands.iter().enumerate() {
+            by_prefix.entry(&q2.bytes[..o]).or_default().push(j as u32);
         }
         let mut emitted = 0usize;
-        'outer: for (i, q1) in cands.iter().enumerate() {
-            let Some(js) = by_prefix.get(&hashes[i].suffix[o]) else {
+        'outer: for q1 in cands {
+            let Some(js) = by_prefix.get(&q1.bytes[len - o..]) else {
                 continue;
             };
             for &j in js {
-                let q2 = &cands[j as usize];
-                // Exact confirmation (hashes are probabilistic).
-                if q1.bytes[len - o..] == q2.bytes[..o] {
-                    let mut s = Vec::with_capacity(m);
-                    s.extend_from_slice(&q1.bytes);
-                    s.extend_from_slice(&q2.bytes[o..]);
-                    out.push(s);
-                    emitted += 1;
-                    if emitted >= per_length_cap {
-                        break 'outer;
-                    }
+                let mut s = Vec::with_capacity(m);
+                s.extend_from_slice(&q1.bytes);
+                s.extend_from_slice(&cands[j as usize].bytes[o..]);
+                out.push(s);
+                emitted += 1;
+                if emitted >= per_length_cap {
+                    break 'outer;
                 }
             }
         }
@@ -569,7 +536,7 @@ fn extend_with_overlaps(
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
     use dpsc_strkit::alphabet::{Alphabet, Database};
     use rand::rngs::StdRng;
@@ -755,7 +722,7 @@ mod tests {
         let mut got = Vec::new();
         for (k, level) in doubling.levels.iter().enumerate().skip(1) {
             let current = &doubling.levels[k - 1];
-            let rows = RowIndex::new(current);
+            let rows = RowIntervals::new(current);
             absent += current.iter().filter(|c| c.iv.is_empty()).count();
             for q1 in current {
                 occurring_pairs(&idx, q1.iv, &rows, 1 << (k - 1), &mut got);
@@ -775,7 +742,8 @@ mod tests {
         Ok(absent)
     }
 
-    fn small_docs() -> impl proptest::Strategy<Value = Vec<Vec<u8>>> {
+    /// One to six documents of 1–12 symbols over `abc`.
+    pub(crate) fn small_docs() -> impl proptest::Strategy<Value = Vec<Vec<u8>>> {
         proptest::collection::vec(
             proptest::collection::vec(proptest::sample::select(b"abc".to_vec()), 1..13),
             1..7,

@@ -8,15 +8,12 @@
 //! one log factor better than Theorem 1 because no heavy-path machinery is
 //! needed at a single depth.
 
-use std::collections::HashMap;
-
 use dpsc_dpcore::budget::PrivacyParams;
 use dpsc_dpcore::mechanism::laplace_sup_error;
 use dpsc_dpcore::noise::Noise;
-use dpsc_strkit::hash::HashValue;
 use dpsc_strkit::search::SaInterval;
 use dpsc_strkit::trie::Trie;
-use dpsc_textindex::{depth_groups, CorpusIndex};
+use dpsc_textindex::CorpusIndex;
 use rand::Rng;
 
 use crate::candidates::{doubling_levels, Cand, CandidateOverflow};
@@ -64,9 +61,10 @@ pub fn build_qgram_pure<R: Rng + ?Sized>(
     let pow = 1usize << j;
 
     // C_q: strings of length q whose length-2^j prefix and suffix are both
-    // in P_{2^j} (post-processing).
-    let cq: Vec<Vec<u8>> = if q == pow {
-        top.iter().map(|c| c.bytes.clone()).collect()
+    // in P_{2^j} (post-processing), each with its interval: a gram extends
+    // the pair's first half by the bytes the second half appends.
+    let cq: Vec<(Vec<u8>, SaInterval)> = if q == pow {
+        top.iter().map(|c| (c.bytes.clone(), c.iv)).collect()
     } else {
         let overlap = 2 * pow - q;
         let mut out = Vec::new();
@@ -76,7 +74,8 @@ pub fn build_qgram_pure<R: Rng + ?Sized>(
                     let mut s = Vec::with_capacity(q);
                     s.extend_from_slice(&q1.bytes);
                     s.extend_from_slice(&q2.bytes[overlap..]);
-                    out.push(s);
+                    let iv = (pow..q).fold(q1.iv, |iv, d| idx.extend_interval(iv, d, s[d]));
+                    out.push((s, iv));
                 }
             }
         }
@@ -85,11 +84,6 @@ pub fn build_qgram_pure<R: Rng + ?Sized>(
 
     // Phase B (ε/2): Laplace-noised counts for every member of C_q
     // (including absent members), threshold at 2α.
-    let groups = depth_groups(idx, q);
-    let mut count_of: HashMap<HashValue, SaInterval> = HashMap::with_capacity(groups.len());
-    for g in &groups {
-        count_of.insert(idx.substring_hash(g.witness_pos as usize, q), g.interval);
-    }
     let l1 = 2.0 * ell as f64; // Corollary 3
     let noise = Noise::laplace_for(half.epsilon, l1);
     let k_counts = ((ell * ell) as f64 * (n * n) as f64).max(idx.alphabet_size() as f64);
@@ -97,11 +91,8 @@ pub fn build_qgram_pure<R: Rng + ?Sized>(
     let tau = params.tau_override.unwrap_or(2.0 * alpha);
 
     let mut trie: Trie<f64> = Trie::new(counts.count(b"") as f64);
-    for gram in &cq {
-        let hash = idx.hash_pattern(gram);
-        let true_count =
-            count_of.get(&hash).map(|&iv| counts.count_in_interval(iv, q)).unwrap_or(0) as f64;
-        let noisy = true_count + noise.sample(rng);
+    for (gram, iv) in &cq {
+        let noisy = counts.count_in_interval(*iv, q) as f64 + noise.sample(rng);
         if noisy >= tau {
             let node = trie.insert_path(gram, |_| f64::NAN);
             *trie.value_mut(node) = noisy;

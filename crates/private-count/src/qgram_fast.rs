@@ -19,15 +19,15 @@
 //! The paper walks `2^k`-minimal suffix-tree nodes with weighted-ancestor
 //! queries \[5, 39\]; we enumerate the same nodes as LCP depth groups
 //! ([`dpsc_textindex::depth_groups`]) and replace the ancestor queries by
-//! hash-set membership of the half-strings — same marks, different
-//! dictionary (DESIGN.md §2). Construction is `O(nℓ(log q + log|Σ|))`-ish:
+//! rank bitvectors: a phase marks a group by setting the bits of its
+//! suffix-array interval, and the half-string at text position `p` is
+//! marked iff the bit at its rank ([`CorpusIndex::rank_of`]) is set — same
+//! marks, exact (DESIGN.md §2). Construction is `O(nℓ(log q + log|Σ|))`-ish:
 //! one LCP scan per phase.
-
-use std::collections::HashSet;
 
 use dpsc_dpcore::budget::PrivacyParams;
 use dpsc_dpcore::noise::Noise;
-use dpsc_strkit::hash::HashValue;
+use dpsc_strkit::search::SaInterval;
 use dpsc_strkit::trie::Trie;
 use dpsc_textindex::{depth_groups, CorpusIndex};
 use rand::Rng;
@@ -77,6 +77,34 @@ impl std::fmt::Display for PhaseOverflow {
 
 impl std::error::Error for PhaseOverflow {}
 
+/// The marked groups of one phase: one bit per suffix-array rank, set on
+/// the interval of every marked group. Groups of one length have disjoint
+/// intervals, so a rank's bit says whether the length-`d` substring of its
+/// suffix is marked.
+struct Marks {
+    bits: Vec<u64>,
+    /// Number of marked groups, for the cap check.
+    groups: usize,
+}
+
+impl Marks {
+    fn new(ranks: usize) -> Self {
+        Self { bits: vec![0; ranks.div_ceil(64)], groups: 0 }
+    }
+
+    fn mark(&mut self, iv: SaInterval) {
+        self.groups += 1;
+        for r in iv.lo as usize..iv.hi as usize {
+            self.bits[r / 64] |= 1 << (r % 64);
+        }
+    }
+
+    #[inline]
+    fn contains(&self, rank: u32) -> bool {
+        self.bits[rank as usize / 64] >> (rank % 64) & 1 == 1
+    }
+}
+
 /// Builds the Theorem 4 (ε,δ)-DP q-gram structure in
 /// `O(nℓ(log q + log|Σ|))` time and `O(nℓ)` space.
 pub fn build_qgram_fast<R: Rng + ?Sized>(
@@ -85,6 +113,34 @@ pub fn build_qgram_fast<R: Rng + ?Sized>(
     rng: &mut R,
 ) -> Result<PrivateCountStructure, PhaseOverflow> {
     build_qgram_fast_impl(idx, params, true, rng)
+}
+
+/// The Gaussian noise of every phase and the sup error `α` of the noisy
+/// counts.
+fn phase_noise(idx: &CorpusIndex, params: &FastQgramParams) -> (Noise, f64) {
+    let ell = idx.max_len();
+    let delta_clip = params.mode.delta_clip(ell);
+    let n = idx.n_docs();
+    let sigma = idx.alphabet_size();
+    // Paper's parameterization (Lemma 20): j = ⌊log q⌋, ε₁ = ε/(j+2),
+    // β₁ = min(β/(j+2), δ/(3e^ε(j+2))), δ₁ ≤ β₁.
+    let j = (params.q as f64).log2().floor() as usize;
+    let phases = j + 2;
+    let eps1 = params.privacy.epsilon / phases as f64;
+    // Work in log space: β₁ involves e^{-ε}, which overflows f64 for large
+    // ε while ln(2/δ₁) stays perfectly representable.
+    let log_beta1 = (params.beta / phases as f64)
+        .ln()
+        .min(params.privacy.delta.ln() - (3.0 * phases as f64).ln() - params.privacy.epsilon);
+    let ln_2_over_delta1 = std::f64::consts::LN_2 - log_beta1; // δ₁ = β₁
+
+    // σ = 2ε₁⁻¹√(2ℓΔ·ln(2/δ₁)); α from the Gaussian tail over
+    // K = max{ℓ²n², |Σ|} counts.
+    let sigma_noise = 2.0 / eps1 * (2.0 * ell as f64 * delta_clip as f64 * ln_2_over_delta1).sqrt();
+    let noise = Noise::Gaussian { sigma: sigma_noise };
+    let k_counts = ((ell * ell) as f64 * (n * n) as f64).max(sigma as f64);
+    let alpha = sigma_noise * (2.0 * ((2.0 * k_counts).ln() - log_beta1)).sqrt();
+    (noise, alpha)
 }
 
 /// Implementation with an `enforce_clamp` switch. The public entry point
@@ -104,26 +160,8 @@ fn build_qgram_fast_impl<R: Rng + ?Sized>(
     let delta_clip = params.mode.delta_clip(ell);
     let n = idx.n_docs();
     let cap = n * ell;
-    let sigma = idx.alphabet_size();
-
-    // Paper's parameterization (Lemma 20): j = ⌊log q⌋, ε₁ = ε/(j+2),
-    // β₁ = min(β/(j+2), δ/(3e^ε(j+2))), δ₁ ≤ β₁.
     let j = (q as f64).log2().floor() as usize;
-    let phases = j + 2;
-    let eps1 = params.privacy.epsilon / phases as f64;
-    // Work in log space: β₁ involves e^{-ε}, which overflows f64 for large
-    // ε while ln(2/δ₁) stays perfectly representable.
-    let log_beta1 = (params.beta / phases as f64)
-        .ln()
-        .min(params.privacy.delta.ln() - (3.0 * phases as f64).ln() - params.privacy.epsilon);
-    let ln_2_over_delta1 = std::f64::consts::LN_2 - log_beta1; // δ₁ = β₁
-
-    // σ = 2ε₁⁻¹√(2ℓΔ·ln(2/δ₁)); α from the Gaussian tail over
-    // K = max{ℓ²n², |Σ|} counts.
-    let sigma_noise = 2.0 / eps1 * (2.0 * ell as f64 * delta_clip as f64 * ln_2_over_delta1).sqrt();
-    let noise = Noise::Gaussian { sigma: sigma_noise };
-    let k_counts = ((ell * ell) as f64 * (n * n) as f64).max(sigma as f64);
-    let alpha = sigma_noise * (2.0 * ((2.0 * k_counts).ln() - log_beta1)).sqrt();
+    let (noise, alpha) = phase_noise(idx, params);
     // Privacy clamp (Lemma 19): with probability ≥ 1 − β₁ no zero-count
     // string's noise reaches α, so any τ ≥ α keeps the skipped strings
     // statistically invisible within the δ budget. Smaller τ would not.
@@ -134,38 +172,39 @@ fn build_qgram_fast_impl<R: Rng + ?Sized>(
 
     // Phase 0: distinct letters present in the corpus (zero-count letters
     // skipped — the Lemma 19 move).
-    let mut marked: HashSet<HashValue> = HashSet::new();
+    let ranks = idx.text_len();
+    let mut marked = Marks::new(ranks);
     for g in depth_groups(idx, 1) {
         let c = counts.count_in_interval(g.interval, 1) as f64;
         if c + noise.sample(rng) >= tau {
-            marked.insert(idx.substring_hash(g.witness_pos as usize, 1));
+            marked.mark(g.interval);
         }
     }
-    if marked.len() > cap {
-        return Err(PhaseOverflow { phase: 0, size: marked.len(), cap });
+    if marked.groups > cap {
+        return Err(PhaseOverflow { phase: 0, size: marked.groups, cap });
     }
 
     // Phases k = 1..=j: distinct 2^k-substrings with both halves marked.
+    // A group's left half holds its whole interval, so its first rank
+    // stands for it.
     for k in 1..=j {
         let len = 1usize << k;
         if len > ell {
             break;
         }
         let half = len / 2;
-        let mut next: HashSet<HashValue> = HashSet::new();
+        let mut next = Marks::new(ranks);
         for g in depth_groups(idx, len) {
-            let p = g.witness_pos as usize;
-            let left = idx.substring_hash(p, half);
-            let right = idx.substring_hash(p + half, half);
-            if marked.contains(&left) && marked.contains(&right) {
+            let right = idx.rank_of(g.witness_pos as usize + half);
+            if marked.contains(g.interval.lo) && marked.contains(right) {
                 let c = counts.count_in_interval(g.interval, len) as f64;
                 if c + noise.sample(rng) >= tau {
-                    next.insert(idx.substring_hash(p, len));
+                    next.mark(g.interval);
                 }
             }
         }
-        if next.len() > cap {
-            return Err(PhaseOverflow { phase: k, size: next.len(), cap });
+        if next.groups > cap {
+            return Err(PhaseOverflow { phase: k, size: next.groups, cap });
         }
         marked = next;
     }
@@ -177,9 +216,8 @@ fn build_qgram_fast_impl<R: Rng + ?Sized>(
     let mut published = 0usize;
     for g in depth_groups(idx, q) {
         let p = g.witness_pos as usize;
-        let prefix = idx.substring_hash(p, pow);
-        let suffix = idx.substring_hash(p + q - pow, pow);
-        if marked.contains(&prefix) && marked.contains(&suffix) {
+        let suffix = idx.rank_of(p + q - pow);
+        if marked.contains(g.interval.lo) && marked.contains(suffix) {
             let c = counts.count_in_interval(g.interval, q) as f64;
             let noisy = c + noise.sample(rng);
             if noisy >= tau {
@@ -201,9 +239,13 @@ fn build_qgram_fast_impl<R: Rng + ?Sized>(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use dpsc_strkit::alphabet::Database;
+    use crate::candidates::tests::small_docs;
+    use crate::qgram::{build_qgram_pure, QgramParams};
+    use dpsc_strkit::alphabet::{Alphabet, Database};
+    use dpsc_strkit::naive_count;
     use rand::rngs::StdRng;
     use rand::SeedableRng;
+    use std::collections::{BTreeMap, BTreeSet};
 
     fn noiseless(q: usize, mode: CountMode) -> (Database, PrivateCountStructure) {
         let db = Database::paper_example();
@@ -298,6 +340,130 @@ mod tests {
         let a4 = mk(4);
         let ratio = a4 / a1;
         assert!((ratio - 2.0).abs() < 0.05, "ratio {ratio} should be ≈ √4 = 2");
+    }
+
+    /// `count_Δ` at clip level `delta` of every distinct `q`-gram of `docs`.
+    fn naive_qgrams(docs: &[Vec<u8>], q: usize, delta: usize) -> BTreeMap<Vec<u8>, f64> {
+        let mut grams = BTreeMap::new();
+        for doc in docs {
+            for w in doc.windows(q) {
+                grams.insert(w.to_vec(), 0.0);
+            }
+        }
+        for (gram, count) in grams.iter_mut() {
+            *count = docs.iter().map(|d| naive_count(gram, d).min(delta) as f64).sum();
+        }
+        grams
+    }
+
+    /// Checks Theorems 3 and 4 against naive counts on `docs` (alphabet
+    /// `a..=d`, so `d` never occurs), in Substring and Document modes:
+    /// - noiseless Theorem 3 releases every `C_q` gram's count, and 0 for
+    ///   the grams of `C_q` that do not occur;
+    /// - noiseless Theorem 4 releases every occurring q-gram's count;
+    /// - Theorem 4 at `τ = −∞` publishes exactly the distinct q-grams;
+    /// - Theorem 4 with noise near the counts, where the marks decide,
+    ///   releases what its phases release over naive tables with the same
+    ///   noise stream (both draw in lexicographic order).
+    fn check_qgrams_against_naive(docs: Vec<Vec<u8>>, q: usize, seed: u64) -> Result<(), String> {
+        let db = Database::from_documents(Alphabet::lowercase(4), docs).unwrap();
+        let idx = CorpusIndex::build(&db);
+        let ell = db.max_len();
+        let q = 1 + q % ell;
+        // C_q from the exact P_{2^j}: the overlaps of the distinct 2^j-grams.
+        let pow = 1usize << (q as f64).log2().floor() as usize;
+        let top: BTreeSet<&[u8]> = db.documents().iter().flat_map(|d| d.windows(pow)).collect();
+        let overlap = 2 * pow - q;
+        let mut cq = Vec::new();
+        for a in &top {
+            for b in top.iter().filter(|b| a[pow - overlap..] == b[..overlap]) {
+                cq.push([*a, &b[overlap..]].concat());
+            }
+        }
+        let mut rng = StdRng::seed_from_u64(seed);
+        for mode in [CountMode::Substring, CountMode::Document] {
+            let grams = naive_qgrams(db.documents(), q, mode.delta_clip(ell));
+            let pure = build_qgram_pure(
+                &idx,
+                &QgramParams {
+                    q,
+                    mode,
+                    privacy: PrivacyParams::pure(1e9),
+                    beta: 0.1,
+                    tau_override: Some(0.9),
+                    level_cap_override: None,
+                },
+                &mut rng,
+            )
+            .map_err(|e| e.to_string())?;
+            for gram in &cq {
+                let want = grams.get(gram).copied().unwrap_or(0.0);
+                if (pure.query(gram) - want).abs() > 1e-3 {
+                    return Err(format!("{mode} q={q} Theorem 3 {gram:?}: {}", pure.query(gram)));
+                }
+            }
+            let params = |privacy, tau| FastQgramParams {
+                q,
+                mode,
+                privacy,
+                beta: 0.1,
+                tau_override: Some(tau),
+            };
+            let fast = |params, rng: &mut StdRng| {
+                build_qgram_fast_impl(&idx, &params, false, rng).map_err(|e| e.to_string())
+            };
+            let exact = fast(params(PrivacyParams::approx(1e9, 1e-9), 0.9), &mut rng)?;
+            for (gram, &want) in &grams {
+                if (exact.query(gram) - want).abs() > 0.05 {
+                    return Err(format!("{mode} q={q} Theorem 4 {gram:?}: {}", exact.query(gram)));
+                }
+            }
+            let all = fast(params(PrivacyParams::approx(1.0, 1e-6), f64::NEG_INFINITY), &mut rng)?;
+            let published: Vec<Vec<u8>> =
+                all.mine_qgrams(q, f64::NEG_INFINITY).into_iter().map(|(g, _)| g).collect();
+            if !published.iter().eq(grams.keys()) {
+                return Err(format!("{mode} q={q} τ = −∞ published {published:?}"));
+            }
+            let marking = params(PrivacyParams::approx(5000.0, 1e-6), 2.0);
+            let (noise, _) = phase_noise(&idx, &marking);
+            let mut twin = rng.clone();
+            let got: BTreeMap<Vec<u8>, f64> =
+                fast(marking, &mut rng)?.mine_qgrams(q, f64::NEG_INFINITY).into_iter().collect();
+            let (mut marked, mut prev, mut want) = (BTreeSet::new(), 0, BTreeMap::new());
+            for d in (0..=pow.trailing_zeros()).map(|k| 1usize << k).chain([q]) {
+                want = BTreeMap::new();
+                for (gram, count) in naive_qgrams(db.documents(), d, mode.delta_clip(ell)) {
+                    if prev == 0
+                        || marked.contains(&gram[..prev]) && marked.contains(&gram[d - prev..])
+                    {
+                        let noisy = count + noise.sample(&mut twin);
+                        if noisy >= 2.0 {
+                            want.insert(gram, noisy);
+                        }
+                    }
+                }
+                marked = want.keys().cloned().collect();
+                prev = d;
+            }
+            if got != want {
+                return Err(format!("{mode} q={q} marked release {got:?} != {want:?}"));
+            }
+        }
+        Ok(())
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::ProptestConfig::with_cases(48))]
+
+        #[test]
+        fn qgram_releases_match_naive_counts_on_random_corpora(
+            docs in small_docs(),
+            q in 0usize..12,
+            seed in 0u64..1 << 20,
+        ) {
+            let outcome = check_qgrams_against_naive(docs, q, seed);
+            proptest::prop_assert!(outcome.is_ok(), "{}", outcome.unwrap_err());
+        }
     }
 
     #[test]

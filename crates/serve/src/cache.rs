@@ -13,10 +13,8 @@
 //! fingerprint, each behind its own mutex, so concurrent callers
 //! looking up different patterns rarely contend. Within a segment, entries form a
 //! doubly-linked LRU list over a slab; the map from fingerprint to slab
-//! slot confirms the full key on every probe (same fingerprint-probe +
-//! full-confirm discipline as the build path's `candidates::RowIndex`), so a
-//! fingerprint collision can evict a twin but can never answer with the
-//! wrong value.
+//! slot confirms the full key on every probe, so a fingerprint collision
+//! can evict a twin but can never answer with the wrong value.
 
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};

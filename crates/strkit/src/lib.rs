@@ -7,8 +7,9 @@
 //! * [`SuffixArray`] — SA-IS linear-time suffix array construction over byte
 //!   or small-integer texts (the paper's suffix-tree substrate, §2.1).
 //! * [`LcpArray`] — Kasai's linear-time longest-common-prefix array.
-//! * [`RollingHash`] — double polynomial rolling hash (fast substring
-//!   equality / concatenation lookups).
+//! * [`RollingHash`] — double polynomial rolling hash, kept only for
+//!   perfbench's `index.hash` replay: the library compares substrings by
+//!   suffix-array rank instead.
 //! * [`Trie`] — counted tries over byte strings (the `T_C` structure of the
 //!   paper's Step 2), with pruning and DFS mining traversals.
 //! * Pattern search over suffix arrays ([`search`]) with naive reference

@@ -5,7 +5,7 @@
 //! `count(P, text)`, which is the quantity all the paper's mechanisms
 //! privatize. Binary search costs `O(|P| log n)` per lookup — the paper's
 //! fancier `O(log log)` substring-concatenation structure is substituted by
-//! this plus the rolling-hash fast path (DESIGN.md §2).
+//! this plus exact rank lookups in the inverse suffix array (DESIGN.md §2).
 
 use crate::suffix_array::SuffixArray;
 

@@ -20,20 +20,24 @@
 //!   clip level. Both are depth-keyed counters ([`crate::doc_counter`]).
 //!
 //! The index exists only while a private synopsis is built, so it is kept
-//! lean: per text position it holds the text, the suffix array and the LCP
-//! array (4 bytes each), the rolling-hash prefixes (12 bytes, with powers
-//! only up to `ℓ`), the document counter (about `⌈log₂(ℓ+2)⌉ · 1.25` bits)
-//! and a rank bitvector over the sentinels (1.25 bits) that maps a position
-//! to its document. [`CorpusIndex::build`] runs the steps in the order
-//! text → suffix array → LCP → document counter → hash, so each step's
-//! scratch (the SA-IS buffers, Kasai's inverse suffix array, the counter's
-//! depth keys) is freed before the next one allocates. DESIGN.md §10
-//! ("Index diet") has the per-step byte counts.
+//! lean: per text position it holds the text, the suffix array, the LCP
+//! array and the inverse suffix array (4 bytes each), the document counter
+//! (about `⌈log₂(ℓ+2)⌉ · 1.25` bits) and a rank bitvector over the
+//! sentinels (1.25 bits) that maps a position to its document.
+//! [`CorpusIndex::build`] runs the steps in the order text → suffix array
+//! → LCP → document counter → inverse suffix array, so each step's scratch
+//! (the SA-IS buffers, Kasai's own inverse, the counter's depth keys) is
+//! freed before the next one allocates. DESIGN.md §10 ("Index diet") has
+//! the per-step byte counts.
+//!
+//! The inverse suffix array names substrings exactly: the length-`d`
+//! substring at text position `p` is the one whose interval contains rank
+//! [`CorpusIndex::rank_of`]`(p)`, and distinct length-`d` substrings have
+//! disjoint intervals (Karp–Miller–Rosenberg naming on the suffix array).
 
 use std::borrow::Cow;
 
 use dpsc_strkit::alphabet::{Alphabet, Database};
-use dpsc_strkit::hash::{hash_symbols, HashValue, RollingHash};
 use dpsc_strkit::lcp::LcpArray;
 use dpsc_strkit::search::{find_interval, SaInterval};
 use dpsc_strkit::suffix_array::SuffixArray;
@@ -54,7 +58,8 @@ pub struct CorpusIndex {
     doc_start: Vec<u32>,
     sa: SuffixArray,
     lcp: LcpArray,
-    hash: RollingHash,
+    /// Inverse suffix array: `isa[p]` is the rank of the suffix at `p`.
+    isa: Vec<u32>,
     n_docs: usize,
     max_len: usize,
     alphabet: Alphabet,
@@ -63,7 +68,7 @@ pub struct CorpusIndex {
 
 impl CorpusIndex {
     /// Builds the index in `O(N log ℓ)` time for `N = Σ|S_i| + n`: the
-    /// suffix array, LCP array and hash are linear, and the document
+    /// suffix array, LCP array and its inverse are linear, and the document
     /// counter takes one pass with a binary search over at most `ℓ + 1`
     /// stack entries per rank, then `⌈log₂(ℓ+2)⌉` linear matrix levels.
     pub fn build(db: &Database) -> Self {
@@ -90,16 +95,15 @@ impl CorpusIndex {
             db.max_len(),
             1,
         );
-        // Every hashed string is a candidate or a q-gram, never longer
-        // than a document.
-        let hash = RollingHash::with_max_len(&text, db.max_len());
+        // Built last, so it is not live while the counter's scratch is.
+        let isa = sa.inverse();
         Self {
             text,
             sentinels,
             doc_start,
             sa,
             lcp,
-            hash,
+            isa,
             n_docs,
             max_len: db.max_len(),
             alphabet: db.alphabet(),
@@ -110,11 +114,10 @@ impl CorpusIndex {
     /// Heap memory held by the index, in bytes: the capacities of all its
     /// components.
     pub fn heap_bytes(&self) -> usize {
-        4 * (self.text.capacity() + self.doc_start.capacity())
+        4 * (self.text.capacity() + self.doc_start.capacity() + self.isa.capacity())
             + self.sentinels.heap_bytes()
             + self.sa.heap_bytes()
             + self.lcp.heap_bytes()
-            + self.hash.heap_bytes()
             + self.doc_counter.heap_bytes()
     }
 
@@ -165,6 +168,14 @@ impl CorpusIndex {
     #[inline]
     pub fn lcp(&self) -> &LcpArray {
         &self.lcp
+    }
+
+    /// Rank of the suffix starting at text position `pos` (the inverse
+    /// suffix array): `suffix_array().sa()[rank_of(pos)] == pos`. It lies
+    /// in the interval of every substring that starts at `pos`.
+    #[inline]
+    pub fn rank_of(&self, pos: usize) -> u32 {
+        self.isa[pos]
     }
 
     /// Encodes a pattern byte into the internal `u32` symbol space.
@@ -346,24 +357,6 @@ impl CorpusIndex {
     pub fn doc_of(&self, pos: usize) -> usize {
         assert!(pos < self.text.len(), "position out of bounds");
         self.sentinels.rank1(pos)
-    }
-
-    /// Rolling hash of `text[pos .. pos + len)` (internal symbol space, so
-    /// hashes are only comparable to other corpus hashes and to
-    /// [`CorpusIndex::hash_pattern`] values).
-    pub fn substring_hash(&self, pos: usize, len: usize) -> HashValue {
-        self.hash.substring(pos, pos + len)
-    }
-
-    /// Hash of two corpus substrings concatenated.
-    pub fn concat_hash(&self, a: HashValue, b: HashValue) -> HashValue {
-        self.hash.concat(a, b)
-    }
-
-    /// Hash of an arbitrary pattern in the corpus symbol space, folded
-    /// symbol by symbol without allocating.
-    pub fn hash_pattern(&self, pattern: &[u8]) -> HashValue {
-        hash_symbols(pattern.iter().map(|&b| self.encode(b)))
     }
 
     /// Decodes `text[pos .. pos+len)` back to raw bytes.
@@ -558,15 +551,16 @@ mod tests {
     }
 
     #[test]
-    fn hash_pattern_matches_substring_hash() {
+    fn rank_of_inverts_the_suffix_array_and_substrings_decode() {
         let db = paper_db();
         let idx = CorpusIndex::build(&db);
+        for (r, &pos) in idx.suffix_array().sa().iter().enumerate() {
+            assert_eq!(idx.rank_of(pos as usize), r as u32, "rank of position {pos}");
+        }
         let mut pos = 0;
         for doc in db.documents() {
             for i in 0..doc.len() {
                 for j in i..=doc.len() {
-                    let want = idx.substring_hash(pos + i, j - i);
-                    assert_eq!(idx.hash_pattern(&doc[i..j]), want, "{:?}", &doc[i..j]);
                     assert_eq!(idx.decode_substring(pos + i, j - i), doc[i..j].to_vec());
                 }
             }

@@ -3,7 +3,7 @@
 //! The generalized suffix index over a database `D = S_1, …, S_n` that every
 //! mechanism in this system queries for *true* counts before adding noise:
 //!
-//! * [`CorpusIndex`] — suffix array + LCP + rolling hash over
+//! * [`CorpusIndex`] — suffix array + LCP + inverse suffix array over
 //!   `S_1 $_1 … S_n $_n` (the construction in the paper's Lemma 7), exposing
 //!   `count(P, D)`, the clipped `count_Δ(P, D)`, and `Document Count`
 //!   lookups.
