@@ -103,9 +103,9 @@ pub fn audit_pipeline_utility(
         let out = run_pipeline_on_trie(&counts_trie, ell, &params, &mut rng);
         alpha_bound = out.alpha;
         let (mut worst, mut sum, mut kept) = (0.0f64, 0.0f64, 0usize);
-        for node in counts_trie.dfs() {
+        for node in 0..counts_trie.len() as u32 {
             let pat = counts_trie.string_of(node);
-            let exact = *counts_trie.value(node) as f64;
+            let exact = counts_trie.count(node) as f64;
             match out.trie.walk(&pat) {
                 Some(n2) => {
                     let err = (*out.trie.value(n2) - exact).abs();

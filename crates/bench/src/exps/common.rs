@@ -1,7 +1,9 @@
 //! Shared measurement machinery for the error-scaling experiments.
 
 use dpsc_dpcore::budget::PrivacyParams;
-use dpsc_private_count::pipeline::{build_count_trie, run_pipeline_on_trie, PipelineParams};
+use dpsc_private_count::pipeline::{
+    build_count_trie, run_pipeline_on_trie, CountTrie, PipelineParams,
+};
 use dpsc_strkit::trie::Trie;
 use dpsc_textindex::CorpusIndex;
 use rand::rngs::StdRng;
@@ -69,12 +71,12 @@ pub fn pipeline_error(
 }
 
 /// Max |noisy − exact| across all nodes shared by the two tries.
-fn max_error_vs(exact: &Trie<u64>, noisy: &Trie<f64>) -> f64 {
+fn max_error_vs(exact: &CountTrie, noisy: &Trie<f64>) -> f64 {
     let mut worst = 0.0f64;
-    for node in exact.dfs() {
+    for node in 0..exact.len() as u32 {
         let pat = exact.string_of(node);
         if let Some(n2) = noisy.walk(&pat) {
-            worst = worst.max((*noisy.value(n2) - *exact.value(node) as f64).abs());
+            worst = worst.max((*noisy.value(n2) - exact.count(node) as f64).abs());
         }
     }
     worst

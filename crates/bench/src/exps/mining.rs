@@ -3,12 +3,11 @@
 
 use dpsc_dpcore::budget::PrivacyParams;
 use dpsc_hierarchy::heavy_path::HeavyPathDecomposition;
-use dpsc_private_count::pipeline::{build_count_trie, trie_topology};
+use dpsc_private_count::pipeline::{build_count_trie, CountTrie};
 use dpsc_private_count::{
     build_approx, build_qgram_fast, evaluate_mining, BuildParams, CountMode, FastQgramParams,
 };
 use dpsc_strkit::alphabet::Database;
-use dpsc_strkit::trie::Trie;
 use dpsc_textindex::CorpusIndex;
 use dpsc_workloads::{dna_corpus, transit_corpus};
 use rand::rngs::StdRng;
@@ -120,8 +119,7 @@ pub fn figures() -> Vec<Table> {
     .map(|s| s.as_bytes().to_vec())
     .collect();
     let trie = build_count_trie(&idx, &candidates, db.max_len());
-    let tree = trie_topology(&trie);
-    let hpd = HeavyPathDecomposition::new(&tree);
+    let hpd = HeavyPathDecomposition::from_preorder(trie.parents());
     let mut f2 = Table::new(
         "figure2",
         "Figure 2 companion: heavy-path decomposition of the candidate trie T_C (Examples 2–3)",
@@ -129,7 +127,6 @@ pub fn figures() -> Vec<Table> {
     );
     let mut paths: Vec<(String, String)> = hpd
         .paths()
-        .iter()
         .map(|path| {
             let label: Vec<String> = path
                 .iter()
@@ -142,7 +139,7 @@ pub fn figures() -> Vec<Table> {
                     }
                 })
                 .collect();
-            let counts: Vec<String> = path.iter().map(|&v| trie.value(v).to_string()).collect();
+            let counts: Vec<String> = path.iter().map(|&v| trie.count(v).to_string()).collect();
             (label.join(" → "), counts.join(", "))
         })
         .collect();
@@ -160,7 +157,7 @@ pub fn figures() -> Vec<Table> {
 
     // Figure 3: difference sequence + dyadic partial sums of the heavy path
     // containing the root.
-    let root_path = &hpd.paths()[hpd.path_of(Trie::<u64>::ROOT)];
+    let root_path = hpd.path(hpd.path_of(CountTrie::ROOT));
     let mut f3 = Table::new(
         "figure3",
         "Figure 3 companion: the root's heavy path, its difference sequence, and exact prefix sums (the binary-tree mechanism adds noise to the dyadic partial sums of the diff row)",
@@ -171,11 +168,11 @@ pub fn figures() -> Vec<Table> {
         let s = trie.string_of(v);
         let label =
             if s.is_empty() { "ε".to_string() } else { String::from_utf8_lossy(&s).into_owned() };
-        let count = *trie.value(v) as i64;
+        let count = trie.count(v) as i64;
         let diff = if i == 0 {
             "—".to_string()
         } else {
-            let d = count - *trie.value(root_path[i - 1]) as i64;
+            let d = count - trie.count(root_path[i - 1]) as i64;
             prefix += d;
             d.to_string()
         };

@@ -28,52 +28,74 @@ pub fn dyadic_levels(t: usize) -> usize {
 /// The binary-tree mechanism over one sequence.
 ///
 /// Stores the noisy dyadic partial sums; queries return noisy prefix sums.
+/// [`rebuild`](Self::rebuild) releases a new sequence into the same
+/// buffers, so one mechanism serves many sequences without allocating.
 #[derive(Debug, Clone)]
 pub struct BinaryTreeMechanism {
-    /// `noisy[level][j]` = noisy sum of `seq[j·2^level .. (j+1)·2^level)`
-    /// (0-indexed), present only for intervals fully inside the sequence.
-    noisy: Vec<Vec<f64>>,
+    /// The dyadic levels in one array: level `l` starts at
+    /// `level_start[l]` and its `j`-th entry is the noisy sum of
+    /// `seq[j·2^l .. (j+1)·2^l)` (0-indexed), present only for intervals
+    /// fully inside the sequence.
+    noisy: Vec<f64>,
+    level_start: Vec<usize>,
+    /// Prefix sums of the last sequence, for `O(1)` interval sums.
+    pre: Vec<f64>,
     t: usize,
 }
 
 impl BinaryTreeMechanism {
+    /// An empty mechanism whose buffers hold sequences of up to `t`
+    /// elements without growing.
+    pub fn with_capacity(t: usize) -> Self {
+        Self {
+            noisy: Vec::with_capacity(2 * t.max(1)),
+            level_start: Vec::with_capacity(dyadic_levels(t.max(1))),
+            pre: Vec::with_capacity(t + 1),
+            t: 0,
+        }
+    }
+
     /// Builds the mechanism: one noise draw per dyadic interval.
     ///
     /// `O(T)` intervals in total, `O(T)` time. Noise is drawn per level via
     /// [`Noise::sample_many`], so calibration checks run once per level and
     /// the Gaussian path amortizes its Box–Muller pairs.
     pub fn build<R: Rng + ?Sized>(seq: &[f64], noise: Noise, rng: &mut R) -> Self {
+        let mut mech = Self::with_capacity(seq.len());
+        mech.rebuild(seq, noise, rng);
+        mech
+    }
+
+    /// Replaces the released sequence by `seq`, drawing exactly what
+    /// [`build`](Self::build) would from the same RNG state and reusing
+    /// the buffers.
+    pub fn rebuild<R: Rng + ?Sized>(&mut self, seq: &[f64], noise: Noise, rng: &mut R) {
         let t = seq.len();
-        // Prefix sums for O(1) interval sums.
-        let mut pre = Vec::with_capacity(t + 1);
-        pre.push(0.0f64);
+        self.t = t;
+        self.pre.clear();
+        self.pre.push(0.0);
         for &v in seq {
-            pre.push(pre.last().expect("non-empty") + v);
+            let last = self.pre[self.pre.len() - 1];
+            self.pre.push(last + v);
         }
-        let mut scratch = vec![0.0f64; t];
-        let mut noisy = Vec::new();
+        self.noisy.clear();
+        self.level_start.clear();
         let mut size = 1usize;
         while size <= t.max(1) {
-            let width = t / size;
-            let mut level = Vec::with_capacity(width);
-            let mut start = 0usize;
-            while start + size <= t {
-                level.push(pre[start + size] - pre[start]);
-                start += size;
+            let start = self.noisy.len();
+            self.level_start.push(start);
+            self.noisy.resize(start + t / size, 0.0);
+            // Draw first, then add each interval sum (addition commutes).
+            let level = &mut self.noisy[start..];
+            noise.sample_many(level, rng);
+            for (j, s) in level.iter_mut().enumerate() {
+                *s += self.pre[(j + 1) * size] - self.pre[j * size];
             }
-            debug_assert_eq!(level.len(), width);
-            let draws = &mut scratch[..width];
-            noise.sample_many(draws, rng);
-            for (s, d) in level.iter_mut().zip(draws.iter()) {
-                *s += d;
-            }
-            noisy.push(level);
             if size > t / 2 {
                 break;
             }
             size *= 2;
         }
-        Self { noisy, t }
     }
 
     /// Noisy prefix sum of the first `m` elements (`m ∈ [0, T]`).
@@ -88,7 +110,7 @@ impl BinaryTreeMechanism {
         let mut rest = m;
         while rest > 0 {
             let level = (usize::BITS - 1 - rest.leading_zeros()) as usize;
-            sum += self.noisy[level][covered >> level];
+            sum += self.noisy[self.level_start[level] + (covered >> level)];
             covered += 1 << level;
             rest -= 1 << level;
         }
@@ -172,7 +194,7 @@ pub fn lemma18_error_bound(
 mod tests {
     use super::*;
     use rand::rngs::StdRng;
-    use rand::SeedableRng;
+    use rand::{Rng, SeedableRng};
 
     #[test]
     fn zero_noise_gives_exact_prefix_sums() {
@@ -263,6 +285,27 @@ mod tests {
                 }
                 assert!(membership <= levels, "t={t} idx={idx}");
             }
+        }
+    }
+
+    #[test]
+    fn rebuild_matches_a_fresh_build() {
+        // One mechanism reused over sequences of varying lengths releases
+        // bit for bit what a fresh build does from the same RNG state.
+        let noise = Noise::Laplace { b: 2.5 };
+        let mut reused = BinaryTreeMechanism::with_capacity(8);
+        let mut rng = StdRng::seed_from_u64(7);
+        for t in [33usize, 1, 7, 64, 2] {
+            let seq: Vec<f64> = (0..t).map(|i| ((i * 5) % 7) as f64 - 2.0).collect();
+            let mut fresh_rng = rng.clone();
+            let fresh = BinaryTreeMechanism::build(&seq, noise, &mut fresh_rng);
+            reused.rebuild(&seq, noise, &mut rng);
+            assert_eq!(reused.len(), t);
+            for m in 0..=t {
+                assert_eq!(reused.prefix(m).to_bits(), fresh.prefix(m).to_bits(), "t={t} m={m}");
+            }
+            // Both consumed the same draws.
+            assert_eq!(rng.gen::<u64>(), fresh_rng.gen::<u64>());
         }
     }
 

@@ -6,100 +6,153 @@
 //! Lemma 9: any root-to-leaf path crosses at most `⌊log N⌋` light edges —
 //! the property the paper leverages so that a single document can influence
 //! only `O(ℓ log N)` heavy-path roots (Lemma 10).
+//!
+//! The decomposition is computed on a pre-order parent array, where every
+//! node's id is larger than its parent's: subtree sizes come from one
+//! reverse scan, heavy children from one forward scan, and path heads are
+//! numbered in pre-order. The paths live in one flat array with offsets.
 
 use crate::tree::{NodeId, Tree};
 
-/// Heavy-path decomposition of a [`Tree`].
-#[derive(Debug, Clone)]
+/// Marks "no heavy child" (a leaf).
+const NONE: u32 = u32::MAX;
+
+/// Heavy-path decomposition of a rooted tree.
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct HeavyPathDecomposition {
-    /// Path id of each node.
-    path_of: Vec<u32>,
-    /// Position of each node within its path (0 = path root).
-    pos_in_path: Vec<u32>,
-    /// Node lists per path, each ordered from path root downward.
-    paths: Vec<Vec<NodeId>>,
+    /// Index of each node in `nodes`.
+    slot: Vec<u32>,
+    /// Every path, each ordered from its root downward, concatenated in
+    /// path-id order: path `i` is `nodes[path_start[i]..path_start[i + 1]]`.
+    nodes: Vec<NodeId>,
+    path_start: Vec<u32>,
 }
 
 impl HeavyPathDecomposition {
-    /// Computes the decomposition in `O(n)`.
+    /// Computes the decomposition of `tree` in `O(n)` by running
+    /// [`from_preorder`](Self::from_preorder) on the tree relabelled to
+    /// pre-order; paths, path ids and positions are reported in the tree's
+    /// own ids.
     pub fn new(tree: &Tree) -> Self {
-        let n = tree.n();
-        let sizes = tree.subtree_sizes();
-        // Heavy child per node (or None for leaves).
-        let mut heavy: Vec<Option<NodeId>> = vec![None; n];
-        for v in 0..n as NodeId {
-            let mut best: Option<NodeId> = None;
-            for &c in tree.children(v) {
-                best = match best {
-                    None => Some(c),
-                    Some(b) if sizes[c as usize] > sizes[b as usize] => Some(c),
-                    Some(b) => Some(b),
-                };
-            }
-            heavy[v as usize] = best;
+        let order = tree.dfs_preorder();
+        let mut rank = vec![0u32; order.len()];
+        for (i, &v) in order.iter().enumerate() {
+            rank[v as usize] = i as u32;
         }
-        let mut path_of = vec![u32::MAX; n];
-        let mut pos_in_path = vec![0u32; n];
-        let mut paths: Vec<Vec<NodeId>> = Vec::new();
-        // A node starts a new heavy path iff it is the root or reached by a
-        // light edge. Walk DFS; when we meet a path head, follow heavy edges
-        // to the bottom.
-        for &v in &tree.dfs_preorder() {
-            let is_head = v == tree.root() || heavy[tree.parent(v) as usize] != Some(v);
-            if !is_head {
+        let parent: Vec<NodeId> = order.iter().map(|&v| rank[tree.parent(v) as usize]).collect();
+        let pre = Self::from_preorder(&parent);
+        // `rank` is reused; every entry is overwritten.
+        let mut slot = rank;
+        for (i, &v) in order.iter().enumerate() {
+            slot[v as usize] = pre.slot[i];
+        }
+        let nodes = pre.nodes.iter().map(|&i| order[i as usize]).collect();
+        Self { slot, nodes, path_start: pre.path_start }
+    }
+
+    /// Computes the decomposition in `O(n)` of the tree whose node `v ≥ 1`
+    /// has parent `parent[v] < v` (ids in pre-order, root `0`; `parent[0]`
+    /// is ignored). Siblings rank by id, so ties between equal subtrees go
+    /// to the smallest id.
+    pub fn from_preorder(parent: &[NodeId]) -> Self {
+        let n = parent.len();
+        assert!(n > 0, "tree must be non-empty");
+        debug_assert!(parent.iter().enumerate().skip(1).all(|(v, &p)| (p as usize) < v));
+        // Every node follows its parent, so one reverse scan sums subtrees.
+        let mut size = vec![1u32; n];
+        for v in (1..n).rev() {
+            size[parent[v] as usize] += size[v];
+        }
+        // Siblings arrive in increasing id order; a strict `>` keeps the
+        // smallest on ties.
+        let mut heavy = vec![NONE; n];
+        for v in 1..n {
+            let p = parent[v] as usize;
+            if heavy[p] == NONE || size[v] > size[heavy[p] as usize] {
+                heavy[p] = v as u32;
+            }
+        }
+        let leaves = heavy.iter().filter(|&&h| h == NONE).count();
+        // Every entry of `size` is overwritten below.
+        let mut slot = size;
+        let mut nodes = Vec::with_capacity(n);
+        let mut path_start = Vec::with_capacity(leaves + 1);
+        // A node starts a path iff it is the root or reached by a light
+        // edge; heads are met in pre-order, each followed to its leaf.
+        for v in 0..n {
+            if v != 0 && heavy[parent[v] as usize] == v as u32 {
                 continue;
             }
-            let id = paths.len() as u32;
-            let mut path = Vec::new();
-            let mut cur = v;
-            loop {
-                path_of[cur as usize] = id;
-                pos_in_path[cur as usize] = path.len() as u32;
-                path.push(cur);
-                match heavy[cur as usize] {
-                    Some(next) => cur = next,
-                    None => break,
-                }
+            path_start.push(nodes.len() as u32);
+            let mut cur = v as u32;
+            while cur != NONE {
+                slot[cur as usize] = nodes.len() as u32;
+                nodes.push(cur);
+                cur = heavy[cur as usize];
             }
-            paths.push(path);
         }
-        debug_assert!(path_of.iter().all(|&p| p != u32::MAX));
-        Self { path_of, pos_in_path, paths }
+        path_start.push(n as u32);
+        debug_assert_eq!(nodes.len(), n);
+        Self { slot, nodes, path_start }
     }
 
     /// Number of heavy paths (equals the number of leaves).
     #[inline]
     pub fn num_paths(&self) -> usize {
-        self.paths.len()
+        self.path_start.len() - 1
     }
 
-    /// The paths, each from its root downward.
+    /// Path `id`, from its root downward.
     #[inline]
-    pub fn paths(&self) -> &[Vec<NodeId>] {
-        &self.paths
+    pub fn path(&self, id: usize) -> &[NodeId] {
+        &self.nodes[self.path_start[id] as usize..self.path_start[id + 1] as usize]
     }
 
-    /// Path id containing `v`.
+    /// The paths in id order, each from its root downward.
+    pub fn paths(&self) -> impl ExactSizeIterator<Item = &[NodeId]> + '_ {
+        self.path_start.windows(2).map(|w| &self.nodes[w[0] as usize..w[1] as usize])
+    }
+
+    /// Every path concatenated in id order: path `i` occupies
+    /// `path_offsets()[i]..path_offsets()[i + 1]`.
     #[inline]
+    pub fn nodes(&self) -> &[NodeId] {
+        &self.nodes
+    }
+
+    /// Start of each path in [`nodes`](Self::nodes), plus the total node
+    /// count as a last entry.
+    #[inline]
+    pub fn path_offsets(&self) -> &[u32] {
+        &self.path_start
+    }
+
+    /// Index of `v` in [`nodes`](Self::nodes).
+    #[inline]
+    pub fn slot(&self, v: NodeId) -> usize {
+        self.slot[v as usize] as usize
+    }
+
+    /// Path id containing `v`, by binary search over the path offsets.
     pub fn path_of(&self, v: NodeId) -> usize {
-        self.path_of[v as usize] as usize
+        self.path_start.partition_point(|&s| s as usize <= self.slot(v)) - 1
     }
 
     /// Position of `v` within its path (0 = the path's topmost node).
     #[inline]
     pub fn pos_in_path(&self, v: NodeId) -> usize {
-        self.pos_in_path[v as usize] as usize
+        self.slot(v) - self.path_start[self.path_of(v)] as usize
     }
 
     /// The root (topmost node) of `v`'s heavy path.
     #[inline]
     pub fn path_root(&self, v: NodeId) -> NodeId {
-        self.paths[self.path_of(v)][0]
+        self.path(self.path_of(v))[0]
     }
 
     /// Roots of all heavy paths, indexed by path id.
     pub fn path_roots(&self) -> Vec<NodeId> {
-        self.paths.iter().map(|p| p[0]).collect()
+        self.paths().map(|p| p[0]).collect()
     }
 
     /// Number of light edges on the path from the root of the tree to `v` —
@@ -125,19 +178,20 @@ impl HeavyPathDecomposition {
 mod tests {
     use super::*;
     use rand::rngs::StdRng;
-    use rand::SeedableRng;
+    use rand::{Rng, SeedableRng};
 
     fn check_invariants(tree: &Tree) {
         let hpd = HeavyPathDecomposition::new(tree);
         let n = tree.n();
         // Every node in exactly one path, positions consistent.
         let mut seen = vec![false; n];
-        for (id, path) in hpd.paths().iter().enumerate() {
+        for (id, path) in hpd.paths().enumerate() {
             for (pos, &v) in path.iter().enumerate() {
                 assert!(!seen[v as usize], "node {v} in two paths");
                 seen[v as usize] = true;
                 assert_eq!(hpd.path_of(v), id);
                 assert_eq!(hpd.pos_in_path(v), pos);
+                assert_eq!(hpd.nodes()[hpd.slot(v)], v);
                 if pos > 0 {
                     assert_eq!(tree.parent(v), path[pos - 1], "path not parent-linked");
                 }
@@ -154,6 +208,27 @@ mod tests {
                 "node {v}: {} light edges > log bound {bound}",
                 hpd.light_edges_to(tree, v)
             );
+        }
+
+        // The same tree relabelled to pre-order: the decomposition of its
+        // parent array is `new` on the relabelled tree, and it has the same
+        // paths under the same ids as the original.
+        let order = tree.dfs_preorder();
+        let mut rank = vec![0u32; n];
+        for (i, &v) in order.iter().enumerate() {
+            rank[v as usize] = i as u32;
+        }
+        let parent: Vec<NodeId> = order.iter().map(|&v| rank[tree.parent(v) as usize]).collect();
+        let relabelled =
+            Tree::from_parents(&(0..n).map(|i| (i > 0).then_some(parent[i])).collect::<Vec<_>>());
+        let pre = HeavyPathDecomposition::from_preorder(&parent);
+        assert_eq!(pre, HeavyPathDecomposition::new(&relabelled));
+        assert_eq!(pre.num_paths(), hpd.num_paths());
+        for (a, b) in pre.paths().zip(hpd.paths()) {
+            assert!(a.iter().eq(b.iter().map(|&v| &rank[v as usize])), "paths differ");
+        }
+        for v in 0..n as NodeId {
+            assert!(pre.light_edges_to(&relabelled, v) <= bound);
         }
     }
 
@@ -174,7 +249,7 @@ mod tests {
         let t = Tree::path(10);
         let hpd = HeavyPathDecomposition::new(&t);
         assert_eq!(hpd.num_paths(), 1);
-        assert_eq!(hpd.paths()[0].len(), 10);
+        assert_eq!(hpd.path(0).len(), 10);
     }
 
     #[test]
@@ -191,6 +266,4 @@ mod tests {
         assert_eq!(hpd.light_edges_to(&t, 1), 1);
         assert_eq!(hpd.light_edges_to(&t, 4), 0);
     }
-
-    use rand::Rng;
 }

@@ -126,7 +126,7 @@ fn run_pipeline<R: Rng + ?Sized>(
     // contiguous run on ≤ `levels` paths, moving the difference sequence at
     // two positions per path (Lemma 8 generalized).
     let diffs_l1 = 2.0 * sens.leaf_l1 * levels;
-    let max_path_len = hpd.paths().iter().map(Vec::len).max().unwrap_or(1);
+    let max_path_len = hpd.paths().map(|p| p.len()).max().unwrap_or(1);
     let t = max_path_len.saturating_sub(1).max(1); // difference sequences have |p|−1 entries
 
     let half = privacy.split_even(2);
@@ -166,17 +166,19 @@ fn run_pipeline<R: Rng + ?Sized>(
             lemma11_error_bound(half.epsilon, diffs_l1, t, k, beta_half),
         )
     };
-    for (pid, path) in hpd.paths().iter().enumerate() {
+    let mut diff: Vec<f64> = Vec::with_capacity(t);
+    let mut mech = BinaryTreeMechanism::with_capacity(t);
+    for (pid, path) in hpd.paths().enumerate() {
         let root_est = root_estimates[pid];
         values[path[0] as usize] = root_est;
         if path.len() == 1 {
             continue;
         }
-        let diff: Vec<f64> = path
-            .windows(2)
-            .map(|w| counts[w[1] as usize] as f64 - counts[w[0] as usize] as f64)
-            .collect();
-        let mech = BinaryTreeMechanism::build(&diff, diff_noise, rng);
+        diff.clear();
+        diff.extend(
+            path.windows(2).map(|w| counts[w[1] as usize] as f64 - counts[w[0] as usize] as f64),
+        );
+        mech.rebuild(&diff, diff_noise, rng);
         for (i, &v) in path.iter().enumerate().skip(1) {
             values[v as usize] = root_est + mech.prefix(i);
         }

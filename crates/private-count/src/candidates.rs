@@ -46,6 +46,7 @@
 //! candidate set is bit-identical for every `threads` setting, including 1.
 
 use std::collections::HashMap;
+use std::ops::ControlFlow;
 use std::sync::atomic::{AtomicUsize, Ordering};
 
 use dpsc_dpcore::budget::PrivacyParams;
@@ -484,14 +485,7 @@ pub(crate) fn build_candidates_with<R: Rng + ?Sized>(
 /// Adds to `out` every string of length `m ∈ (L, 2L)` (`L` = `len`, capped
 /// at ℓ) whose length-`L` prefix and suffix are both in `cands`:
 /// `Q1[0..L] · Q2[2L−m..L]` for every pair with a suffix/prefix overlap of
-/// length `2L − m`.
-///
-/// Matching is indexed: for each overlap length `o`, candidates are
-/// bucketed by their length-`o` prefix and joined against their length-`o`
-/// suffixes, so the cost is `O(|P|·L + matches)` expected instead of the
-/// naive `O(|P|²·L)` — the practical stand-in for the paper's LCE-based
-/// overlap detection (proof of Lemma 7, Step 2). Buckets hold rows in
-/// ascending order, so the output is in `(Q1, Q2)` order.
+/// length `2L − m`, found by [`for_each_overlap`] in `(Q1, Q2)` order.
 ///
 /// `per_length_cap` is a far-away safety valve (callers pass
 /// [`OVERLAP_SAFETY_CAP`]) bounding memory if a noise-flooded candidate
@@ -512,24 +506,49 @@ fn extend_with_overlaps(
     let max_m = (2 * len - 1).min(ell);
     for m in len + 1..=max_m {
         let o = 2 * len - m;
-        let mut by_prefix: HashMap<&[u8], Vec<u32>> = HashMap::new();
-        for (j, q2) in cands.iter().enumerate() {
-            by_prefix.entry(&q2.bytes[..o]).or_default().push(j as u32);
-        }
         let mut emitted = 0usize;
-        'outer: for q1 in cands {
-            let Some(js) = by_prefix.get(&q1.bytes[len - o..]) else {
-                continue;
-            };
-            for &j in js {
-                let mut s = Vec::with_capacity(m);
-                s.extend_from_slice(&q1.bytes);
-                s.extend_from_slice(&cands[j as usize].bytes[o..]);
-                out.push(s);
-                emitted += 1;
-                if emitted >= per_length_cap {
-                    break 'outer;
-                }
+        for_each_overlap(cands, len, o, |q1, q2| {
+            let mut s = Vec::with_capacity(m);
+            s.extend_from_slice(&q1.bytes);
+            s.extend_from_slice(&q2.bytes[o..]);
+            out.push(s);
+            emitted += 1;
+            if emitted >= per_length_cap {
+                ControlFlow::Break(())
+            } else {
+                ControlFlow::Continue(())
+            }
+        });
+    }
+}
+
+/// Calls `visit(Q1, Q2)` for every ordered pair of `cands` (all of length
+/// `len`) where the last `o` bytes of `Q1` equal the first `o` bytes of
+/// `Q2`, in `(Q1, Q2)` order of position in `cands`, until `visit` breaks.
+///
+/// Matching is indexed: candidates are bucketed by their length-`o` prefix
+/// and joined against their length-`o` suffixes, so the cost is
+/// `O(|P|·L + matches)` expected instead of the naive `O(|P|²·L)` — the
+/// practical stand-in for the paper's LCE-based overlap detection (proof
+/// of Lemma 7, Step 2). Buckets hold rows in ascending order, which gives
+/// the `(Q1, Q2)` order.
+pub(crate) fn for_each_overlap(
+    cands: &[Cand],
+    len: usize,
+    o: usize,
+    mut visit: impl FnMut(&Cand, &Cand) -> ControlFlow<()>,
+) {
+    let mut by_prefix: HashMap<&[u8], Vec<u32>> = HashMap::new();
+    for (j, q2) in cands.iter().enumerate() {
+        by_prefix.entry(&q2.bytes[..o]).or_default().push(j as u32);
+    }
+    for q1 in cands {
+        let Some(js) = by_prefix.get(&q1.bytes[len - o..]) else {
+            continue;
+        };
+        for &j in js {
+            if visit(q1, &cands[j as usize]).is_break() {
+                return;
             }
         }
     }

@@ -21,10 +21,9 @@ use dpsc_dpcore::tree_mechanism::{
     lemma11_error_bound, lemma11_noise, lemma18_error_bound, lemma18_noise, BinaryTreeMechanism,
 };
 use dpsc_hierarchy::heavy_path::HeavyPathDecomposition;
-use dpsc_hierarchy::tree::Tree;
 
 use crate::spans::SpanRecorder;
-use dpsc_strkit::trie::Trie;
+use dpsc_strkit::trie::{NodeId, Trie};
 use dpsc_textindex::{ClippedCounter, CorpusIndex};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -65,6 +64,73 @@ pub struct PipelineOutput {
     pub nodes_before_prune: usize,
 }
 
+/// The exact-count trie `T_C` of Step 2 as three arrays indexed by node
+/// id: parent, edge label from the parent, and true clipped count.
+///
+/// Ids are in pre-order with children in label order: the root is `0` (its
+/// own parent) and `parent[v] < v` for every other node, so a forward scan
+/// visits parents before children and a reverse scan children before
+/// parents. No node owns a heap block.
+#[derive(Debug, Clone)]
+pub struct CountTrie {
+    parent: Vec<NodeId>,
+    symbol: Vec<u8>,
+    count: Vec<u64>,
+}
+
+impl CountTrie {
+    /// The root node id (the empty string).
+    pub const ROOT: NodeId = 0;
+
+    /// Number of nodes (including the root).
+    #[inline]
+    pub fn len(&self) -> usize {
+        self.parent.len()
+    }
+
+    /// Whether the trie has only the root.
+    #[inline]
+    pub fn is_empty(&self) -> bool {
+        self.len() == 1
+    }
+
+    /// Parent of `v` (the root is its own parent).
+    #[inline]
+    pub fn parent(&self, v: NodeId) -> NodeId {
+        self.parent[v as usize]
+    }
+
+    /// The parent array, indexed by node id.
+    #[inline]
+    pub fn parents(&self) -> &[NodeId] {
+        &self.parent
+    }
+
+    /// Edge label from the parent to `v`. Meaningless for the root.
+    #[inline]
+    pub fn symbol(&self, v: NodeId) -> u8 {
+        self.symbol[v as usize]
+    }
+
+    /// True clipped count of `str(v)`.
+    #[inline]
+    pub fn count(&self, v: NodeId) -> u64 {
+        self.count[v as usize]
+    }
+
+    /// Reconstructs `str(v)` by walking parent pointers (`O(depth)`).
+    pub fn string_of(&self, v: NodeId) -> Vec<u8> {
+        let mut out = Vec::new();
+        let mut cur = v;
+        while cur != Self::ROOT {
+            out.push(self.symbol(cur));
+            cur = self.parent(cur);
+        }
+        out.reverse();
+        out
+    }
+}
+
 /// Builds the exact-count trie `T_C` of the candidate set: one node per
 /// distinct prefix of a candidate, each holding its true `count_Δ`.
 ///
@@ -76,46 +142,63 @@ pub struct PipelineOutput {
 /// Inserting a candidate of length `m` then costs `O((m − lcp) log N)` plus
 /// the clipped-count evaluation of its *new* nodes only — on overlap-heavy
 /// candidate sets (the `C_m` families share all but one symbol) this
-/// removes most of Step 2's interval work. Sorting also means every new
-/// child label arrives in increasing order, so the arena append fast path
-/// applies throughout.
-pub fn build_count_trie(idx: &CorpusIndex, candidates: &[Vec<u8>], delta_clip: usize) -> Trie<u64> {
+/// removes most of Step 2's interval work. Every prefix longer than the LCP
+/// is new, so nodes are appended in pre-order with no child lookup.
+pub fn build_count_trie(idx: &CorpusIndex, candidates: &[Vec<u8>], delta_clip: usize) -> CountTrie {
     count_trie(&idx.clipped_counter(delta_clip), candidates)
 }
 
+/// Length of the longest common prefix of `a` and `b`.
+fn lcp(a: &[u8], b: &[u8]) -> usize {
+    a.iter().zip(b).take_while(|(x, y)| x == y).count()
+}
+
 /// [`build_count_trie`] counting with `counts`.
-fn count_trie(counts: &ClippedCounter<'_>, candidates: &[Vec<u8>]) -> Trie<u64> {
+fn count_trie(counts: &ClippedCounter<'_>, candidates: &[Vec<u8>]) -> CountTrie {
     let idx = counts.index();
-    let root_count = counts.count(b"");
-    let mut trie: Trie<u64> = Trie::new(root_count);
     let mut sorted: Vec<&[u8]> = candidates.iter().map(|c| c.as_slice()).collect();
     // Step 1 emits one sorted run per candidate length; the stable sort
     // merges runs instead of re-sorting them.
     sorted.sort();
     sorted.dedup();
+    // Each candidate adds one node per symbol past its LCP with the
+    // previous one, so the arrays are sized exactly up front.
+    let mut n = 1;
+    let mut prev: &[u8] = b"";
+    for &cand in &sorted {
+        n += cand.len() - lcp(prev, cand);
+        prev = cand;
+    }
+    let mut trie = CountTrie {
+        parent: Vec::with_capacity(n),
+        symbol: Vec::with_capacity(n),
+        count: Vec::with_capacity(n),
+    };
+    trie.parent.push(CountTrie::ROOT);
+    trie.symbol.push(0);
+    trie.count.push(counts.count(b""));
     // stack[d] = (node, interval) of the current candidate's prefix of
     // length d + 1; truncated to the LCP with the next candidate.
-    let mut stack: Vec<(u32, dpsc_strkit::search::SaInterval)> = Vec::new();
+    let mut stack: Vec<(NodeId, dpsc_strkit::search::SaInterval)> = Vec::new();
     let mut prev: &[u8] = b"";
     for cand in sorted {
-        let lcp = prev.iter().zip(cand.iter()).take_while(|(a, b)| a == b).count();
-        stack.truncate(lcp);
+        let shared = lcp(prev, cand);
+        stack.truncate(shared);
         let (mut cur, mut iv) = match stack.last() {
             Some(&frame) => frame,
-            None => (Trie::<u64>::ROOT, idx.full_interval()),
+            None => (CountTrie::ROOT, idx.full_interval()),
         };
-        for (depth, &b) in cand.iter().enumerate().skip(lcp) {
+        for (depth, &b) in cand.iter().enumerate().skip(shared) {
             iv = idx.extend_interval(iv, depth, b);
-            let before = trie.len();
-            cur = trie.ensure_child(cur, b, 0);
-            if trie.len() > before {
-                // Newly created node: compute its true clipped count once.
-                *trie.value_mut(cur) = counts.count_in_interval(iv, depth + 1);
-            }
+            trie.parent.push(cur);
+            trie.symbol.push(b);
+            trie.count.push(counts.count_in_interval(iv, depth + 1));
+            cur = (trie.parent.len() - 1) as NodeId;
             stack.push((cur, iv));
         }
         prev = cand;
     }
+    debug_assert_eq!(trie.len(), n);
     trie
 }
 
@@ -169,7 +252,7 @@ pub(crate) fn run_pipeline_with<R: Rng + ?Sized>(
 /// privacy guarantee is identical — the trie is exactly what Step 2 would
 /// have produced.
 pub fn run_pipeline_on_trie<R: Rng + ?Sized>(
-    counts_trie: &Trie<u64>,
+    counts_trie: &CountTrie,
     ell: usize,
     params: &PipelineParams,
     rng: &mut R,
@@ -180,7 +263,7 @@ pub fn run_pipeline_on_trie<R: Rng + ?Sized>(
 /// [`run_pipeline_on_trie`] with optional `"noise"` / `"prune"` phase
 /// spans recorded into `rec`.
 pub fn run_pipeline_on_trie_traced<R: Rng + ?Sized>(
-    counts_trie: &Trie<u64>,
+    counts_trie: &CountTrie,
     ell: usize,
     params: &PipelineParams,
     rng: &mut R,
@@ -190,8 +273,7 @@ pub fn run_pipeline_on_trie_traced<R: Rng + ?Sized>(
     let noise_started = rec.map(|r| r.mark());
     let delta_clip = params.delta_clip.clamp(1, ell);
     let n_nodes = counts_trie.len();
-    let tree = trie_topology(counts_trie);
-    let hpd = HeavyPathDecomposition::new(&tree);
+    let hpd = HeavyPathDecomposition::from_preorder(counts_trie.parents());
     let k_paths = hpd.num_paths();
     let levels = (usize::BITS - n_nodes.leading_zeros()) as f64; // ⌊log|T_C|⌋+1
 
@@ -223,8 +305,7 @@ pub fn run_pipeline_on_trie_traced<R: Rng + ?Sized>(
 
     // Step 4: noisy prefix sums of difference sequences (binary tree
     // mechanism). T = longest difference sequence ≤ ℓ.
-    let max_diff_len =
-        hpd.paths().iter().map(|p| p.len().saturating_sub(1)).max().unwrap_or(0).max(1);
+    let max_diff_len = hpd.paths().map(|p| p.len() - 1).max().unwrap_or(0).max(1);
     let (diff_noise, diff_error) = if params.gaussian {
         let per_path = 2.0 * delta_clip as f64; // Lemma 16.2
         (
@@ -262,76 +343,57 @@ pub fn run_pipeline_on_trie_traced<R: Rng + ?Sized>(
     // path. The base is a single draw off the caller's RNG; each path's
     // draws (root noise, then its tree mechanism) come from its own stream
     // keyed by the path index, so the released structure is identical for
-    // every thread count — chunking below is purely a scheduling concern.
+    // every thread count — the split below is purely a scheduling concern.
     let stream_base: u64 = rng.gen();
-    let paths = hpd.paths();
+    let offsets = hpd.path_offsets();
+    // noisy[i] is the noisy count of hpd.nodes()[i]: each path's values are
+    // contiguous, so a run of paths fills one disjoint slice.
     let mut noisy = vec![0.0f64; n_nodes];
-    const PATH_CHUNK: usize = 64;
-    let n_chunks = paths.len().div_ceil(PATH_CHUNK);
-
-    // Noisy values of every path in one chunk, each aligned with its path.
-    type ChunkValues = Vec<(usize, Vec<f64>)>;
-    let process_chunk = |chunk: usize| -> ChunkValues {
-        let start = chunk * PATH_CHUNK;
-        let end = paths.len().min(start + PATH_CHUNK);
-        let mut out = Vec::with_capacity(end - start);
-        let mut diff: Vec<f64> = Vec::new();
-        for (pi, path) in paths[start..end].iter().enumerate() {
-            let mut prng = StdRng::seed_from_u64(crate::candidates::derive_stream(
-                stream_base,
-                (start + pi) as u64,
-            ));
-            let root_est = *counts_trie.value(path[0]) as f64 + root_noise.sample(&mut prng);
-            let mut vals = Vec::with_capacity(path.len());
-            vals.push(root_est);
+    let noise_paths = |paths: std::ops::Range<usize>, out: &mut [f64]| {
+        let base = offsets[paths.start] as usize;
+        let mut diff: Vec<f64> = Vec::with_capacity(max_diff_len);
+        let mut mech = BinaryTreeMechanism::with_capacity(max_diff_len);
+        for pi in paths {
+            let path = hpd.path(pi);
+            let vals = &mut out[offsets[pi] as usize - base..offsets[pi + 1] as usize - base];
+            let mut prng =
+                StdRng::seed_from_u64(crate::candidates::derive_stream(stream_base, pi as u64));
+            let root_est = counts_trie.count(path[0]) as f64 + root_noise.sample(&mut prng);
+            vals[0] = root_est;
             if path.len() > 1 {
                 diff.clear();
                 diff.extend(
                     path.windows(2)
-                        .map(|w| *counts_trie.value(w[1]) as f64 - *counts_trie.value(w[0]) as f64),
+                        .map(|w| counts_trie.count(w[1]) as f64 - counts_trie.count(w[0]) as f64),
                 );
-                let mech = BinaryTreeMechanism::build(&diff, diff_noise, &mut prng);
-                for i in 1..path.len() {
-                    vals.push(root_est + mech.prefix(i));
+                mech.rebuild(&diff, diff_noise, &mut prng);
+                for (i, v) in vals.iter_mut().enumerate().skip(1) {
+                    *v = root_est + mech.prefix(i);
                 }
             }
-            out.push((start + pi, vals));
         }
-        out
     };
 
-    let workers = params.threads.max(1).min(n_chunks);
+    let workers = params.threads.max(1).min(k_paths);
     if workers <= 1 {
-        for chunk in 0..n_chunks {
-            for (pi, vals) in process_chunk(chunk) {
-                for (&v, &x) in paths[pi].iter().zip(vals.iter()) {
-                    noisy[v as usize] = x;
-                }
-            }
-        }
+        noise_paths(0..k_paths, &mut noisy);
     } else {
-        let results: Vec<std::sync::Mutex<ChunkValues>> =
-            (0..n_chunks).map(|_| std::sync::Mutex::new(Vec::new())).collect();
-        let next_chunk = std::sync::atomic::AtomicUsize::new(0);
+        // Worker `w` takes the paths that start in the `w`-th of `workers`
+        // equal shares of the nodes.
+        let noise_paths = &noise_paths;
         std::thread::scope(|scope| {
-            for _ in 0..workers {
-                scope.spawn(|| loop {
-                    let chunk = next_chunk.fetch_add(1, std::sync::atomic::Ordering::Relaxed);
-                    if chunk >= n_chunks {
-                        break;
-                    }
-                    *results[chunk].lock().expect("chunk mutex not poisoned") =
-                        process_chunk(chunk);
-                });
+            let mut rest = noisy.as_mut_slice();
+            let mut first = 0usize;
+            for w in 1..=workers {
+                let end = offsets
+                    .partition_point(|&o| (o as usize) < n_nodes * w / workers)
+                    .clamp(first, k_paths);
+                let (share, tail) = rest.split_at_mut((offsets[end] - offsets[first]) as usize);
+                rest = tail;
+                scope.spawn(move || noise_paths(first..end, share));
+                first = end;
             }
         });
-        for m in results {
-            for (pi, vals) in m.into_inner().expect("chunk mutex poisoned") {
-                for (&v, &x) in paths[pi].iter().zip(vals.iter()) {
-                    noisy[v as usize] = x;
-                }
-            }
-        }
     }
 
     if let (Some(r), Some(s)) = (rec, noise_started) {
@@ -342,10 +404,7 @@ pub fn run_pipeline_on_trie_traced<R: Rng + ?Sized>(
     let alpha = root_error + diff_error;
     let prune_threshold = params.prune_override.unwrap_or(2.0 * alpha);
     let prune_started = rec.map(|r| r.mark());
-    let pruned = counts_trie.prune_map(
-        |node, _| noisy[node as usize] >= prune_threshold,
-        |node, _| noisy[node as usize],
-    );
+    let pruned = prune(counts_trie, |v| noisy[hpd.slot(v)], prune_threshold, ell);
     if let (Some(r), Some(s)) = (rec, prune_started) {
         r.close("prune", s, pruned.len() as u64);
     }
@@ -353,12 +412,38 @@ pub fn run_pipeline_on_trie_traced<R: Rng + ?Sized>(
     PipelineOutput { trie: pruned, alpha, prune_threshold, nodes_before_prune: n_nodes }
 }
 
-/// Converts the trie's parent pointers into a [`Tree`] (ids align).
-pub fn trie_topology<V>(trie: &Trie<V>) -> Tree {
-    let parents: Vec<Option<u32>> = (0..trie.len() as u32)
-        .map(|v| if v == Trie::<V>::ROOT { None } else { Some(trie.parent(v)) })
-        .collect();
-    Tree::from_parents(&parents)
+/// Step 6 in one forward pass over `trie`'s pre-order: a node is kept iff
+/// its parent is kept and `value(node) ≥ threshold`; the root always is.
+/// Kept nodes carry `value(node)` into the released trie, which is built
+/// in the same pre-order, each node's children in label order. `depth` is
+/// the trie's height or an estimate of it (it sizes a stack).
+fn prune(
+    trie: &CountTrie,
+    value: impl Fn(NodeId) -> f64,
+    threshold: f64,
+    depth: usize,
+) -> Trie<f64> {
+    let mut out = Trie::with_capacity(value(CountTrie::ROOT), trie.len());
+    // (id in `trie`, id in `out`) of each kept ancestor of the last kept
+    // node, root first. Ids grow along it, and a node's parent is on it iff
+    // the parent was kept.
+    let mut kept: Vec<(NodeId, NodeId)> = Vec::with_capacity(depth + 1);
+    kept.push((CountTrie::ROOT, Trie::<f64>::ROOT));
+    for v in 1..trie.len() as NodeId {
+        let p = trie.parent(v);
+        while kept.last().is_some_and(|&(old, _)| old > p) {
+            kept.pop();
+        }
+        let &(top, new_parent) = kept.last().expect("the root is never popped");
+        if top == p {
+            let x = value(v);
+            if x >= threshold {
+                kept.push((v, out.append_child(new_parent, trie.symbol(v), x)));
+            }
+        }
+    }
+    out.shrink_to_fit();
+    out
 }
 
 #[cfg(test)]
@@ -387,17 +472,19 @@ mod tests {
         let cands = all_substrings(&db);
         for delta in [1usize, 2, 5] {
             let trie = build_count_trie(&idx, &cands, delta);
-            for c in &cands {
-                let node = trie.walk(c).expect("candidate in trie");
+            // One node per candidate plus the root (the candidates are all
+            // substrings, so prefix-closed), in sorted pre-order.
+            let strings: Vec<Vec<u8>> =
+                (0..trie.len() as NodeId).map(|v| trie.string_of(v)).collect();
+            assert_eq!(strings[0], b"");
+            assert_eq!(strings[1..], cands[..]);
+            for (v, s) in strings.iter().enumerate() {
                 assert_eq!(
-                    *trie.value(node),
-                    idx.count_clipped(c, delta),
-                    "count of {:?} at Δ={delta}",
-                    c
+                    trie.count(v as NodeId),
+                    idx.count_clipped(s, delta),
+                    "count of {s:?} at Δ={delta}"
                 );
             }
-            // Root holds count_Δ of the empty string.
-            assert_eq!(*trie.value(Trie::<u64>::ROOT), idx.count_clipped(b"", delta));
         }
     }
 
@@ -407,15 +494,46 @@ mod tests {
         let db = Database::paper_example();
         let idx = CorpusIndex::build(&db);
         let trie = build_count_trie(&idx, &all_substrings(&db), 5);
-        for node in trie.dfs() {
-            if node != Trie::<u64>::ROOT {
-                assert!(
-                    trie.value(node) <= trie.value(trie.parent(node)),
-                    "count increased along path at {:?}",
-                    trie.string_of(node)
-                );
-            }
+        for v in 1..trie.len() as NodeId {
+            assert!(trie.parent(v) < v, "ids not in pre-order at {v}");
+            assert!(
+                trie.count(v) <= trie.count(trie.parent(v)),
+                "count increased along path at {:?}",
+                trie.string_of(v)
+            );
         }
+    }
+
+    #[test]
+    fn prune_drops_every_node_under_a_failing_ancestor() {
+        // Trie of "absa" and "ba". Thresholds cut mid-path: "ab" fails
+        // while its descendants "abs" and "absa" pass on their own.
+        let db = Database::paper_example();
+        let idx = CorpusIndex::build(&db);
+        let cands: Vec<Vec<u8>> = ["absa", "ba"].iter().map(|s| s.as_bytes().to_vec()).collect();
+        let trie = build_count_trie(&idx, &cands, 5);
+        let names: Vec<Vec<u8>> = (0..trie.len() as NodeId).map(|v| trie.string_of(v)).collect();
+        let value = |v: NodeId| match names[v as usize].as_slice() {
+            b"" => 100.0,
+            b"a" | b"b" | b"abs" | b"absa" => 10.0,
+            b"ab" => 1.0,
+            b"ba" => 5.0,
+            other => panic!("unexpected node {other:?}"),
+        };
+        let pruned = prune(&trie, value, 5.0, 4);
+        assert_eq!(*pruned.value(Trie::<f64>::ROOT), 100.0);
+        for (s, v) in [(&b"a"[..], 10.0), (b"b", 10.0), (b"ba", 5.0)] {
+            assert_eq!(pruned.walk(s).map(|n| *pruned.value(n)), Some(v), "{s:?}");
+        }
+        for s in [&b"ab"[..], b"abs", b"absa"] {
+            assert!(pruned.walk(s).is_none(), "{s:?} kept under a pruned ancestor");
+        }
+        assert_eq!(pruned.len(), 4);
+        // Every node passes: the released trie keeps the shape and order.
+        let all = prune(&trie, |_| 0.0, 0.0, 4);
+        assert_eq!(all.len(), trie.len());
+        let order: Vec<Vec<u8>> = all.dfs().map(|n| all.string_of(n)).collect();
+        assert_eq!(order, names);
     }
 
     fn tiny_noise_params(gaussian: bool) -> PipelineParams {

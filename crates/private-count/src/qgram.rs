@@ -8,6 +8,8 @@
 //! one log factor better than Theorem 1 because no heavy-path machinery is
 //! needed at a single depth.
 
+use std::ops::ControlFlow;
+
 use dpsc_dpcore::budget::PrivacyParams;
 use dpsc_dpcore::mechanism::laplace_sup_error;
 use dpsc_dpcore::noise::Noise;
@@ -16,7 +18,7 @@ use dpsc_strkit::trie::Trie;
 use dpsc_textindex::CorpusIndex;
 use rand::Rng;
 
-use crate::candidates::{doubling_levels, Cand, CandidateOverflow};
+use crate::candidates::{doubling_levels, for_each_overlap, Cand, CandidateOverflow};
 use crate::structure::{CountMode, PrivateCountStructure};
 
 /// Parameters for the Theorem 3 construction.
@@ -61,24 +63,22 @@ pub fn build_qgram_pure<R: Rng + ?Sized>(
     let pow = 1usize << j;
 
     // C_q: strings of length q whose length-2^j prefix and suffix are both
-    // in P_{2^j} (post-processing), each with its interval: a gram extends
-    // the pair's first half by the bytes the second half appends.
+    // in P_{2^j} (post-processing, by Step 1's bucketed overlap join), each
+    // with its interval: a gram extends the pair's first half by the bytes
+    // the second half appends.
     let cq: Vec<(Vec<u8>, SaInterval)> = if q == pow {
         top.iter().map(|c| (c.bytes.clone(), c.iv)).collect()
     } else {
         let overlap = 2 * pow - q;
         let mut out = Vec::new();
-        for q1 in top {
-            for q2 in top {
-                if q1.bytes[pow - overlap..] == q2.bytes[..overlap] {
-                    let mut s = Vec::with_capacity(q);
-                    s.extend_from_slice(&q1.bytes);
-                    s.extend_from_slice(&q2.bytes[overlap..]);
-                    let iv = (pow..q).fold(q1.iv, |iv, d| idx.extend_interval(iv, d, s[d]));
-                    out.push((s, iv));
-                }
-            }
-        }
+        for_each_overlap(top, pow, overlap, |q1, q2| {
+            let mut s = Vec::with_capacity(q);
+            s.extend_from_slice(&q1.bytes);
+            s.extend_from_slice(&q2.bytes[overlap..]);
+            let iv = (pow..q).fold(q1.iv, |iv, d| idx.extend_interval(iv, d, s[d]));
+            out.push((s, iv));
+            ControlFlow::Continue(())
+        });
         out
     };
 

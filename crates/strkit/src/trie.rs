@@ -4,8 +4,8 @@
 //! strings `str(v)` and carry counts (true counts during construction, noisy
 //! counts in the published structure). [`Trie`] is an arena-allocated trie
 //! generic over the per-node payload, with the operations the pipeline
-//! needs: path insertion, pattern walking (`O(|P|)` queries, Theorems 1–4),
-//! subtree pruning (Step 6), and DFS traversal for mining.
+//! needs: path insertion, in-order bulk appends, pattern walking (`O(|P|)`
+//! queries, Theorems 1–4), and DFS traversal for mining.
 //!
 //! ## Edge layout
 //! Each node stores its out-edges as a label-sorted `Vec<(u8, NodeId)>`, so
@@ -53,6 +53,19 @@ impl<V> Trie<V> {
         }
     }
 
+    /// Creates a trie containing only the root, with arena room for
+    /// `capacity` nodes.
+    pub fn with_capacity(root_value: V, capacity: usize) -> Self {
+        let mut trie = Self::new(root_value);
+        trie.nodes.reserve(capacity.saturating_sub(1));
+        trie
+    }
+
+    /// Releases arena capacity beyond the current node count.
+    pub fn shrink_to_fit(&mut self) {
+        self.nodes.shrink_to_fit();
+    }
+
     /// Number of nodes (including the root).
     #[inline]
     pub fn len(&self) -> usize {
@@ -92,7 +105,7 @@ impl<V> Trie<V> {
 
     /// Appends a child whose label sorts strictly after every existing edge
     /// of `node` — the fast path for bulk construction in label order
-    /// (pruning, freezing), which skips the binary search and the ordered
+    /// (the pipeline's Step 6), which skips the binary search and the ordered
     /// insert. Debug-asserts the ordering invariant.
     pub fn append_child(&mut self, node: NodeId, symbol: u8, value: V) -> NodeId {
         debug_assert!(
@@ -192,36 +205,6 @@ impl<V> Trie<V> {
     /// Pre-order DFS over all node ids.
     pub fn dfs(&self) -> DfsIter<'_, V> {
         DfsIter { trie: self, stack: vec![Self::ROOT] }
-    }
-
-    /// Builds a new trie containing exactly the nodes for which
-    /// `keep(node_id, value)` is true *and* whose ancestors are all kept
-    /// (subtree pruning: once a node is dropped its whole subtree goes, as
-    /// in the paper's Step 6). The root is always kept. Values are mapped
-    /// through `map`.
-    pub fn prune_map<W>(
-        &self,
-        mut keep: impl FnMut(NodeId, &V) -> bool,
-        mut map: impl FnMut(NodeId, &V) -> W,
-    ) -> Trie<W> {
-        let mut out = Trie::new(map(Self::ROOT, self.value(Self::ROOT)));
-        out.nodes.reserve(self.nodes.len().saturating_sub(1));
-        // Stack of (old_id, new_parent_id). Children are pushed in reverse
-        // label order, so every new parent receives its surviving children
-        // in increasing label order and `append_child` applies.
-        let mut stack: Vec<(NodeId, NodeId)> =
-            self.edges(Self::ROOT).iter().rev().map(|&(_, c)| (c, Trie::<W>::ROOT)).collect();
-        while let Some((old, new_parent)) = stack.pop() {
-            if !keep(old, self.value(old)) {
-                continue;
-            }
-            let new_id = out.append_child(new_parent, self.symbol(old), map(old, self.value(old)));
-            for &(_, c) in self.edges(old).iter().rev() {
-                stack.push((c, new_id));
-            }
-        }
-        out.nodes.shrink_to_fit();
-        out
     }
 
     /// Total number of nodes at each depth; index `d` holds the count of
@@ -350,25 +333,6 @@ mod tests {
             visited,
             vec![b"".to_vec(), b"a".to_vec(), b"aa".to_vec(), b"ab".to_vec(), b"b".to_vec()]
         );
-    }
-
-    #[test]
-    fn prune_removes_subtrees() {
-        let mut t: Trie<i64> = Trie::new(100);
-        let a = t.insert_path(b"a", |_| 0);
-        let ab = t.insert_path(b"ab", |_| 0);
-        let abc = t.insert_path(b"abc", |_| 0);
-        let b = t.insert_path(b"b", |_| 0);
-        *t.value_mut(a) = 10;
-        *t.value_mut(ab) = 1; // below threshold → drops abc too
-        *t.value_mut(abc) = 50; // would survive alone, but ancestor pruned
-        *t.value_mut(b) = 10;
-        let pruned = t.prune_map(|_, &v| v >= 5, |_, &v| v);
-        assert!(pruned.walk(b"a").is_some());
-        assert!(pruned.walk(b"b").is_some());
-        assert!(pruned.walk(b"ab").is_none());
-        assert!(pruned.walk(b"abc").is_none());
-        assert_eq!(pruned.len(), 3);
     }
 
     #[test]

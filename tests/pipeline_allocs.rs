@@ -1,0 +1,89 @@
+//! Heap work of Steps 3–6, as an exact count: `run_pipeline_on_trie`
+//! makes a fixed number of heap allocations, however many heavy paths the
+//! count trie splits into.
+//!
+//! The heavy-path decomposition, the noisy values and the pruning pass
+//! each live in a few flat arrays, and every worker reuses one set of
+//! scratch buffers across all its paths. Two count tries whose path counts
+//! differ several-fold must therefore cost the same number of allocations,
+//! at one thread and at two.
+//!
+//! The pruning threshold is `+∞`, so the released trie is the root alone:
+//! its arena is one block either way. A kept node of the released
+//! `Trie<f64>` owns its own edge list, which grows with the kept nodes;
+//! that structure is outside what this gate pins.
+//!
+//! The counting allocator (`common/counting_alloc.rs`) counts every
+//! allocation call of the process, so this binary holds a single test.
+
+#[path = "common/counting_alloc.rs"]
+mod counting_alloc;
+
+use std::collections::BTreeSet;
+
+use dp_substring_counting::dpcore::budget::PrivacyParams;
+use dp_substring_counting::hierarchy::HeavyPathDecomposition;
+use dp_substring_counting::private_count::pipeline::{
+    build_count_trie, run_pipeline_on_trie, CountTrie, PipelineParams,
+};
+use dp_substring_counting::textindex::CorpusIndex;
+use dp_substring_counting::workloads::markov_corpus;
+use rand::rngs::StdRng;
+use rand::SeedableRng;
+
+/// The count trie of every distinct substring of length ≤ 6 of a Markov
+/// corpus of `docs` documents, with its number of heavy paths.
+fn count_trie(docs: usize, seed: u64) -> (CountTrie, usize, usize) {
+    let db = markov_corpus(docs, 24, 4, 0.5, &mut StdRng::seed_from_u64(seed));
+    let idx = CorpusIndex::build(&db);
+    let mut cands = BTreeSet::new();
+    for doc in db.documents() {
+        for i in 0..doc.len() {
+            for j in i + 1..=doc.len().min(i + 6) {
+                cands.insert(doc[i..j].to_vec());
+            }
+        }
+    }
+    let cands: Vec<Vec<u8>> = cands.into_iter().collect();
+    let trie = build_count_trie(&idx, &cands, 1);
+    let paths = HeavyPathDecomposition::from_preorder(trie.parents()).num_paths();
+    (trie, paths, db.max_len())
+}
+
+/// Allocation calls of one Steps 3–6 run over `trie`.
+fn allocs_of(trie: &CountTrie, ell: usize, threads: usize) -> usize {
+    let params = PipelineParams {
+        delta_clip: 1,
+        privacy_roots: PrivacyParams::pure(1.0),
+        privacy_diffs: PrivacyParams::pure(1.0),
+        beta: 0.1,
+        gaussian: false,
+        prune_override: Some(f64::INFINITY),
+        threads,
+    };
+    let mut rng = StdRng::seed_from_u64(5);
+    let before = counting_alloc::allocs();
+    let out = run_pipeline_on_trie(trie, ell, &params, &mut rng);
+    let allocs = counting_alloc::allocs() - before;
+    assert_eq!(out.trie.len(), 1, "the +∞ threshold keeps the root alone");
+    assert_eq!(out.nodes_before_prune, trie.len());
+    allocs
+}
+
+#[test]
+fn steps_3_to_6_allocate_the_same_blocks_for_any_number_of_paths() {
+    let (small, small_paths, small_ell) = count_trie(12, 1);
+    let (large, large_paths, large_ell) = count_trie(200, 2);
+    assert!(
+        large_paths > 4 * small_paths,
+        "path counts {small_paths} and {large_paths} are too close to tell"
+    );
+    for threads in [1, 2] {
+        let a = allocs_of(&small, small_ell, threads);
+        let b = allocs_of(&large, large_ell, threads);
+        println!(
+            "{threads} thread(s): {a} allocations over {small_paths} paths, {b} over {large_paths}"
+        );
+        assert_eq!(a, b, "allocations grow with the heavy paths at {threads} thread(s)");
+    }
+}

@@ -3,10 +3,9 @@
 //! *neighboring* databases and checks the analytic bound empirically.
 
 use dp_substring_counting::hierarchy::heavy_path::HeavyPathDecomposition;
-use dp_substring_counting::private_count::pipeline::{build_count_trie, trie_topology};
+use dp_substring_counting::private_count::pipeline::{build_count_trie, CountTrie};
 use dp_substring_counting::strkit::alphabet::{Alphabet, Database};
 use dp_substring_counting::strkit::naive_count;
-use dp_substring_counting::strkit::trie::Trie;
 use dp_substring_counting::textindex::CorpusIndex;
 use proptest::prelude::*;
 
@@ -98,16 +97,14 @@ proptest! {
         cands.sort();
         cands.dedup();
         let trie = build_count_trie(&idx, &cands, ell);
-        let tree = trie_topology(&trie);
-        let hpd = HeavyPathDecomposition::new(&tree);
+        let hpd = HeavyPathDecomposition::from_preorder(trie.parents());
         let levels = (usize::BITS - (trie.len() as usize).leading_zeros()) as usize;
         let s = &docs[i];
         let mass: usize = hpd
             .paths()
-            .iter()
             .map(|path| {
                 let root = path[0];
-                if root == Trie::<u64>::ROOT {
+                if root == CountTrie::ROOT {
                     // The paper's Lemma 10 counts occurrences of str(r); the
                     // trie root is the empty string with count(ε, S) = |S|.
                     s.len()
@@ -142,17 +139,16 @@ proptest! {
         let trie = build_count_trie(&idx, &cands, ell);
         let trie_nb = build_count_trie(&idx_nb, &cands, ell);
         prop_assert_eq!(trie.len(), trie_nb.len());
-        let tree = trie_topology(&trie);
-        let hpd = HeavyPathDecomposition::new(&tree);
+        let hpd = HeavyPathDecomposition::from_preorder(trie.parents());
         for path in hpd.paths() {
             let mut l1 = 0i64;
             for w in path.windows(2) {
-                let d_a = *trie.value(w[1]) as i64 - *trie.value(w[0]) as i64;
-                let d_b = *trie_nb.value(w[1]) as i64 - *trie_nb.value(w[0]) as i64;
+                let d_a = trie.count(w[1]) as i64 - trie.count(w[0]) as i64;
+                let d_b = trie_nb.count(w[1]) as i64 - trie_nb.count(w[0]) as i64;
                 l1 += (d_a - d_b).abs();
             }
             let root = path[0];
-            let bound = if root == Trie::<u64>::ROOT {
+            let bound = if root == CountTrie::ROOT {
                 (docs[i].len() + repl.len()) as i64
             } else {
                 let s = trie.string_of(root);
