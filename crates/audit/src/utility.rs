@@ -103,12 +103,11 @@ pub fn audit_pipeline_utility(
         let out = run_pipeline_on_trie(&counts_trie, ell, &params, &mut rng);
         alpha_bound = out.alpha;
         let (mut worst, mut sum, mut kept) = (0.0f64, 0.0f64, 0usize);
-        for node in 0..counts_trie.len() as u32 {
-            let pat = counts_trie.string_of(node);
-            let exact = counts_trie.count(node) as f64;
-            match out.trie.walk(&pat) {
+        for (node, released) in counts_trie.matches(&out.trie).into_iter().enumerate() {
+            let exact = counts_trie.value(node as u32) as f64;
+            match released {
                 Some(n2) => {
-                    let err = (*out.trie.value(n2) - exact).abs();
+                    let err = (out.trie.value(n2) - exact).abs();
                     worst = worst.max(err);
                     sum += err;
                     kept += 1;

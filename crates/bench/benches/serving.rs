@@ -1,6 +1,5 @@
-//! Serving benchmark: queries/second against the released synopsis —
-//! pointer-trie walk (`PrivateCountStructure::query`) vs the flat frozen
-//! index (`FrozenSynopsis`), single-query vs batch vs parallel-batch.
+//! Serving benchmark: queries/second against the released synopsis
+//! (`FrozenSynopsis`), single-query vs batch vs parallel-batch.
 //!
 //! Fixtures are shared with the `serving_throughput` experiment
 //! (`dpsc_bench::exps::serving`):
@@ -21,7 +20,6 @@ use criterion::{black_box, criterion_group, criterion_main, BenchmarkId, Criteri
 use dpsc_bench::exps::serving::{dp_built, synthetic};
 use dpsc_dpcore::budget::PrivacyParams;
 use dpsc_private_count::{CountMode, PrivateCountStructure};
-use dpsc_strkit::trie::Trie;
 
 fn bench_single_query(c: &mut Criterion) {
     let mut group = c.benchmark_group("serving_single_query");
@@ -34,17 +32,6 @@ fn bench_single_query(c: &mut Criterion) {
         let frozen = structure.freeze();
         let nodes = frozen.node_count();
         let pats: Vec<&[u8]> = workload.iter().map(|p| p.as_slice()).collect();
-        let mut i = 0usize;
-        group.bench_with_input(
-            BenchmarkId::new(format!("trie_walk/{name}"), nodes),
-            &pats,
-            |b, pats| {
-                b.iter(|| {
-                    i = (i + 1) % pats.len();
-                    structure.query(black_box(pats[i]))
-                });
-            },
-        );
         let mut i = 0usize;
         group.bench_with_input(
             BenchmarkId::new(format!("frozen/{name}"), nodes),
@@ -66,12 +53,6 @@ fn bench_batch(c: &mut Criterion) {
     let pats: Vec<&[u8]> = workload.iter().map(|p| p.as_slice()).collect();
     let threads = std::thread::available_parallelism().map(|p| p.get()).unwrap_or(4);
     let mut group = c.benchmark_group("serving_batch_1024");
-    group.bench_function("trie_walk_loop", |b| {
-        b.iter(|| {
-            let out: Vec<f64> = pats.iter().map(|p| structure.query(black_box(p))).collect();
-            out
-        });
-    });
     group.bench_function("frozen_batch", |b| {
         b.iter(|| frozen.query_batch(black_box(&pats)));
     });
@@ -88,26 +69,24 @@ fn bench_batch(c: &mut Criterion) {
 fn bench_step_by_degree(c: &mut Criterion) {
     let mut group = c.benchmark_group("serving_step_by_degree");
     for degree in [2usize, 8, 16, 32, 64, 128, 256] {
-        let mut trie: Trie<f64> = Trie::new(1000.0);
         let step = 256 / degree;
+        let mut entries = vec![(Vec::new(), 1000.0)];
         for i in 0..degree {
             let label = (i * step) as u8;
-            let child = trie.insert_path(&[label], |_| 0.0);
-            *trie.value_mut(child) = i as f64 + 1.5;
-            for g in 0..4u8 {
-                let node = trie.insert_path(&[label, g * 61], |_| 0.0);
-                *trie.value_mut(node) = f64::from(g) + 0.25;
-            }
+            entries.push((vec![label], i as f64 + 1.5));
+            entries.extend((0..4u8).map(|g| (vec![label, g * 61], f64::from(g) + 0.25)));
         }
-        let structure = PrivateCountStructure::new(
-            trie,
+        let privacy = PrivacyParams::pure(1.0);
+        let structure = PrivateCountStructure::from_entries(
+            entries,
             CountMode::Substring,
-            PrivacyParams::pure(1.0),
+            privacy,
             1.0,
             1.0,
             64,
             64,
-        );
+        )
+        .expect("distinct entries");
         let frozen = structure.freeze();
         // Every root label hit once, interleaved with guaranteed misses.
         let pats: Vec<[u8; 2]> =

@@ -2,9 +2,8 @@
 
 use dpsc_dpcore::budget::PrivacyParams;
 use dpsc_private_count::pipeline::{
-    build_count_trie, run_pipeline_on_trie, CountTrie, PipelineParams,
+    build_count_trie, run_pipeline_on_trie, CountTrie, PipelineParams, PreorderTrie,
 };
-use dpsc_strkit::trie::Trie;
 use dpsc_textindex::CorpusIndex;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -71,15 +70,11 @@ pub fn pipeline_error(
 }
 
 /// Max |noisy − exact| across all nodes shared by the two tries.
-fn max_error_vs(exact: &CountTrie, noisy: &Trie<f64>) -> f64 {
-    let mut worst = 0.0f64;
-    for node in 0..exact.len() as u32 {
-        let pat = exact.string_of(node);
-        if let Some(n2) = noisy.walk(&pat) {
-            worst = worst.max((*noisy.value(n2) - exact.count(node) as f64).abs());
-        }
-    }
-    worst
+fn max_error_vs(exact: &CountTrie, noisy: &PreorderTrie<f64>) -> f64 {
+    let matches = exact.matches(noisy).into_iter().enumerate();
+    matches
+        .filter_map(|(v, n2)| n2.map(|n2| (noisy.value(n2) - exact.value(v as u32) as f64).abs()))
+        .fold(0.0f64, f64::max)
 }
 
 /// Measures the simple-trie baseline's release error over the same probe

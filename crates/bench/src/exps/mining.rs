@@ -139,7 +139,7 @@ pub fn figures() -> Vec<Table> {
                     }
                 })
                 .collect();
-            let counts: Vec<String> = path.iter().map(|&v| trie.count(v).to_string()).collect();
+            let counts: Vec<String> = path.iter().map(|&v| trie.value(v).to_string()).collect();
             (label.join(" → "), counts.join(", "))
         })
         .collect();
@@ -168,11 +168,11 @@ pub fn figures() -> Vec<Table> {
         let s = trie.string_of(v);
         let label =
             if s.is_empty() { "ε".to_string() } else { String::from_utf8_lossy(&s).into_owned() };
-        let count = trie.count(v) as i64;
+        let count = trie.value(v) as i64;
         let diff = if i == 0 {
             "—".to_string()
         } else {
-            let d = count - trie.count(root_path[i - 1]) as i64;
+            let d = count - trie.value(root_path[i - 1]) as i64;
             prefix += d;
             d.to_string()
         };

@@ -11,7 +11,6 @@
 use dpsc_dpcore::budget::PrivacyParams;
 use dpsc_dpcore::mechanism::laplace_sup_error;
 use dpsc_dpcore::noise::Noise;
-use dpsc_strkit::trie::Trie;
 use dpsc_textindex::CorpusIndex;
 use rand::Rng;
 
@@ -65,23 +64,21 @@ pub fn build_simple_trie<R: Rng + ?Sized>(
     let tau = params.tau_override.unwrap_or(2.0 * alpha);
 
     let counts = idx.clipped_counter(delta_clip);
-    let mut trie: Trie<f64> = Trie::new(counts.count(b"") as f64);
-    let mut frontier: Vec<(u32, Vec<u8>)> = vec![(Trie::<f64>::ROOT, Vec::new())];
-    let mut pattern = Vec::with_capacity(max_depth);
+    let mut entries = vec![(Vec::new(), counts.count(b"") as f64)];
+    let mut frontier: Vec<Vec<u8>> = vec![Vec::new()];
     'levels: for _depth in 1..=max_depth {
         let mut next = Vec::new();
-        for (node, prefix) in &frontier {
+        for prefix in &frontier {
             for sym in 0..sigma {
-                let letter = idx.alphabet_base() + sym as u8;
-                pattern.clear();
+                let mut pattern = Vec::with_capacity(prefix.len() + 1);
                 pattern.extend_from_slice(prefix);
-                pattern.push(letter);
+                pattern.push(idx.alphabet_base() + sym as u8);
                 let c = counts.count(&pattern) as f64;
                 let noisy = c + noise.sample(rng);
                 if noisy >= tau {
-                    let child = trie.ensure_child(*node, letter, noisy);
-                    next.push((child, pattern.clone()));
-                    if trie.len() >= node_cap {
+                    entries.push((pattern.clone(), noisy));
+                    next.push(pattern);
+                    if entries.len() >= node_cap {
                         break 'levels;
                     }
                 }
@@ -93,7 +90,16 @@ pub fn build_simple_trie<R: Rng + ?Sized>(
         frontier = next;
     }
 
-    PrivateCountStructure::new(trie, params.mode, params.privacy, alpha, tau + alpha, n, ell)
+    PrivateCountStructure::from_entries(
+        entries,
+        params.mode,
+        params.privacy,
+        alpha,
+        tau + alpha,
+        n,
+        ell,
+    )
+    .expect("distinct patterns with finite counts")
 }
 
 #[cfg(test)]

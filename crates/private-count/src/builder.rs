@@ -11,6 +11,7 @@ use dpsc_textindex::CorpusIndex;
 use rand::Rng;
 
 use crate::candidates::{build_candidates_with, CandidateOverflow, CandidateParams};
+use crate::codec_v3::Meta;
 use crate::pipeline::{run_pipeline_with, PipelineParams};
 use crate::spans::SpanRecorder;
 use crate::structure::{CountMode, PrivateCountStructure};
@@ -167,24 +168,23 @@ fn build_impl<R: Rng + ?Sized>(
         prune_override: params.prune_override,
         threads: params.threads,
     };
-    let out = run_pipeline_with(&counts, &candidates.strings, &pipe_params, rng, rec);
-    accountant.charge(third).expect("step 3 within budget");
-    accountant.charge(third).expect("step 4 within budget");
-
     // Absent strings are bounded by the worse of: not selected as candidate
     // (count < τ_cand + α_cand ≤ 3α_cand analytically) or pruned
-    // (count < prune_threshold + α).
-    let alpha_absent = (candidates.tau + candidates.alpha).max(out.prune_threshold + out.alpha);
-
-    Ok(PrivateCountStructure::new(
-        out.trie,
-        params.mode,
-        params.privacy,
-        out.alpha,
-        alpha_absent,
-        idx.n_docs(),
-        ell,
-    ))
+    // (count < prune_threshold + α). Step 6 lays the release out.
+    let released = run_pipeline_with(&counts, &candidates.strings, &pipe_params, rng, rec, |out| {
+        let meta = Meta {
+            mode: params.mode,
+            privacy: params.privacy,
+            alpha_counts: out.alpha,
+            alpha_absent: (candidates.tau + candidates.alpha).max(out.prune_threshold + out.alpha),
+            n_docs: idx.n_docs(),
+            max_len: ell,
+        };
+        PrivateCountStructure::from_preorder(out.trie, meta)
+    });
+    accountant.charge(third).expect("step 3 within budget");
+    accountant.charge(third).expect("step 4 within budget");
+    Ok(released)
 }
 
 #[cfg(test)]
@@ -246,11 +246,7 @@ mod tests {
         // Every stored count must be within α of the truth (w.p. 0.9; one
         // draw, seed fixed).
         let mut checked = 0;
-        for node in s.trie().dfs() {
-            if node == dpsc_strkit::trie::Trie::<f64>::ROOT {
-                continue;
-            }
-            let pat = s.trie().string_of(node);
+        for (pat, _) in s.mine(f64::NEG_INFINITY) {
             let exact = idx.count_clipped(&pat, db.max_len()) as f64;
             let got = s.query(&pat);
             assert!(
@@ -275,10 +271,7 @@ mod tests {
         let rec = SpanRecorder::new();
         let mut rng = StdRng::seed_from_u64(77);
         let traced = build_pure_traced(&idx, &params, &mut rng, &rec).unwrap();
-        assert_eq!(plain.trie().len(), traced.trie().len());
-        for pat in [b"ab".as_slice(), b"ba", b"absab", b"zz"] {
-            assert_eq!(plain.query(pat), traced.query(pat), "pattern {pat:?}");
-        }
+        assert_eq!(plain.freeze(), traced.freeze());
         let names: Vec<&str> = rec.spans().iter().map(|s| s.name).collect();
         assert_eq!(names, ["candidates", "count_trie", "noise", "prune"]);
         assert!(rec.spans().iter().all(|s| s.items > 0), "phase item counts populated");

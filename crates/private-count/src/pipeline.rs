@@ -21,9 +21,9 @@ use dpsc_dpcore::tree_mechanism::{
     lemma11_error_bound, lemma11_noise, lemma18_error_bound, lemma18_noise, BinaryTreeMechanism,
 };
 use dpsc_hierarchy::heavy_path::HeavyPathDecomposition;
+use dpsc_hierarchy::tree::NodeId;
 
 use crate::spans::SpanRecorder;
-use dpsc_strkit::trie::{NodeId, Trie};
 use dpsc_textindex::{ClippedCounter, CorpusIndex};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -53,8 +53,9 @@ pub struct PipelineParams {
 /// Output of Steps 2–6.
 #[derive(Debug, Clone)]
 pub struct PipelineOutput {
-    /// Pruned trie of noisy counts (root = empty string).
-    pub trie: Trie<f64>,
+    /// Pruned trie of noisy counts in pre-order (root = empty string): a
+    /// subsequence of the count trie's nodes, in the same order.
+    pub trie: PreorderTrie<f64>,
     /// Sup-error bound `α` for the noisy counts of surviving nodes
     /// (w.p. ≥ 1−β over Steps 3–4).
     pub alpha: f64,
@@ -64,23 +65,52 @@ pub struct PipelineOutput {
     pub nodes_before_prune: usize,
 }
 
-/// The exact-count trie `T_C` of Step 2 as three arrays indexed by node
-/// id: parent, edge label from the parent, and true clipped count.
+/// A trie as three arrays indexed by node id: parent, edge label from the
+/// parent, and one value per node.
 ///
 /// Ids are in pre-order with children in label order: the root is `0` (its
 /// own parent) and `parent[v] < v` for every other node, so a forward scan
 /// visits parents before children and a reverse scan children before
-/// parents. No node owns a heap block.
+/// parents, and node strings come out in lexicographic order. No node owns
+/// a heap block.
 #[derive(Debug, Clone)]
-pub struct CountTrie {
+pub struct PreorderTrie<V> {
     parent: Vec<NodeId>,
     symbol: Vec<u8>,
-    count: Vec<u64>,
+    value: Vec<V>,
 }
 
-impl CountTrie {
+/// The exact-count trie `T_C` of Step 2: each node holds the true clipped
+/// count of its string.
+pub type CountTrie = PreorderTrie<u64>;
+
+impl<V: Copy> PreorderTrie<V> {
     /// The root node id (the empty string).
     pub const ROOT: NodeId = 0;
+
+    /// A trie holding only the root, with room for `capacity` nodes.
+    pub(crate) fn with_root(value: V, capacity: usize) -> Self {
+        let mut trie = Self {
+            parent: Vec::with_capacity(capacity),
+            symbol: Vec::with_capacity(capacity),
+            value: Vec::with_capacity(capacity),
+        };
+        trie.parent.push(Self::ROOT);
+        trie.symbol.push(0);
+        trie.value.push(value);
+        trie
+    }
+
+    /// Appends a child of `parent` and returns its id. Keeping pre-order
+    /// is the caller's job: `parent` must be the last node or one of its
+    /// ancestors, and `symbol` must follow the labels of `parent`'s
+    /// earlier children.
+    pub(crate) fn push(&mut self, parent: NodeId, symbol: u8, value: V) -> NodeId {
+        self.parent.push(parent);
+        self.symbol.push(symbol);
+        self.value.push(value);
+        (self.parent.len() - 1) as NodeId
+    }
 
     /// Number of nodes (including the root).
     #[inline]
@@ -112,10 +142,16 @@ impl CountTrie {
         self.symbol[v as usize]
     }
 
-    /// True clipped count of `str(v)`.
+    /// The value of `v`.
     #[inline]
-    pub fn count(&self, v: NodeId) -> u64 {
-        self.count[v as usize]
+    pub fn value(&self, v: NodeId) -> V {
+        self.value[v as usize]
+    }
+
+    /// Mutable value of `v`.
+    #[inline]
+    pub(crate) fn value_mut(&mut self, v: NodeId) -> &mut V {
+        &mut self.value[v as usize]
     }
 
     /// Reconstructs `str(v)` by walking parent pointers (`O(depth)`).
@@ -127,6 +163,33 @@ impl CountTrie {
             cur = self.parent(cur);
         }
         out.reverse();
+        out
+    }
+
+    /// For each node of `self`, the node of `sub` spelling the same string,
+    /// if any. `sub` must hold a prefix-closed subset of `self`'s strings
+    /// (a pruned copy, like Step 6's output), so its pre-order is a
+    /// subsequence of `self`'s and one merge of the two lists finds every
+    /// match: node `v` matches the next unmatched node of `sub` iff that
+    /// node hangs off the match of `v`'s parent under `v`'s label.
+    pub fn matches<W: Copy>(&self, sub: &PreorderTrie<W>) -> Vec<Option<NodeId>> {
+        let mut out = Vec::with_capacity(self.len());
+        out.push(Some(Self::ROOT));
+        let mut next: NodeId = 1;
+        for v in 1..self.len() as NodeId {
+            let hit = match out[self.parent(v) as usize] {
+                Some(p)
+                    if (next as usize) < sub.len()
+                        && sub.parent(next) == p
+                        && sub.symbol(next) == self.symbol(v) =>
+                {
+                    next += 1;
+                    Some(next - 1)
+                }
+                _ => None,
+            };
+            out.push(hit);
+        }
         out
     }
 }
@@ -149,7 +212,7 @@ pub fn build_count_trie(idx: &CorpusIndex, candidates: &[Vec<u8>], delta_clip: u
 }
 
 /// Length of the longest common prefix of `a` and `b`.
-fn lcp(a: &[u8], b: &[u8]) -> usize {
+pub(crate) fn lcp(a: &[u8], b: &[u8]) -> usize {
     a.iter().zip(b).take_while(|(x, y)| x == y).count()
 }
 
@@ -169,14 +232,7 @@ fn count_trie(counts: &ClippedCounter<'_>, candidates: &[Vec<u8>]) -> CountTrie 
         n += cand.len() - lcp(prev, cand);
         prev = cand;
     }
-    let mut trie = CountTrie {
-        parent: Vec::with_capacity(n),
-        symbol: Vec::with_capacity(n),
-        count: Vec::with_capacity(n),
-    };
-    trie.parent.push(CountTrie::ROOT);
-    trie.symbol.push(0);
-    trie.count.push(counts.count(b""));
+    let mut trie = CountTrie::with_root(counts.count(b""), n);
     // stack[d] = (node, interval) of the current candidate's prefix of
     // length d + 1; truncated to the LCP with the next candidate.
     let mut stack: Vec<(NodeId, dpsc_strkit::search::SaInterval)> = Vec::new();
@@ -190,10 +246,7 @@ fn count_trie(counts: &ClippedCounter<'_>, candidates: &[Vec<u8>]) -> CountTrie 
         };
         for (depth, &b) in cand.iter().enumerate().skip(shared) {
             iv = idx.extend_interval(iv, depth, b);
-            trie.parent.push(cur);
-            trie.symbol.push(b);
-            trie.count.push(counts.count_in_interval(iv, depth + 1));
-            cur = (trie.parent.len() - 1) as NodeId;
+            cur = trie.push(cur, b, counts.count_in_interval(iv, depth + 1));
             stack.push((cur, iv));
         }
         prev = cand;
@@ -225,18 +278,21 @@ pub fn run_pipeline_traced<R: Rng + ?Sized>(
     rec: Option<&SpanRecorder>,
 ) -> PipelineOutput {
     let delta_clip = params.delta_clip.clamp(1, idx.max_len());
-    run_pipeline_with(&idx.clipped_counter(delta_clip), candidates, params, rng, rec)
+    run_pipeline_with(&idx.clipped_counter(delta_clip), candidates, params, rng, rec, |out| out)
 }
 
 /// [`run_pipeline_traced`] counting Step 2 with `counts`, whose clip level
-/// is `params.delta_clip` clamped to `[1, ℓ]`.
-pub(crate) fn run_pipeline_with<R: Rng + ?Sized>(
+/// is `params.delta_clip` clamped to `[1, ℓ]`. Step 6 ends by handing its
+/// output to `release`, inside the `"prune"` span and after the count
+/// trie is freed.
+pub(crate) fn run_pipeline_with<R: Rng + ?Sized, T>(
     counts: &ClippedCounter<'_>,
     candidates: &[Vec<u8>],
     params: &PipelineParams,
     rng: &mut R,
     rec: Option<&SpanRecorder>,
-) -> PipelineOutput {
+    release: impl FnOnce(PipelineOutput) -> T,
+) -> T {
     let ell = counts.index().max_len();
     debug_assert_eq!(counts.delta(), params.delta_clip.clamp(1, ell));
     let started = rec.map(|r| r.mark());
@@ -244,7 +300,9 @@ pub(crate) fn run_pipeline_with<R: Rng + ?Sized>(
     if let (Some(r), Some(s)) = (rec, started) {
         r.close("count_trie", s, counts_trie.len() as u64);
     }
-    run_pipeline_on_trie_traced(&counts_trie, ell, params, rng, rec)
+    let (out, prune_started) = steps_3_to_6(&counts_trie, ell, params, rng, rec);
+    drop(counts_trie);
+    finish_prune(rec, prune_started, out, release)
 }
 
 /// Steps 3–6 over a prebuilt exact-count trie. Exposed so the experiment
@@ -269,6 +327,36 @@ pub fn run_pipeline_on_trie_traced<R: Rng + ?Sized>(
     rng: &mut R,
     rec: Option<&SpanRecorder>,
 ) -> PipelineOutput {
+    let (out, prune_started) = steps_3_to_6(counts_trie, ell, params, rng, rec);
+    finish_prune(rec, prune_started, out, |out| out)
+}
+
+/// Runs `release` on Step 6's output, then closes the `"prune"` span
+/// opened at `started`, so the span covers whatever `release` lays out.
+fn finish_prune<T>(
+    rec: Option<&SpanRecorder>,
+    started: Option<u64>,
+    out: PipelineOutput,
+    release: impl FnOnce(PipelineOutput) -> T,
+) -> T {
+    let kept = out.trie.len() as u64;
+    let released = release(out);
+    if let (Some(r), Some(s)) = (rec, started) {
+        r.close("prune", s, kept);
+    }
+    released
+}
+
+/// Steps 3–6 over `counts_trie`, recording the `"noise"` span into `rec`.
+/// Also returns the start of the `"prune"` span, left open for
+/// [`finish_prune`].
+fn steps_3_to_6<R: Rng + ?Sized>(
+    counts_trie: &CountTrie,
+    ell: usize,
+    params: &PipelineParams,
+    rng: &mut R,
+    rec: Option<&SpanRecorder>,
+) -> (PipelineOutput, Option<u64>) {
     assert!(params.beta > 0.0 && params.beta < 1.0);
     let noise_started = rec.map(|r| r.mark());
     let delta_clip = params.delta_clip.clamp(1, ell);
@@ -358,13 +446,13 @@ pub fn run_pipeline_on_trie_traced<R: Rng + ?Sized>(
             let vals = &mut out[offsets[pi] as usize - base..offsets[pi + 1] as usize - base];
             let mut prng =
                 StdRng::seed_from_u64(crate::candidates::derive_stream(stream_base, pi as u64));
-            let root_est = counts_trie.count(path[0]) as f64 + root_noise.sample(&mut prng);
+            let root_est = counts_trie.value(path[0]) as f64 + root_noise.sample(&mut prng);
             vals[0] = root_est;
             if path.len() > 1 {
                 diff.clear();
                 diff.extend(
                     path.windows(2)
-                        .map(|w| counts_trie.count(w[1]) as f64 - counts_trie.count(w[0]) as f64),
+                        .map(|w| counts_trie.value(w[1]) as f64 - counts_trie.value(w[0]) as f64),
                 );
                 mech.rebuild(&diff, diff_noise, &mut prng);
                 for (i, v) in vals.iter_mut().enumerate().skip(1) {
@@ -405,30 +493,30 @@ pub fn run_pipeline_on_trie_traced<R: Rng + ?Sized>(
     let prune_threshold = params.prune_override.unwrap_or(2.0 * alpha);
     let prune_started = rec.map(|r| r.mark());
     let pruned = prune(counts_trie, |v| noisy[hpd.slot(v)], prune_threshold, ell);
-    if let (Some(r), Some(s)) = (rec, prune_started) {
-        r.close("prune", s, pruned.len() as u64);
-    }
-
-    PipelineOutput { trie: pruned, alpha, prune_threshold, nodes_before_prune: n_nodes }
+    (
+        PipelineOutput { trie: pruned, alpha, prune_threshold, nodes_before_prune: n_nodes },
+        prune_started,
+    )
 }
 
 /// Step 6 in one forward pass over `trie`'s pre-order: a node is kept iff
 /// its parent is kept and `value(node) ≥ threshold`; the root always is.
 /// Kept nodes carry `value(node)` into the released trie, which is built
-/// in the same pre-order, each node's children in label order. `depth` is
-/// the trie's height or an estimate of it (it sizes a stack).
+/// in the same pre-order, each node's children in label order, with room
+/// for every node of `trie`. `depth` is the trie's height or an estimate
+/// of it (it sizes a stack).
 fn prune(
     trie: &CountTrie,
     value: impl Fn(NodeId) -> f64,
     threshold: f64,
     depth: usize,
-) -> Trie<f64> {
-    let mut out = Trie::with_capacity(value(CountTrie::ROOT), trie.len());
+) -> PreorderTrie<f64> {
+    let mut out = PreorderTrie::with_root(value(CountTrie::ROOT), trie.len());
     // (id in `trie`, id in `out`) of each kept ancestor of the last kept
     // node, root first. Ids grow along it, and a node's parent is on it iff
     // the parent was kept.
     let mut kept: Vec<(NodeId, NodeId)> = Vec::with_capacity(depth + 1);
-    kept.push((CountTrie::ROOT, Trie::<f64>::ROOT));
+    kept.push((CountTrie::ROOT, CountTrie::ROOT));
     for v in 1..trie.len() as NodeId {
         let p = trie.parent(v);
         while kept.last().is_some_and(|&(old, _)| old > p) {
@@ -438,11 +526,10 @@ fn prune(
         if top == p {
             let x = value(v);
             if x >= threshold {
-                kept.push((v, out.append_child(new_parent, trie.symbol(v), x)));
+                kept.push((v, out.push(new_parent, trie.symbol(v), x)));
             }
         }
     }
-    out.shrink_to_fit();
     out
 }
 
@@ -452,6 +539,7 @@ mod tests {
     use dpsc_strkit::alphabet::Database;
     use rand::rngs::StdRng;
     use rand::SeedableRng;
+    use std::collections::BTreeMap;
 
     fn all_substrings(db: &Database) -> Vec<Vec<u8>> {
         let mut set = std::collections::BTreeSet::new();
@@ -463,6 +551,11 @@ mod tests {
             }
         }
         set.into_iter().collect()
+    }
+
+    /// The released strings of `trie` with their values.
+    fn entries(trie: &PreorderTrie<f64>) -> BTreeMap<Vec<u8>, f64> {
+        (0..trie.len() as NodeId).map(|v| (trie.string_of(v), trie.value(v))).collect()
     }
 
     #[test]
@@ -480,7 +573,7 @@ mod tests {
             assert_eq!(strings[1..], cands[..]);
             for (v, s) in strings.iter().enumerate() {
                 assert_eq!(
-                    trie.count(v as NodeId),
+                    trie.value(v as NodeId),
                     idx.count_clipped(s, delta),
                     "count of {s:?} at Δ={delta}"
                 );
@@ -497,7 +590,7 @@ mod tests {
         for v in 1..trie.len() as NodeId {
             assert!(trie.parent(v) < v, "ids not in pre-order at {v}");
             assert!(
-                trie.count(v) <= trie.count(trie.parent(v)),
+                trie.value(v) <= trie.value(trie.parent(v)),
                 "count increased along path at {:?}",
                 trie.string_of(v)
             );
@@ -521,19 +614,21 @@ mod tests {
             other => panic!("unexpected node {other:?}"),
         };
         let pruned = prune(&trie, value, 5.0, 4);
-        assert_eq!(*pruned.value(Trie::<f64>::ROOT), 100.0);
-        for (s, v) in [(&b"a"[..], 10.0), (b"b", 10.0), (b"ba", 5.0)] {
-            assert_eq!(pruned.walk(s).map(|n| *pruned.value(n)), Some(v), "{s:?}");
+        let kept: Vec<(&[u8], f64)> = vec![(b"", 100.0), (b"a", 10.0), (b"b", 10.0), (b"ba", 5.0)];
+        let got: Vec<(Vec<u8>, f64)> =
+            (0..pruned.len() as NodeId).map(|v| (pruned.string_of(v), pruned.value(v))).collect();
+        assert!(got.iter().map(|(s, v)| (s.as_slice(), *v)).eq(kept), "{got:?}");
+        // Each released node matches the count-trie node of its string.
+        let matches = trie.matches(&pruned);
+        for (v, name) in names.iter().enumerate() {
+            let want = got.iter().position(|(s, _)| s == name).map(|u| u as NodeId);
+            assert_eq!(matches[v], want, "{name:?}");
         }
-        for s in [&b"ab"[..], b"abs", b"absa"] {
-            assert!(pruned.walk(s).is_none(), "{s:?} kept under a pruned ancestor");
-        }
-        assert_eq!(pruned.len(), 4);
         // Every node passes: the released trie keeps the shape and order.
         let all = prune(&trie, |_| 0.0, 0.0, 4);
-        assert_eq!(all.len(), trie.len());
-        let order: Vec<Vec<u8>> = all.dfs().map(|n| all.string_of(n)).collect();
-        assert_eq!(order, names);
+        assert_eq!(all.parents(), trie.parents());
+        assert!((0..all.len() as NodeId).all(|v| all.symbol(v) == trie.symbol(v)));
+        assert!(trie.matches(&all).iter().enumerate().all(|(v, &u)| u == Some(v as NodeId)));
     }
 
     fn tiny_noise_params(gaussian: bool) -> PipelineParams {
@@ -563,17 +658,12 @@ mod tests {
         let cands = all_substrings(&db);
         for gaussian in [false, true] {
             let mut rng = StdRng::seed_from_u64(51);
-            let out = run_pipeline(&idx, &cands, &tiny_noise_params(gaussian), &mut rng);
+            let out =
+                entries(&run_pipeline(&idx, &cands, &tiny_noise_params(gaussian), &mut rng).trie);
             for c in &cands {
-                let node = out.trie.walk(c).expect("present with threshold 0.5");
+                let got = *out.get(c).expect("present with threshold 0.5");
                 let exact = idx.count_clipped(c, 5) as f64;
-                assert!(
-                    (*out.trie.value(node) - exact).abs() < 1e-3,
-                    "{:?}: {} vs {}",
-                    c,
-                    out.trie.value(node),
-                    exact
-                );
+                assert!((got - exact).abs() < 1e-3, "{c:?}: {got} vs {exact}");
             }
         }
     }
@@ -597,13 +687,10 @@ mod tests {
         let mut violations = 0;
         for _ in 0..trials {
             let out = run_pipeline(&idx, &cands, &params, &mut rng);
+            let released = entries(&out.trie);
             let worst = cands
                 .iter()
-                .filter_map(|c| {
-                    out.trie
-                        .walk(c)
-                        .map(|n| (*out.trie.value(n) - idx.count_clipped(c, 5) as f64).abs())
-                })
+                .filter_map(|c| released.get(c).map(|x| (x - idx.count_clipped(c, 5) as f64).abs()))
                 .fold(0.0f64, f64::max);
             if worst > out.alpha {
                 violations += 1;
@@ -622,8 +709,9 @@ mod tests {
         let mut rng = StdRng::seed_from_u64(53);
         let out = run_pipeline(&idx, &cands, &params, &mut rng);
         // "ab" has count 4 ≥ 3 → kept; "abs" has count 1 < 3 → pruned.
-        assert!(out.trie.walk(b"ab").is_some());
-        assert!(out.trie.walk(b"abs").is_none());
+        let released = entries(&out.trie);
+        assert!(released.contains_key(&b"ab"[..]));
+        assert!(!released.contains_key(&b"abs"[..]));
         assert!(out.nodes_before_prune > out.trie.len());
     }
 

@@ -14,7 +14,6 @@ use dpsc_dpcore::budget::PrivacyParams;
 use dpsc_dpcore::mechanism::laplace_sup_error;
 use dpsc_dpcore::noise::Noise;
 use dpsc_strkit::search::SaInterval;
-use dpsc_strkit::trie::Trie;
 use dpsc_textindex::CorpusIndex;
 use rand::Rng;
 
@@ -90,42 +89,28 @@ pub fn build_qgram_pure<R: Rng + ?Sized>(
     let alpha = laplace_sup_error(half.epsilon, l1, k_counts.ceil() as usize, beta_half);
     let tau = params.tau_override.unwrap_or(2.0 * alpha);
 
-    let mut trie: Trie<f64> = Trie::new(counts.count(b"") as f64);
-    for (gram, iv) in &cq {
-        let noisy = counts.count_in_interval(*iv, q) as f64 + noise.sample(rng);
+    // Depths below q carry no released counts; from_entries gives them
+    // their children's maximum (post-processing; queries at depth < q are
+    // not part of the Theorem 3 contract but should not return NaN).
+    let mut entries = vec![(Vec::new(), counts.count(b"") as f64)];
+    for (gram, iv) in cq {
+        let noisy = counts.count_in_interval(iv, q) as f64 + noise.sample(rng);
         if noisy >= tau {
-            let node = trie.insert_path(gram, |_| f64::NAN);
-            *trie.value_mut(node) = noisy;
+            entries.push((gram, noisy));
         }
     }
-    // Interior nodes carry no released counts: mark them NAN-free by giving
-    // them the child maximum (post-processing; queries at depth < q are not
-    // part of the Theorem 3 contract but should not return NaN).
-    fixup_interior(&mut trie);
 
     let alpha_absent = (doubling.tau + doubling.alpha).max(tau + alpha);
-    Ok(PrivateCountStructure::new(
-        trie,
+    Ok(PrivateCountStructure::from_entries(
+        entries,
         params.mode,
         params.privacy,
         alpha.max(doubling.alpha),
         alpha_absent,
         n,
         ell,
-    ))
-}
-
-/// Replaces NaN placeholders on interior nodes by the maximum over their
-/// children (post-processing of released values only).
-pub(crate) fn fixup_interior(trie: &mut Trie<f64>) {
-    let order: Vec<u32> = trie.dfs().collect();
-    for &node in order.iter().rev() {
-        if trie.value(node).is_nan() {
-            let max_child =
-                trie.children(node).map(|c| *trie.value(c)).fold(f64::NEG_INFINITY, f64::max);
-            *trie.value_mut(node) = if max_child.is_finite() { max_child } else { 0.0 };
-        }
-    }
+    )
+    .expect("distinct grams with finite counts"))
 }
 
 #[cfg(test)]

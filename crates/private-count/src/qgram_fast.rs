@@ -28,11 +28,9 @@
 use dpsc_dpcore::budget::PrivacyParams;
 use dpsc_dpcore::noise::Noise;
 use dpsc_strkit::search::SaInterval;
-use dpsc_strkit::trie::Trie;
 use dpsc_textindex::{depth_groups, CorpusIndex};
 use rand::Rng;
 
-use crate::qgram::fixup_interior;
 use crate::structure::{CountMode, PrivateCountStructure};
 
 /// Parameters for the Theorem 4 construction.
@@ -212,8 +210,7 @@ fn build_qgram_fast_impl<R: Rng + ?Sized>(
     // Final phase: distinct q-grams with marked length-2^j prefix and
     // suffix; survivors are published with their noisy counts.
     let pow = 1usize << j;
-    let mut trie: Trie<f64> = Trie::new(counts.count(b"") as f64);
-    let mut published = 0usize;
+    let mut entries = vec![(Vec::new(), counts.count(b"") as f64)];
     for g in depth_groups(idx, q) {
         let p = g.witness_pos as usize;
         let suffix = idx.rank_of(p + q - pow);
@@ -221,19 +218,25 @@ fn build_qgram_fast_impl<R: Rng + ?Sized>(
             let c = counts.count_in_interval(g.interval, q) as f64;
             let noisy = c + noise.sample(rng);
             if noisy >= tau {
-                let gram = idx.decode_substring(p, q);
-                let node = trie.insert_path(&gram, |_| f64::NAN);
-                *trie.value_mut(node) = noisy;
-                published += 1;
+                entries.push((idx.decode_substring(p, q), noisy));
+                let published = entries.len() - 1;
                 if published > cap {
                     return Err(PhaseOverflow { phase: j + 1, size: published, cap });
                 }
             }
         }
     }
-    fixup_interior(&mut trie);
-
-    Ok(PrivateCountStructure::new(trie, params.mode, params.privacy, alpha, tau + alpha, n, ell))
+    // Depths below q take their children's maximum, as in Theorem 3.
+    Ok(PrivateCountStructure::from_entries(
+        entries,
+        params.mode,
+        params.privacy,
+        alpha,
+        tau + alpha,
+        n,
+        ell,
+    )
+    .expect("distinct grams with finite counts"))
 }
 
 #[cfg(test)]

@@ -3,10 +3,15 @@
 //! This is the artifact Theorems 1–4 output. Because its *construction* is
 //! differentially private, the structure can be queried, mined, and
 //! re-mined at arbitrary thresholds with no further privacy loss
-//! (post-processing).
+//! (post-processing). It has one form: the `DPSF` v3 snapshot of a
+//! [`FrozenSynopsis`], laid out once when the release is made.
 
 use dpsc_dpcore::budget::PrivacyParams;
-use dpsc_strkit::trie::Trie;
+use dpsc_hierarchy::tree::NodeId;
+
+use crate::codec_v3::Meta;
+use crate::pipeline::{lcp, PreorderTrie};
+use crate::synopsis::FrozenSynopsis;
 
 /// Which count the structure stores: `count_Δ` for some clip level.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -40,100 +45,159 @@ impl std::fmt::Display for CountMode {
     }
 }
 
-/// A differentially private `count_Δ` data structure (Theorems 1–4).
+/// A differentially private `count_Δ` data structure (Theorems 1–4): the
+/// released snapshot, with the mining and text views on top of its queries.
 #[derive(Debug, Clone)]
 pub struct PrivateCountStructure {
-    trie: Trie<f64>,
-    mode: CountMode,
-    privacy: PrivacyParams,
-    /// Error bound on stored counts: for present strings,
-    /// `|count* − count_Δ| ≤ alpha_counts` w.p. ≥ 1−β.
-    alpha_counts: f64,
-    /// Bound for absent strings: any `P` not in the trie has true
-    /// `count_Δ(P, D) ≤ alpha_absent` w.p. ≥ 1−β.
-    alpha_absent: f64,
-    /// Database parameters the guarantees refer to.
-    n_docs: usize,
-    max_len: usize,
+    synopsis: FrozenSynopsis,
 }
 
 impl PrivateCountStructure {
-    /// Assembles a structure from pipeline output. Internal to the crate's
-    /// builders, public for the baselines.
-    pub fn new(
-        trie: Trie<f64>,
+    /// Lays out a released pre-order trie with its header fields.
+    pub(crate) fn from_preorder(trie: PreorderTrie<f64>, meta: Meta) -> Self {
+        Self { synopsis: FrozenSynopsis::lay_out(trie, meta) }
+    }
+
+    /// Assembles a structure from `(pattern, noisy count)` pairs — a hand
+    /// built release, or one post-processed from the q-gram and baseline
+    /// constructions. The pairs are sorted and each pattern is inserted
+    /// after its longest common prefix with the previous one, so the trie
+    /// comes out in pre-order. A prefix with no entry of its own (the root
+    /// included) takes the maximum of its children's counts, or 0 if it
+    /// has no children.
+    ///
+    /// `alpha_counts` bounds the error of stored counts, `alpha_absent`
+    /// the true count of absent patterns, and `(n_docs, max_len)` are the
+    /// database parameters the guarantees refer to.
+    ///
+    /// # Errors
+    /// A non-finite count or a pattern given twice.
+    pub fn from_entries(
+        mut entries: Vec<(Vec<u8>, f64)>,
         mode: CountMode,
         privacy: PrivacyParams,
         alpha_counts: f64,
         alpha_absent: f64,
         n_docs: usize,
         max_len: usize,
-    ) -> Self {
-        Self { trie, mode, privacy, alpha_counts, alpha_absent, n_docs, max_len }
+    ) -> Result<Self, String> {
+        entries.sort_by(|a, b| a.0.cmp(&b.0));
+        let mut trie = PreorderTrie::with_root(f64::NAN, entries.len() + 1);
+        // path[d] is the node of the previous pattern's length-d prefix.
+        let mut path = vec![PreorderTrie::<f64>::ROOT];
+        let mut prev: &[u8] = b"";
+        for (i, (pattern, value)) in entries.iter().enumerate() {
+            if !value.is_finite() {
+                return Err(format!("non-finite count {value} for pattern {:?}", hex(pattern)));
+            }
+            if i > 0 && pattern.as_slice() == prev {
+                return Err(format!("duplicate pattern {:?}", hex(pattern)));
+            }
+            path.truncate(lcp(prev, pattern) + 1);
+            for &b in &pattern[path.len() - 1..] {
+                path.push(trie.push(path[path.len() - 1], b, f64::NAN));
+            }
+            *trie.value_mut(path[path.len() - 1]) = *value;
+            prev = pattern;
+        }
+        // Children first: a prefix without an entry takes the maximum of
+        // its children. (The root counts itself as its own parent, after
+        // it is settled.)
+        let mut child_max = vec![f64::NEG_INFINITY; trie.len()];
+        for v in (0..trie.len() as NodeId).rev() {
+            let m = child_max[v as usize];
+            let x = trie.value_mut(v);
+            if x.is_nan() {
+                *x = if m.is_finite() { m } else { 0.0 };
+            }
+            let (x, p) = (*x, trie.parent(v) as usize);
+            child_max[p] = child_max[p].max(x);
+        }
+        let meta = Meta { mode, privacy, alpha_counts, alpha_absent, n_docs, max_len };
+        Ok(Self::from_preorder(trie, meta))
     }
 
     /// Noisy `count_Δ(P, D)`. Absent patterns return 0 (their true count is
     /// below [`Self::alpha_absent`] w.h.p.). `O(|P|)` time.
     pub fn query(&self, pattern: &[u8]) -> f64 {
-        match self.trie.walk(pattern) {
-            Some(node) => *self.trie.value(node),
-            None => 0.0,
-        }
+        self.synopsis.query(pattern)
     }
 
     /// Whether the pattern is represented in the structure.
     pub fn contains(&self, pattern: &[u8]) -> bool {
-        self.trie.walk(pattern).is_some()
+        self.synopsis.contains(pattern)
     }
 
     /// The count mode (`Δ`).
     #[inline]
     pub fn mode(&self) -> CountMode {
-        self.mode
+        self.synopsis.mode()
     }
 
     /// The privacy guarantee of the construction.
     #[inline]
     pub fn privacy(&self) -> PrivacyParams {
-        self.privacy
+        self.synopsis.privacy()
     }
 
-    /// Error bound on stored noisy counts (high probability).
+    /// Error bound on stored noisy counts (high probability): for present
+    /// strings, `|count* − count_Δ| ≤ alpha_counts` w.p. ≥ 1−β.
     #[inline]
     pub fn alpha_counts(&self) -> f64 {
-        self.alpha_counts
+        self.synopsis.alpha_counts()
     }
 
-    /// True-count bound for strings not present in the structure.
+    /// True-count bound for strings not present in the structure: any `P`
+    /// not in the trie has `count_Δ(P, D) ≤ alpha_absent` w.p. ≥ 1−β.
     #[inline]
     pub fn alpha_absent(&self) -> f64 {
-        self.alpha_absent
+        self.synopsis.alpha_absent()
     }
 
     /// Overall additive error `α` of the data structure: valid for *all*
     /// patterns, present (count error) or absent (missed mass).
     pub fn alpha(&self) -> f64 {
-        self.alpha_counts.max(self.alpha_absent)
+        self.synopsis.alpha()
     }
 
     /// Number of trie nodes (paper: `O(nℓ²)` after pruning).
     pub fn node_count(&self) -> usize {
-        self.trie.len()
+        self.synopsis.node_count()
     }
 
     /// Database size parameters `(n, ℓ)` the structure was built from.
     pub fn db_params(&self) -> (usize, usize) {
-        (self.n_docs, self.max_len)
+        self.synopsis.db_params()
+    }
+
+    /// The serving form of this structure: the snapshot it already is, so
+    /// this only clones an `Arc`. Post-processing: no privacy cost.
+    pub fn freeze(&self) -> FrozenSynopsis {
+        self.synopsis.clone()
     }
 
     /// Nodes per depth, for size audits.
     pub fn depth_histogram(&self) -> Vec<usize> {
-        self.trie.depth_histogram()
+        let mut hist = Vec::new();
+        self.synopsis.for_each_preorder(|p, _| {
+            if hist.len() <= p.len() {
+                hist.resize(p.len() + 1, 0);
+            }
+            hist[p.len()] += 1;
+        });
+        hist
     }
 
-    /// Direct access to the underlying trie (read-only).
-    pub fn trie(&self) -> &Trie<f64> {
-        &self.trie
+    /// The strings passing `keep` with their noisy counts, in lexicographic
+    /// order.
+    fn strings_where(&self, keep: impl Fn(&[u8], f64) -> bool) -> Vec<(Vec<u8>, f64)> {
+        let mut out = Vec::new();
+        self.synopsis.for_each_preorder(|p, v| {
+            if keep(p, v) {
+                out.push((p.to_vec(), v));
+            }
+        });
+        out
     }
 
     /// `α`-approximate substring mining (Definition 2): every string whose
@@ -143,45 +207,21 @@ impl PrivateCountStructure {
     /// `count_Δ ≥ τ + α` are output; no string with `count_Δ ≤ τ − α` is.
     /// Pure post-processing — call with as many thresholds as you like.
     pub fn mine(&self, tau: f64) -> Vec<(Vec<u8>, f64)> {
-        let mut out = Vec::new();
-        for node in self.trie.dfs() {
-            if node == Trie::<f64>::ROOT {
-                continue;
-            }
-            let v = *self.trie.value(node);
-            if v >= tau {
-                out.push((self.trie.string_of(node), v));
-            }
-        }
-        out
+        self.strings_where(|p, v| !p.is_empty() && v >= tau)
     }
 
     /// `α`-approximate q-gram mining: like [`Self::mine`] restricted to
     /// strings of length exactly `q`.
     pub fn mine_qgrams(&self, q: usize, tau: f64) -> Vec<(Vec<u8>, f64)> {
-        let mut out = Vec::new();
-        for node in self.trie.dfs() {
-            if self.trie.depth(node) == q {
-                let v = *self.trie.value(node);
-                if v >= tau {
-                    out.push((self.trie.string_of(node), v));
-                }
-            }
-        }
-        out
+        self.strings_where(|p, v| p.len() == q && v >= tau)
     }
 
     /// The `k` strings with the largest noisy counts (post-processing;
-    /// ties broken lexicographically by the DFS order). Restricting to a
-    /// fixed length via `fixed_len` gives top-k q-grams.
+    /// ties broken lexicographically). Restricting to a fixed length via
+    /// `fixed_len` gives top-k q-grams.
     pub fn mine_top_k(&self, k: usize, fixed_len: Option<usize>) -> Vec<(Vec<u8>, f64)> {
-        let mut all: Vec<(Vec<u8>, f64)> = self
-            .trie
-            .dfs()
-            .filter(|&n| n != Trie::<f64>::ROOT)
-            .filter(|&n| fixed_len.is_none_or(|q| self.trie.depth(n) == q))
-            .map(|n| (self.trie.string_of(n), *self.trie.value(n)))
-            .collect();
+        let mut all =
+            self.strings_where(|p, _| !p.is_empty() && fixed_len.is_none_or(|q| p.len() == q));
         all.sort_by(|a, b| b.1.total_cmp(&a.1).then_with(|| a.0.cmp(&b.0)));
         all.truncate(k);
         all
@@ -193,28 +233,24 @@ impl PrivateCountStructure {
     ///
     /// Format: a header line
     /// `dpsc-v1 <mode> <epsilon> <delta> <alpha_counts> <alpha_absent> <n> <ell>`
-    /// followed by one `hex(pattern)\tcount` line per non-root node in DFS
+    /// followed by one `hex(pattern)\tcount` line per node in lexicographic
     /// order (the root's count is stored with an empty hex pattern).
     pub fn to_text(&self) -> String {
-        let mode = match self.mode {
+        let mode = match self.mode() {
             CountMode::Document => "document".to_string(),
             CountMode::Substring => "substring".to_string(),
             CountMode::Clipped(d) => format!("clipped:{d}"),
         };
+        let privacy = self.privacy();
+        let (n_docs, max_len) = self.db_params();
         let mut out = format!(
-            "dpsc-v1 {mode} {} {:e} {} {} {} {}\n",
-            self.privacy.epsilon,
-            self.privacy.delta,
-            self.alpha_counts,
-            self.alpha_absent,
-            self.n_docs,
-            self.max_len,
+            "dpsc-v1 {mode} {} {:e} {} {} {n_docs} {max_len}\n",
+            privacy.epsilon,
+            privacy.delta,
+            self.alpha_counts(),
+            self.alpha_absent(),
         );
-        for node in self.trie.dfs() {
-            let pat = self.trie.string_of(node);
-            let hex: String = pat.iter().map(|b| format!("{b:02x}")).collect();
-            out.push_str(&format!("{hex}\t{}\n", self.trie.value(node)));
-        }
+        self.synopsis.for_each_preorder(|p, v| out.push_str(&format!("{}\t{v}\n", hex(p))));
         out
     }
 
@@ -254,8 +290,7 @@ impl PrivateCountStructure {
             PrivacyParams::approx(epsilon, delta)
         };
 
-        let mut trie: Trie<f64> = Trie::new(0.0);
-        let mut saw_root = false;
+        let mut entries = Vec::new();
         for (lineno, line) in lines.enumerate() {
             if line.is_empty() {
                 continue;
@@ -264,11 +299,6 @@ impl PrivateCountStructure {
                 line.split_once('\t').ok_or_else(|| format!("line {}: missing tab", lineno + 2))?;
             let count: f64 =
                 count.parse().map_err(|e| format!("line {}: bad count: {e}", lineno + 2))?;
-            if hex.is_empty() {
-                *trie.value_mut(Trie::<f64>::ROOT) = count;
-                saw_root = true;
-                continue;
-            }
             if hex.len() % 2 != 0 {
                 return Err(format!("line {}: odd hex length", lineno + 2));
             }
@@ -278,37 +308,53 @@ impl PrivateCountStructure {
                         .map_err(|e| format!("line {}: bad hex: {e}", lineno + 2))
                 })
                 .collect();
-            let node = trie.insert_path(&pat?, |_| 0.0);
-            *trie.value_mut(node) = count;
+            entries.push((pat?, count));
         }
-        if !saw_root {
+        if !entries.iter().any(|(p, _)| p.is_empty()) {
             return Err("missing root line".to_string());
         }
-        Ok(Self::new(trie, mode, privacy, alpha_counts, alpha_absent, n_docs, max_len))
+        Self::from_entries(entries, mode, privacy, alpha_counts, alpha_absent, n_docs, max_len)
     }
+}
+
+/// Lower-case hex spelling of `bytes`.
+fn hex(bytes: &[u8]) -> String {
+    bytes.iter().map(|b| format!("{b:02x}")).collect()
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
 
+    fn structure_of(entries: &[(&[u8], f64)]) -> PrivateCountStructure {
+        let entries = entries.iter().map(|&(p, v)| (p.to_vec(), v)).collect();
+        let (mode, privacy) = (CountMode::Substring, PrivacyParams::pure(1.0));
+        PrivateCountStructure::from_entries(entries, mode, privacy, 1.5, 2.5, 6, 5)
+            .expect("valid entries")
+    }
+
     fn toy_structure() -> PrivateCountStructure {
-        let mut trie: Trie<f64> = Trie::new(20.0);
-        let a = trie.insert_path(b"a", |_| 0.0);
-        let ab = trie.insert_path(b"ab", |_| 0.0);
-        let b = trie.insert_path(b"b", |_| 0.0);
-        *trie.value_mut(a) = 8.2;
-        *trie.value_mut(ab) = 4.1;
-        *trie.value_mut(b) = 6.0;
-        PrivateCountStructure::new(
-            trie,
-            CountMode::Substring,
-            PrivacyParams::pure(1.0),
-            1.5,
-            2.5,
-            6,
-            5,
-        )
+        structure_of(&[(b"b", 6.0), (b"ab", 4.1), (b"", 20.0), (b"a", 8.2)])
+    }
+
+    #[test]
+    fn missing_prefixes_take_their_childrens_maximum() {
+        // "a" and "ab" have no entries: "ab" takes max(3, 5), "a" takes
+        // max(ab, ac) and the root max(a, b). Absent siblings stay absent.
+        let s = structure_of(&[(b"abx", 3.0), (b"aby", 5.0), (b"ac", 4.0), (b"b", 9.0)]);
+        assert_eq!(s.query(b"ab"), 5.0);
+        assert_eq!(s.query(b"a"), 5.0);
+        assert_eq!(s.query(b""), 9.0);
+        assert_eq!(s.node_count(), 7);
+        assert!(!s.contains(b"abz"));
+        // With no entries at all, the lone root takes 0.
+        let empty = structure_of(&[]);
+        assert_eq!((empty.node_count(), empty.query(b"")), (1, 0.0));
+    }
+
+    #[test]
+    fn depth_histogram_counts_nodes_per_depth() {
+        assert_eq!(toy_structure().depth_histogram(), vec![1, 2, 1]);
     }
 
     #[test]
@@ -369,8 +415,9 @@ mod tests {
         for pat in [&b""[..], b"a", b"ab", b"b", b"zz"] {
             assert_eq!(back.query(pat), s.query(pat), "pattern {pat:?}");
         }
-        // Mining agrees too.
+        // Mining agrees too, and the snapshots are byte-identical.
         assert_eq!(back.mine(5.0), s.mine(5.0));
+        assert_eq!(back.freeze(), s.freeze());
     }
 
     #[test]
@@ -383,6 +430,15 @@ mod tests {
         assert!(
             PrivateCountStructure::from_text("dpsc-v1 substring 1 0e0 1 2 6 5\n61 1.0\n").is_err()
         ); // missing tab
+        let bad_count = "dpsc-v1 document 1 0e0 1 2 6 5\n\tNaN\n61\tinf\n61\t3\n";
+        let err = PrivateCountStructure::from_text(bad_count).unwrap_err();
+        assert!(err.contains("non-finite"), "{err}");
+        let duplicate = "dpsc-v1 document 1 0e0 1 2 6 5\n\t4\n61\t2\n61\t3\n";
+        let err = PrivateCountStructure::from_text(duplicate).unwrap_err();
+        assert!(err.contains("duplicate"), "{err}");
+        let no_root = "dpsc-v1 document 1 0e0 1 2 6 5\n61\t3\n";
+        let err = PrivateCountStructure::from_text(no_root).unwrap_err();
+        assert!(err.contains("root"), "{err}");
 
         // Valid minimal: root only.
         let ok = PrivateCountStructure::from_text("dpsc-v1 document 1 0e0 1 2 6 5\n\t9.5\n")
@@ -393,18 +449,18 @@ mod tests {
 
     #[test]
     fn clipped_mode_roundtrips_through_text() {
-        let mut trie: Trie<f64> = Trie::new(1.0);
-        let n = trie.insert_path(b"xy", |_| 0.0);
-        *trie.value_mut(n) = 3.5;
-        let s = PrivateCountStructure::new(
-            trie,
+        let entries = vec![(Vec::new(), 1.0), (b"xy".to_vec(), 3.5)];
+        let privacy = PrivacyParams::approx(0.5, 1e-7);
+        let s = PrivateCountStructure::from_entries(
+            entries,
             CountMode::Clipped(7),
-            PrivacyParams::approx(0.5, 1e-7),
+            privacy,
             1.0,
             2.0,
             10,
             20,
-        );
+        )
+        .expect("valid entries");
         let back = PrivateCountStructure::from_text(&s.to_text()).unwrap();
         assert_eq!(back.mode(), CountMode::Clipped(7));
         assert!((back.privacy().delta - 1e-7).abs() < 1e-20);

@@ -1,16 +1,16 @@
 //! Frozen serving-layer synopsis: the published trie as one immutable,
 //! checksummed byte buffer that answers queries in place.
 //!
-//! [`PrivateCountStructure`] is the *construction-time* artifact: an
-//! arena trie whose node-by-node pointer chasing is convenient while the
-//! pipeline inserts, prunes and re-counts, but wasteful once the synopsis
-//! is released and only ever *read*. Because the released structure is
-//! pure post-processing, it can be re-shaped freely with no privacy cost —
-//! so [`FrozenSynopsis::freeze`] writes it straight into the canonical
-//! `DPSF` v3 snapshot (`codec_v3`): breadth-first node numbering, one
-//! noisy count per node, CSR edge offsets and per-node sorted edge
-//! labels. Edges are stored in node order, so the child of edge `e` is
-//! node `e + 1` and no child ids are stored at all.
+//! The released trie is pure post-processing, so it can be re-shaped
+//! freely with no privacy cost. Step 6 emits it in pre-order (a
+//! [`PreorderTrie`]), and one `O(nodes)` pass writes it straight into the
+//! canonical `DPSF` v3 snapshot (`codec_v3`): breadth-first node
+//! numbering, one noisy count per node, CSR edge offsets and per-node
+//! sorted edge labels. Edges are stored in node order, so the child of
+//! edge `e` is node `e + 1` and no child ids are stored at all. There is
+//! no other form of the release: a
+//! [`PrivateCountStructure`](crate::PrivateCountStructure) wraps this
+//! snapshot and mines it by one pre-order walk over the same sections.
 //!
 //! That one buffer is the synopsis. Queries walk its sections in place;
 //! [`FrozenSynopsis::to_bytes`] copies it out; and
@@ -23,11 +23,12 @@
 use std::sync::Arc;
 
 use dpsc_dpcore::budget::PrivacyParams;
-use dpsc_strkit::trie::Trie;
+use dpsc_hierarchy::tree::NodeId;
 
 use crate::codec::{le_f64, le_u32, DecodeError};
 use crate::codec_v3::{self, Meta};
-use crate::structure::{CountMode, PrivateCountStructure};
+use crate::pipeline::PreorderTrie;
+use crate::structure::CountMode;
 
 /// Low bit of every SWAR lane.
 const LANES_LO: u64 = 0x0101_0101_0101_0101;
@@ -222,43 +223,78 @@ impl PartialEq for FrozenSynopsis {
 }
 
 impl FrozenSynopsis {
-    /// Flattens a built structure into its snapshot. One breadth-first
-    /// pass of `O(nodes)` work; the input is unchanged (post-processing).
-    pub fn freeze(structure: &PrivateCountStructure) -> Self {
-        let trie = structure.trie();
+    /// Lays a released trie out as its snapshot in one `O(nodes)` pass.
+    ///
+    /// Breadth-first order is a stable counting sort of pre-order by
+    /// depth: within one depth both orders are lexicographic. So a node's
+    /// depth (`depth[parent] + 1`) gives its breadth-first id, its count
+    /// and label go to that id, and `edge_start` is the prefix sum of the
+    /// degrees in breadth-first order. The trie is freed before encoding.
+    pub(crate) fn lay_out(trie: PreorderTrie<f64>, meta: Meta) -> Self {
         let n = trie.len();
-        // The queue receives children in edge order, so the child of the
-        // `e`-th emitted edge is queue entry `e + 1`.
-        let mut order: Vec<u32> = Vec::with_capacity(n);
-        order.push(Trie::<f64>::ROOT);
-        let mut counts = Vec::with_capacity(8 * n);
-        let mut edge_start = Vec::with_capacity(4 * (n + 1));
-        let mut edge_label = Vec::with_capacity(n - 1);
-        edge_start.extend_from_slice(&0u32.to_le_bytes());
-        let mut head = 0usize;
-        while head < order.len() {
-            let u = order[head];
-            head += 1;
-            counts.extend_from_slice(&trie.value(u).to_bits().to_le_bytes());
-            for &(sym, child) in trie.edges(u) {
-                edge_label.push(sym);
-                order.push(child);
+        // ids[v] holds v's depth, then its breadth-first id; at_depth[d]
+        // holds the number of depth-d nodes, then the next free id there.
+        let mut ids: Vec<u32> = Vec::with_capacity(n);
+        let mut at_depth: Vec<u32> = Vec::new();
+        for v in 0..n as NodeId {
+            let d = if v == 0 { 0 } else { ids[trie.parent(v) as usize] as usize + 1 };
+            if d == at_depth.len() {
+                at_depth.push(0);
             }
-            edge_start.extend_from_slice(&(edge_label.len() as u32).to_le_bytes());
+            at_depth[d] += 1;
+            ids.push(d as u32);
         }
-        debug_assert_eq!(order.len(), n);
-        let (n_docs, max_len) = structure.db_params();
-        let meta = Meta {
-            mode: structure.mode(),
-            privacy: structure.privacy(),
-            alpha_counts: structure.alpha_counts(),
-            alpha_absent: structure.alpha_absent(),
-            n_docs,
-            max_len,
-        };
+        let mut first = 0;
+        for slot in &mut at_depth {
+            first += std::mem::replace(slot, first);
+        }
+        for id in &mut ids {
+            let d = *id as usize;
+            *id = at_depth[d];
+            at_depth[d] += 1;
+        }
+        let mut counts = vec![0u8; 8 * n];
+        let mut edge_label = vec![0u8; n - 1];
+        // degree[i + 1] is the out-degree of breadth-first node i.
+        let mut degree = vec![0u32; n + 1];
+        for v in 0..n as NodeId {
+            let id = ids[v as usize] as usize;
+            counts[8 * id..8 * id + 8].copy_from_slice(&trie.value(v).to_bits().to_le_bytes());
+            if v != 0 {
+                edge_label[id - 1] = trie.symbol(v);
+                degree[ids[trie.parent(v) as usize] as usize + 1] += 1;
+            }
+        }
+        drop((trie, ids));
+        let mut edge_start = Vec::with_capacity(4 * (n + 1));
+        let mut edges = 0u32;
+        for d in degree {
+            edges += d;
+            edge_start.extend_from_slice(&edges.to_le_bytes());
+        }
         let buf = codec_v3::encode(&meta, &counts, &edge_start, &edge_label);
         Self::adopt(codec_v3::Canonical { buf: buf.into(), meta, n_nodes: n })
-            .expect("freeze writes a valid snapshot")
+            .expect("the layout writes a valid snapshot")
+    }
+
+    /// Visits every node in pre-order, children in label order (so the
+    /// strings come in lexicographic order), with its string and noisy
+    /// count. One explicit stack of pending nodes and one path buffer.
+    pub(crate) fn for_each_preorder(&self, mut visit: impl FnMut(&[u8], f64)) {
+        let s = self.sections();
+        let mut path = Vec::new();
+        // (node, depth); children go on in reverse, so the lowest label
+        // comes off first.
+        let mut stack: Vec<(usize, usize)> = vec![(0, 0)];
+        while let Some((v, depth)) = stack.pop() {
+            if v != 0 {
+                path.truncate(depth - 1);
+                path.push(s.labels[v - 1]);
+            }
+            visit(&path, s.answer(Some(v)));
+            let (lo, hi) = s.span(v);
+            stack.extend((lo..hi).rev().map(|e| (e + 1, depth + 1)));
+        }
     }
 
     /// Validates a canonical snapshot's structure and wraps it.
@@ -280,9 +316,8 @@ impl FrozenSynopsis {
         }
     }
 
-    /// Noisy `count_Δ(P, D)`; absent patterns return 0, exactly as
-    /// [`PrivateCountStructure::query`]. Allocation-free; one SWAR probe
-    /// per eight edges of each visited node.
+    /// Noisy `count_Δ(P, D)`; absent patterns return 0. Allocation-free;
+    /// one SWAR probe per eight edges of each visited node.
     #[inline]
     pub fn query(&self, pattern: &[u8]) -> f64 {
         let s = self.sections();
@@ -468,62 +503,58 @@ impl FrozenSynopsis {
     }
 }
 
-impl PrivateCountStructure {
-    /// Freezes this structure into the flat serving layout
-    /// ([`FrozenSynopsis`]). Post-processing: no privacy cost.
-    pub fn freeze(&self) -> FrozenSynopsis {
-        FrozenSynopsis::freeze(self)
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
 
-    fn structure_of(trie: Trie<f64>, mode: CountMode) -> PrivateCountStructure {
-        PrivateCountStructure::new(trie, mode, PrivacyParams::pure(1.0), 1.5, 2.5, 6, 5)
+    use crate::PrivateCountStructure;
+    use std::collections::BTreeMap;
+
+    fn synopsis_of(entries: &BTreeMap<Vec<u8>, f64>) -> FrozenSynopsis {
+        let entries = entries.iter().map(|(p, &v)| (p.clone(), v)).collect();
+        let mode = CountMode::Substring;
+        PrivateCountStructure::from_entries(entries, mode, PrivacyParams::pure(1.0), 1.5, 2.5, 6, 5)
+            .expect("valid entries")
+            .freeze()
     }
 
-    fn toy_structure() -> PrivateCountStructure {
-        let mut trie: Trie<f64> = Trie::new(20.0);
-        let a = trie.insert_path(b"a", |_| 0.0);
-        let ab = trie.insert_path(b"ab", |_| 0.0);
-        let ac = trie.insert_path(b"ac", |_| 0.0);
-        let b = trie.insert_path(b"b", |_| 0.0);
-        *trie.value_mut(a) = 8.25;
-        *trie.value_mut(ab) = 4.125;
-        *trie.value_mut(ac) = 3.5;
-        *trie.value_mut(b) = 6.0;
-        structure_of(trie, CountMode::Substring)
+    /// The toy release: every node has its own entry.
+    fn toy_entries() -> BTreeMap<Vec<u8>, f64> {
+        [(&b""[..], 20.0), (b"a", 8.25), (b"ab", 4.125), (b"ac", 3.5), (b"b", 6.0)]
+            .into_iter()
+            .map(|(p, v)| (p.to_vec(), v))
+            .collect()
+    }
+
+    fn toy_synopsis() -> FrozenSynopsis {
+        synopsis_of(&toy_entries())
     }
 
     /// A root with children `labels` (value = label + 0.5); the first
     /// child gets children `next` (value = label + 0.25), so the root's
     /// label run is directly followed by bytes the root must not match.
-    fn star(labels: &[u8], next: &[u8]) -> PrivateCountStructure {
-        let mut trie: Trie<f64> = Trie::new(100.0);
-        for &b in labels {
-            let id = trie.insert_path(&[b], |_| 0.0);
-            *trie.value_mut(id) = f64::from(b) + 0.5;
-        }
-        for &b in next {
-            let id = trie.insert_path(&[labels[0], b], |_| 0.0);
-            *trie.value_mut(id) = f64::from(b) + 0.25;
-        }
-        structure_of(trie, CountMode::Substring)
+    fn star(labels: &[u8], next: &[u8]) -> BTreeMap<Vec<u8>, f64> {
+        let mut entries = BTreeMap::from([(Vec::new(), 100.0)]);
+        entries.extend(labels.iter().map(|&b| (vec![b], f64::from(b) + 0.5)));
+        entries.extend(next.iter().map(|&b| (vec![labels[0], b], f64::from(b) + 0.25)));
+        entries
     }
 
     /// Every one-byte probe of the root and of its first child agrees
-    /// across the SWAR walk, the binary-search walk and the arena trie.
+    /// across the SWAR walk, the binary-search walk and the entry map.
     fn assert_all_probes_agree(labels: &[u8], next: &[u8]) {
-        let s = star(labels, next);
-        let f = s.freeze();
+        let entries = star(labels, next);
+        let f = synopsis_of(&entries);
         for probe in 0..=255u8 {
             for pat in [vec![probe], vec![labels[0], probe]] {
-                let want = s.query(&pat).to_bits();
+                let want = entries.get(&pat).copied().unwrap_or(0.0).to_bits();
                 assert_eq!(f.query(&pat).to_bits(), want, "labels {labels:?}, pattern {pat:?}");
                 assert_eq!(f.query_naive(&pat).to_bits(), want, "labels {labels:?} {pat:?}");
-                assert_eq!(f.contains(&pat), s.contains(&pat), "labels {labels:?} {pat:?}");
+                assert_eq!(
+                    f.contains(&pat),
+                    entries.contains_key(&pat),
+                    "labels {labels:?} {pat:?}"
+                );
             }
         }
     }
@@ -578,7 +609,7 @@ mod tests {
 
     #[test]
     fn leaf_nodes_miss_every_probe() {
-        let f = star(b"a", b"").freeze();
+        let f = synopsis_of(&star(b"a", b""));
         for probe in 0..=255u8 {
             assert_eq!(f.query(&[b'a', probe]), 0.0, "leaf must have no children");
             assert!(!f.contains(&[b'a', probe]));
@@ -587,26 +618,39 @@ mod tests {
     }
 
     #[test]
-    fn freeze_preserves_queries_and_metadata() {
-        let s = toy_structure();
-        let f = s.freeze();
+    fn layout_preserves_queries_and_metadata() {
+        let entries = toy_entries();
+        let f = toy_synopsis();
         for pat in [&b""[..], b"a", b"ab", b"ac", b"b", b"ba", b"abc", b"zz"] {
-            assert_eq!(f.query(pat).to_bits(), s.query(pat).to_bits(), "pattern {pat:?}");
-            assert_eq!(f.contains(pat), s.contains(pat), "pattern {pat:?}");
+            let want = entries.get(pat).copied().unwrap_or(0.0);
+            assert_eq!(f.query(pat).to_bits(), want.to_bits(), "pattern {pat:?}");
+            assert_eq!(f.contains(pat), entries.contains_key(pat), "pattern {pat:?}");
         }
-        assert_eq!(f.node_count(), s.node_count());
-        assert_eq!(f.mode(), s.mode());
-        assert_eq!(f.privacy(), s.privacy());
-        assert_eq!(f.alpha_counts(), s.alpha_counts());
-        assert_eq!(f.alpha_absent(), s.alpha_absent());
-        assert_eq!(f.alpha(), s.alpha());
-        assert_eq!(f.db_params(), s.db_params());
+        assert_eq!(f.node_count(), entries.len());
+        assert_eq!(f.mode(), CountMode::Substring);
+        assert_eq!(f.privacy(), PrivacyParams::pure(1.0));
+        assert_eq!((f.alpha_counts(), f.alpha_absent(), f.alpha()), (1.5, 2.5, 2.5));
+        assert_eq!(f.db_params(), (6, 5));
+    }
+
+    #[test]
+    fn layout_numbers_nodes_breadth_first() {
+        // Pre-order ε, a, ab, ac, b is breadth-first ε, a, b, ab, ac.
+        let f = toy_synopsis();
+        let s = f.sections();
+        let spans: Vec<(usize, usize)> = (0..5).map(|v| s.span(v)).collect();
+        assert_eq!(spans, [(0, 2), (2, 4), (4, 4), (4, 4), (4, 4)]);
+        assert_eq!(&s.labels[..4], b"abbc");
+        let counts: Vec<f64> = (0..5).map(|v| s.answer(Some(v))).collect();
+        assert_eq!(counts, [20.0, 8.25, 6.0, 4.125, 3.5]);
+        let mut visited = Vec::new();
+        f.for_each_preorder(|p, v| visited.push((p.to_vec(), v)));
+        assert!(visited.into_iter().eq(toy_entries()), "pre-order walk is lexicographic");
     }
 
     #[test]
     fn batch_paths_agree_with_single_queries() {
-        let s = toy_structure();
-        let f = s.freeze();
+        let f = toy_synopsis();
         let patterns: Vec<&[u8]> = vec![b"", b"a", b"ab", b"ac", b"b", b"zz", b"abc"];
         let single: Vec<f64> = patterns.iter().map(|p| f.query(p)).collect();
         assert_eq!(f.query_batch(&patterns), single);
@@ -618,8 +662,7 @@ mod tests {
 
     #[test]
     fn binary_roundtrip_is_exact() {
-        let s = toy_structure();
-        let f = s.freeze();
+        let f = toy_synopsis();
         let bytes = f.to_bytes();
         assert_eq!(bytes, f.to_bytes_v2(false), "to_bytes_v2(false) is to_bytes");
         assert_eq!(bytes[..], f.shared_bytes()[..], "to_bytes copies the served buffer");
@@ -631,7 +674,7 @@ mod tests {
 
     #[test]
     fn shared_decode_answers_from_the_callers_buffer() {
-        let f = toy_structure().freeze();
+        let f = toy_synopsis();
         let shared: Arc<[u8]> = f.to_bytes().into();
         let adopted = FrozenSynopsis::from_bytes_shared(Arc::clone(&shared)).expect("parses");
         assert!(Arc::ptr_eq(adopted.shared_bytes(), &shared), "a shared decode must not copy");
@@ -647,17 +690,19 @@ mod tests {
 
     #[test]
     fn root_only_synopsis_works() {
-        let trie: Trie<f64> = Trie::new(7.5);
-        let s = PrivateCountStructure::new(
-            trie,
+        let privacy = PrivacyParams::approx(0.5, 1e-8);
+        let entries = vec![(Vec::new(), 7.5)];
+        let f = PrivateCountStructure::from_entries(
+            entries,
             CountMode::Document,
-            PrivacyParams::approx(0.5, 1e-8),
+            privacy,
             1.0,
             2.0,
             3,
             4,
-        );
-        let f = s.freeze();
+        )
+        .expect("valid entries")
+        .freeze();
         assert_eq!(f.node_count(), 1);
         assert_eq!(f.query(b""), 7.5);
         assert_eq!(f.query(b"a"), 0.0);
@@ -674,7 +719,7 @@ mod tests {
 
     #[test]
     fn every_truncation_is_rejected() {
-        let bytes = toy_structure().freeze().to_bytes();
+        let bytes = toy_synopsis().to_bytes();
         for len in 0..bytes.len() {
             assert!(
                 FrozenSynopsis::from_bytes(&bytes[..len]).is_err(),
@@ -689,7 +734,7 @@ mod tests {
 
     #[test]
     fn version_and_magic_mismatches_are_rejected() {
-        let bytes = toy_structure().freeze().to_bytes();
+        let bytes = toy_synopsis().to_bytes();
         let mut wrong_magic = bytes.clone();
         wrong_magic[0] = b'X';
         assert!(FrozenSynopsis::from_bytes(&wrong_magic)
@@ -706,7 +751,7 @@ mod tests {
 
     #[test]
     fn single_bit_flips_are_rejected() {
-        let bytes = toy_structure().freeze().to_bytes();
+        let bytes = toy_synopsis().to_bytes();
         for pos in 0..bytes.len() {
             for bit in 0..8 {
                 let mut corrupt = bytes.clone();

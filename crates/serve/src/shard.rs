@@ -233,22 +233,13 @@ mod tests {
     use super::*;
     use dpsc_dpcore::budget::PrivacyParams;
     use dpsc_private_count::{CountMode, PrivateCountStructure};
-    use dpsc_strkit::trie::Trie;
 
     fn synopsis(count: f64) -> FrozenSynopsis {
-        let mut trie: Trie<f64> = Trie::new(count * 2.0);
-        let a = trie.insert_path(b"a", |_| 0.0);
-        *trie.value_mut(a) = count;
-        PrivateCountStructure::new(
-            trie,
-            CountMode::Substring,
-            PrivacyParams::pure(1.0),
-            1.0,
-            1.0,
-            4,
-            3,
-        )
-        .freeze()
+        let entries = vec![(Vec::new(), count * 2.0), (b"a".to_vec(), count)];
+        let privacy = PrivacyParams::pure(1.0);
+        PrivateCountStructure::from_entries(entries, CountMode::Substring, privacy, 1.0, 1.0, 4, 3)
+            .expect("valid entries")
+            .freeze()
     }
 
     #[test]

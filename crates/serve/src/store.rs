@@ -809,24 +809,15 @@ mod tests {
     use super::*;
     use dpsc_dpcore::budget::PrivacyParams;
     use dpsc_private_count::{CountMode, PrivateCountStructure};
-    use dpsc_strkit::trie::Trie;
     use std::sync::atomic::AtomicU64;
 
     fn synopsis_bytes(count: f64) -> Vec<u8> {
-        let mut trie: Trie<f64> = Trie::new(count * 2.0);
-        let a = trie.insert_path(b"a", |_| 0.0);
-        *trie.value_mut(a) = count;
-        PrivateCountStructure::new(
-            trie,
-            CountMode::Substring,
-            PrivacyParams::pure(1.0),
-            1.0,
-            1.0,
-            4,
-            3,
-        )
-        .freeze()
-        .to_bytes()
+        let entries = vec![(Vec::new(), count * 2.0), (b"a".to_vec(), count)];
+        let privacy = PrivacyParams::pure(1.0);
+        PrivateCountStructure::from_entries(entries, CountMode::Substring, privacy, 1.0, 1.0, 4, 3)
+            .expect("valid entries")
+            .freeze()
+            .to_bytes()
     }
 
     fn scratch_dir(tag: &str) -> PathBuf {

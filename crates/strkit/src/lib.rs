@@ -10,8 +10,6 @@
 //! * [`RollingHash`] — double polynomial rolling hash, kept only for
 //!   perfbench's `index.hash` replay: the library compares substrings by
 //!   suffix-array rank instead.
-//! * [`Trie`] — counted tries over byte strings (the `T_C` structure of the
-//!   paper's Step 2), with pruning and DFS mining traversals.
 //! * Pattern search over suffix arrays ([`search`]) with naive reference
 //!   implementations for cross-validation.
 //!
@@ -24,13 +22,11 @@ pub mod hash;
 pub mod lcp;
 pub mod search;
 pub mod suffix_array;
-pub mod trie;
 
 pub use alphabet::Alphabet;
 pub use hash::RollingHash;
 pub use lcp::LcpArray;
 pub use suffix_array::SuffixArray;
-pub use trie::Trie;
 
 /// Returns the number of (possibly overlapping) occurrences of `pattern` in
 /// `text`, computed naively in `O(|text| · |pattern|)`.

@@ -9,7 +9,7 @@
 //!
 //! | crate | contents |
 //! |---|---|
-//! | [`strkit`] | suffix arrays (SA-IS), LCP, RMQ/LCE, rolling hashes, tries |
+//! | [`strkit`] | suffix arrays (SA-IS), LCP, alphabets, suffix-array pattern search |
 //! | [`textindex`] | generalized corpus index: `count`, `count_Δ`, Document Count, q-gram enumeration |
 //! | [`dpcore`] | Laplace/Gaussian mechanisms, budget accounting, binary-tree mechanism |
 //! | [`hierarchy`] | heavy-path decomposition, DP counting on trees (Theorems 8–9), colored counting |
@@ -43,10 +43,10 @@
 //!         // Query ad libitum — post-processing, no further privacy loss.
 //!         assert!(structure.query(b"ab").is_finite());
 //!
-//!         // Serving: freeze the trie into a flat immutable index (still
-//!         // post-processing) — allocation-free lookups, batch queries,
-//!         // and one snapshot format whose bytes a server can serve from
-//!         // in place (zero-copy decode).
+//!         // Serving: the structure already is one flat immutable
+//!         // snapshot; `freeze` hands it out — allocation-free lookups,
+//!         // batch queries, and bytes a server can serve from in place
+//!         // (zero-copy decode).
 //!         let frozen = structure.freeze();
 //!         let answers = frozen.query_batch(&[&b"ab"[..], b"be", b"zz"]);
 //!         assert_eq!(answers.len(), 3);

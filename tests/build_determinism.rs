@@ -44,7 +44,7 @@ fn build_bytes(idx: &CorpusIndex, gaussian: bool, threads: usize, seed: u64) -> 
     } else {
         build_pure(idx, &params, &mut rng)
     };
-    built.ok().map(|s| FrozenSynopsis::freeze(&s).to_bytes())
+    built.ok().map(|s| s.freeze().to_bytes())
 }
 
 fn assert_thread_count_invariant(gaussian: bool, base_seed: u64) {

@@ -4,7 +4,6 @@
 
 use dp_substring_counting::prelude::*;
 use dp_substring_counting::private_count::{evaluate_mining, frequent_substrings};
-use dp_substring_counting::strkit::trie::Trie;
 use dp_substring_counting::workloads::{dna_corpus, markov_corpus};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -35,11 +34,7 @@ fn theorem1_end_to_end_substring_count() {
 
     // (b) Stored counts within α of the truth (one seeded draw; α holds
     // w.p. 0.9).
-    for node in s.trie().dfs() {
-        if node == Trie::<f64>::ROOT {
-            continue;
-        }
-        let pat = s.trie().string_of(node);
+    for (pat, _) in s.mine(f64::NEG_INFINITY) {
         let exact = idx.count(&pat) as f64;
         assert!(
             (s.query(&pat) - exact).abs() <= s.alpha_counts(),
@@ -189,8 +184,5 @@ fn build_determinism_given_seed() {
     let s1 = build_pure(&idx, &params, &mut StdRng::seed_from_u64(7)).unwrap();
     let s2 = build_pure(&idx, &params, &mut StdRng::seed_from_u64(7)).unwrap();
     assert_eq!(s1.node_count(), s2.node_count());
-    for node in s1.trie().dfs() {
-        let pat = s1.trie().string_of(node);
-        assert_eq!(s1.query(&pat), s2.query(&pat));
-    }
+    assert_eq!(s1.freeze(), s2.freeze());
 }

@@ -1,17 +1,14 @@
 //! Heap work of Steps 3–6, as an exact count: `run_pipeline_on_trie`
 //! makes a fixed number of heap allocations, however many heavy paths the
-//! count trie splits into.
+//! count trie splits into and however many nodes the prune keeps.
 //!
-//! The heavy-path decomposition, the noisy values and the pruning pass
-//! each live in a few flat arrays, and every worker reuses one set of
-//! scratch buffers across all its paths. Two count tries whose path counts
-//! differ several-fold must therefore cost the same number of allocations,
-//! at one thread and at two.
-//!
-//! The pruning threshold is `+∞`, so the released trie is the root alone:
-//! its arena is one block either way. A kept node of the released
-//! `Trie<f64>` owns its own edge list, which grows with the kept nodes;
-//! that structure is outside what this gate pins.
+//! The heavy-path decomposition, the noisy values, the pruning pass and
+//! the released pre-order trie each live in a few flat arrays, and every
+//! worker reuses one set of scratch buffers across all its paths. Two
+//! count tries whose path counts differ several-fold must therefore cost
+//! the same number of allocations, at one thread and at two, both at a
+//! `+∞` threshold (the root alone is released) and at `−∞` (every node
+//! is, the threshold both perfbench workloads build with).
 //!
 //! The counting allocator (`common/counting_alloc.rs`) counts every
 //! allocation call of the process, so this binary holds a single test.
@@ -50,22 +47,23 @@ fn count_trie(docs: usize, seed: u64) -> (CountTrie, usize, usize) {
     (trie, paths, db.max_len())
 }
 
-/// Allocation calls of one Steps 3–6 run over `trie`.
-fn allocs_of(trie: &CountTrie, ell: usize, threads: usize) -> usize {
+/// Allocation calls of one Steps 3–6 run over `trie` at `threshold`.
+fn allocs_of(trie: &CountTrie, ell: usize, threads: usize, threshold: f64) -> usize {
     let params = PipelineParams {
         delta_clip: 1,
         privacy_roots: PrivacyParams::pure(1.0),
         privacy_diffs: PrivacyParams::pure(1.0),
         beta: 0.1,
         gaussian: false,
-        prune_override: Some(f64::INFINITY),
+        prune_override: Some(threshold),
         threads,
     };
     let mut rng = StdRng::seed_from_u64(5);
     let before = counting_alloc::allocs();
     let out = run_pipeline_on_trie(trie, ell, &params, &mut rng);
     let allocs = counting_alloc::allocs() - before;
-    assert_eq!(out.trie.len(), 1, "the +∞ threshold keeps the root alone");
+    let kept = if threshold == f64::INFINITY { 1 } else { trie.len() };
+    assert_eq!(out.trie.len(), kept, "threshold {threshold} keeps {kept} node(s)");
     assert_eq!(out.nodes_before_prune, trie.len());
     allocs
 }
@@ -78,12 +76,15 @@ fn steps_3_to_6_allocate_the_same_blocks_for_any_number_of_paths() {
         large_paths > 4 * small_paths,
         "path counts {small_paths} and {large_paths} are too close to tell"
     );
-    for threads in [1, 2] {
-        let a = allocs_of(&small, small_ell, threads);
-        let b = allocs_of(&large, large_ell, threads);
-        println!(
-            "{threads} thread(s): {a} allocations over {small_paths} paths, {b} over {large_paths}"
-        );
-        assert_eq!(a, b, "allocations grow with the heavy paths at {threads} thread(s)");
+    for threshold in [f64::INFINITY, f64::NEG_INFINITY] {
+        for threads in [1, 2] {
+            let a = allocs_of(&small, small_ell, threads, threshold);
+            let b = allocs_of(&large, large_ell, threads, threshold);
+            println!(
+                "threshold {threshold}, {threads} thread(s): {a} allocations over \
+                 {small_paths} paths, {b} over {large_paths}"
+            );
+            assert_eq!(a, b, "allocations grow with the trie at {threshold}, {threads} thread(s)");
+        }
     }
 }

@@ -143,8 +143,8 @@ proptest! {
         for path in hpd.paths() {
             let mut l1 = 0i64;
             for w in path.windows(2) {
-                let d_a = trie.count(w[1]) as i64 - trie.count(w[0]) as i64;
-                let d_b = trie_nb.count(w[1]) as i64 - trie_nb.count(w[0]) as i64;
+                let d_a = trie.value(w[1]) as i64 - trie.value(w[0]) as i64;
+                let d_b = trie_nb.value(w[1]) as i64 - trie_nb.value(w[0]) as i64;
                 l1 += (d_a - d_b).abs();
             }
             let root = path[0];

@@ -1,11 +1,14 @@
 //! Property-based tests for the string and indexing substrates: the exact
 //! layers everything else trusts.
 
+use std::collections::BTreeMap;
+
+use dp_substring_counting::dpcore::budget::PrivacyParams;
+use dp_substring_counting::private_count::{CountMode, PrivateCountStructure};
 use dp_substring_counting::strkit::alphabet::{Alphabet, Database};
 use dp_substring_counting::strkit::lcp::{naive_lcp, LcpArray};
 use dp_substring_counting::strkit::search::count_occurrences;
 use dp_substring_counting::strkit::suffix_array::{naive_suffix_array, SuffixArray};
-use dp_substring_counting::strkit::trie::Trie;
 use dp_substring_counting::strkit::{naive_contains, naive_count};
 use dp_substring_counting::textindex::{depth_groups, CorpusIndex, WaveletMatrix};
 use proptest::prelude::*;
@@ -121,23 +124,25 @@ proptest! {
     fn trie_roundtrip(strings in proptest::collection::vec(
         proptest::collection::vec(proptest::sample::select(vec![b'a', b'b']), 1..8), 1..20)
     ) {
-        let mut trie: Trie<u32> = Trie::new(0);
-        for (i, s) in strings.iter().enumerate() {
-            let node = trie.insert_path(s, |_| 0);
-            *trie.value_mut(node) = i as u32 + 1;
-        }
-        // Every inserted string is found; walk() of any prefix works.
-        for s in &strings {
-            let node = trie.walk(s).expect("inserted string found");
-            prop_assert_eq!(trie.string_of(node), s.clone());
+        // A later equal string overwrites the earlier one.
+        let entries: BTreeMap<Vec<u8>, f64> =
+            strings.iter().enumerate().map(|(i, s)| (s.clone(), i as f64 + 1.0)).collect();
+        let (mode, privacy) = (CountMode::Substring, PrivacyParams::pure(1.0));
+        let trie = PrivateCountStructure::from_entries(
+            entries.clone().into_iter().collect(), mode, privacy, 1.0, 1.0, 1, 8,
+        ).expect("distinct strings with finite counts");
+        // Every inserted string is found with its count; every prefix is
+        // present.
+        for (s, &count) in &entries {
+            prop_assert_eq!(trie.query(s), count);
             for cut in 0..s.len() {
-                prop_assert!(trie.walk(&s[..cut]).is_some());
+                prop_assert!(trie.contains(&s[..cut]));
             }
         }
-        // DFS visits every node exactly once.
-        let visited: Vec<u32> = trie.dfs().collect();
-        prop_assert_eq!(visited.len(), trie.len());
-        let set: std::collections::HashSet<u32> = visited.into_iter().collect();
-        prop_assert_eq!(set.len(), trie.len());
+        // The pre-order walk visits every non-root node exactly once.
+        let visited = trie.mine(f64::NEG_INFINITY);
+        prop_assert_eq!(visited.len() + 1, trie.node_count());
+        let set: std::collections::HashSet<&[u8]> = visited.iter().map(|(s, _)| s.as_slice()).collect();
+        prop_assert_eq!(set.len(), visited.len());
     }
 }

@@ -14,7 +14,6 @@ use std::time::{Duration, Instant};
 use dp_substring_counting::prelude::*;
 use dp_substring_counting::serve::wire::decode_response;
 use dp_substring_counting::serve::{RealIo, Request, Response, StoreIo};
-use dp_substring_counting::strkit::trie::Trie;
 use dp_substring_counting::workloads::markov_corpus;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -43,24 +42,14 @@ fn dp_built(seed: u64) -> (FrozenSynopsis, Vec<Vec<u8>>) {
 /// `base + i` — two of these with different `base` disagree on *every*
 /// stored node, which is what makes the no-blend assertion sharp.
 fn synthetic(base: f64) -> FrozenSynopsis {
-    let mut trie: Trie<f64> = Trie::new(base);
-    let keys: Vec<Vec<u8>> = (0..50u8)
-        .map(|i| vec![b'a' + (i % 4), b'a' + ((i / 4) % 4), b'a' + ((i / 16) % 4)])
-        .collect();
-    for (i, key) in keys.iter().enumerate() {
-        let node = trie.insert_path(key, |_| 0.0);
-        *trie.value_mut(node) = base + i as f64;
-    }
-    PrivateCountStructure::new(
-        trie,
-        CountMode::Substring,
-        PrivacyParams::pure(2.0),
-        3.0,
-        4.0,
-        50,
-        3,
-    )
-    .freeze()
+    let keys = (0..50u8).map(|i| vec![b'a' + (i % 4), b'a' + ((i / 4) % 4), b'a' + ((i / 16) % 4)]);
+    let mut entries: Vec<(Vec<u8>, f64)> =
+        keys.enumerate().map(|(i, key)| (key, base + i as f64)).collect();
+    entries.push((Vec::new(), base));
+    let privacy = PrivacyParams::pure(2.0);
+    PrivateCountStructure::from_entries(entries, CountMode::Substring, privacy, 3.0, 4.0, 50, 3)
+        .expect("distinct keys")
+        .freeze()
 }
 
 fn spawn_daemon(manager: Arc<ShardManager>) -> dp_substring_counting::serve::ServerHandle {
