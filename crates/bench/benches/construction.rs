@@ -113,10 +113,11 @@ fn bench_build_phases(c: &mut Criterion) {
             build_candidates_pure(&idx, &cand_params, &mut rng).ok()
         })
         .expect("a candidate build succeeds within 32 seeds");
+    let cands: Vec<&[u8]> = cands.strings.iter().collect();
     group.bench_with_input(BenchmarkId::new("step2_count_trie", 1024), &idx, |b, idx| {
-        b.iter(|| build_count_trie(black_box(idx), &cands.strings, 1));
+        b.iter(|| build_count_trie(black_box(idx), &cands, 1));
     });
-    let trie = build_count_trie(&idx, &cands.strings, 1);
+    let trie = build_count_trie(&idx, &cands, 1);
     let pipe = PipelineParams {
         delta_clip: 1,
         privacy_roots: third,

@@ -27,6 +27,6 @@ pub mod stream;
 pub mod tree_mechanism;
 
 pub use budget::{BudgetAccountant, BudgetExceeded, PrivacyParams};
-pub use noise::Noise;
+pub use noise::{Noise, NoiseCut};
 pub use stream::derive_stream;
 pub use tree_mechanism::BinaryTreeMechanism;

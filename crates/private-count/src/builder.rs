@@ -10,7 +10,7 @@ use dpsc_dpcore::budget::{BudgetAccountant, PrivacyParams};
 use dpsc_textindex::CorpusIndex;
 use rand::Rng;
 
-use crate::candidates::{build_candidates_with, CandidateOverflow, CandidateParams};
+use crate::candidates::{build_candidates_with, CandidateOverflow, CandidateParams, CandidateSet};
 use crate::codec_v3::Meta;
 use crate::pipeline::{run_pipeline_with, PipelineParams};
 use crate::spans::SpanRecorder;
@@ -150,10 +150,11 @@ fn build_impl<R: Rng + ?Sized>(
     let cand_started = rec.map(|r| r.mark());
     // Steps 1 and 2 count with one counter, derived here for 1 < Δ < ℓ.
     let counts = idx.clipped_counter(delta_clip);
-    let candidates = build_candidates_with(&counts, &cand_params, gaussian, rng)
-        .map_err(BuildError::CandidateOverflow)?;
+    let CandidateSet { strings: candidates, alpha: cand_alpha, tau: cand_tau, .. } =
+        build_candidates_with(&counts, &cand_params, gaussian, rng)
+            .map_err(BuildError::CandidateOverflow)?;
     if let (Some(r), Some(s)) = (rec, cand_started) {
-        r.close("candidates", s, candidates.strings.len() as u64);
+        r.close("candidates", s, candidates.len() as u64);
     }
     accountant.charge(third).expect("step 1 within budget");
 
@@ -170,13 +171,14 @@ fn build_impl<R: Rng + ?Sized>(
     };
     // Absent strings are bounded by the worse of: not selected as candidate
     // (count < τ_cand + α_cand ≤ 3α_cand analytically) or pruned
-    // (count < prune_threshold + α). Step 6 lays the release out.
-    let released = run_pipeline_with(&counts, &candidates.strings, &pipe_params, rng, rec, |out| {
+    // (count < prune_threshold + α). Step 2 frees the candidates; Step 6
+    // lays the release out.
+    let released = run_pipeline_with(&counts, candidates, &pipe_params, rng, rec, |out| {
         let meta = Meta {
             mode: params.mode,
             privacy: params.privacy,
             alpha_counts: out.alpha,
-            alpha_absent: (candidates.tau + candidates.alpha).max(out.prune_threshold + out.alpha),
+            alpha_absent: (cand_tau + cand_alpha).max(out.prune_threshold + out.alpha),
             n_docs: idx.n_docs(),
             max_len: ell,
         };

@@ -28,11 +28,21 @@
 //! length, so their non-empty intervals are disjoint and ascending, and one
 //! binary search over their starts finds the row whose interval holds the
 //! rank. The pair scan then walks all `|P|` columns, draws the noise of
-//! every pair, and counts only the occurring ones. The walks of a level
-//! cover disjoint intervals, so they read the SA and LCP arrays at most
-//! once; on sparse levels they touch a small part of them. Suffix/prefix
-//! overlaps for `C_m` join candidates on their overlapping bytes. See
-//! DESIGN.md §2 for the substitution rationale.
+//! every pair, and counts only the occurring ones. A pair that does not
+//! occur has count 0, and its decision `0 + noise ≥ τ` is read off its
+//! uniform draw by the level's [`dpsc_dpcore::NoiseCut`], in `O(1)` with
+//! no logarithm; the draws and decisions are those of computing the
+//! sample. The walks of a level cover disjoint intervals, so they read
+//! the SA and LCP arrays at most once; on sparse levels they touch a small
+//! part of them. Suffix/prefix overlaps for `C_m` join candidates on their
+//! overlapping bytes. The output goes into one byte arena
+//! ([`CandidateStrings`]). See DESIGN.md §2 for the substitution
+//! rationale.
+//!
+//! The scan's running time depends on the data (which pairs occur, and
+//! how many), a timing channel outside the DP model; DESIGN.md §7
+//! "Timing" has the details. No count of it goes into spans, the trace
+//! ring or metrics.
 //!
 //! ## Parallelism and determinism
 //! The pair scan of each doubling level is embarrassingly parallel and
@@ -106,8 +116,8 @@ impl std::error::Error for CandidateOverflow {}
 #[derive(Debug, Clone)]
 pub struct CandidateSet {
     /// All candidate strings (the union of the `P_{2^k}` and the `C_m`),
-    /// deduplicated by construction.
-    pub strings: Vec<Vec<u8>>,
+    /// deduplicated by construction, in one byte arena.
+    pub strings: CandidateStrings,
     /// Analytic error bound `α`: strings outside the set have
     /// `count_Δ < 3α` w.p. ≥ 1−β.
     pub alpha: f64,
@@ -115,6 +125,63 @@ pub struct CandidateSet {
     pub tau: f64,
     /// Sizes of `P_{2^k}` per level (diagnostics).
     pub level_sizes: Vec<usize>,
+}
+
+/// Strings stored end to end in one byte arena, with the end offset of
+/// each: Step 1's output, which Step 2 sorts as slices of the arena and
+/// then frees. One arena instead of one heap block per string keeps the
+/// sort's comparisons in one allocation.
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
+pub struct CandidateStrings {
+    bytes: Vec<u8>,
+    /// String `i` is `bytes[ends[i - 1]..ends[i]]` (from 0 for `i = 0`).
+    ends: Vec<usize>,
+}
+
+impl CandidateStrings {
+    /// Number of strings.
+    #[inline]
+    pub fn len(&self) -> usize {
+        self.ends.len()
+    }
+
+    /// Whether there are no strings.
+    #[inline]
+    pub fn is_empty(&self) -> bool {
+        self.ends.is_empty()
+    }
+
+    /// The strings in the order they were pushed.
+    pub fn iter(&self) -> impl ExactSizeIterator<Item = &[u8]> + '_ {
+        let mut start = 0;
+        self.ends.iter().map(move |&end| {
+            let s = &self.bytes[start..end];
+            start = end;
+            s
+        })
+    }
+
+    /// Appends `s`.
+    fn push(&mut self, s: &[u8]) {
+        self.push_concat(s, b"");
+    }
+
+    /// Appends the concatenation `a · b`.
+    fn push_concat(&mut self, a: &[u8], b: &[u8]) {
+        self.bytes.extend_from_slice(a);
+        self.bytes.extend_from_slice(b);
+        self.ends.push(self.bytes.len());
+    }
+}
+
+impl<S: AsRef<[u8]>> FromIterator<S> for CandidateStrings {
+    fn from_iter<I: IntoIterator<Item = S>>(iter: I) -> Self {
+        let mut out = Self::default();
+        for s in iter {
+            out.push(s.as_ref());
+        }
+        out
+    }
 }
 
 /// Memory safety valve for the overlap extension: at 2^22 strings per
@@ -259,10 +326,13 @@ pub(crate) fn doubling_levels<R: Rng + ?Sized>(
 ///
 /// Walks `iv` once, splitting it into depth-`2·half` runs with the LCP
 /// array (as [`dpsc_textindex::depth_groups`] does, but only inside `iv`),
-/// and resolves each run's second half by its rank in `rows`. A run starts
-/// only at a rank whose suffix has `2·half` symbols left in its document;
-/// ranks inside a run need no such check, since an LCP of `2·half` with a
-/// valid suffix rules out a sentinel.
+/// and resolves each run's second half by its rank in `rows`. No run needs
+/// a check that `2·half` symbols are left in its document: every suffix in
+/// `iv` starts with `q1`, so `pos + half` is a text position, and its rank
+/// lies in a row's interval only if the `half` symbols there spell that
+/// row, with no sentinel. A suffix that meets a sentinel within `2·half`
+/// symbols is a run of its own (sentinels are unique, so no LCP reaches
+/// past one) and resolves to no row.
 fn occurring_pairs(
     idx: &CorpusIndex,
     iv: SaInterval,
@@ -281,11 +351,8 @@ fn occurring_pairs(
         while end < hi && lcp[end] as usize >= len {
             end += 1;
         }
-        let pos = sa[r] as usize;
-        if idx.remaining_in_doc(pos) >= len {
-            if let Some(j) = rows.get(idx.rank_of(pos + half)) {
-                out.push((j, SaInterval { lo: r as u32, hi: end as u32 }));
-            }
+        if let Some(j) = rows.get(idx.rank_of(sa[r] as usize + half)) {
+            out.push((j, SaInterval { lo: r as u32, hi: end as u32 }));
         }
         r = end;
     }
@@ -299,7 +366,9 @@ fn occurring_pairs(
 /// to every pair's clipped count and keeping those that clear `tau`.
 /// Only the pairs that occur in the text are counted
 /// ([`occurring_pairs`]); every other pair has count 0 but still draws its
-/// noise, in `(q1, q2)` order.
+/// noise, in `(q1, q2)` order. Its decision `0 + noise ≥ τ` is made by the
+/// level's [`dpsc_dpcore::NoiseCut`] from where the draw falls, with the
+/// same draws and outcome as computing the sample.
 /// Returns `Err(observed_size)` when the survivors exceed `cap` — the FAIL
 /// decision is exact and thread-count independent: the survivor count is a
 /// deterministic function of the chunk streams, workers only stop early
@@ -324,6 +393,7 @@ fn scan_level_pairs(
     let n_chunks = rows.div_ceil(PAIR_CHUNK_ROWS);
     let found = AtomicUsize::new(0);
     let row_index = RowIntervals::new(current);
+    let absent_cut = noise.cut(tau);
 
     let scan_chunk = |chunk: usize, out: &mut Vec<Cand>| {
         let mut rng = StdRng::seed_from_u64(derive_stream(stream_base, stream_tag(level, chunk)));
@@ -338,13 +408,14 @@ fn scan_level_pairs(
             occurring_pairs(idx, q1.iv, &row_index, half, &mut hits);
             let mut next_hit = hits.iter().peekable();
             for (j, q2) in current.iter().enumerate() {
-                let iv = match next_hit.next_if(|&&(hit, _)| hit as usize == j) {
-                    Some(&(_, iv)) => iv,
-                    None => SaInterval::EMPTY,
+                let (iv, passes) = match next_hit.next_if(|&&(hit, _)| hit as usize == j) {
+                    Some(&(_, iv)) => {
+                        let true_count = counts.count_in_interval(iv, len) as f64;
+                        (iv, true_count + noise.sample(&mut rng) >= tau)
+                    }
+                    None => (SaInterval::EMPTY, absent_cut.passes(&mut rng)),
                 };
-                let true_count =
-                    if iv.is_empty() { 0.0 } else { counts.count_in_interval(iv, len) as f64 };
-                if true_count + noise.sample(&mut rng) >= tau {
+                if passes {
                     let mut bytes = Vec::with_capacity(len);
                     bytes.extend_from_slice(&q1.bytes);
                     bytes.extend_from_slice(&q2.bytes);
@@ -469,11 +540,13 @@ pub(crate) fn build_candidates_with<R: Rng + ?Sized>(
         rng,
     )?;
 
-    let mut strings: Vec<Vec<u8>> = Vec::new();
+    let mut strings = CandidateStrings::default();
     let mut level_sizes = Vec::with_capacity(doubling.levels.len());
     for (k, level) in doubling.levels.iter().enumerate() {
         level_sizes.push(level.len());
-        strings.extend(level.iter().map(|c| c.bytes.clone()));
+        for c in level {
+            strings.push(&c.bytes);
+        }
         // C_m for 2^k < m < 2^{k+1}: post-processing of P_{2^k} (no
         // database access, no privacy cost).
         extend_with_overlaps(level, 1 << k, ell, OVERLAP_SAFETY_CAP, &mut strings);
@@ -498,7 +571,7 @@ fn extend_with_overlaps(
     len: usize,
     ell: usize,
     per_length_cap: usize,
-    out: &mut Vec<Vec<u8>>,
+    out: &mut CandidateStrings,
 ) {
     if cands.is_empty() || len == 0 {
         return;
@@ -508,10 +581,7 @@ fn extend_with_overlaps(
         let o = 2 * len - m;
         let mut emitted = 0usize;
         for_each_overlap(cands, len, o, |q1, q2| {
-            let mut s = Vec::with_capacity(m);
-            s.extend_from_slice(&q1.bytes);
-            s.extend_from_slice(&q2.bytes[o..]);
-            out.push(s);
+            out.push_concat(&q1.bytes, &q2.bytes[o..]);
             emitted += 1;
             if emitted >= per_length_cap {
                 ControlFlow::Break(())
@@ -627,7 +697,7 @@ pub(crate) mod tests {
         p.delta_clip = db.max_len();
         let set = build_candidates_pure(&idx, &p, &mut rng).unwrap();
         use std::collections::HashSet;
-        let have: HashSet<&[u8]> = set.strings.iter().map(|s| s.as_slice()).collect();
+        let have: HashSet<&[u8]> = set.strings.iter().collect();
         for doc in db.documents() {
             for i in 0..doc.len() {
                 for j in i + 1..=doc.len() {
@@ -652,8 +722,8 @@ pub(crate) mod tests {
         let set = build_candidates_pure(&idx, &p, &mut rng).unwrap();
         use std::collections::HashSet;
         let mut seen = HashSet::new();
-        for s in &set.strings {
-            assert!(seen.insert(s.clone()), "duplicate candidate {:?}", s);
+        for s in set.strings.iter() {
+            assert!(seen.insert(s), "duplicate candidate {:?}", s);
         }
     }
 

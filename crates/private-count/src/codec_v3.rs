@@ -323,7 +323,7 @@ fn mode_from_wire(tag: u8, clip: u64) -> Result<CountMode, DecodeError> {
 }
 
 /// Domain checks for the decoded privacy parameters.
-fn check_privacy_fields(epsilon: f64, delta: f64) -> Result<(), DecodeError> {
+pub(crate) fn check_privacy_fields(epsilon: f64, delta: f64) -> Result<(), DecodeError> {
     if !(epsilon.is_finite() && epsilon > 0.0) {
         return Err(DecodeError::BadField { field: "epsilon", detail: epsilon.to_string() });
     }

@@ -46,7 +46,7 @@ pub mod synopsis;
 
 pub use baseline::{build_simple_trie, SimpleTrieParams};
 pub use builder::{build_approx, build_pure, build_pure_traced, BuildError, BuildParams};
-pub use candidates::{CandidateOverflow, CandidateParams, CandidateSet};
+pub use candidates::{CandidateOverflow, CandidateParams, CandidateSet, CandidateStrings};
 pub use codec::DecodeError;
 pub use mining::{evaluate_mining, frequent_substrings, MiningEvaluation};
 pub use qgram::{build_qgram_pure, QgramParams};

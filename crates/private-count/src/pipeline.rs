@@ -23,6 +23,7 @@ use dpsc_dpcore::tree_mechanism::{
 use dpsc_hierarchy::heavy_path::HeavyPathDecomposition;
 use dpsc_hierarchy::tree::NodeId;
 
+use crate::candidates::CandidateStrings;
 use crate::spans::SpanRecorder;
 use dpsc_textindex::{ClippedCounter, CorpusIndex};
 use rand::rngs::StdRng;
@@ -202,13 +203,23 @@ impl<V: Copy> PreorderTrie<V> {
 /// candidate with *any* earlier candidate equals its LCP with the previous
 /// one, so the insertion resumes from a stack of `(node, SA interval)`
 /// frames at the shared-prefix depth instead of re-extending from the root.
-/// Inserting a candidate of length `m` then costs `O((m − lcp) log N)` plus
-/// the clipped-count evaluation of its *new* nodes only — on overlap-heavy
+/// Only the clipped counts of *new* nodes are evaluated — on overlap-heavy
 /// candidate sets (the `C_m` families share all but one symbol) this
 /// removes most of Step 2's interval work. Every prefix longer than the LCP
 /// is new, so nodes are appended in pre-order with no child lookup.
-pub fn build_count_trie(idx: &CorpusIndex, candidates: &[Vec<u8>], delta_clip: usize) -> CountTrie {
-    count_trie(&idx.clipped_counter(delta_clip), candidates)
+///
+/// Nodes are also created in label order among siblings, and siblings tile
+/// their parent's interval in that order, so each new node's interval
+/// search starts at the end of its previous sibling's interval (or at its
+/// parent's start) and gallops ([`CorpusIndex::extend_interval`]). A node
+/// whose interval equals its parent's has the same occurrences, hence the
+/// same `count_Δ`, and takes its parent's count without evaluating it.
+pub fn build_count_trie(
+    idx: &CorpusIndex,
+    candidates: &[impl AsRef<[u8]>],
+    delta_clip: usize,
+) -> CountTrie {
+    count_trie(&idx.clipped_counter(delta_clip), candidates.iter().map(AsRef::as_ref).collect())
 }
 
 /// Length of the longest common prefix of `a` and `b`.
@@ -216,10 +227,10 @@ pub(crate) fn lcp(a: &[u8], b: &[u8]) -> usize {
     a.iter().zip(b).take_while(|(x, y)| x == y).count()
 }
 
-/// [`build_count_trie`] counting with `counts`.
-fn count_trie(counts: &ClippedCounter<'_>, candidates: &[Vec<u8>]) -> CountTrie {
+/// [`build_count_trie`] over the (unsorted) `candidates`, counting with
+/// `counts`.
+fn count_trie(counts: &ClippedCounter<'_>, mut sorted: Vec<&[u8]>) -> CountTrie {
     let idx = counts.index();
-    let mut sorted: Vec<&[u8]> = candidates.iter().map(|c| c.as_slice()).collect();
     // Step 1 emits one sorted run per candidate length; the stable sort
     // merges runs instead of re-sorting them.
     sorted.sort();
@@ -239,14 +250,25 @@ fn count_trie(counts: &ClippedCounter<'_>, candidates: &[Vec<u8>]) -> CountTrie 
     let mut prev: &[u8] = b"";
     for cand in sorted {
         let shared = lcp(prev, cand);
+        // The previous candidate's prefix of length shared + 1, if it has
+        // one, is the new node's previous sibling.
+        let sibling_end = stack.get(shared).map(|&(_, iv)| iv.hi);
         stack.truncate(shared);
         let (mut cur, mut iv) = match stack.last() {
             Some(&frame) => frame,
             None => (CountTrie::ROOT, idx.full_interval()),
         };
+        let mut from = sibling_end.unwrap_or(iv.lo);
         for (depth, &b) in cand.iter().enumerate().skip(shared) {
-            iv = idx.extend_interval(iv, depth, b);
-            cur = trie.push(cur, b, counts.count_in_interval(iv, depth + 1));
+            let child = idx.extend_interval(iv, depth, b, from);
+            let count = if depth > 0 && child == iv {
+                trie.value(cur)
+            } else {
+                counts.count_in_interval(child, depth + 1)
+            };
+            cur = trie.push(cur, b, count);
+            iv = child;
+            from = iv.lo;
             stack.push((cur, iv));
         }
         prev = cand;
@@ -257,7 +279,8 @@ fn count_trie(counts: &ClippedCounter<'_>, candidates: &[Vec<u8>]) -> CountTrie 
 
 /// Runs Steps 2–6 over a candidate set. `candidates` come from
 /// [`crate::candidates`]; their counts are recomputed exactly here (Step 2)
-/// and only released through noise (Steps 3–5).
+/// and only released through noise (Steps 3–5). They are copied into one
+/// [`CandidateStrings`] arena first, as Step 1 hands them over.
 pub fn run_pipeline<R: Rng + ?Sized>(
     idx: &CorpusIndex,
     candidates: &[Vec<u8>],
@@ -278,16 +301,17 @@ pub fn run_pipeline_traced<R: Rng + ?Sized>(
     rec: Option<&SpanRecorder>,
 ) -> PipelineOutput {
     let delta_clip = params.delta_clip.clamp(1, idx.max_len());
+    let candidates = candidates.iter().collect();
     run_pipeline_with(&idx.clipped_counter(delta_clip), candidates, params, rng, rec, |out| out)
 }
 
 /// [`run_pipeline_traced`] counting Step 2 with `counts`, whose clip level
-/// is `params.delta_clip` clamped to `[1, ℓ]`. Step 6 ends by handing its
-/// output to `release`, inside the `"prune"` span and after the count
-/// trie is freed.
+/// is `params.delta_clip` clamped to `[1, ℓ]`. The candidates are freed
+/// once Step 2 has read them. Step 6 ends by handing its output to
+/// `release`, inside the `"prune"` span and after the count trie is freed.
 pub(crate) fn run_pipeline_with<R: Rng + ?Sized, T>(
     counts: &ClippedCounter<'_>,
-    candidates: &[Vec<u8>],
+    candidates: CandidateStrings,
     params: &PipelineParams,
     rng: &mut R,
     rec: Option<&SpanRecorder>,
@@ -296,7 +320,8 @@ pub(crate) fn run_pipeline_with<R: Rng + ?Sized, T>(
     let ell = counts.index().max_len();
     debug_assert_eq!(counts.delta(), params.delta_clip.clamp(1, ell));
     let started = rec.map(|r| r.mark());
-    let counts_trie = count_trie(counts, candidates);
+    let counts_trie = count_trie(counts, candidates.iter().collect());
+    drop(candidates);
     if let (Some(r), Some(s)) = (rec, started) {
         r.close("count_trie", s, counts_trie.len() as u64);
     }
@@ -578,6 +603,51 @@ mod tests {
                     "count of {s:?} at Δ={delta}"
                 );
             }
+        }
+        check_count_trie_of_markov_candidates();
+    }
+
+    /// Step 1's arena on a Markov corpus, some of its candidates absent
+    /// from the text, through Step 2 at `Δ ∈ {1, 3, ℓ}`: the nodes are the
+    /// prefixes of the candidates sorted and deduplicated as owned strings,
+    /// in that order, and each holds `count_clipped` of its string.
+    fn check_count_trie_of_markov_candidates() {
+        use crate::candidates::{build_candidates_pure, CandidateParams};
+        use dpsc_workloads::markov_corpus;
+        let db = markov_corpus(40, 24, 3, 0.6, &mut StdRng::seed_from_u64(55));
+        let idx = CorpusIndex::build(&db);
+        for delta in [1, 3, db.max_len()] {
+            let params = CandidateParams {
+                delta_clip: delta,
+                privacy: PrivacyParams::pure(200.0),
+                beta: 0.1,
+                tau_override: Some(5.0),
+                level_cap_override: Some(usize::MAX),
+                threads: 1,
+            };
+            let mut rng = StdRng::seed_from_u64(56);
+            let set = build_candidates_pure(&idx, &params, &mut rng).unwrap();
+            let mut owned: Vec<Vec<u8>> = set.strings.iter().map(<[u8]>::to_vec).collect();
+            owned.sort();
+            owned.dedup();
+            let trie = count_trie(&idx.clipped_counter(delta), set.strings.iter().collect());
+            let mut want = vec![Vec::new()];
+            let mut prev: &[u8] = b"";
+            for c in &owned {
+                want.extend((lcp(prev, c) + 1..=c.len()).map(|d| c[..d].to_vec()));
+                prev = c;
+            }
+            let got: Vec<Vec<u8>> = (0..trie.len() as NodeId).map(|v| trie.string_of(v)).collect();
+            assert_eq!(got, want, "Δ={delta}");
+            let (mut absent, mut same_as_parent) = (0, 0);
+            for (v, s) in got.iter().enumerate().skip(1) {
+                assert_eq!(trie.value(v as NodeId), idx.count_clipped(s, delta), "{s:?} Δ={delta}");
+                let iv = idx.interval(s);
+                absent += iv.is_empty() as usize;
+                same_as_parent +=
+                    (!iv.is_empty() && iv == idx.interval(&s[..s.len() - 1])) as usize;
+            }
+            assert!(absent > 0 && same_as_parent > 0, "Δ={delta}: {absent}, {same_as_parent}");
         }
     }
 

@@ -74,7 +74,7 @@ pub fn build_qgram_pure<R: Rng + ?Sized>(
             let mut s = Vec::with_capacity(q);
             s.extend_from_slice(&q1.bytes);
             s.extend_from_slice(&q2.bytes[overlap..]);
-            let iv = (pow..q).fold(q1.iv, |iv, d| idx.extend_interval(iv, d, s[d]));
+            let iv = (pow..q).fold(q1.iv, |iv, d| idx.extend_interval(iv, d, s[d], iv.lo));
             out.push((s, iv));
             ControlFlow::Continue(())
         });

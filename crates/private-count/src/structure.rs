@@ -9,7 +9,8 @@
 use dpsc_dpcore::budget::PrivacyParams;
 use dpsc_hierarchy::tree::NodeId;
 
-use crate::codec_v3::Meta;
+use crate::codec::require_finite;
+use crate::codec_v3::{check_privacy_fields, Meta};
 use crate::pipeline::{lcp, PreorderTrie};
 use crate::synopsis::FrozenSynopsis;
 
@@ -284,6 +285,11 @@ impl PrivateCountStructure {
         let alpha_absent = parse_f(fields[5], "alpha_absent")?;
         let n_docs: usize = fields[6].parse().map_err(|e| format!("bad n: {e}"))?;
         let max_len: usize = fields[7].parse().map_err(|e| format!("bad ℓ: {e}"))?;
+        // The snapshot decoder's rules, so every parsed text reloads.
+        check_privacy_fields(epsilon, delta)
+            .and(require_finite("alpha_counts", alpha_counts))
+            .and(require_finite("alpha_absent", alpha_absent))
+            .map_err(|e| e.to_string())?;
         let privacy = if delta == 0.0 {
             PrivacyParams::pure(epsilon)
         } else {
@@ -439,6 +445,21 @@ mod tests {
         let no_root = "dpsc-v1 document 1 0e0 1 2 6 5\n61\t3\n";
         let err = PrivateCountStructure::from_text(no_root).unwrap_err();
         assert!(err.contains("root"), "{err}");
+
+        // Header fields the snapshot decoder would refuse: a snapshot of
+        // them could not be reloaded, and a negative ε used to panic.
+        for (header, field) in [
+            ("dpsc-v1 document 1 0e0 inf 2 6 5", "alpha_counts"),
+            ("dpsc-v1 document 1 0e0 1 NaN 6 5", "alpha_absent"),
+            ("dpsc-v1 document -1 0e0 1 2 6 5", "epsilon"),
+            ("dpsc-v1 document 0 0e0 1 2 6 5", "epsilon"),
+            ("dpsc-v1 document inf 0e0 1 2 6 5", "epsilon"),
+            ("dpsc-v1 document 1 -0 1 2 6 5", "delta"),
+            ("dpsc-v1 document 1 1 1 2 6 5", "delta"),
+        ] {
+            let err = PrivateCountStructure::from_text(&format!("{header}\n\t1\n")).unwrap_err();
+            assert!(err.contains(field), "{header}: {err}");
+        }
 
         // Valid minimal: root only.
         let ok = PrivateCountStructure::from_text("dpsc-v1 document 1 0e0 1 2 6 5\n\t9.5\n")

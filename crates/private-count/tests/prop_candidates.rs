@@ -39,8 +39,7 @@ proptest! {
             threads: 1,
         };
         let set = build_candidates_pure(&idx, &params, &mut rng).unwrap();
-        let have: std::collections::HashSet<&[u8]> =
-            set.strings.iter().map(|s| s.as_slice()).collect();
+        let have: std::collections::HashSet<&[u8]> = set.strings.iter().collect();
         for doc in &docs {
             for i in 0..doc.len() {
                 for j in i + 1..=doc.len() {

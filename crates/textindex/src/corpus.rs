@@ -195,36 +195,38 @@ impl CorpusIndex {
     }
 
     /// Narrows a suffix-array interval by one more pattern symbol: given
-    /// the interval of suffixes starting with some `P` of length `depth`,
-    /// returns the interval of suffixes starting with `P·b`. `O(log N)`.
+    /// the interval `iv` of suffixes starting with some `P` of length
+    /// `depth`, returns the interval of suffixes starting with `P·b`. For a
+    /// non-empty `iv` an absent `P·b` gives the empty interval at the rank
+    /// where it would start.
+    ///
+    /// `from` is a rank in `iv` where the search starts: every suffix of
+    /// `iv` before it must continue `P` with a symbol smaller than `b`. The
+    /// children of `P` tile `iv` in label order, so `iv.lo` always works,
+    /// and the end of a smaller sibling's interval works too. The search
+    /// gallops from `from` to the start of `P·b`, then from there to its
+    /// end: `O(log(start − from) + log(count))` probes, each reading
+    /// `sa[r]` and `text[sa[r] + depth]`.
     ///
     /// This is the incremental form of [`CorpusIndex::interval`]; walking a
-    /// pattern symbol-by-symbol costs `O(|P| log N)` total and lets trie
-    /// construction share work across candidates with common prefixes. It
-    /// is the innermost operation of Step 2 (exact-count trie), so the
-    /// binary searches are inlined and allocation-free.
+    /// pattern symbol by symbol lets trie construction share work across
+    /// candidates with common prefixes. It is the innermost operation of
+    /// Step 2 (exact-count trie), so it is inlined and allocation-free.
     #[inline]
-    pub fn extend_interval(&self, iv: SaInterval, depth: usize, b: u8) -> SaInterval {
+    pub fn extend_interval(&self, iv: SaInterval, depth: usize, b: u8, from: u32) -> SaInterval {
         if iv.is_empty() {
             return SaInterval::EMPTY;
         }
+        debug_assert!(iv.lo <= from && from <= iv.hi, "start {from} outside {iv:?}");
         let c = self.encode(b);
         let sa = self.sa.sa();
         let text = &self.text[..];
-        // Symbol of rank r at offset `depth`; suffixes shorter than depth+1
-        // cannot occur here for sentinel-free prefixes, but guard anyway by
-        // treating them as minimal.
-        #[inline]
-        fn sym(sa: &[u32], text: &[u32], r: u32, depth: usize) -> u32 {
-            let pos = sa[r as usize] as usize + depth;
-            if pos < text.len() {
-                text[pos]
-            } else {
-                0
-            }
-        }
-        let lo = iv.lo + partition_u32(iv.hi - iv.lo, |off| sym(sa, text, iv.lo + off, depth) < c);
-        let hi = iv.lo + partition_u32(iv.hi - iv.lo, |off| sym(sa, text, iv.lo + off, depth) <= c);
+        // Symbol of rank r at offset `depth`. Every suffix of a non-empty
+        // interval of a sentinel-free `P` reaches offset `depth` (the text
+        // ends with a sentinel); a shorter one would count as minimal.
+        let sym = |r: u32| text.get(sa[r as usize] as usize + depth).copied().unwrap_or(0);
+        let lo = gallop(from, iv.hi, |r| sym(r) < c);
+        let hi = gallop(lo, iv.hi, |r| sym(r) <= c);
         SaInterval { lo, hi }
     }
 
@@ -374,11 +376,25 @@ impl CorpusIndex {
     }
 }
 
-/// First `off ∈ [0, n)` where `pred` flips from true to false.
+/// First `r ∈ [start, end)` where `pred` flips from true to false (`end`
+/// if it never does), for `pred` true on a prefix of the range. Probes
+/// `start + 2^k − 1` for growing `k` until `pred` fails, then binary
+/// searches the last gap: `O(log(r − start))` probes.
 #[inline]
-fn partition_u32(n: u32, pred: impl Fn(u32) -> bool) -> u32 {
-    let mut lo = 0u32;
-    let mut hi = n;
+fn gallop(start: u32, end: u32, pred: impl Fn(u32) -> bool) -> u32 {
+    let (mut lo, mut hi) = (start, end);
+    let mut step = 1u32;
+    while lo < hi {
+        let probe = lo + step.min(hi - lo) - 1;
+        if pred(probe) {
+            lo = probe + 1;
+            step = step.saturating_mul(2);
+        } else {
+            hi = probe;
+            break;
+        }
+    }
+    // pred holds on [start, lo) and fails at hi (or hi == end).
     while lo < hi {
         let mid = lo + (hi - lo) / 2;
         if pred(mid) {
@@ -538,7 +554,7 @@ mod tests {
         for pat in [&b"a"[..], b"ab", b"abs", b"absab", b"be", b"bees", b"zz", b"az"] {
             let mut iv = idx.full_interval();
             for (depth, &b) in pat.iter().enumerate() {
-                iv = idx.extend_interval(iv, depth, b);
+                iv = idx.extend_interval(iv, depth, b, iv.lo);
             }
             let direct = idx.interval(pat);
             if direct.is_empty() {
@@ -548,6 +564,40 @@ mod tests {
                 assert_eq!(iv, direct, "pattern {:?}", pat);
             }
         }
+    }
+
+    /// Galloping from each smaller sibling's end finds the same children as
+    /// starting at the parent's start, present or absent, at every node of
+    /// every depth up to 4 of a Markov corpus.
+    #[test]
+    fn extend_interval_from_a_sibling_matches_from_the_start() {
+        use dpsc_workloads::markov_corpus;
+        use rand::rngs::StdRng;
+        use rand::SeedableRng;
+        let db = markov_corpus(60, 40, 4, 0.6, &mut StdRng::seed_from_u64(23));
+        let idx = CorpusIndex::build(&db);
+        let symbols: Vec<u8> = (0..=idx.alphabet_size() as u8).map(|i| b'a' + i).collect();
+        let mut level = vec![(Vec::new(), idx.full_interval())];
+        for depth in 0..4 {
+            let mut next = Vec::new();
+            for (pat, iv) in &level {
+                let mut from = iv.lo;
+                for &b in &symbols {
+                    let child = idx.extend_interval(*iv, depth, b, from);
+                    assert_eq!(child, idx.extend_interval(*iv, depth, b, iv.lo), "{pat:?}+{b}");
+                    let p = [pat.as_slice(), &[b]].concat();
+                    let direct = idx.interval(&p);
+                    assert!(child.count() == direct.count(), "{p:?}");
+                    if !direct.is_empty() {
+                        assert_eq!(child, direct, "{p:?}");
+                        next.push((p, child));
+                    }
+                    from = child.hi;
+                }
+            }
+            level = next;
+        }
+        assert!(level.len() > 10, "the corpus branches");
     }
 
     #[test]
