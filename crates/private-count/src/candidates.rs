@@ -25,19 +25,20 @@
 //! interval: one LCP walk over that interval splits it into runs, and each
 //! run's second half is resolved to its row exactly by its suffix-array
 //! rank (`CorpusIndex::rank_of`): a level is sorted and its rows have one
-//! length, so their non-empty intervals are disjoint and ascending, and one
-//! binary search over their starts finds the row whose interval holds the
-//! rank. The pair scan then walks all `|P|` columns, draws the noise of
-//! every pair, and counts only the occurring ones. A pair that does not
-//! occur has count 0, and its decision `0 + noise ≥ τ` is read off its
-//! uniform draw by the level's [`dpsc_dpcore::NoiseCut`], in `O(1)` with
-//! no logarithm; the draws and decisions are those of computing the
-//! sample. The walks of a level cover disjoint intervals, so they read
-//! the SA and LCP arrays at most once; on sparse levels they touch a small
-//! part of them. Suffix/prefix overlaps for `C_m` join candidates on their
-//! overlapping bytes. The output goes into one byte arena
-//! ([`CandidateStrings`]). See DESIGN.md §2 for the substitution
-//! rationale.
+//! length, so their non-empty intervals are disjoint and ascending, and a
+//! search over their starts finds the row whose interval holds the rank.
+//! The runs of one walk have ascending ranks, so that search gallops
+//! forward from the previous run's row. The pair scan then walks all `|P|`
+//! columns, draws the noise of every pair, and counts only the occurring
+//! ones. A pair that does not occur has count 0, and its decision
+//! `0 + noise ≥ τ` is read off its uniform draw by the level's
+//! [`dpsc_dpcore::NoiseCut`], in `O(1)` with no logarithm; the draws and
+//! decisions are those of computing the sample. The walks of a level cover
+//! disjoint intervals, so they read the SA and LCP arrays at most once; on
+//! sparse levels they touch a small part of them. Suffix/prefix overlaps
+//! for `C_m` join candidates on their overlapping bytes. The output goes
+//! into one byte arena ([`CandidateStrings`]). See DESIGN.md §2 for the
+//! substitution rationale.
 //!
 //! The scan's running time depends on the data (which pairs occur, and
 //! how many), a timing channel outside the DP model; DESIGN.md §7
@@ -240,10 +241,21 @@ impl<'a> RowIntervals<'a> {
 
     /// The row whose interval holds `rank`: the last start `≤ rank`, if
     /// its interval reaches past `rank`.
+    ///
+    /// `seen` counts the starts `≤` the previous rank asked for, and must
+    /// not exceed the count for `rank` (start it at 0 and ask for ascending
+    /// ranks). The search gallops forward from it and updates it, so a
+    /// walk's ascending ranks cost `O(log gap)` each, not `O(log |P|)`.
     #[inline]
-    fn get(&self, rank: u32) -> Option<u32> {
-        let k = self.starts.partition_point(|&lo| lo <= rank).checked_sub(1)?;
-        let row = self.rows[k];
+    fn get(&self, rank: u32, seen: &mut usize) -> Option<u32> {
+        let rest = &self.starts[*seen..];
+        let mut bound = 1;
+        while bound < rest.len() && rest[bound] <= rank {
+            bound *= 2;
+        }
+        let window = &rest[bound / 2..bound.min(rest.len())];
+        *seen += bound / 2 + window.partition_point(|&lo| lo <= rank);
+        let row = self.rows[seen.checked_sub(1)?];
         (rank < self.cands[row as usize].iv.hi).then_some(row)
     }
 }
@@ -326,13 +338,14 @@ pub(crate) fn doubling_levels<R: Rng + ?Sized>(
 ///
 /// Walks `iv` once, splitting it into depth-`2·half` runs with the LCP
 /// array (as [`dpsc_textindex::depth_groups`] does, but only inside `iv`),
-/// and resolves each run's second half by its rank in `rows`. No run needs
-/// a check that `2·half` symbols are left in its document: every suffix in
-/// `iv` starts with `q1`, so `pos + half` is a text position, and its rank
-/// lies in a row's interval only if the `half` symbols there spell that
-/// row, with no sentinel. A suffix that meets a sentinel within `2·half`
-/// symbols is a run of its own (sentinels are unique, so no LCP reaches
-/// past one) and resolves to no row.
+/// and resolves each run's second half by its rank in `rows`; the ranks of
+/// one walk ascend, so `rows` is searched forward from the previous one.
+/// No run needs a check that `2·half` symbols are left in its document:
+/// every suffix in `iv` starts with `q1`, so `pos + half` is a text
+/// position, and its rank lies in a row's interval only if the `half`
+/// symbols there spell that row, with no sentinel. A suffix that meets a
+/// sentinel within `2·half` symbols is a run of its own (sentinels are
+/// unique, so no LCP reaches past one) and resolves to no row.
 fn occurring_pairs(
     idx: &CorpusIndex,
     iv: SaInterval,
@@ -346,12 +359,13 @@ fn occurring_pairs(
     let len = 2 * half;
     let hi = iv.hi as usize;
     let mut r = iv.lo as usize;
+    let mut seen = 0;
     while r < hi {
         let mut end = r + 1;
         while end < hi && lcp[end] as usize >= len {
             end += 1;
         }
-        if let Some(j) = rows.get(idx.rank_of(sa[r] as usize + half)) {
+        if let Some(j) = rows.get(idx.rank_of(sa[r] as usize + half), &mut seen) {
             out.push((j, SaInterval { lo: r as u32, hi: end as u32 }));
         }
         r = end;
