@@ -15,6 +15,8 @@
 
 use std::fmt;
 
+pub use crate::codec_v3::snapshot_digest;
+
 /// The first defect found while decoding a binary artifact (snapshot
 /// bytes or a wire frame). Decoders stop at the first problem, so one
 /// value describes one concrete, located defect.

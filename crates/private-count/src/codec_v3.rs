@@ -153,6 +153,17 @@ pub(crate) fn encode(meta: &Meta, counts: &[u8], edge_start: &[u8], edge_label: 
     out
 }
 
+/// The header checksum field of a snapshot (`bytes[160..168]`), read
+/// without checking anything; `None` when `bytes` is too short to hold a
+/// header. The header checksum covers the section table, which holds
+/// every section's checksum, and the decoder requires zero padding, so
+/// once a decode of `bytes` succeeds this one field is a verified digest
+/// of the whole snapshot.
+pub fn snapshot_digest(bytes: &[u8]) -> Option<u64> {
+    let field = bytes.get(HEADER_SUM_OFF..HEADER_LEN)?;
+    Some(u64::from_le_bytes(field.try_into().expect("8-byte field")))
+}
+
 /// Checks a snapshot's header, layout, padding and checksums, and adopts
 /// the buffer as is: no copy.
 pub(crate) fn decode(buf: Arc<[u8]>) -> Result<Canonical, DecodeError> {

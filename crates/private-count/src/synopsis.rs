@@ -444,6 +444,16 @@ impl FrozenSynopsis {
         &self.buf
     }
 
+    /// The snapshot's digest: its verified `DPSF` header checksum, which
+    /// covers every section checksum, so it stands for the whole
+    /// snapshot with 64-bit FNV-1a strength. `O(1)`; equals
+    /// [`codec::snapshot_digest`](crate::codec::snapshot_digest) of
+    /// [`Self::to_bytes`].
+    #[inline]
+    pub fn digest(&self) -> u64 {
+        crate::codec::snapshot_digest(&self.buf).expect("a decoded snapshot holds a header")
+    }
+
     /// Size of [`Self::to_bytes`] in bytes.
     pub fn serialized_len(&self) -> usize {
         self.buf.len()
@@ -670,6 +680,19 @@ mod tests {
         let back = FrozenSynopsis::from_bytes(&bytes).expect("roundtrip parses");
         assert_eq!(back, f);
         assert_eq!(back.to_bytes(), bytes, "canonical");
+    }
+
+    #[test]
+    fn digest_is_the_header_checksum_and_tells_releases_apart() {
+        let f = toy_synopsis();
+        let bytes = f.to_bytes();
+        let stored = u64::from_le_bytes(bytes[160..168].try_into().unwrap());
+        assert_eq!(f.digest(), stored);
+        assert_eq!(crate::codec::snapshot_digest(&bytes), Some(stored));
+        assert_eq!(crate::codec::snapshot_digest(&bytes[..167]), None, "shorter than a header");
+        let mut other = toy_entries();
+        other.insert(b"a".to_vec(), 8.5);
+        assert_ne!(synopsis_of(&other).digest(), f.digest(), "one count apart");
     }
 
     #[test]

@@ -29,7 +29,8 @@ use dpsc_private_count::codec::DecodeError;
 
 use crate::trace::TraceEvent;
 use crate::wire::{
-    decode_response, encode_request, MetricsReport, Request, Response, ServerStats, MAX_FRAME_LEN,
+    decode_response, encode_load_snapshot, encode_request, MetricsReport, Request, Response,
+    ServerStats, MAX_FRAME_LEN,
 };
 
 /// Why a client call failed.
@@ -377,8 +378,8 @@ impl Client {
     /// returns the new epoch. When the server runs a snapshot store the
     /// bytes are durably persisted before they start serving.
     pub fn load_snapshot(&mut self, shard: u32, snapshot: &[u8]) -> Result<u64, ClientError> {
-        let req = Request::LoadSnapshot { shard, snapshot: snapshot.to_vec().into() };
-        match self.call(&req)? {
+        self.stream.write_all(&encode_load_snapshot(shard, snapshot))?;
+        match self.read_response()? {
             Response::LoadSnapshot { epoch, .. } => Ok(epoch),
             other => fail(other, "LoadSnapshot"),
         }

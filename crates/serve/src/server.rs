@@ -291,21 +291,16 @@ impl Server {
             if let Some(ring) = metrics.tracer() {
                 store.set_tracer(Arc::clone(ring));
             }
-            let mut recovered = 0u64;
-            for snap in store.take_recovered() {
-                let (corpus, epoch) = (snap.corpus, snap.epoch);
-                if manager.load_snapshot_shared_at(snap.corpus, snap.bytes, snap.epoch).is_ok() {
-                    recovered += 1;
-                    if let Some(ring) = metrics.tracer() {
-                        ring.emit(TraceEvent {
-                            shard: corpus,
-                            epoch,
-                            ..TraceEvent::new(TraceKind::Recovery)
-                        });
-                    }
+            // The store decoded and verified each payload; install as is.
+            let recovered = store.take_recovered();
+            metrics.record_recoveries(recovered.len() as u64);
+            for snap in recovered {
+                manager.install_at(snap.corpus, snap.synopsis, snap.epoch);
+                if let Some(ring) = metrics.tracer() {
+                    let (shard, epoch) = (snap.corpus, snap.epoch);
+                    ring.emit(TraceEvent { shard, epoch, ..TraceEvent::new(TraceKind::Recovery) });
                 }
             }
-            metrics.record_recoveries(recovered);
         }
         Ok(Self {
             listener,
@@ -650,9 +645,9 @@ impl Server {
         Response::LoadSnapshot { epoch: snap.epoch, node_count: snap.synopsis.node_count() as u64 }
     }
 
-    /// The `Rollback` implementation: re-reads and re-validates the
-    /// retained epoch's payload from the store, commits it under a fresh
-    /// durable epoch, and hot-swaps it in.
+    /// The `Rollback` implementation: the store re-reads and decodes the
+    /// retained epoch's payload and commits it under a fresh durable
+    /// epoch; the decoded synopsis is then hot-swapped in.
     fn rollback_snapshot(&self, shard: u32, epoch: u64) -> Response {
         let Some(store) = &self.store else {
             return Response::Error {
@@ -661,23 +656,19 @@ impl Server {
         };
         match store.rollback(shard, epoch) {
             Err(e) => Response::Error { message: format!("rollback refused: {e}") },
-            Ok((new_epoch, bytes)) => {
-                let snap_len = bytes.len().min(u32::MAX as usize) as u32;
-                match self.manager.load_snapshot_shared_at(shard, bytes, new_epoch) {
-                    Ok(snap) => {
-                        self.metrics.record_rollback();
-                        // detail carries the epoch rolled back *to*.
-                        self.trace_emit(TraceEvent {
-                            shard,
-                            epoch: snap.epoch,
-                            len: snap_len,
-                            detail: epoch,
-                            ..TraceEvent::new(TraceKind::SnapshotInstalled)
-                        });
-                        Response::Rollback { epoch: snap.epoch }
-                    }
-                    Err(e) => Response::Error { message: format!("rollback refused: {e}") },
-                }
+            Ok((new_epoch, synopsis)) => {
+                let snap_len = synopsis.serialized_len().min(u32::MAX as usize) as u32;
+                let snap = self.manager.install_at(shard, synopsis, new_epoch);
+                self.metrics.record_rollback();
+                // detail carries the epoch rolled back *to*.
+                self.trace_emit(TraceEvent {
+                    shard,
+                    epoch: snap.epoch,
+                    len: snap_len,
+                    detail: epoch,
+                    ..TraceEvent::new(TraceKind::SnapshotInstalled)
+                });
+                Response::Rollback { epoch: snap.epoch }
             }
         }
     }

@@ -7,7 +7,7 @@
 //! ```text
 //!            LoadSnapshot bytes
 //!                   │
-//!            from_bytes()  ← decode + full structural validation,
+//!            decode  ← checksums + full structural validation,
 //!                   │         OUTSIDE any lock (readers untouched)
 //!            ShardSnapshot { epoch: E+1, synopsis }
 //!                   │
@@ -83,22 +83,10 @@ impl ShardManager {
     }
 
     /// Load → validate → swap: decodes `bytes` (full checksum and
-    /// structural validation, no lock held), then installs the result.
-    /// On `Err` the previous snapshot keeps serving untouched.
-    pub fn load_snapshot(
-        &self,
-        shard: u32,
-        bytes: &[u8],
-    ) -> Result<Arc<ShardSnapshot>, DecodeError> {
-        let synopsis = FrozenSynopsis::from_bytes(bytes)?;
-        Ok(self.install_arc(shard, synopsis))
-    }
-
-    /// [`Self::load_snapshot`] with shared ownership of the buffer: the
-    /// snapshot ([`FrozenSynopsis::to_bytes`]) is validated and then
+    /// structural validation, no lock held), then installs the result,
     /// served from `bytes` itself, which the installed [`ShardSnapshot`]
     /// keeps alive through the synopsis — so installing a shard copies
-    /// nothing.
+    /// nothing. On `Err` the previous snapshot keeps serving untouched.
     pub fn load_snapshot_shared(
         &self,
         shard: u32,
@@ -108,29 +96,16 @@ impl ShardManager {
         Ok(self.install_arc(shard, synopsis))
     }
 
-    /// [`Self::load_snapshot_shared`] under an *explicit* epoch — the
-    /// snapshot store's durable epoch, replayed at recovery or allocated
-    /// at persist time — instead of a counter-allocated one. The internal
-    /// counter is bumped past `epoch`, so later store-less installs can
-    /// never collide with (or run behind) a durable epoch, and the
-    /// `(shard, epoch)` cache-key uniqueness invariant holds across both
-    /// allocation paths.
-    pub fn load_snapshot_shared_at(
-        &self,
-        shard: u32,
-        bytes: Arc<[u8]>,
-        epoch: u64,
-    ) -> Result<Arc<ShardSnapshot>, DecodeError> {
-        let synopsis = FrozenSynopsis::from_bytes_shared(bytes)?;
-        Ok(self.install_at(shard, synopsis, epoch))
-    }
-
-    /// Installs a pre-validated synopsis under an explicit (durable)
-    /// epoch. Like [`Self::install`], but the caller owns epoch
-    /// allocation; an install whose epoch is *older* than the resident
-    /// snapshot's is refused (the resident snapshot is returned), so a
-    /// racing pair of store persists can never leave the stale one
-    /// serving.
+    /// Installs a decoded synopsis under an explicit epoch — the snapshot
+    /// store's durable epoch, replayed at recovery or allocated at
+    /// persist or rollback time — instead of a counter-allocated one.
+    /// The internal counter is bumped past `epoch`, so later store-less
+    /// installs can never collide with (or run behind) a durable epoch,
+    /// and the `(shard, epoch)` cache-key uniqueness invariant holds
+    /// across both allocation paths. An install whose epoch is *older*
+    /// than the resident snapshot's is refused (the resident snapshot is
+    /// returned), so a racing pair of store persists can never leave the
+    /// stale one serving.
     pub fn install_at(
         &self,
         shard: u32,
@@ -283,7 +258,7 @@ mod tests {
         let before = m.snapshot(3).unwrap().epoch;
         let mut bytes = synopsis(1.0).to_bytes();
         bytes[10] ^= 0xFF;
-        assert!(m.load_snapshot(3, &bytes).is_err());
+        assert!(m.load_snapshot_shared(3, bytes.into()).is_err());
         let after = m.snapshot(3).unwrap();
         assert_eq!(after.epoch, before, "failed load must not swap");
         assert_eq!(after.synopsis.query(b"a"), 9.0);
@@ -308,14 +283,13 @@ mod tests {
     fn install_at_pins_durable_epochs_and_never_downgrades() {
         let m = ShardManager::new();
         // Recovery replay: install under the manifest's epoch.
-        let bytes: Arc<[u8]> = synopsis(3.0).to_bytes().into();
-        let snap = m.load_snapshot_shared_at(0, Arc::clone(&bytes), 40).unwrap();
+        let snap = m.install_at(0, synopsis(3.0), 40);
         assert_eq!(snap.epoch, 40);
         // The counter moved past the durable epoch: a store-less install
         // cannot collide.
         assert!(m.install(1, synopsis(1.0)) > 40);
         // A stale durable epoch loses to the resident snapshot.
-        let newer = m.load_snapshot_shared_at(0, synopsis(9.0).to_bytes().into(), 50).unwrap();
+        let newer = m.install_at(0, synopsis(9.0), 50);
         assert_eq!(newer.epoch, 50);
         let stale = m.install_at(0, synopsis(2.0), 45);
         assert_eq!(stale.epoch, 50, "older epoch must not shadow a newer resident");
@@ -327,7 +301,7 @@ mod tests {
         let m = ShardManager::new();
         let f = synopsis(4.0);
         let bytes = f.to_bytes();
-        let snap = m.load_snapshot(2, &bytes).unwrap();
+        let snap = m.load_snapshot_shared(2, bytes.clone().into()).unwrap();
         let stats = m.stats();
         assert_eq!(stats.len(), 1);
         let s = &stats[0];

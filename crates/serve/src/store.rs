@@ -16,7 +16,7 @@
 //!   *.tmp                             in-flight writes (removed at recovery)
 //! ```
 //!
-//! `MANIFEST` opens with an 8-byte header (`DPSM`, LE `u16` version, two
+//! `MANIFEST` opens with an 8-byte header (`DPSM`, LE `u16` version 2, two
 //! zero bytes) followed by fixed-size 44-byte records:
 //!
 //! | field | bytes | meaning |
@@ -25,8 +25,12 @@
 //! | `epoch` | 8 | durable epoch this record installs |
 //! | `src_epoch` | 8 | epoch whose payload file holds the bytes (= `epoch` for a fresh persist; an older epoch for a rollback record) |
 //! | `len` | 8 | payload length in bytes |
-//! | `fnv` | 8 | FNV-1a of the payload |
+//! | `digest` | 8 | the payload's `DPSF` header checksum ([`FrozenSynopsis::digest`]) |
 //! | `sum` | 8 | FNV-1a of the 36 bytes above (per-record checksum) |
+//!
+//! Once a payload decodes, its `digest` stands for all of its bytes. A
+//! `DPSM` manifest of another version (1 held a whole-payload FNV-1a) is
+//! refused with [`StoreError::ManifestVersion`] and left untouched.
 //!
 //! ## Persist protocol (the crash-point enumeration)
 //!
@@ -38,9 +42,10 @@
 //! A crash strictly before the manifest fsync leaves at worst a torn
 //! temp file or a torn trailing record; recovery truncates the manifest
 //! to its last valid record prefix, discards records whose payload is
-//! missing or fails its checksum (falling back to the next older
-//! epoch), and deletes unreferenced files. A crash after the commit
-//! point recovers the new epoch. There is no in-between state.
+//! missing or fails validation (length, one decode, digest compare),
+//! falling back to the next older epoch, and deletes unreferenced files.
+//! A crash after the commit point recovers the new epoch. There is no
+//! in-between state.
 //!
 //! ## Fault injection
 //!
@@ -55,20 +60,20 @@
 use std::collections::BTreeMap;
 use std::fmt;
 use std::fs::{File, OpenOptions};
-use std::io::{ErrorKind, Write as _};
+use std::io::{ErrorKind, Read as _, Write as _};
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex};
 
-use dpsc_private_count::codec::fnv1a;
+use dpsc_private_count::codec::{fnv1a, snapshot_digest};
 use dpsc_private_count::FrozenSynopsis;
 
 use crate::trace::{TraceEvent, TraceKind, TraceRing};
 
 /// Manifest file name inside the store directory.
 pub const MANIFEST_NAME: &str = "MANIFEST";
-/// Manifest header: magic + LE version + two reserved zero bytes.
-pub const MANIFEST_HEADER: [u8; 8] = *b"DPSM\x01\x00\x00\x00";
+/// Manifest header: magic + LE version (2) + two reserved zero bytes.
+pub const MANIFEST_HEADER: [u8; 8] = *b"DPSM\x02\x00\x00\x00";
 /// Fixed size of one manifest record (payload + trailing checksum).
 pub const MANIFEST_RECORD_LEN: usize = 44;
 
@@ -94,6 +99,9 @@ pub enum StoreError {
         /// Epochs currently retained for the corpus (rollback targets).
         retained: Vec<u64>,
     },
+    /// A `DPSM` manifest of this version is not readable; the store
+    /// directory was left as it was.
+    ManifestVersion(u16),
 }
 
 impl fmt::Display for StoreError {
@@ -105,6 +113,7 @@ impl fmt::Display for StoreError {
                 f,
                 "epoch {epoch} of corpus {corpus} is not retained (retained: {retained:?})"
             ),
+            Self::ManifestVersion(v) => write!(f, "manifest version {v} is unsupported (not 2)"),
         }
     }
 }
@@ -134,8 +143,8 @@ pub trait StoreIo: Send + Sync + fmt::Debug {
     fn rename(&self, from: &Path, to: &Path) -> std::io::Result<()>;
     /// Removes a file.
     fn remove_file(&self, path: &Path) -> std::io::Result<()>;
-    /// Reads a whole file.
-    fn read_file(&self, path: &Path) -> std::io::Result<Vec<u8>>;
+    /// Reads a whole file into one exact-size buffer.
+    fn read_file(&self, path: &Path) -> std::io::Result<Arc<[u8]>>;
     /// Lists the entries of `dir`.
     fn list_dir(&self, dir: &Path) -> std::io::Result<Vec<PathBuf>>;
 }
@@ -173,8 +182,14 @@ impl StoreIo for RealIo {
         std::fs::remove_file(path)
     }
 
-    fn read_file(&self, path: &Path) -> std::io::Result<Vec<u8>> {
-        std::fs::read(path)
+    fn read_file(&self, path: &Path) -> std::io::Result<Arc<[u8]>> {
+        // Read in place, so a payload is served from the buffer it was
+        // read into: one allocation of the file's size, no copy.
+        let mut file = File::open(path)?;
+        let len = usize::try_from(file.metadata()?.len()).map_err(std::io::Error::other)?;
+        let mut buf: Arc<[u8]> = std::iter::repeat_n(0, len).collect();
+        file.read_exact(Arc::get_mut(&mut buf).expect("a new Arc is unique"))?;
+        Ok(buf)
     }
 
     fn list_dir(&self, dir: &Path) -> std::io::Result<Vec<PathBuf>> {
@@ -329,7 +344,7 @@ impl StoreIo for FaultyIo {
         self.inner.remove_file(path)
     }
 
-    fn read_file(&self, path: &Path) -> std::io::Result<Vec<u8>> {
+    fn read_file(&self, path: &Path) -> std::io::Result<Arc<[u8]>> {
         if self.dead.load(Ordering::SeqCst) {
             return Err(Self::injected());
         }
@@ -356,8 +371,8 @@ pub struct ManifestRecord {
     pub src_epoch: u64,
     /// Payload length.
     pub len: u64,
-    /// Payload FNV-1a.
-    pub fnv: u64,
+    /// The payload's `DPSF` header checksum ([`FrozenSynopsis::digest`]).
+    pub digest: u64,
 }
 
 impl ManifestRecord {
@@ -367,7 +382,7 @@ impl ManifestRecord {
         out.extend_from_slice(&self.epoch.to_le_bytes());
         out.extend_from_slice(&self.src_epoch.to_le_bytes());
         out.extend_from_slice(&self.len.to_le_bytes());
-        out.extend_from_slice(&self.fnv.to_le_bytes());
+        out.extend_from_slice(&self.digest.to_le_bytes());
         let sum = fnv1a(&out[start..]);
         out.extend_from_slice(&sum.to_le_bytes());
         debug_assert_eq!(out.len() - start, MANIFEST_RECORD_LEN);
@@ -388,23 +403,24 @@ impl ManifestRecord {
             epoch: u64at(4),
             src_epoch: u64at(12),
             len: u64at(20),
-            fnv: u64at(28),
+            digest: u64at(28),
         })
     }
 }
 
 /// A snapshot the manifest replay chose to serve for one corpus: the
-/// newest epoch whose payload exists, matches its recorded checksum, and
-/// decodes as a valid synopsis.
+/// newest epoch whose payload exists, has its recorded length, decodes as
+/// a valid synopsis, and carries its recorded digest.
 #[derive(Debug, Clone)]
 pub struct RecoveredSnapshot {
     /// Corpus id.
     pub corpus: u32,
     /// The durable epoch recovered.
     pub epoch: u64,
-    /// The validated payload, shared so the shard manager can serve the
-    /// snapshot straight from it.
+    /// The validated payload: the buffer `synopsis` serves from.
     pub bytes: Arc<[u8]>,
+    /// The decoded payload, ready to install.
+    pub synopsis: FrozenSynopsis,
 }
 
 #[derive(Debug)]
@@ -531,11 +547,18 @@ impl SnapshotStore {
 
         // Last-valid-prefix scan. A corrupt *header* means no record was
         // ever committed (the header lands with the first append): fresh
-        // start, like an absent manifest.
+        // start, like an absent manifest. Another version's manifest is
+        // refused before anything is written: a fresh start would sweep
+        // its payloads.
         let mut ordered: Vec<ManifestRecord> = Vec::new();
         let mut valid_len = 0usize;
         let mut dirty = false;
         if let Some(raw) = &raw {
+            if let (Some(b"DPSM"), Some(&[lo, hi])) = (raw.get(..4), raw.get(4..6)) {
+                if [lo, hi] != MANIFEST_HEADER[4..6] {
+                    return Err(StoreError::ManifestVersion(u16::from_le_bytes([lo, hi])));
+                }
+            }
             st.manifest_exists = true;
             if raw.len() >= MANIFEST_HEADER.len() && raw[..8] == MANIFEST_HEADER {
                 let mut off = MANIFEST_HEADER.len();
@@ -576,9 +599,11 @@ impl SnapshotStore {
         for (&corpus, recs) in records.iter_mut() {
             let mut chosen_at: Option<usize> = None;
             for i in (0..recs.len()).rev() {
-                match self.validate_record(corpus, &recs[i]) {
-                    Ok(bytes) => {
-                        recovered.push(RecoveredSnapshot { corpus, epoch: recs[i].epoch, bytes });
+                match self.validate_record(&recs[i]) {
+                    Ok(synopsis) => {
+                        let bytes = Arc::clone(synopsis.shared_bytes());
+                        let epoch = recs[i].epoch;
+                        recovered.push(RecoveredSnapshot { corpus, epoch, bytes, synopsis });
                         chosen_at = Some(i);
                         break;
                     }
@@ -609,39 +634,39 @@ impl SnapshotStore {
         Ok(())
     }
 
-    /// Reads and fully validates one record's payload: existence,
-    /// length, FNV-1a, and a structural synopsis decode (codec checksums
-    /// reject bit rot the manifest fnv might theoretically collide on).
-    fn validate_record(&self, corpus: u32, rec: &ManifestRecord) -> Result<Arc<[u8]>, StoreError> {
-        let path = self.dir.join(snap_file_name(corpus, rec.src_epoch));
+    /// Reads and validates one record's payload: its length, one decode
+    /// (every section checksum, the header checksum, zero padding and the
+    /// tree rules), then the decoded [`FrozenSynopsis::digest`] against
+    /// the record's. Each payload byte is hashed once. Returns the
+    /// synopsis, which serves from the buffer the payload was read into.
+    fn validate_record(&self, rec: &ManifestRecord) -> Result<FrozenSynopsis, StoreError> {
+        let path = self.dir.join(snap_file_name(rec.corpus, rec.src_epoch));
+        let corrupt = |what: String| StoreError::Corrupt(format!("{}: {what}", path.display()));
         let bytes = self.io.read_file(&path)?;
         if bytes.len() as u64 != rec.len {
-            return Err(StoreError::Corrupt(format!(
-                "{}: {} bytes on disk, {} recorded",
-                path.display(),
-                bytes.len(),
-                rec.len
-            )));
+            return Err(corrupt(format!("{} bytes on disk, {} recorded", bytes.len(), rec.len)));
         }
-        if fnv1a(&bytes) != rec.fnv {
-            return Err(StoreError::Corrupt(format!(
-                "{}: payload checksum mismatch",
-                path.display()
-            )));
+        let synopsis =
+            FrozenSynopsis::from_bytes_shared(bytes).map_err(|e| corrupt(e.to_string()))?;
+        if synopsis.digest() != rec.digest {
+            return Err(corrupt("payload digest differs from the record's".to_string()));
         }
-        let bytes: Arc<[u8]> = bytes.into();
-        FrozenSynopsis::from_bytes_shared(Arc::clone(&bytes))
-            .map_err(|e| StoreError::Corrupt(format!("{}: {e}", path.display())))?;
-        Ok(bytes)
+        Ok(synopsis)
     }
 
     /// Durably persists `bytes` as a new epoch of `corpus`, returning
-    /// the epoch. The caller is expected to have validated `bytes` as a
-    /// decodable synopsis (the server does); the store records length
-    /// and checksum regardless. On `Err` nothing is committed: recovery
-    /// serves the prior epoch. Failed attempts burn their epoch, so a
-    /// retry never reuses a file a half-dead attempt may have touched.
+    /// the epoch. The caller is expected to have decoded `bytes` as a
+    /// synopsis (the server does): the record's digest is the payload's
+    /// header checksum, read in `O(1)` and not recomputed, so recovery's
+    /// decode is what verifies it. Bytes too short to hold a `DPSF`
+    /// header are refused before anything is written. On `Err` nothing
+    /// is committed: recovery serves the prior epoch. Failed attempts
+    /// burn their epoch, so a retry never reuses a file a half-dead
+    /// attempt may have touched.
     pub fn persist(&self, corpus: u32, bytes: &[u8]) -> Result<u64, StoreError> {
+        let digest = snapshot_digest(bytes).ok_or_else(|| {
+            StoreError::Corrupt(format!("{} bytes cannot hold a DPSF header", bytes.len()))
+        })?;
         let mut st = self.state.lock().expect("store state not poisoned");
         let epoch = st.next_epoch;
         st.next_epoch += 1;
@@ -658,13 +683,8 @@ impl SnapshotStore {
         self.io.sync_dir(&self.dir)?;
         self.trace_store_op(corpus, epoch, 3);
 
-        let rec = ManifestRecord {
-            corpus,
-            epoch,
-            src_epoch: epoch,
-            len: bytes.len() as u64,
-            fnv: fnv1a(bytes),
-        };
+        let rec =
+            ManifestRecord { corpus, epoch, src_epoch: epoch, len: bytes.len() as u64, digest };
         self.commit_record(&mut st, rec)?;
         self.trace(TraceEvent {
             shard: corpus,
@@ -677,8 +697,9 @@ impl SnapshotStore {
 
     /// Re-installs retained `epoch` of `corpus` under a fresh durable
     /// epoch (append-only: the manifest gains a record aliasing the old
-    /// payload file). Returns the new epoch and the validated payload.
-    pub fn rollback(&self, corpus: u32, epoch: u64) -> Result<(u64, Arc<[u8]>), StoreError> {
+    /// payload file). Returns the new epoch and the validated payload,
+    /// decoded.
+    pub fn rollback(&self, corpus: u32, epoch: u64) -> Result<(u64, FrozenSynopsis), StoreError> {
         let mut st = self.state.lock().expect("store state not poisoned");
         let Some(rec) = st
             .records
@@ -693,7 +714,7 @@ impl SnapshotStore {
                 .unwrap_or_default();
             return Err(StoreError::UnknownEpoch { corpus, epoch, retained });
         };
-        let bytes = self.validate_record(corpus, &rec)?;
+        let synopsis = self.validate_record(&rec)?;
         let new_epoch = st.next_epoch;
         st.next_epoch += 1;
         let new_rec = ManifestRecord { corpus, epoch: new_epoch, ..rec };
@@ -705,7 +726,7 @@ impl SnapshotStore {
             detail: epoch,
             ..TraceEvent::new(TraceKind::RollbackCommitted)
         });
-        Ok((new_epoch, bytes))
+        Ok((new_epoch, synopsis))
     }
 
     /// Appends (and fsyncs) one record — the commit point — then applies
@@ -859,6 +880,21 @@ mod tests {
     }
 
     #[test]
+    fn persist_records_the_header_checksum_and_refuses_headerless_bytes() {
+        let dir = scratch_dir("digest");
+        let bytes = synopsis_bytes(3.0);
+        let store = SnapshotStore::open(&dir, 3).unwrap();
+        let short = &bytes[..167];
+        assert!(matches!(store.persist(0, short), Err(StoreError::Corrupt(_))));
+        assert!(store.retained_epochs(0).is_empty(), "nothing committed");
+        assert_eq!(store.persist(0, &bytes).unwrap(), 1, "a refusal burns no epoch");
+        let manifest = std::fs::read(dir.join(MANIFEST_NAME)).unwrap();
+        let rec = ManifestRecord::decode(manifest[8..].try_into().unwrap()).unwrap();
+        assert_eq!(rec.digest, FrozenSynopsis::from_bytes(&bytes).unwrap().digest());
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
     fn retention_prunes_old_epochs_and_their_files() {
         let dir = scratch_dir("retain");
         let store = SnapshotStore::open(&dir, 2).unwrap();
@@ -887,9 +923,9 @@ mod tests {
         let store = SnapshotStore::open(&dir, 4).unwrap();
         let e1 = store.persist(3, &old_bytes).unwrap();
         let e2 = store.persist(3, &new_bytes).unwrap();
-        let (e3, bytes) = store.rollback(3, e1).unwrap();
+        let (e3, synopsis) = store.rollback(3, e1).unwrap();
         assert!(e3 > e2);
-        assert_eq!(&bytes[..], &old_bytes[..]);
+        assert_eq!(synopsis.shared_bytes()[..], old_bytes[..]);
         // Reopen: the rollback record wins (newest epoch, old payload).
         drop(store);
         let store = SnapshotStore::open(&dir, 4).unwrap();
@@ -969,7 +1005,7 @@ mod tests {
             fn remove_file(&self, p: &Path) -> std::io::Result<()> {
                 self.0.remove_file(p)
             }
-            fn read_file(&self, p: &Path) -> std::io::Result<Vec<u8>> {
+            fn read_file(&self, p: &Path) -> std::io::Result<Arc<[u8]>> {
                 self.0.read_file(p)
             }
             fn list_dir(&self, p: &Path) -> std::io::Result<Vec<PathBuf>> {

@@ -451,16 +451,25 @@ fn take_pattern(cur: &mut Cursor<'_>) -> Result<Vec<u8>, DecodeError> {
     Ok(cur.take(len)?.to_vec())
 }
 
-/// Seals `body` (magic + version + opcode/status + payload so far) into a
-/// framed message: appends the checksum, then prefixes the length.
-fn seal(mut body: Vec<u8>) -> Vec<u8> {
-    let sum = fnv1a(&body);
-    body.extend_from_slice(&sum.to_le_bytes());
-    assert!(body.len() <= MAX_FRAME_LEN, "frame body exceeds MAX_FRAME_LEN");
-    let mut framed = Vec::with_capacity(4 + body.len());
-    push_u32(&mut framed, body.len() as u32);
-    framed.extend_from_slice(&body);
-    framed
+/// Starts a frame with room for `payload` bytes: a reserved length
+/// prefix, then the magic and version.
+fn frame(magic: [u8; 4], payload: usize) -> Vec<u8> {
+    let mut frame = Vec::with_capacity(4 + 6 + payload + 8);
+    frame.extend_from_slice(&[0; 4]);
+    frame.extend_from_slice(&magic);
+    frame.extend_from_slice(&VERSION.to_le_bytes());
+    frame
+}
+
+/// Seals a [`frame`] in place once its opcode/status and payload are
+/// written: appends the checksum of the body, then fills in the length.
+fn seal(mut frame: Vec<u8>) -> Vec<u8> {
+    let sum = fnv1a(&frame[4..]);
+    frame.extend_from_slice(&sum.to_le_bytes());
+    let body_len = frame.len() - 4;
+    assert!(body_len <= MAX_FRAME_LEN, "frame body exceeds MAX_FRAME_LEN");
+    frame[..4].copy_from_slice(&(body_len as u32).to_le_bytes());
+    frame
 }
 
 /// Checks the frame envelope shared by both directions: magic, version,
@@ -503,9 +512,7 @@ fn finish(cur: &Cursor<'_>) -> Result<(), DecodeError> {
 
 /// Encodes a request into a complete frame (length prefix included).
 pub fn encode_request(req: &Request) -> Vec<u8> {
-    let mut body = Vec::with_capacity(32);
-    body.extend_from_slice(&MAGIC_REQUEST);
-    body.extend_from_slice(&VERSION.to_le_bytes());
+    let mut body = frame(MAGIC_REQUEST, 16);
     match req {
         Request::Query { shard, pattern } => {
             body.push(OP_QUERY);
@@ -526,12 +533,7 @@ pub fn encode_request(req: &Request) -> Vec<u8> {
             push_pattern(&mut body, pattern);
         }
         Request::Stats => body.push(OP_STATS),
-        Request::LoadSnapshot { shard, snapshot } => {
-            body.push(OP_LOAD_SNAPSHOT);
-            push_u32(&mut body, *shard);
-            push_u64(&mut body, snapshot.len() as u64);
-            body.extend_from_slice(snapshot);
-        }
+        Request::LoadSnapshot { shard, snapshot } => return encode_load_snapshot(*shard, snapshot),
         Request::Shutdown => body.push(OP_SHUTDOWN),
         Request::Metrics => body.push(OP_METRICS),
         Request::Rollback { shard, epoch } => {
@@ -545,6 +547,17 @@ pub fn encode_request(req: &Request) -> Vec<u8> {
         }
         Request::MetricsText => body.push(OP_METRICS_TEXT),
     }
+    seal(body)
+}
+
+/// The frame [`encode_request`] writes for a `LoadSnapshot` of `snapshot`,
+/// encoded from the borrowed bytes into one exact-size buffer.
+pub fn encode_load_snapshot(shard: u32, snapshot: &[u8]) -> Vec<u8> {
+    let mut body = frame(MAGIC_REQUEST, 1 + 4 + 8 + snapshot.len());
+    body.push(OP_LOAD_SNAPSHOT);
+    push_u32(&mut body, shard);
+    push_u64(&mut body, snapshot.len() as u64);
+    body.extend_from_slice(snapshot);
     seal(body)
 }
 
@@ -614,9 +627,7 @@ pub fn decode_request(body: &[u8]) -> Result<Request, DecodeError> {
 /// the opcode and its payload, or — for errors — a UTF-8 message. Errors
 /// carry no opcode, so equal responses have exactly one encoding.
 pub fn encode_response(resp: &Response) -> Vec<u8> {
-    let mut body = Vec::with_capacity(32);
-    body.extend_from_slice(&MAGIC_RESPONSE);
-    body.extend_from_slice(&VERSION.to_le_bytes());
+    let mut body = frame(MAGIC_RESPONSE, 16);
     match resp {
         Response::Error { message } => {
             body.push(STATUS_ERROR);

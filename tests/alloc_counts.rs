@@ -40,11 +40,12 @@ const FRAMES: usize = 2000;
 const BLOCK: usize = 100;
 /// Pause before each frame; see [`allocs_serving`].
 const IDLE_PAUSE: Duration = Duration::from_micros(500);
-/// Heap allocations the daemon makes per frame, tracing off: 25.77
+/// Heap allocations the daemon makes per frame, tracing off: 24.77
 /// measured. Decoding the request's 16 patterns is 17 of them and the
 /// wakeup's event batch one; the first pass over each universe adds the
-/// query cache's key copies.
-const ALLOCS_PER_FRAME: f64 = 25.77;
+/// query cache's key copies. The response frame is sealed in place, so
+/// encoding it adds no copy.
+const ALLOCS_PER_FRAME: f64 = 24.77;
 
 /// The frame stream: frame `k` asks shard `k % 4` for the next
 /// [`FRAME_PATTERNS`] patterns of its universe, cycling. Returns each

@@ -822,7 +822,7 @@ impl StoreIo for GatedIo {
     fn remove_file(&self, path: &Path) -> std::io::Result<()> {
         self.inner.remove_file(path)
     }
-    fn read_file(&self, path: &Path) -> std::io::Result<Vec<u8>> {
+    fn read_file(&self, path: &Path) -> std::io::Result<Arc<[u8]>> {
         self.inner.read_file(path)
     }
     fn list_dir(&self, path: &Path) -> std::io::Result<Vec<PathBuf>> {

@@ -7,7 +7,8 @@
 
 use dp_substring_counting::prelude::*;
 use dp_substring_counting::serve::wire::{
-    decode_request, decode_response, encode_request, encode_response, frame_len,
+    decode_request, decode_response, encode_load_snapshot, encode_request, encode_response,
+    frame_len,
 };
 use dp_substring_counting::serve::{
     CacheStats, MetricsReport, MetricsShard, OpCounts, OpLatencies, OpLatency, Request, Response,
@@ -202,6 +203,9 @@ fn real_frames_round_trip_canonically() {
         let back = decode_request(&framed[4..]).expect("request decodes");
         assert_eq!(back, req);
         assert_eq!(encode_request(&back), framed, "canonical re-encode");
+        if let Request::LoadSnapshot { shard, snapshot } = &req {
+            assert_eq!(encode_load_snapshot(*shard, snapshot), framed, "borrowed encode");
+        }
     }
     for resp in real_responses() {
         let framed = encode_response(&resp);

@@ -3,16 +3,23 @@
 //! persist" and "manifest committed" recovers to a whole epoch (old or
 //! fully-committed new, never a blend, never a wedge); manifest corpora
 //! with torn tails, bit flips, duplicate epochs, and missing payloads
-//! recover to the newest valid epoch; and the `Rollback` wire op
-//! re-installs retained epochs durably.
+//! recover to the newest valid epoch; the snapshot codec alone rejects
+//! damage to any payload byte; a manifest of another version is refused
+//! untouched; and the `Rollback` wire op re-installs retained epochs
+//! durably.
 
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
 use dp_substring_counting::prelude::*;
-use dp_substring_counting::serve::store::{MANIFEST_HEADER, MANIFEST_NAME, MANIFEST_RECORD_LEN};
-use dp_substring_counting::serve::{ClientError, FaultPlan, FaultyIo, SnapshotStore, StoreIo};
+use dp_substring_counting::private_count::codec::fnv1a;
+use dp_substring_counting::serve::store::{
+    snap_file_name, MANIFEST_HEADER, MANIFEST_NAME, MANIFEST_RECORD_LEN,
+};
+use dp_substring_counting::serve::{
+    ClientError, FaultPlan, FaultyIo, SnapshotStore, StoreError, StoreIo,
+};
 
 /// A synthetic synopsis over a fixed key set whose every count is
 /// `base + i` — two of these with different `base` disagree on *every*
@@ -68,7 +75,7 @@ impl StoreIo for SharedIo {
     fn remove_file(&self, p: &Path) -> std::io::Result<()> {
         self.0.remove_file(p)
     }
-    fn read_file(&self, p: &Path) -> std::io::Result<Vec<u8>> {
+    fn read_file(&self, p: &Path) -> std::io::Result<Arc<[u8]>> {
         self.0.read_file(p)
     }
     fn list_dir(&self, p: &Path) -> std::io::Result<Vec<PathBuf>> {
@@ -316,22 +323,40 @@ fn manifest_corpora_recover_last_valid_prefix() {
         let _ = std::fs::remove_dir_all(&dir);
     }
 
-    // Bit rot in the newest payload file: checksum rejects it, epoch 2
-    // takes over.
+    // Bit rot in the newest payload file: the codec rejects it, epoch 2
+    // takes over. Recovery hashes each payload byte once, in the codec,
+    // so the codec alone must catch a flip of any byte: every byte of
+    // the 168-byte header, every 7th byte of the sections and their zero
+    // padding, and the 8 tail padding bytes, one flip per run (the
+    // payload is 1,104 bytes, so a sparser stride would leave the
+    // padding unprobed).
+    let newest_payload = |dir: &Path| dir.join(snap_file_name(7, 3));
     {
-        let dir = clone_master("payload-rot");
-        let newest = std::fs::read_dir(&dir)
-            .unwrap()
-            .map(|e| e.unwrap().path())
-            .filter(|p| p.file_name().unwrap().to_string_lossy().starts_with("snap-"))
-            .max()
-            .unwrap();
-        let mut bytes = std::fs::read(&newest).unwrap();
-        let mid = bytes.len() / 2;
-        bytes[mid] ^= 0x01;
-        std::fs::write(&newest, &bytes).unwrap();
+        let len = payloads[2].len();
+        let offsets: Vec<usize> =
+            (0..168).chain((168..len).step_by(7)).chain(len - 8..len).collect();
+        for at in offsets {
+            let dir = clone_master(&format!("flip-{at}"));
+            let mut bytes = payloads[2].clone();
+            bytes[at] ^= 0xFF;
+            std::fs::write(newest_payload(&dir), &bytes).unwrap();
+            let (epoch, payload) = recovered_epoch(&dir).expect("older epoch takes over");
+            assert_eq!(epoch, 2, "flip at byte {at} of {len} went unnoticed");
+            assert_eq!(payload, payloads[1], "flip at byte {at}: epoch 2 bit-identical");
+            let _ = std::fs::remove_dir_all(&dir);
+        }
+    }
+
+    // A different valid snapshot of the same length in place of the
+    // newest payload decodes cleanly; the digest compare refuses it.
+    {
+        let dir = clone_master("swapped");
+        let impostor = synthetic(999.0).to_bytes();
+        assert_eq!(impostor.len(), payloads[2].len());
+        assert_ne!(impostor, payloads[2]);
+        std::fs::write(newest_payload(&dir), &impostor).unwrap();
         let (epoch, payload) = recovered_epoch(&dir).expect("older epoch takes over");
-        assert_eq!(epoch, 2);
+        assert_eq!(epoch, 2, "a swapped-in valid payload must fail the digest compare");
         assert_eq!(payload, payloads[1]);
         let _ = std::fs::remove_dir_all(&dir);
     }
@@ -360,6 +385,60 @@ fn manifest_corpora_recover_last_valid_prefix() {
         let _ = std::fs::remove_dir_all(&dir);
     }
     let _ = std::fs::remove_dir_all(&master);
+}
+
+/// Every file of `dir`, by name, with its bytes.
+fn dir_contents(dir: &Path) -> Vec<(String, Vec<u8>)> {
+    let mut files: Vec<(String, Vec<u8>)> = std::fs::read_dir(dir)
+        .unwrap()
+        .map(|e| {
+            let e = e.unwrap();
+            (e.file_name().to_string_lossy().into_owned(), std::fs::read(e.path()).unwrap())
+        })
+        .collect();
+    files.sort();
+    files
+}
+
+/// A version-1 store (the manifest recorded each payload's whole-file
+/// FNV-1a where version 2 records its `DPSF` header checksum) is refused
+/// with a typed error by the store and by the daemon, and its directory
+/// stays byte-identical: no repair, no sweep of its payloads.
+#[test]
+fn other_manifest_versions_are_refused_untouched() {
+    let dir = scratch_dir("v1");
+    std::fs::create_dir_all(&dir).unwrap();
+    let mut manifest = b"DPSM\x01\x00\x00\x00".to_vec();
+    for (i, base) in [10.0, 20.0].into_iter().enumerate() {
+        let epoch = i as u64 + 1;
+        let payload = synthetic(base).to_bytes();
+        std::fs::write(dir.join(snap_file_name(0, epoch)), &payload).unwrap();
+        let start = manifest.len();
+        manifest.extend_from_slice(&0u32.to_le_bytes());
+        for field in [epoch, epoch, payload.len() as u64, fnv1a(&payload)] {
+            manifest.extend_from_slice(&field.to_le_bytes());
+        }
+        let sum = fnv1a(&manifest[start..]);
+        manifest.extend_from_slice(&sum.to_le_bytes());
+    }
+    std::fs::write(manifest_path(&dir), &manifest).unwrap();
+    // Leftovers a fresh start would sweep.
+    std::fs::write(dir.join("MANIFEST.tmp"), b"torn").unwrap();
+    std::fs::write(dir.join(snap_file_name(0, 9)), b"unreferenced").unwrap();
+    let before = dir_contents(&dir);
+
+    match SnapshotStore::open(&dir, 4) {
+        Err(StoreError::ManifestVersion(1)) => {}
+        other => panic!("a version-1 manifest must be refused, got {other:?}"),
+    }
+    assert_eq!(dir_contents(&dir), before, "a refused store is left byte-identical");
+
+    let config = ServerConfig { store_dir: Some(dir.clone()), ..ServerConfig::default() };
+    let err = Server::spawn(config, Arc::new(ShardManager::new()))
+        .expect_err("the daemon refuses to serve a version-1 store");
+    assert!(err.to_string().contains("manifest version 1"), "got: {err}");
+    assert_eq!(dir_contents(&dir), before, "the daemon left the store byte-identical");
+    let _ = std::fs::remove_dir_all(&dir);
 }
 
 /// The `Rollback` wire op end to end: re-installs a retained epoch under
