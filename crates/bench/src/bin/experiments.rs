@@ -34,9 +34,6 @@ fn registry() -> Vec<(&'static str, &'static str, Runner)> {
         ("t8_tree", "Thm 8: counting on trees", || vec![exps::trees::t8_tree()]),
         ("t9_colored", "Thm 9: colored tree counting", || vec![exps::trees::t9_colored()]),
         ("mining_utility", "Mining precision/recall", || exps::mining::mining_utility()),
-        ("serving_throughput", "Serving: trie walk vs frozen synopsis", || {
-            vec![exps::serving::serving_throughput()]
-        }),
         ("audit", "Statistical DP/utility conformance matrix", || {
             vec![exps::audit::audit_conformance()]
         }),

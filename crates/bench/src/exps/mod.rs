@@ -8,7 +8,6 @@ pub mod common;
 pub mod lower;
 pub mod mining;
 pub mod qgrams;
-pub mod serving;
 pub mod t1;
 pub mod t2;
 pub mod trees;

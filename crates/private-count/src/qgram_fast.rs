@@ -421,11 +421,13 @@ mod tests {
                     return Err(format!("{mode} q={q} Theorem 4 {gram:?}: {}", exact.query(gram)));
                 }
             }
-            let all = fast(params(PrivacyParams::approx(1.0, 1e-6), f64::NEG_INFINITY), &mut rng)?;
+            // The lowest finite τ keeps every gram; τ = −∞ would make
+            // α_absent = −∞, which no snapshot may carry.
+            let all = fast(params(PrivacyParams::approx(1.0, 1e-6), f64::MIN), &mut rng)?;
             let published: Vec<Vec<u8>> =
                 all.mine_qgrams(q, f64::NEG_INFINITY).into_iter().map(|(g, _)| g).collect();
             if !published.iter().eq(grams.keys()) {
-                return Err(format!("{mode} q={q} τ = −∞ published {published:?}"));
+                return Err(format!("{mode} q={q} τ = f64::MIN published {published:?}"));
             }
             let marking = params(PrivacyParams::approx(5000.0, 1e-6), 2.0);
             let (noise, _) = phase_noise(&idx, &marking);

@@ -47,7 +47,7 @@ impl std::fmt::Display for CountMode {
 }
 
 /// A differentially private `count_Δ` data structure (Theorems 1–4): the
-/// released snapshot, with the mining and text views on top of its queries.
+/// released snapshot, with the mining views on top of its queries.
 #[derive(Debug, Clone)]
 pub struct PrivateCountStructure {
     synopsis: FrozenSynopsis,
@@ -72,7 +72,9 @@ impl PrivateCountStructure {
     /// database parameters the guarantees refer to.
     ///
     /// # Errors
-    /// A non-finite count or a pattern given twice.
+    /// A header field the snapshot decoder would refuse (ε not finite and
+    /// positive, δ outside `[0, 1)` or negative zero, a non-finite `α`),
+    /// a non-finite count or a pattern given twice.
     pub fn from_entries(
         mut entries: Vec<(Vec<u8>, f64)>,
         mode: CountMode,
@@ -82,6 +84,11 @@ impl PrivateCountStructure {
         n_docs: usize,
         max_len: usize,
     ) -> Result<Self, String> {
+        // The snapshot decoder's rules, so every release reloads.
+        check_privacy_fields(privacy.epsilon, privacy.delta)
+            .and(require_finite("alpha_counts", alpha_counts))
+            .and(require_finite("alpha_absent", alpha_absent))
+            .map_err(|e| e.to_string())?;
         entries.sort_by(|a, b| a.0.cmp(&b.0));
         let mut trie = PreorderTrie::with_root(f64::NAN, entries.len() + 1);
         // path[d] is the node of the previous pattern's length-d prefix.
@@ -227,100 +234,6 @@ impl PrivateCountStructure {
         all.truncate(k);
         all
     }
-
-    /// Serializes the structure to a line-oriented text format (the
-    /// publishable artifact — remember that everything in here is already
-    /// differentially private, so the file may be shared freely).
-    ///
-    /// Format: a header line
-    /// `dpsc-v1 <mode> <epsilon> <delta> <alpha_counts> <alpha_absent> <n> <ell>`
-    /// followed by one `hex(pattern)\tcount` line per node in lexicographic
-    /// order (the root's count is stored with an empty hex pattern).
-    pub fn to_text(&self) -> String {
-        let mode = match self.mode() {
-            CountMode::Document => "document".to_string(),
-            CountMode::Substring => "substring".to_string(),
-            CountMode::Clipped(d) => format!("clipped:{d}"),
-        };
-        let privacy = self.privacy();
-        let (n_docs, max_len) = self.db_params();
-        let mut out = format!(
-            "dpsc-v1 {mode} {} {:e} {} {} {n_docs} {max_len}\n",
-            privacy.epsilon,
-            privacy.delta,
-            self.alpha_counts(),
-            self.alpha_absent(),
-        );
-        self.synopsis.for_each_preorder(|p, v| out.push_str(&format!("{}\t{v}\n", hex(p))));
-        out
-    }
-
-    /// Parses a structure previously written by [`Self::to_text`].
-    ///
-    /// # Errors
-    /// Returns a description of the first malformed line.
-    pub fn from_text(text: &str) -> Result<Self, String> {
-        let mut lines = text.lines();
-        let header = lines.next().ok_or("empty input")?;
-        let fields: Vec<&str> = header.split_whitespace().collect();
-        if fields.len() != 8 || fields[0] != "dpsc-v1" {
-            return Err(format!("bad header: {header:?}"));
-        }
-        let mode = match fields[1] {
-            "document" => CountMode::Document,
-            "substring" => CountMode::Substring,
-            other => match other.strip_prefix("clipped:") {
-                Some(d) => {
-                    CountMode::Clipped(d.parse().map_err(|e| format!("bad clip level: {e}"))?)
-                }
-                None => return Err(format!("bad mode: {other:?}")),
-            },
-        };
-        let parse_f = |s: &str, what: &str| -> Result<f64, String> {
-            s.parse::<f64>().map_err(|e| format!("bad {what}: {e}"))
-        };
-        let epsilon = parse_f(fields[2], "epsilon")?;
-        let delta = parse_f(fields[3], "delta")?;
-        let alpha_counts = parse_f(fields[4], "alpha_counts")?;
-        let alpha_absent = parse_f(fields[5], "alpha_absent")?;
-        let n_docs: usize = fields[6].parse().map_err(|e| format!("bad n: {e}"))?;
-        let max_len: usize = fields[7].parse().map_err(|e| format!("bad ℓ: {e}"))?;
-        // The snapshot decoder's rules, so every parsed text reloads.
-        check_privacy_fields(epsilon, delta)
-            .and(require_finite("alpha_counts", alpha_counts))
-            .and(require_finite("alpha_absent", alpha_absent))
-            .map_err(|e| e.to_string())?;
-        let privacy = if delta == 0.0 {
-            PrivacyParams::pure(epsilon)
-        } else {
-            PrivacyParams::approx(epsilon, delta)
-        };
-
-        let mut entries = Vec::new();
-        for (lineno, line) in lines.enumerate() {
-            if line.is_empty() {
-                continue;
-            }
-            let (hex, count) =
-                line.split_once('\t').ok_or_else(|| format!("line {}: missing tab", lineno + 2))?;
-            let count: f64 =
-                count.parse().map_err(|e| format!("line {}: bad count: {e}", lineno + 2))?;
-            if hex.len() % 2 != 0 {
-                return Err(format!("line {}: odd hex length", lineno + 2));
-            }
-            let pat: Result<Vec<u8>, String> = (0..hex.len() / 2)
-                .map(|i| {
-                    u8::from_str_radix(&hex[2 * i..2 * i + 2], 16)
-                        .map_err(|e| format!("line {}: bad hex: {e}", lineno + 2))
-                })
-                .collect();
-            entries.push((pat?, count));
-        }
-        if !entries.iter().any(|(p, _)| p.is_empty()) {
-            return Err("missing root line".to_string());
-        }
-        Self::from_entries(entries, mode, privacy, alpha_counts, alpha_absent, n_docs, max_len)
-    }
 }
 
 /// Lower-case hex spelling of `bytes`.
@@ -409,67 +322,47 @@ mod tests {
     }
 
     #[test]
-    fn text_serialization_roundtrip() {
-        let s = toy_structure();
-        let text = s.to_text();
-        let back = PrivateCountStructure::from_text(&text).expect("parses");
-        assert_eq!(back.node_count(), s.node_count());
-        assert_eq!(back.mode(), s.mode());
-        assert_eq!(back.privacy().epsilon, s.privacy().epsilon);
-        assert_eq!(back.alpha_counts(), s.alpha_counts());
-        assert_eq!(back.db_params(), s.db_params());
-        for pat in [&b""[..], b"a", b"ab", b"b", b"zz"] {
-            assert_eq!(back.query(pat), s.query(pat), "pattern {pat:?}");
-        }
-        // Mining agrees too, and the snapshots are byte-identical.
-        assert_eq!(back.mine(5.0), s.mine(5.0));
-        assert_eq!(back.freeze(), s.freeze());
-    }
+    fn from_entries_rejects_malformed_input() {
+        let root = || vec![(Vec::new(), 1.0)];
+        let mode = CountMode::Document;
+        let build = |entries, privacy, a_counts, a_absent| {
+            PrivateCountStructure::from_entries(entries, mode, privacy, a_counts, a_absent, 6, 5)
+        };
+        let pure = PrivacyParams::pure(1.0);
 
-    #[test]
-    fn from_text_rejects_malformed_input() {
-        assert!(PrivateCountStructure::from_text("").is_err());
-        assert!(PrivateCountStructure::from_text("nonsense header").is_err());
-        assert!(
-            PrivateCountStructure::from_text("dpsc-v1 substring 1 0e0 1 2 6 5\nzz\t1.0\n").is_err()
-        ); // bad hex
-        assert!(
-            PrivateCountStructure::from_text("dpsc-v1 substring 1 0e0 1 2 6 5\n61 1.0\n").is_err()
-        ); // missing tab
-        let bad_count = "dpsc-v1 document 1 0e0 1 2 6 5\n\tNaN\n61\tinf\n61\t3\n";
-        let err = PrivateCountStructure::from_text(bad_count).unwrap_err();
-        assert!(err.contains("non-finite"), "{err}");
-        let duplicate = "dpsc-v1 document 1 0e0 1 2 6 5\n\t4\n61\t2\n61\t3\n";
-        let err = PrivateCountStructure::from_text(duplicate).unwrap_err();
-        assert!(err.contains("duplicate"), "{err}");
-        let no_root = "dpsc-v1 document 1 0e0 1 2 6 5\n61\t3\n";
-        let err = PrivateCountStructure::from_text(no_root).unwrap_err();
-        assert!(err.contains("root"), "{err}");
-
-        // Header fields the snapshot decoder would refuse: a snapshot of
-        // them could not be reloaded, and a negative ε used to panic.
-        for (header, field) in [
-            ("dpsc-v1 document 1 0e0 inf 2 6 5", "alpha_counts"),
-            ("dpsc-v1 document 1 0e0 1 NaN 6 5", "alpha_absent"),
-            ("dpsc-v1 document -1 0e0 1 2 6 5", "epsilon"),
-            ("dpsc-v1 document 0 0e0 1 2 6 5", "epsilon"),
-            ("dpsc-v1 document inf 0e0 1 2 6 5", "epsilon"),
-            ("dpsc-v1 document 1 -0 1 2 6 5", "delta"),
-            ("dpsc-v1 document 1 1 1 2 6 5", "delta"),
+        // Header fields the snapshot decoder would refuse: a release of
+        // them could not be reloaded from its own bytes.
+        for (privacy, alpha_counts, alpha_absent, field) in [
+            (PrivacyParams::pure(f64::INFINITY), 1.0, 2.0, "epsilon"),
+            (PrivacyParams { epsilon: -1.0, delta: 0.0 }, 1.0, 2.0, "epsilon"),
+            (PrivacyParams::approx(1.0, -0.0), 1.0, 2.0, "delta"),
+            (PrivacyParams { epsilon: 1.0, delta: 1.0 }, 1.0, 2.0, "delta"),
+            (pure, f64::INFINITY, 2.0, "alpha_counts"),
+            (pure, f64::NAN, 2.0, "alpha_counts"),
+            (pure, 1.0, f64::INFINITY, "alpha_absent"),
+            (pure, 1.0, f64::NAN, "alpha_absent"),
         ] {
-            let err = PrivateCountStructure::from_text(&format!("{header}\n\t1\n")).unwrap_err();
-            assert!(err.contains(field), "{header}: {err}");
+            let err = build(root(), privacy, alpha_counts, alpha_absent).unwrap_err();
+            assert!(err.contains(field), "{field}: {err}");
         }
 
-        // Valid minimal: root only.
-        let ok = PrivateCountStructure::from_text("dpsc-v1 document 1 0e0 1 2 6 5\n\t9.5\n")
-            .expect("valid");
-        assert_eq!(ok.query(b""), 9.5);
-        assert_eq!(ok.mode(), CountMode::Document);
+        let bad_count = vec![(Vec::new(), f64::NAN), (b"a".to_vec(), f64::INFINITY)];
+        let err = build(bad_count, pure, 1.0, 2.0).unwrap_err();
+        assert!(err.contains("non-finite"), "{err}");
+        let duplicate = vec![(Vec::new(), 4.0), (b"a".to_vec(), 2.0), (b"a".to_vec(), 3.0)];
+        let err = build(duplicate, pure, 1.0, 2.0).unwrap_err();
+        assert!(err.contains("duplicate"), "{err}");
+
+        // A valid release reloads from its own bytes.
+        let ok = build(vec![(Vec::new(), 9.5), (b"a".to_vec(), 3.0)], pure, 1.0, 2.0)
+            .expect("valid entries");
+        let back = FrozenSynopsis::from_bytes(&ok.freeze().to_bytes()).expect("reloads");
+        assert_eq!(back, ok.freeze());
+        assert_eq!((back.query(b""), back.mode()), (9.5, CountMode::Document));
     }
 
     #[test]
-    fn clipped_mode_roundtrips_through_text() {
+    fn clipped_mode_roundtrips_through_the_snapshot() {
         let entries = vec![(Vec::new(), 1.0), (b"xy".to_vec(), 3.5)];
         let privacy = PrivacyParams::approx(0.5, 1e-7);
         let s = PrivateCountStructure::from_entries(
@@ -482,7 +375,7 @@ mod tests {
             20,
         )
         .expect("valid entries");
-        let back = PrivateCountStructure::from_text(&s.to_text()).unwrap();
+        let back = FrozenSynopsis::from_bytes(&s.freeze().to_bytes()).unwrap();
         assert_eq!(back.mode(), CountMode::Clipped(7));
         assert!((back.privacy().delta - 1e-7).abs() < 1e-20);
         assert_eq!(back.query(b"xy"), 3.5);

@@ -346,10 +346,11 @@ impl FrozenSynopsis {
         self.sections().locate_naive(pattern).is_some()
     }
 
-    /// The lockstep batch kernel: answers `patterns` into `out`
-    /// (equal lengths), four patterns per iteration.
-    fn query_batch_into(&self, patterns: &[&[u8]], out: &mut [f64]) {
-        debug_assert_eq!(patterns.len(), out.len());
+    /// Answers a batch of queries in order. One output allocation; the
+    /// per-pattern lookups are allocation-free and advance four patterns
+    /// per iteration (`locate4`) to hide load latency.
+    pub fn query_batch(&self, patterns: &[&[u8]]) -> Vec<f64> {
+        let mut out = vec![0.0f64; patterns.len()];
         let s = self.sections();
         let mut quads = patterns.chunks_exact(4);
         let mut outs = out.chunks_exact_mut(4);
@@ -362,37 +363,6 @@ impl FrozenSynopsis {
         for (p, slot) in quads.remainder().iter().zip(outs.into_remainder()) {
             *slot = s.answer(s.locate(p));
         }
-    }
-
-    /// Answers a batch of queries in order. One output allocation; the
-    /// per-pattern lookups are allocation-free and advance four patterns
-    /// per iteration (`locate4`) to hide load latency.
-    pub fn query_batch(&self, patterns: &[&[u8]]) -> Vec<f64> {
-        let mut out = vec![0.0f64; patterns.len()];
-        self.query_batch_into(patterns, &mut out);
-        out
-    }
-
-    /// Answers a batch of queries across `threads` scoped worker threads
-    /// (clamped to the batch size; `0` means one thread). Same output as
-    /// [`Self::query_batch`] — the synopsis is immutable, so workers share
-    /// it by reference. A single-threaded call (or a batch that fits one
-    /// chunk) takes a direct sequential path: no scope, no spawn.
-    pub fn query_batch_parallel(&self, patterns: &[&[u8]], threads: usize) -> Vec<f64> {
-        if patterns.is_empty() {
-            return Vec::new();
-        }
-        let threads = threads.clamp(1, patterns.len());
-        let chunk = patterns.len().div_ceil(threads);
-        if threads == 1 || chunk >= patterns.len() {
-            return self.query_batch(patterns);
-        }
-        let mut out = vec![0.0f64; patterns.len()];
-        std::thread::scope(|scope| {
-            for (pats, outs) in patterns.chunks(chunk).zip(out.chunks_mut(chunk)) {
-                scope.spawn(move || self.query_batch_into(pats, outs));
-            }
-        });
         out
     }
 
@@ -659,15 +629,12 @@ mod tests {
     }
 
     #[test]
-    fn batch_paths_agree_with_single_queries() {
+    fn query_batch_agrees_with_single_queries() {
         let f = toy_synopsis();
         let patterns: Vec<&[u8]> = vec![b"", b"a", b"ab", b"ac", b"b", b"zz", b"abc"];
         let single: Vec<f64> = patterns.iter().map(|p| f.query(p)).collect();
         assert_eq!(f.query_batch(&patterns), single);
-        for threads in [0usize, 1, 2, 7, 64] {
-            assert_eq!(f.query_batch_parallel(&patterns, threads), single, "threads={threads}");
-        }
-        assert!(f.query_batch_parallel(&[], 4).is_empty());
+        assert!(f.query_batch(&[]).is_empty());
     }
 
     #[test]

@@ -40,7 +40,8 @@ fn main() {
         .with_thresholds(800.0, 800.0);
     let substr = build_pure(&cidx, &params, &mut rng).expect("construction succeeded");
     println!("\nTheorem 1 (ε = {eps}) substring counts   [true → noisy]");
-    for pat in [&b"ab"[..], b"abc", b"abcd", b"ba"] {
+    let printed = [&b"ab"[..], b"abc", b"abcd", b"ba"];
+    for pat in printed {
         println!(
             "  count({:4}) = {:6} → {:9.1}",
             String::from_utf8_lossy(pat),
@@ -80,15 +81,17 @@ fn main() {
         println!("  τ = {tau}: {} strings above threshold", mined.len());
     }
     println!("\ntop-5 substrings by noisy count:");
-    for (gram, count) in substr.mine_top_k(5, None) {
-        println!("  {:8} → {:9.1}", String::from_utf8_lossy(&gram), count);
+    let top = substr.mine_top_k(5, None);
+    for (gram, count) in &top {
+        println!("  {:8} → {:9.1}", String::from_utf8_lossy(gram), count);
     }
 
-    // The structure is a publishable artifact: serialize, reload, same
-    // answers (the file contents are already differentially private).
-    let text = substr.to_text();
-    let reloaded = dp_substring_counting::private_count::PrivateCountStructure::from_text(&text)
-        .expect("roundtrip");
-    assert_eq!(reloaded.query(b"ab"), substr.query(b"ab"));
-    println!("\nserialized structure: {} bytes, reload verified", text.len());
+    // The structure is a publishable artifact: its DPSF snapshot reloads
+    // with the same answers (the bytes are already differentially private).
+    let bytes = substr.freeze().to_bytes();
+    let reloaded = FrozenSynopsis::from_bytes(&bytes).expect("snapshot reloads");
+    for pat in printed.into_iter().chain(top.iter().map(|(gram, _)| gram.as_slice())) {
+        assert_eq!(reloaded.query(pat).to_bits(), substr.query(pat).to_bits(), "{pat:?}");
+    }
+    println!("\nsnapshot: {} bytes, reload verified", bytes.len());
 }
