@@ -40,12 +40,16 @@ pub struct SimpleTrieParams {
 /// sensitivity `2ℓ` (Corollary 3); with `ℓ` levels each getting `ε/ℓ`, per
 /// node noise is `Lap(2ℓ²/ε)`. Thresholding noisy counts and expanding is
 /// post-processing of each level's release.
+///
+/// # Panics
+/// If the budget is not pure or `tau_override` is not finite.
 pub fn build_simple_trie<R: Rng + ?Sized>(
     idx: &CorpusIndex,
     params: &SimpleTrieParams,
     rng: &mut R,
 ) -> PrivateCountStructure {
     assert!(params.privacy.is_pure(), "baseline is analyzed under pure DP");
+    assert!(params.tau_override.is_none_or(f64::is_finite), "tau_override must be finite");
     let ell = idx.max_len();
     let delta_clip = params.mode.delta_clip(ell);
     let max_depth = params.max_depth.unwrap_or(ell).min(ell);
@@ -171,5 +175,20 @@ mod tests {
         };
         let s = build_simple_trie(&idx, &params, &mut rng);
         assert!(s.node_count() <= 101);
+    }
+
+    #[test]
+    #[should_panic(expected = "tau_override must be finite")]
+    fn non_finite_tau_override_panics_at_entry() {
+        let idx = CorpusIndex::build(&Database::paper_example());
+        let params = SimpleTrieParams {
+            mode: CountMode::Substring,
+            privacy: PrivacyParams::pure(1.0),
+            beta: 0.1,
+            tau_override: Some(f64::NEG_INFINITY),
+            max_depth: None,
+            node_cap: None,
+        };
+        build_simple_trie(&idx, &params, &mut StdRng::seed_from_u64(1));
     }
 }

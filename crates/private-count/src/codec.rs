@@ -122,12 +122,13 @@ impl std::error::Error for DecodeError {}
 /// accidental corruption (the synopsis is public data, so tampering is
 /// not in the threat model).
 pub fn fnv1a(bytes: &[u8]) -> u64 {
-    let mut h = 0xcbf2_9ce4_8422_2325u64;
-    for &b in bytes {
-        h ^= b as u64;
-        h = h.wrapping_mul(0x0000_0100_0000_01b3);
-    }
-    h
+    fnv1a_extend(0xcbf2_9ce4_8422_2325, bytes)
+}
+
+/// Continues the FNV-1a chain `h` over `bytes`.
+#[inline(always)]
+pub(crate) fn fnv1a_extend(h: u64, bytes: &[u8]) -> u64 {
+    bytes.iter().fold(h, |h, &b| (h ^ b as u64).wrapping_mul(0x0000_0100_0000_01b3))
 }
 
 /// Rejects NaN/±∞ in a decoded float field. Non-finite values poison

@@ -42,12 +42,17 @@
 //! count, padding must be zero, and every header field has one accepted
 //! spelling, so each synopsis has exactly one encoding:
 //! `from_bytes(b)?.to_bytes() == b`.
+//!
+//! **One pass.** [`sweep`] hashes the three sections interleaved, one
+//! node per iteration, and checks the tree rules in the same loop;
+//! [`decode`] compares its sums with the section table and [`encode`]
+//! writes them there.
 
 use std::sync::Arc;
 
 use dpsc_dpcore::budget::PrivacyParams;
 
-use crate::codec::{fnv1a, require_finite, Cursor, DecodeError};
+use crate::codec::{fnv1a, fnv1a_extend, le_f64, le_u32, require_finite, Cursor, DecodeError};
 use crate::structure::CountMode;
 
 /// Magic bytes opening the binary format ("DP Synopsis, Frozen").
@@ -85,12 +90,15 @@ pub(crate) struct Meta {
     pub(crate) max_len: usize,
 }
 
-/// A checksum-verified canonical snapshot. Its structure is validated by
-/// the synopsis that adopts it.
+/// A canonical snapshot whose checksums and tree structure hold.
+#[derive(Debug, Clone)]
 pub(crate) struct Canonical {
+    /// Owned alone, or shared with whoever handed it to `from_bytes_shared`.
     pub(crate) buf: Arc<[u8]>,
     pub(crate) meta: Meta,
     pub(crate) n_nodes: usize,
+    /// Section offsets `[counts, edge_start, edge_label]` in `buf`.
+    pub(crate) offsets: [usize; 3],
 }
 
 /// Section offsets for the given section lengths (first at
@@ -106,17 +114,14 @@ fn layout(lens: [usize; 3]) -> ([usize; 3], usize) {
     (offsets, align8(offsets[2] + lens[2] + LABEL_TAIL))
 }
 
-/// Section offsets `[counts, edge_start, edge_label]` of the snapshot of
-/// an `n_nodes`-node synopsis.
-pub(crate) fn section_offsets(n_nodes: usize) -> [usize; 3] {
-    layout([8 * n_nodes, 4 * (n_nodes + 1), n_nodes - 1]).0
-}
-
 /// Encodes a snapshot from its three sections: `counts` (one
 /// little-endian `f64` per node), `edge_start` (`n_nodes + 1`
-/// little-endian `u32` CSR offsets) and `edge_label`.
-pub(crate) fn encode(meta: &Meta, counts: &[u8], edge_start: &[u8], edge_label: &[u8]) -> Vec<u8> {
-    let sections = [counts, edge_start, edge_label];
+/// little-endian `u32` CSR offsets) and `edge_label`. The section
+/// checksums come from [`sweep`], which also returns its error for
+/// sections that are not a valid tree.
+pub(crate) fn encode(meta: Meta, sections: [&[u8]; 3]) -> Result<Canonical, DecodeError> {
+    let n_nodes = sections[0].len() / 8;
+    let section_sums = sweep(sections, n_nodes)?;
     let (offsets, total) = layout(sections.map(<[u8]>::len));
 
     let mut out = Vec::with_capacity(total);
@@ -133,13 +138,13 @@ pub(crate) fn encode(meta: &Meta, counts: &[u8], edge_start: &[u8], edge_label: 
     out.extend_from_slice(&meta.alpha_absent.to_bits().to_le_bytes());
     out.extend_from_slice(&(meta.n_docs as u64).to_le_bytes());
     out.extend_from_slice(&(meta.max_len as u64).to_le_bytes());
-    out.extend_from_slice(&((counts.len() / 8) as u64).to_le_bytes());
-    out.extend_from_slice(&(edge_label.len() as u64).to_le_bytes());
+    out.extend_from_slice(&(n_nodes as u64).to_le_bytes());
+    out.extend_from_slice(&(n_nodes as u64 - 1).to_le_bytes());
     debug_assert_eq!(out.len(), TABLE_OFF);
-    for (offset, section) in offsets.iter().zip(sections) {
+    for ((offset, section), sum) in offsets.iter().zip(sections).zip(section_sums) {
         out.extend_from_slice(&(*offset as u64).to_le_bytes());
         out.extend_from_slice(&(section.len() as u64).to_le_bytes());
-        out.extend_from_slice(&fnv1a(section).to_le_bytes());
+        out.extend_from_slice(&sum.to_le_bytes());
     }
     debug_assert_eq!(out.len(), HEADER_SUM_OFF);
     let header_sum = fnv1a(&out);
@@ -150,7 +155,7 @@ pub(crate) fn encode(meta: &Meta, counts: &[u8], edge_start: &[u8], edge_label: 
         out.extend_from_slice(section);
     }
     out.resize(total, 0); // zeroed label tail
-    out
+    Ok(Canonical { buf: out.into(), meta, n_nodes, offsets })
 }
 
 /// The header checksum field of a snapshot (`bytes[160..168]`), read
@@ -164,8 +169,8 @@ pub fn snapshot_digest(bytes: &[u8]) -> Option<u64> {
     Some(u64::from_le_bytes(field.try_into().expect("8-byte field")))
 }
 
-/// Checks a snapshot's header, layout, padding and checksums, and adopts
-/// the buffer as is: no copy.
+/// Checks a snapshot's header, layout, padding, checksums and tree
+/// structure, and adopts the buffer as is: no copy.
 pub(crate) fn decode(buf: Arc<[u8]>) -> Result<Canonical, DecodeError> {
     let bytes = &buf[..];
     let mut cur = Cursor::new(bytes);
@@ -211,13 +216,10 @@ pub(crate) fn decode(buf: Arc<[u8]>) -> Result<Canonical, DecodeError> {
     let n_edges = cur.usize64()?;
     check_tree_shape(n_nodes, n_edges)?;
     debug_assert_eq!(cur.pos(), TABLE_OFF);
-    let mut sections = [(0usize, 0usize); 3];
-    let mut section_sums = [0u64; 3];
-    for i in 0..SECTION_NAMES.len() {
-        let offset = cur.usize64()?;
-        let len = cur.usize64()?;
-        section_sums[i] = cur.u64()?;
-        sections[i] = (offset, len);
+    // Section table entries: (offset, length, checksum).
+    let mut table = [(0usize, 0usize, 0u64); 3];
+    for entry in &mut table {
+        *entry = (cur.usize64()?, cur.usize64()?, cur.u64()?);
     }
     // Authenticate the header (including the section table) before
     // trusting any offset in it.
@@ -229,35 +231,24 @@ pub(crate) fn decode(buf: Arc<[u8]>) -> Result<Canonical, DecodeError> {
     }
     // The layout is fully determined by the header counts: each section
     // must sit at the next 8-aligned offset and have exactly its computed
-    // size. Anything else is non-canonical and rejected. A checksummed
-    // header can still be forged, so the size arithmetic must not overflow
-    // on adversarial counts.
-    let counts_len = n_nodes.checked_mul(8).ok_or(DecodeError::SizeOverflow)?;
-    let edge_start_len =
-        n_nodes.checked_add(1).and_then(|n| n.checked_mul(4)).ok_or(DecodeError::SizeOverflow)?;
-    let want_lens = [counts_len, edge_start_len, n_edges];
-    let mut expect_off = HEADER_LEN;
-    for (i, &(offset, len)) in sections.iter().enumerate() {
-        let name = SECTION_NAMES[i];
-        if offset != expect_off {
+    // size. Anything else is non-canonical and rejected.
+    let lens = [8 * n_nodes, 4 * (n_nodes + 1), n_edges];
+    let (offsets, total) = layout(lens);
+    for (i, name) in SECTION_NAMES.into_iter().enumerate() {
+        let (offset, len, _) = table[i];
+        if offset != offsets[i] {
             return Err(DecodeError::Structural(format!(
-                "section {name} at offset {offset}, layout requires {expect_off}"
+                "section {name} at offset {offset}, layout requires {}",
+                offsets[i]
             )));
         }
-        if len != want_lens[i] {
+        if len != lens[i] {
             return Err(DecodeError::BadField {
                 field: "section length",
-                detail: format!("section {name} is {len} bytes, layout requires {}", want_lens[i]),
+                detail: format!("section {name} is {len} bytes, layout requires {}", lens[i]),
             });
         }
-        let tail = if i + 1 == SECTION_NAMES.len() { LABEL_TAIL } else { 0 };
-        let end = offset
-            .checked_add(len)
-            .and_then(|end| end.checked_add(tail))
-            .ok_or(DecodeError::SizeOverflow)?;
-        expect_off = end.checked_add(7).ok_or(DecodeError::SizeOverflow)? & !7;
     }
-    let total = expect_off;
     if bytes.len() < total {
         return Err(DecodeError::Truncated {
             offset: bytes.len(),
@@ -269,27 +260,27 @@ pub(crate) fn decode(buf: Arc<[u8]>) -> Result<Canonical, DecodeError> {
         return Err(DecodeError::TrailingGarbage { extra: bytes.len() - total });
     }
     // Padding must be zero (canonicality: exactly one encoding per
-    // synopsis) and the per-section checksums must hold, so a corrupt
-    // byte anywhere in the payload is caught and *named*.
-    for i in 0..SECTION_NAMES.len() {
-        let next = sections.get(i + 1).map_or(total, |s| s.0);
-        if bytes[sections[i].0 + sections[i].1..next].iter().any(|&b| b != 0) {
+    // synopsis).
+    for (i, name) in SECTION_NAMES.into_iter().enumerate() {
+        let next = offsets.get(i + 1).copied().unwrap_or(total);
+        if bytes[offsets[i] + lens[i]..next].iter().any(|&b| b != 0) {
             return Err(DecodeError::Structural(format!(
-                "nonzero alignment padding after section {}",
-                SECTION_NAMES[i]
+                "nonzero alignment padding after section {name}"
             )));
         }
     }
-    for (i, name) in SECTION_NAMES.into_iter().enumerate() {
-        let computed = fnv1a(&bytes[sections[i].0..sections[i].0 + sections[i].1]);
-        if computed != section_sums[i] {
-            return Err(DecodeError::SectionChecksumMismatch {
-                section: name,
-                stored: section_sums[i],
-                computed,
-            });
+    // Section sums are compared first, so a corrupt byte is named by its
+    // section and only a restamped forgery reaches the sweep's error. The
+    // sweep stops at a defect, so only that path hashes the sections again.
+    let payload = table.map(|(offset, len, _)| &bytes[offset..offset + len]);
+    let swept = sweep(payload, n_nodes);
+    let sums = swept.as_ref().map_or_else(|_| payload.map(fnv1a), |&sums| sums);
+    for ((section, (_, _, stored)), computed) in SECTION_NAMES.into_iter().zip(table).zip(sums) {
+        if computed != stored {
+            return Err(DecodeError::SectionChecksumMismatch { section, stored, computed });
         }
     }
+    swept?;
 
     let meta = Meta {
         mode,
@@ -299,7 +290,82 @@ pub(crate) fn decode(buf: Arc<[u8]>) -> Result<Canonical, DecodeError> {
         n_docs,
         max_len,
     };
-    Ok(Canonical { buf, meta, n_nodes })
+    Ok(Canonical { buf, meta, n_nodes, offsets })
+}
+
+/// The one pass over a snapshot's sections `[counts, edge_start,
+/// labels]` (`8 · n_nodes`, `4 · (n_nodes + 1)` and `n_nodes − 1`
+/// bytes): their FNV-1a checksums, in that order, computed while checking
+/// three rules.
+///
+/// 1. `edge_start` starts at 0, never decreases, and ends at
+///    `n_nodes − 1` (the edge count);
+/// 2. every node `v` with edges has `edge_start[v] ≥ v`, so its children
+///    (nodes `edge_start[v] + 1 …`) come after it;
+/// 3. each node's labels are strictly increasing.
+///
+/// A tree follows: edge `e` leads to node `e + 1`, so every node `c ≥ 1`
+/// has exactly one parent (the node whose edge range holds `c − 1`), and
+/// by rule 2 that parent is numbered below `c`. Following parents
+/// strictly decreases the id until it reaches the root, so cycles and
+/// detached components cannot exist, and rule 3 makes each child step
+/// unique. The same pass rejects non-finite counts. Offsets are
+/// range-checked before anything indexes with them.
+///
+/// Node `v`'s iteration feeds its count, `edge_start[v + 1]` and label `v`
+/// into three independent chains, so the CPU overlaps their multiply
+/// latencies: the counts chain (8 of every 13 bytes) is the critical path.
+///
+/// # Errors
+/// The first rule violation in node order (the sums are then abandoned).
+pub(crate) fn sweep(sections: [&[u8]; 3], n_nodes: usize) -> Result<[u64; 3], DecodeError> {
+    let [counts, edge_start, labels] = sections;
+    let n_edges = n_nodes - 1;
+    let structural = |what: String| Err(DecodeError::Structural(what));
+    let span_error = || structural("CSR offsets do not span the edge array".into());
+    if le_u32(edge_start, 0) != 0 {
+        return span_error();
+    }
+    let (mut h_counts, mut h_starts, mut h_labels) =
+        (fnv1a(&[]), fnv1a(&edge_start[..4]), fnv1a(&[]));
+    let mut next_label = labels.iter();
+    let ends = edge_start[4..].chunks_exact(4);
+    let mut lo = 0usize;
+    for (v, (count, end)) in counts.chunks_exact(8).zip(ends).enumerate() {
+        h_counts = fnv1a_extend(h_counts, count);
+        h_starts = fnv1a_extend(h_starts, end);
+        if let Some(label) = next_label.next() {
+            h_labels = fnv1a_extend(h_labels, std::slice::from_ref(label));
+        }
+        let hi = le_u32(end, 0) as usize;
+        if hi < lo {
+            return structural(format!("CSR offsets decrease at node {v}"));
+        }
+        if hi > n_edges {
+            return structural(format!("CSR offsets exceed the edge array at node {v}"));
+        }
+        if hi > lo && lo < v {
+            let child = lo + 1;
+            return structural(format!(
+                "edge_start[{v}] = {lo} < {v}: node {v} has a backward edge to node {child}"
+            ));
+        }
+        if hi > lo && labels[lo..hi].windows(2).any(|w| w[0] >= w[1]) {
+            return structural(format!("edge labels of node {v} are not strictly sorted"));
+        }
+        let c = le_f64(count, 0);
+        if !c.is_finite() {
+            return Err(DecodeError::BadField {
+                field: "counts",
+                detail: format!("non-finite count {c} at node {v}"),
+            });
+        }
+        lo = hi;
+    }
+    if lo != n_edges {
+        return span_error();
+    }
+    Ok([h_counts, h_starts, h_labels])
 }
 
 /// Wire encoding of a [`CountMode`]: `(tag, clip level)`.
@@ -357,7 +423,8 @@ fn privacy_from_wire(epsilon: f64, delta: f64) -> PrivacyParams {
 }
 
 /// Node/edge count sanity of a decoded header. CSR offsets are `u32`, so
-/// more edges than that cannot be addressed.
+/// more edges than that cannot be addressed, and a header passing these
+/// checks has a layout whose size arithmetic cannot overflow.
 fn check_tree_shape(n_nodes: usize, n_edges: usize) -> Result<(), DecodeError> {
     if n_nodes == 0 {
         return Err(DecodeError::BadField {
@@ -371,7 +438,7 @@ fn check_tree_shape(n_nodes: usize, n_edges: usize) -> Result<(), DecodeError> {
             detail: format!("{n_edges} != node count {n_nodes} - 1"),
         });
     }
-    if n_edges > u32::MAX as usize {
+    if n_edges > u32::MAX as usize || n_nodes > (usize::MAX - HEADER_LEN) / 16 {
         return Err(DecodeError::SizeOverflow);
     }
     Ok(())
@@ -391,11 +458,81 @@ mod tests {
     #[test]
     fn layout_leaves_an_8_byte_read_after_every_label() {
         for n_nodes in 1..40usize {
-            let offsets = section_offsets(n_nodes);
-            let (_, total) = layout([8 * n_nodes, 4 * (n_nodes + 1), n_nodes - 1]);
+            let (offsets, total) = layout([8 * n_nodes, 4 * (n_nodes + 1), n_nodes - 1]);
             assert!(offsets.iter().all(|o| o % 8 == 0), "n_nodes {n_nodes}");
             assert!(offsets[2] + n_nodes - 1 + LABEL_TAIL <= total, "n_nodes {n_nodes}");
             assert_eq!(total % 8, 0);
+        }
+    }
+
+    /// `[counts, edge_start, edge_label]`.
+    type Sections = [Vec<u8>; 3];
+
+    /// The sections of an `n`-node tree in which node `v`'s children are
+    /// `k·v + 1 ..= k·v + k` (those below `n`), so edge `e` belongs to
+    /// node `e / k` and carries label `(e % k) · 40 + 3`.
+    fn k_ary(n: usize, k: usize) -> Sections {
+        let counts = (0..n).flat_map(|v| (v as f64 * 1.5 - 3.0).to_le_bytes()).collect();
+        let starts = (0..=n).flat_map(|v| ((k * v).min(n - 1) as u32).to_le_bytes()).collect();
+        let labels = (0..n - 1).map(|e| (e % k) as u8 * 40 + 3).collect();
+        [counts, starts, labels]
+    }
+
+    fn sweep_of(sections: &Sections, n: usize) -> Result<[u64; 3], DecodeError> {
+        sweep(sections.each_ref().map(Vec::as_slice), n)
+    }
+
+    #[test]
+    fn sweep_sums_equal_each_sections_fnv1a() {
+        // n = 1 has no labels; odd and even n cover both edge_start
+        // lengths modulo 8.
+        for n in 1..40usize {
+            for k in 1..=3 {
+                let sections = k_ary(n, k);
+                let want = sections.each_ref().map(|s| fnv1a(s));
+                assert_eq!(sweep_of(&sections, n), Ok(want), "n {n}, k {k}");
+            }
+        }
+    }
+
+    #[test]
+    fn sweep_reports_the_first_violation_of_each_rule() {
+        // 10 nodes, binary: edge_start = [0, 2, 4, 6, 8, 9, 9, 9, 9, 9, 9].
+        let n = 10;
+        let structural = |s: &str| DecodeError::Structural(s.to_string());
+        let span = structural("CSR offsets do not span the edge array");
+        fn set(sections: &mut Sections, v: usize, x: u32) {
+            sections[1][4 * v..4 * v + 4].copy_from_slice(&x.to_le_bytes());
+        }
+        let forged = |forge: fn(&mut Sections)| {
+            let mut sections = k_ary(n, 2);
+            forge(&mut sections);
+            sections
+        };
+        let cases = [
+            (forged(|s| set(s, 0, 1)), span.clone()),
+            (forged(|s| set(s, 2, 1)), structural("CSR offsets decrease at node 1")),
+            (forged(|s| set(s, 3, 10)), structural("CSR offsets exceed the edge array at node 2")),
+            (forged(|s| (5..=10).for_each(|v| set(s, v, 8))), span),
+            (
+                forged(|s| set(s, 1, 0)),
+                structural("edge_start[1] = 0 < 1: node 1 has a backward edge to node 1"),
+            ),
+            (
+                forged(|s| s[2].swap(2, 3)),
+                structural("edge labels of node 1 are not strictly sorted"),
+            ),
+            (
+                forged(|s| s[0][24..32].copy_from_slice(&f64::NAN.to_le_bytes())),
+                DecodeError::BadField {
+                    field: "counts",
+                    detail: "non-finite count NaN at node 3".to_string(),
+                },
+            ),
+        ];
+        assert!(sweep_of(&k_ary(n, 2), n).is_ok());
+        for (i, (sections, want)) in cases.into_iter().enumerate() {
+            assert_eq!(sweep_of(&sections, n), Err(want), "forgery {i}");
         }
     }
 }

@@ -38,12 +38,16 @@ pub struct QgramParams {
 }
 
 /// Builds the Theorem 3 ε-DP q-gram structure.
+///
+/// # Panics
+/// If the budget is not pure, `q` is outside `[1, ℓ]` or `tau_override` is not finite.
 pub fn build_qgram_pure<R: Rng + ?Sized>(
     idx: &CorpusIndex,
     params: &QgramParams,
     rng: &mut R,
 ) -> Result<PrivateCountStructure, CandidateOverflow> {
     assert!(params.privacy.is_pure(), "Theorem 3 is pure DP");
+    assert!(params.tau_override.is_none_or(f64::is_finite), "tau_override must be finite");
     let ell = idx.max_len();
     let q = params.q;
     assert!(q >= 1 && q <= ell, "q must be in [1, ℓ]");
@@ -190,5 +194,20 @@ mod tests {
         let idx = CorpusIndex::build(&db);
         assert!((s.query(b"bab") - idx.count(b"bab") as f64).abs() < 1e-3);
         assert!((s.query(b"aaa") - 2.0).abs() < 1e-3);
+    }
+
+    #[test]
+    #[should_panic(expected = "tau_override must be finite")]
+    fn non_finite_tau_override_panics_at_entry() {
+        let idx = CorpusIndex::build(&Database::paper_example());
+        let params = QgramParams {
+            q: 2,
+            mode: CountMode::Substring,
+            privacy: PrivacyParams::pure(1.0),
+            beta: 0.1,
+            tau_override: Some(f64::NEG_INFINITY),
+            level_cap_override: None,
+        };
+        let _ = build_qgram_pure(&idx, &params, &mut StdRng::seed_from_u64(1));
     }
 }

@@ -105,6 +105,9 @@ impl Marks {
 
 /// Builds the Theorem 4 (ε,δ)-DP q-gram structure in
 /// `O(nℓ(log q + log|Σ|))` time and `O(nℓ)` space.
+///
+/// # Panics
+/// If `δ = 0`, `q` is outside `[1, ℓ]` or `tau_override` is not finite.
 pub fn build_qgram_fast<R: Rng + ?Sized>(
     idx: &CorpusIndex,
     params: &FastQgramParams,
@@ -152,6 +155,7 @@ fn build_qgram_fast_impl<R: Rng + ?Sized>(
     rng: &mut R,
 ) -> Result<PrivateCountStructure, PhaseOverflow> {
     assert!(params.privacy.delta > 0.0, "Theorem 4 requires δ > 0 (Lemma 19)");
+    assert!(params.tau_override.is_none_or(f64::is_finite), "tau_override must be finite");
     let ell = idx.max_len();
     let q = params.q;
     assert!(q >= 1 && q <= ell, "q must be in [1, ℓ]");
@@ -489,5 +493,19 @@ mod tests {
         };
         let s = build_qgram_fast(&idx, &params, &mut rng).unwrap();
         assert_eq!(s.mine_qgrams(2, f64::NEG_INFINITY).len(), 0);
+    }
+
+    #[test]
+    #[should_panic(expected = "tau_override must be finite")]
+    fn non_finite_tau_override_panics_at_entry() {
+        let idx = CorpusIndex::build(&Database::paper_example());
+        let params = FastQgramParams {
+            q: 2,
+            mode: CountMode::Substring,
+            privacy: PrivacyParams::approx(1.0, 1e-6),
+            beta: 0.1,
+            tau_override: Some(f64::NEG_INFINITY),
+        };
+        let _ = build_qgram_fast(&idx, &params, &mut StdRng::seed_from_u64(1));
     }
 }

@@ -25,8 +25,8 @@ use std::sync::Arc;
 use dpsc_dpcore::budget::PrivacyParams;
 use dpsc_hierarchy::tree::NodeId;
 
-use crate::codec::{le_f64, le_u32, DecodeError};
-use crate::codec_v3::{self, Meta};
+use crate::codec::{le_f64, DecodeError};
+use crate::codec_v3::{self, Canonical, Meta};
 use crate::pipeline::PreorderTrie;
 use crate::structure::CountMode;
 
@@ -130,71 +130,6 @@ impl Sections<'_> {
     }
 }
 
-/// The structural sweep every snapshot passes before it answers a query:
-/// one sequential pass checking three rules.
-///
-/// 1. `edge_start` starts at 0, never decreases, and ends at
-///    `n_nodes − 1` (the edge count);
-/// 2. every node `v` with edges has `edge_start[v] ≥ v`, so its children
-///    (nodes `edge_start[v] + 1 …`) come after it;
-/// 3. each node's labels are strictly increasing.
-///
-/// A tree follows: edge `e` leads to node `e + 1`, so every node `c ≥ 1`
-/// has exactly one parent (the node whose edge range holds `c − 1`), and
-/// by rule 2 that parent is numbered below `c`. Following parents
-/// strictly decreases the id until it reaches the root, so cycles and
-/// detached components cannot exist, and rule 3 makes each child step
-/// unique. The same pass rejects non-finite counts. Offsets are
-/// range-checked before anything indexes with them.
-fn validate(buf: &[u8], n_nodes: usize, offsets: [usize; 3]) -> Result<(), DecodeError> {
-    let [counts_off, edge_start_off, label_off] = offsets;
-    let n_edges = n_nodes - 1;
-    let labels = &buf[label_off..label_off + n_edges];
-    let counts = buf[counts_off..counts_off + 8 * n_nodes].chunks_exact(8);
-    let ends = buf[edge_start_off + 4..edge_start_off + 4 * (n_nodes + 1)].chunks_exact(4);
-    let span_error = || DecodeError::Structural("CSR offsets do not span the edge array".into());
-    if le_u32(buf, edge_start_off) != 0 {
-        return Err(span_error());
-    }
-    let mut lo = 0usize;
-    for (v, (end, count)) in ends.zip(counts).enumerate() {
-        let hi = le_u32(end, 0) as usize;
-        if hi < lo {
-            return Err(DecodeError::Structural(format!("CSR offsets decrease at node {v}")));
-        }
-        if hi > n_edges {
-            return Err(DecodeError::Structural(format!(
-                "CSR offsets exceed the edge array at node {v}"
-            )));
-        }
-        if hi > lo {
-            if lo < v {
-                return Err(DecodeError::Structural(format!(
-                    "edge_start[{v}] = {lo} < {v}: node {v} has a backward edge to node {}",
-                    lo + 1
-                )));
-            }
-            if labels[lo..hi].windows(2).any(|w| w[0] >= w[1]) {
-                return Err(DecodeError::Structural(format!(
-                    "edge labels of node {v} are not strictly sorted"
-                )));
-            }
-        }
-        let c = le_f64(count, 0);
-        if !c.is_finite() {
-            return Err(DecodeError::BadField {
-                field: "counts",
-                detail: format!("non-finite count {c} at node {v}"),
-            });
-        }
-        lo = hi;
-    }
-    if lo != n_edges {
-        return Err(span_error());
-    }
-    Ok(())
-}
-
 /// An immutable, flat, serializable `count_Δ` synopsis: a validated
 /// canonical `DPSF` v3 snapshot that answers queries from its own bytes.
 ///
@@ -204,21 +139,13 @@ fn validate(buf: &[u8], n_nodes: usize, offsets: [usize; 3]) -> Result<(), Decod
 /// increasing labels, edge `e` leads to node `e + 1`, and the noisy count
 /// is `counts[v]`.
 #[derive(Debug, Clone)]
-pub struct FrozenSynopsis {
-    /// The canonical snapshot — owned alone or shared with whoever
-    /// handed it to [`Self::from_bytes_shared`].
-    buf: Arc<[u8]>,
-    meta: Meta,
-    n_nodes: usize,
-    /// Section offsets `[counts, edge_start, edge_label]` in `buf`.
-    offsets: [usize; 3],
-}
+pub struct FrozenSynopsis(Canonical);
 
 /// Equality is byte equality of the snapshots, which is exact: the
 /// encoding is canonical, so equal synopses have one byte representation.
 impl PartialEq for FrozenSynopsis {
     fn eq(&self, other: &Self) -> bool {
-        *self.buf == *other.buf
+        *self.0.buf == *other.0.buf
     }
 }
 
@@ -272,9 +199,10 @@ impl FrozenSynopsis {
             edges += d;
             edge_start.extend_from_slice(&edges.to_le_bytes());
         }
-        let buf = codec_v3::encode(&meta, &counts, &edge_start, &edge_label);
-        Self::adopt(codec_v3::Canonical { buf: buf.into(), meta, n_nodes: n })
-            .expect("the layout writes a valid snapshot")
+        Self(
+            codec_v3::encode(meta, [&counts, &edge_start, &edge_label])
+                .expect("the layout writes a valid snapshot"),
+        )
     }
 
     /// Visits every node in pre-order, children in label order (so the
@@ -297,22 +225,14 @@ impl FrozenSynopsis {
         }
     }
 
-    /// Validates a canonical snapshot's structure and wraps it.
-    fn adopt(canonical: codec_v3::Canonical) -> Result<Self, DecodeError> {
-        let codec_v3::Canonical { buf, meta, n_nodes } = canonical;
-        let offsets = codec_v3::section_offsets(n_nodes);
-        validate(&buf, n_nodes, offsets)?;
-        Ok(Self { buf, meta, n_nodes, offsets })
-    }
-
     /// The query view of the buffer.
     #[inline]
     fn sections(&self) -> Sections<'_> {
-        let [counts, edge_start, edge_label] = self.offsets;
+        let [counts, edge_start, edge_label] = self.0.offsets;
         Sections {
-            counts: &self.buf[counts..edge_start],
-            edge_start: &self.buf[edge_start..edge_label],
-            labels: &self.buf[edge_label..],
+            counts: &self.0.buf[counts..edge_start],
+            edge_start: &self.0.buf[edge_start..edge_label],
+            labels: &self.0.buf[edge_label..],
         }
     }
 
@@ -369,41 +289,41 @@ impl FrozenSynopsis {
     /// The count mode (`Δ`).
     #[inline]
     pub fn mode(&self) -> CountMode {
-        self.meta.mode
+        self.0.meta.mode
     }
 
     /// The privacy guarantee of the construction that produced this synopsis.
     #[inline]
     pub fn privacy(&self) -> PrivacyParams {
-        self.meta.privacy
+        self.0.meta.privacy
     }
 
     /// Error bound on stored noisy counts (high probability).
     #[inline]
     pub fn alpha_counts(&self) -> f64 {
-        self.meta.alpha_counts
+        self.0.meta.alpha_counts
     }
 
     /// True-count bound for strings not present in the synopsis.
     #[inline]
     pub fn alpha_absent(&self) -> f64 {
-        self.meta.alpha_absent
+        self.0.meta.alpha_absent
     }
 
     /// Overall additive error `α` (present or absent patterns).
     pub fn alpha(&self) -> f64 {
-        self.meta.alpha_counts.max(self.meta.alpha_absent)
+        self.0.meta.alpha_counts.max(self.0.meta.alpha_absent)
     }
 
     /// Number of nodes, root included.
     #[inline]
     pub fn node_count(&self) -> usize {
-        self.n_nodes
+        self.0.n_nodes
     }
 
     /// Database size parameters `(n, ℓ)` the synopsis was built from.
     pub fn db_params(&self) -> (usize, usize) {
-        (self.meta.n_docs, self.meta.max_len)
+        (self.0.meta.n_docs, self.0.meta.max_len)
     }
 
     /// The snapshot buffer the synopsis answers from: [`Self::to_bytes`]
@@ -411,7 +331,7 @@ impl FrozenSynopsis {
     /// caller's buffer itself (`Arc::ptr_eq` holds).
     #[inline]
     pub fn shared_bytes(&self) -> &Arc<[u8]> {
-        &self.buf
+        &self.0.buf
     }
 
     /// The snapshot's digest: its verified `DPSF` header checksum, which
@@ -421,12 +341,12 @@ impl FrozenSynopsis {
     /// [`Self::to_bytes`].
     #[inline]
     pub fn digest(&self) -> u64 {
-        crate::codec::snapshot_digest(&self.buf).expect("a decoded snapshot holds a header")
+        crate::codec::snapshot_digest(&self.0.buf).expect("a decoded snapshot holds a header")
     }
 
     /// Size of [`Self::to_bytes`] in bytes.
     pub fn serialized_len(&self) -> usize {
-        self.buf.len()
+        self.0.buf.len()
     }
 
     /// Bytes of derived acceleration data held beside the snapshot: always
@@ -440,7 +360,7 @@ impl FrozenSynopsis {
     /// layout): a copy of the buffer the synopsis answers from.
     /// Canonical: `from_bytes(b)?.to_bytes() == b`.
     pub fn to_bytes(&self) -> Vec<u8> {
-        self.buf.to_vec()
+        self.0.buf.to_vec()
     }
 
     /// [`Self::to_bytes`] under its pre-v3 name, kept only because the
@@ -479,7 +399,7 @@ impl FrozenSynopsis {
     /// # Errors
     /// A [`DecodeError`] describing the first defect found.
     pub fn from_bytes_shared(buf: Arc<[u8]>) -> Result<Self, DecodeError> {
-        Self::adopt(codec_v3::decode(buf)?)
+        codec_v3::decode(buf).map(Self)
     }
 }
 

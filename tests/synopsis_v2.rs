@@ -347,6 +347,52 @@ fn forged_unsorted_labels_are_rejected() {
 }
 
 #[test]
+fn unrestamped_section_damage_is_named_by_its_section() {
+    // Damage that is *not* restamped must be reported as the damaged
+    // section's checksum mismatch, even where it also breaks a structural
+    // rule: the section sums are compared before any structural error.
+    let bytes = built().1.to_bytes();
+    let names = ["counts", "edge_start", "edge_label"];
+    let starts = edge_starts(&bytes);
+    let v = (0..starts.len() - 1).find(|&v| starts[v + 1] - starts[v] >= 2).expect("degree ≥ 2");
+    let (counts_off, _) = section(&bytes, 0);
+    let (edge_start_off, _) = section(&bytes, 1);
+    let (label_off, _) = section(&bytes, 2);
+    let at = label_off + starts[v] as usize;
+    // (section, byte offset, replacement bytes): a NaN count, a u32::MAX
+    // CSR offset and a swapped label pair, each a structural defect too.
+    let mut cases = vec![
+        (0, counts_off, f64::NAN.to_le_bytes().to_vec()),
+        (1, edge_start_off + 4, u32::MAX.to_le_bytes().to_vec()),
+        (2, at, vec![bytes[at + 1], bytes[at]]),
+    ];
+    // One-bit flips at the first, a middle and the last byte of each
+    // section, cycling through the bit index.
+    for (i, name) in names.iter().enumerate() {
+        let (off, len) = section(&bytes, i);
+        assert!(len > 0, "section {name} is empty");
+        for (k, pos) in [off, off + len / 2, off + len - 1].into_iter().enumerate() {
+            cases.push((i, pos, vec![bytes[pos] ^ (1 << ((3 * k + i) % 8))]));
+        }
+    }
+    for (i, at, patch) in cases {
+        let mut damaged = bytes.clone();
+        damaged[at..at + patch.len()].copy_from_slice(&patch);
+        assert_ne!(damaged, bytes, "the patch at {at} changed nothing");
+        for err in [
+            FrozenSynopsis::from_bytes(&damaged).unwrap_err(),
+            FrozenSynopsis::from_bytes_shared(damaged.into()).unwrap_err(),
+        ] {
+            assert!(
+                matches!(err, DecodeError::SectionChecksumMismatch { section, .. } if section == names[i]),
+                "damage at byte {at} of section {}: unexpected error {err}",
+                names[i]
+            );
+        }
+    }
+}
+
+#[test]
 fn v2_snapshot_is_refused_by_version() {
     // A well-formed buffer labelled with the retired v2 tag is refused
     // before any layout is trusted.
