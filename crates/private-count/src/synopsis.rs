@@ -105,24 +105,6 @@ impl Sections<'_> {
         pattern.iter().try_fold(0, |v, &b| self.step_naive(v, b))
     }
 
-    /// Walks four patterns in lockstep, one byte per pattern per
-    /// iteration: the four child steps are independent, so the CPU
-    /// overlaps their load latencies instead of serializing one walk at
-    /// a time. A finished pattern (exhausted or missed) keeps its state.
-    #[inline]
-    fn locate4(&self, pats: [&[u8]; 4]) -> [Option<usize>; 4] {
-        let mut cur = [Some(0usize); 4];
-        let max_len = pats.iter().map(|p| p.len()).max().unwrap_or(0);
-        for d in 0..max_len {
-            for i in 0..4 {
-                if let (Some(v), Some(&b)) = (cur[i], pats[i].get(d)) {
-                    cur[i] = self.step(v, b);
-                }
-            }
-        }
-        cur
-    }
-
     /// Noisy count of `node`, 0 for an absent pattern.
     #[inline]
     fn answer(&self, node: Option<usize>) -> f64 {
@@ -266,24 +248,11 @@ impl FrozenSynopsis {
         self.sections().locate_naive(pattern).is_some()
     }
 
-    /// Answers a batch of queries in order. One output allocation; the
-    /// per-pattern lookups are allocation-free and advance four patterns
-    /// per iteration (`locate4`) to hide load latency.
+    /// Answers a batch of queries in order: one output allocation, then
+    /// one allocation-free walk per pattern.
     pub fn query_batch(&self, patterns: &[&[u8]]) -> Vec<f64> {
-        let mut out = vec![0.0f64; patterns.len()];
         let s = self.sections();
-        let mut quads = patterns.chunks_exact(4);
-        let mut outs = out.chunks_exact_mut(4);
-        for (quad, o) in quads.by_ref().zip(outs.by_ref()) {
-            let located = s.locate4([quad[0], quad[1], quad[2], quad[3]]);
-            for (slot, node) in o.iter_mut().zip(located) {
-                *slot = s.answer(node);
-            }
-        }
-        for (p, slot) in quads.remainder().iter().zip(outs.into_remainder()) {
-            *slot = s.answer(s.locate(p));
-        }
-        out
+        patterns.iter().map(|p| s.answer(s.locate(p))).collect()
     }
 
     /// The count mode (`Δ`).

@@ -295,7 +295,7 @@ impl Server {
             let recovered = store.take_recovered();
             metrics.record_recoveries(recovered.len() as u64);
             for snap in recovered {
-                manager.install_at(snap.corpus, snap.synopsis, snap.epoch);
+                manager.install_at(snap.corpus, snap.synopsis, Some(snap.epoch));
                 if let Some(ring) = metrics.tracer() {
                     let (shard, epoch) = (snap.corpus, snap.epoch);
                     ring.emit(TraceEvent { shard, epoch, ..TraceEvent::new(TraceKind::Recovery) });
@@ -597,45 +597,27 @@ impl Server {
         }
     }
 
-    /// The `LoadSnapshot` implementation. Without a store: the original
-    /// shared-ownership install (the snapshot is served straight from
-    /// the wire buffer). With a store: decode
-    /// (which validates), persist crash-safely, then install the decoded
-    /// synopsis under the durable epoch — in that order, so the daemon
-    /// never serves an epoch it cannot recover, and a persist failure
-    /// leaves the old epoch serving.
+    /// The `LoadSnapshot` implementation: decode (which validates), persist
+    /// crash-safely when a store is configured, then swap in the decoded
+    /// synopsis, which serves from the wire buffer itself. The epoch is the
+    /// store's durable one, or without a store the shard manager's next.
+    /// In that order the daemon never serves an epoch it cannot recover,
+    /// and a failed decode or persist leaves the old epoch serving.
     fn install_snapshot(&self, shard: u32, snapshot: Arc<[u8]>) -> Response {
         let snap_len = snapshot.len().min(u32::MAX as usize) as u32;
-        let Some(store) = &self.store else {
-            return match self.manager.load_snapshot_shared(shard, snapshot) {
-                Ok(snap) => {
-                    self.trace_emit(TraceEvent {
-                        shard,
-                        epoch: snap.epoch,
-                        len: snap_len,
-                        ..TraceEvent::new(TraceKind::SnapshotInstalled)
-                    });
-                    Response::LoadSnapshot {
-                        epoch: snap.epoch,
-                        node_count: snap.synopsis.node_count() as u64,
-                    }
-                }
-                Err(e) => Response::Error { message: format!("snapshot rejected: {e}") },
-            };
-        };
         let synopsis = match FrozenSynopsis::from_bytes_shared(Arc::clone(&snapshot)) {
             Ok(synopsis) => synopsis,
             Err(e) => return Response::Error { message: format!("snapshot rejected: {e}") },
         };
-        let epoch = match store.persist(shard, &snapshot) {
-            Ok(epoch) => epoch,
+        let durable = match self.store.as_ref().map(|s| s.persist(shard, &snapshot)).transpose() {
+            Ok(durable) => durable,
             Err(e) => {
                 return Response::Error {
                     message: format!("snapshot not persisted (prior epoch keeps serving): {e}"),
                 }
             }
         };
-        let snap = self.manager.install_at(shard, synopsis, epoch);
+        let snap = self.manager.install_at(shard, synopsis, durable);
         self.trace_emit(TraceEvent {
             shard,
             epoch: snap.epoch,
@@ -658,7 +640,7 @@ impl Server {
             Err(e) => Response::Error { message: format!("rollback refused: {e}") },
             Ok((new_epoch, synopsis)) => {
                 let snap_len = synopsis.serialized_len().min(u32::MAX as usize) as u32;
-                let snap = self.manager.install_at(shard, synopsis, new_epoch);
+                let snap = self.manager.install_at(shard, synopsis, Some(new_epoch));
                 self.metrics.record_rollback();
                 // detail carries the epoch rolled back *to*.
                 self.trace_emit(TraceEvent {

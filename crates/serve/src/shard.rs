@@ -31,7 +31,6 @@ use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, RwLock};
 
-use dpsc_private_count::codec::DecodeError;
 use dpsc_private_count::FrozenSynopsis;
 
 use crate::wire::{MetricsShard, ShardStats};
@@ -75,64 +74,43 @@ impl ShardManager {
     }
 
     /// Installs `synopsis` as the new snapshot of `shard`, returning its
-    /// epoch. The write lock is held only for the map insert (a pointer
-    /// swap); in-flight readers keep their pinned `Arc` and finish on the
-    /// old epoch.
+    /// epoch from the manager's counter: [`Self::install_at`] with `None`.
     pub fn install(&self, shard: u32, synopsis: FrozenSynopsis) -> u64 {
-        self.install_arc(shard, synopsis).epoch
+        self.install_at(shard, synopsis, None).epoch
     }
 
-    /// Load → validate → swap: decodes `bytes` (full checksum and
-    /// structural validation, no lock held), then installs the result,
-    /// served from `bytes` itself, which the installed [`ShardSnapshot`]
-    /// keeps alive through the synopsis — so installing a shard copies
-    /// nothing. On `Err` the previous snapshot keeps serving untouched.
-    pub fn load_snapshot_shared(
-        &self,
-        shard: u32,
-        bytes: Arc<[u8]>,
-    ) -> Result<Arc<ShardSnapshot>, DecodeError> {
-        let synopsis = FrozenSynopsis::from_bytes_shared(bytes)?;
-        Ok(self.install_arc(shard, synopsis))
-    }
-
-    /// Installs a decoded synopsis under an explicit epoch — the snapshot
-    /// store's durable epoch, replayed at recovery or allocated at
-    /// persist or rollback time — instead of a counter-allocated one.
-    /// The internal counter is bumped past `epoch`, so later store-less
-    /// installs can never collide with (or run behind) a durable epoch,
-    /// and the `(shard, epoch)` cache-key uniqueness invariant holds
-    /// across both allocation paths. An install whose epoch is *older*
-    /// than the resident snapshot's is refused (the resident snapshot is
+    /// The one swap path. `epoch` is the snapshot store's durable epoch
+    /// (replayed at recovery, or allocated at persist or rollback time);
+    /// `None` takes the next one from the manager's counter. The write
+    /// lock is held only for the map insert (a pointer swap); in-flight
+    /// readers keep their pinned `Arc` and finish on the old epoch.
+    ///
+    /// A counter epoch is allocated *inside* the write lock, so concurrent
+    /// installs on one shard agree that the snapshot left resident is the
+    /// one with the highest epoch. A durable epoch bumps the counter past
+    /// itself, so later counter installs never collide with (or run
+    /// behind) it and the `(shard, epoch)` cache-key invariant holds
+    /// across both sources. An install whose durable epoch is *older* than
+    /// the resident snapshot's is refused (the resident snapshot is
     /// returned), so a racing pair of store persists can never leave the
     /// stale one serving.
     pub fn install_at(
         &self,
         shard: u32,
         synopsis: FrozenSynopsis,
-        epoch: u64,
+        epoch: Option<u64>,
     ) -> Arc<ShardSnapshot> {
         let mut shards = self.shards.write().expect("shard map not poisoned");
-        self.next_epoch.fetch_max(epoch + 1, Ordering::Relaxed);
-        if let Some(resident) = shards.get(&shard) {
-            if resident.epoch >= epoch {
-                return Arc::clone(resident);
+        let epoch = match epoch {
+            None => self.next_epoch.fetch_add(1, Ordering::Relaxed),
+            Some(epoch) => {
+                self.next_epoch.fetch_max(epoch + 1, Ordering::Relaxed);
+                match shards.get(&shard) {
+                    Some(resident) if resident.epoch >= epoch => return Arc::clone(resident),
+                    _ => epoch,
+                }
             }
-        }
-        let snap = Arc::new(ShardSnapshot { epoch, synopsis });
-        shards.insert(shard, Arc::clone(&snap));
-        snap
-    }
-
-    /// The one swap path. The epoch is allocated *inside* the write
-    /// lock: concurrent installs on the same shard then agree that the
-    /// snapshot left resident is the one with the highest epoch —
-    /// allocating outside would let an older epoch's insert land last
-    /// and silently shadow a newer snapshot whose caller was already
-    /// told "success".
-    fn install_arc(&self, shard: u32, synopsis: FrozenSynopsis) -> Arc<ShardSnapshot> {
-        let mut shards = self.shards.write().expect("shard map not poisoned");
-        let epoch = self.next_epoch.fetch_add(1, Ordering::Relaxed);
+        };
         let snap = Arc::new(ShardSnapshot { epoch, synopsis });
         shards.insert(shard, Arc::clone(&snap));
         snap
@@ -252,56 +230,34 @@ mod tests {
     }
 
     #[test]
-    fn load_snapshot_rejects_corrupt_bytes_and_keeps_serving() {
-        let m = ShardManager::new();
-        m.install(3, synopsis(9.0));
-        let before = m.snapshot(3).unwrap().epoch;
-        let mut bytes = synopsis(1.0).to_bytes();
-        bytes[10] ^= 0xFF;
-        assert!(m.load_snapshot_shared(3, bytes.into()).is_err());
-        let after = m.snapshot(3).unwrap();
-        assert_eq!(after.epoch, before, "failed load must not swap");
-        assert_eq!(after.synopsis.query(b"a"), 9.0);
-    }
-
-    #[test]
-    fn load_snapshot_shared_serves_borrowed_v2() {
-        let m = ShardManager::new();
-        let f = synopsis(6.5);
-        let shared: Arc<[u8]> = f.to_bytes().into();
-        let snap = m.load_snapshot_shared(4, Arc::clone(&shared)).unwrap();
-        assert!(
-            Arc::ptr_eq(snap.synopsis.shared_bytes(), &shared),
-            "the snapshot must serve from the installed buffer"
-        );
-        assert_eq!(snap.synopsis.serialized_len(), shared.len());
-        assert_eq!(snap.synopsis.query(b"a"), 6.5);
-        assert_eq!(snap.synopsis, f, "borrowed decode is logically identical");
-    }
-
-    #[test]
     fn install_at_pins_durable_epochs_and_never_downgrades() {
         let m = ShardManager::new();
         // Recovery replay: install under the manifest's epoch.
-        let snap = m.install_at(0, synopsis(3.0), 40);
+        let snap = m.install_at(0, synopsis(3.0), Some(40));
         assert_eq!(snap.epoch, 40);
         // The counter moved past the durable epoch: a store-less install
         // cannot collide.
         assert!(m.install(1, synopsis(1.0)) > 40);
         // A stale durable epoch loses to the resident snapshot.
-        let newer = m.install_at(0, synopsis(9.0), 50);
+        let newer = m.install_at(0, synopsis(9.0), Some(50));
         assert_eq!(newer.epoch, 50);
-        let stale = m.install_at(0, synopsis(2.0), 45);
+        let stale = m.install_at(0, synopsis(2.0), Some(45));
         assert_eq!(stale.epoch, 50, "older epoch must not shadow a newer resident");
         assert_eq!(m.snapshot(0).unwrap().synopsis.query(b"a"), 9.0);
     }
 
     #[test]
-    fn stats_surface_sizes_and_utility_bounds() {
+    fn borrowed_installs_serve_from_their_buffer_and_surface_stats() {
         let m = ShardManager::new();
         let f = synopsis(4.0);
-        let bytes = f.to_bytes();
-        let snap = m.load_snapshot_shared(2, bytes.clone().into()).unwrap();
+        let bytes: Arc<[u8]> = f.to_bytes().into();
+        let borrowed = FrozenSynopsis::from_bytes_shared(Arc::clone(&bytes)).unwrap();
+        let snap = m.install_at(2, borrowed, None);
+        assert!(
+            Arc::ptr_eq(snap.synopsis.shared_bytes(), &bytes),
+            "the snapshot must serve from the installed buffer"
+        );
+        assert_eq!(snap.synopsis, f, "borrowed decode is logically identical");
         let stats = m.stats();
         assert_eq!(stats.len(), 1);
         let s = &stats[0];

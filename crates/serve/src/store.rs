@@ -212,28 +212,22 @@ pub struct FaultPlan {
     /// bytes actually hit the disk first (`None` = zero). Ignored for
     /// other operations.
     pub partial_bytes: Option<usize>,
-    /// Make `sync_file`/`sync_dir` silent no-ops (they still count as
-    /// operations, so crash indices stay stable across plans). Models a
-    /// build that "skips fsync"; on a live filesystem the data still
-    /// lands, so this knob is about schedule enumeration, not about
-    /// simulating page-cache loss.
-    pub skip_fsync: bool,
 }
 
 impl FaultPlan {
     /// A plan that never crashes — used to count a flow's operations.
     pub fn counting() -> Self {
-        Self { crash_at: usize::MAX, partial_bytes: None, skip_fsync: false }
+        Self { crash_at: usize::MAX, partial_bytes: None }
     }
 
     /// Crash before the `n`-th mutating operation.
     pub fn crash_at(n: usize) -> Self {
-        Self { crash_at: n, partial_bytes: None, skip_fsync: false }
+        Self { crash_at: n, partial_bytes: None }
     }
 
     /// Crash at operation `n` after `bytes` bytes of it were written.
     pub fn crash_mid_write(n: usize, bytes: usize) -> Self {
-        Self { crash_at: n, partial_bytes: Some(bytes), skip_fsync: false }
+        Self { crash_at: n, partial_bytes: Some(bytes) }
     }
 }
 
@@ -317,18 +311,12 @@ impl StoreIo for FaultyIo {
     fn sync_file(&self, path: &Path) -> std::io::Result<()> {
         let op = self.gate()?;
         self.maybe_die(op)?;
-        if self.plan.skip_fsync {
-            return Ok(());
-        }
         self.inner.sync_file(path)
     }
 
     fn sync_dir(&self, dir: &Path) -> std::io::Result<()> {
         let op = self.gate()?;
         self.maybe_die(op)?;
-        if self.plan.skip_fsync {
-            return Ok(());
-        }
         self.inner.sync_dir(dir)
     }
 
@@ -559,8 +547,10 @@ impl SnapshotStore {
                     return Err(StoreError::ManifestVersion(u16::from_le_bytes([lo, hi])));
                 }
             }
-            st.manifest_exists = true;
+            // An empty or torn header gets rewritten: by the repair below,
+            // or, for an empty file, by the next commit's append.
             if raw.len() >= MANIFEST_HEADER.len() && raw[..8] == MANIFEST_HEADER {
+                st.manifest_exists = true;
                 let mut off = MANIFEST_HEADER.len();
                 while off + MANIFEST_RECORD_LEN <= raw.len() {
                     let chunk: &[u8; MANIFEST_RECORD_LEN] =
@@ -856,6 +846,19 @@ mod tests {
         let store = SnapshotStore::open(&dir, 3).expect("empty dir opens");
         assert!(store.take_recovered().is_empty());
         assert!(store.retained_epochs(0).is_empty());
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn an_empty_manifest_gets_its_header_with_the_first_record() {
+        // A crash before the first record's append leaves an empty MANIFEST.
+        let dir = scratch_dir("empty-manifest");
+        std::fs::create_dir_all(&dir).unwrap();
+        std::fs::write(dir.join(MANIFEST_NAME), b"").unwrap();
+        let bytes = synopsis_bytes(2.0);
+        assert_eq!(SnapshotStore::open(&dir, 3).unwrap().persist(4, &bytes).unwrap(), 1);
+        let recovered = SnapshotStore::open(&dir, 3).unwrap().take_recovered();
+        assert_eq!(recovered.iter().map(|r| (r.corpus, r.epoch)).collect::<Vec<_>>(), [(4, 1)]);
         let _ = std::fs::remove_dir_all(&dir);
     }
 

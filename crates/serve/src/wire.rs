@@ -227,9 +227,9 @@ pub struct OpCounts {
     pub contains: u64,
     /// `Stats` frames answered.
     pub stats: u64,
-    /// `LoadSnapshot` frames answered (successful installs).
+    /// `LoadSnapshot` frames answered, refused installs included.
     pub load_snapshot: u64,
-    /// `Rollback` frames answered (successful re-installs).
+    /// `Rollback` frames answered, refused rollbacks included.
     pub rollback: u64,
     /// `Metrics` frames answered.
     pub metrics: u64,
