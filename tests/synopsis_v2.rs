@@ -3,8 +3,9 @@
 //! version/magic damage (including a v2 buffer), bit flips, splices, and
 //! noise, forged-but-restamped header fields, flag words and arrays (one
 //! forgery per structural rule), and a differential sweep asserting that
-//! copied and shared decodes answer bit-identically. (Several tests keep
-//! their `v2` names so their ids stay stable across formats.)
+//! copied and shared decodes answer bit-identically. (The file and several
+//! tests keep their `v2` names so the test ids stay stable across
+//! formats.)
 
 mod common;
 
