@@ -87,7 +87,6 @@ pub fn audit_pipeline_utility(
         beta,
         gaussian,
         prune_override: if prune { None } else { Some(f64::NEG_INFINITY) },
-        threads: 1,
     };
     let ell = idx.max_len();
 

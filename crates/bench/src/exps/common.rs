@@ -52,7 +52,6 @@ pub fn pipeline_error(
         beta: 0.1,
         gaussian,
         prune_override: Some(f64::NEG_INFINITY),
-        threads: 1,
     };
     let maxes: Vec<f64> = run_trials(trials, seed, |_i, s| {
         let mut rng = StdRng::seed_from_u64(s);

@@ -5,7 +5,6 @@
 //! slope fitting (the "shape" checks), parallel trial execution, and probe
 //! construction helpers.
 
-use dpsc_strkit::alphabet::Database;
 use dpsc_textindex::{depth_groups, CorpusIndex};
 
 /// A rendered experiment table (also serialized to JSON by the binary).
@@ -227,11 +226,6 @@ pub fn length_ladder(ell: usize) -> Vec<usize> {
     lens.sort_unstable();
     lens.dedup();
     lens
-}
-
-/// Convenience: builds an index once per (workload, size) and returns both.
-pub fn build_index(db: &Database) -> CorpusIndex {
-    CorpusIndex::build(db)
 }
 
 #[cfg(test)]

@@ -8,11 +8,6 @@ use rand::Rng;
 
 use crate::noise::Noise;
 
-/// Adds iid noise from `noise` to every coordinate, returning floats.
-pub fn randomize<R: Rng + ?Sized>(values: &[f64], noise: Noise, rng: &mut R) -> Vec<f64> {
-    values.iter().map(|&v| v + noise.sample(rng)).collect()
-}
-
 /// Adds iid noise to integer counts (the common case: counts are `u64`).
 pub fn randomize_counts<R: Rng + ?Sized>(counts: &[u64], noise: Noise, rng: &mut R) -> Vec<f64> {
     counts.iter().map(|&v| v as f64 + noise.sample(rng)).collect()

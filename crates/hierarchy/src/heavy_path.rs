@@ -150,11 +150,6 @@ impl HeavyPathDecomposition {
         self.path(self.path_of(v))[0]
     }
 
-    /// Roots of all heavy paths, indexed by path id.
-    pub fn path_roots(&self) -> Vec<NodeId> {
-        self.paths().map(|p| p[0]).collect()
-    }
-
     /// Number of light edges on the path from the root of the tree to `v` —
     /// equivalently, the number of heavy paths the root-to-`v` path crosses,
     /// minus one. Lemma 9 bounds this by `⌊log N⌋`.

@@ -32,17 +32,10 @@ pub struct BuildParams {
     pub prune_override: Option<f64>,
     /// Per-level candidate cap override (default `nℓ`).
     pub level_cap_override: Option<usize>,
-    /// Worker threads for the construction's parallel sections (Step 1
-    /// pair scans, Steps 3–5 heavy-path noise). `0` and `1` both mean
-    /// sequential. The built structure is **bit-identical for every
-    /// setting** given the same RNG seed: all noise flows from fixed-chunk
-    /// and per-path streams derived off single base draws, never from
-    /// thread scheduling (see `tests/build_determinism.rs`).
-    pub threads: usize,
 }
 
 impl BuildParams {
-    /// Sensible defaults: analytic thresholds everywhere, sequential build.
+    /// Sensible defaults: analytic thresholds everywhere.
     pub fn new(mode: CountMode, privacy: PrivacyParams, beta: f64) -> Self {
         Self {
             mode,
@@ -51,7 +44,6 @@ impl BuildParams {
             candidate_tau_override: None,
             prune_override: None,
             level_cap_override: None,
-            threads: 1,
         }
     }
 
@@ -61,12 +53,6 @@ impl BuildParams {
     pub fn with_thresholds(mut self, candidate_tau: f64, prune_tau: f64) -> Self {
         self.candidate_tau_override = Some(candidate_tau);
         self.prune_override = Some(prune_tau);
-        self
-    }
-
-    /// Sets the worker-thread count for the parallel build sections.
-    pub fn with_threads(mut self, threads: usize) -> Self {
-        self.threads = threads;
         self
     }
 }
@@ -145,7 +131,6 @@ fn build_impl<R: Rng + ?Sized>(
         beta: beta_third,
         tau_override: params.candidate_tau_override,
         level_cap_override: params.level_cap_override,
-        threads: params.threads,
     };
     let cand_started = rec.map(|r| r.mark());
     // Steps 1 and 2 count with one counter, derived here for 1 < Δ < ℓ.
@@ -167,7 +152,6 @@ fn build_impl<R: Rng + ?Sized>(
         beta: 2.0 * beta_third,
         gaussian,
         prune_override: params.prune_override,
-        threads: params.threads,
     };
     // Absent strings are bounded by the worse of: not selected as candidate
     // (count < τ_cand + α_cand ≤ 3α_cand analytically) or pruned

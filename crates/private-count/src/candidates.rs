@@ -45,20 +45,18 @@
 //! "Timing" has the details. No count of it goes into spans, the trace
 //! ring or metrics.
 //!
-//! ## Parallelism and determinism
-//! The pair scan of each doubling level is embarrassingly parallel and
-//! carries almost all of Step 1's noise draws (`|P|²` per level, one per
-//! pair — absent pairs included, as privacy requires). It is parallelized
-//! over **fixed-size chunks** of `Q_1` rows; each chunk draws its noise
-//! from an independent RNG stream derived SplitMix64-style from a single
-//! base draw off the caller's RNG (the same derivation pattern as
-//! `dpsc_audit::matrix`). Chunk boundaries and stream seeds depend only on
-//! the level and chunk index — never on the thread count — so the released
-//! candidate set is bit-identical for every `threads` setting, including 1.
+//! ## Noise streams
+//! The pair scan of each doubling level carries almost all of Step 1's
+//! noise draws (`|P|²` per level, one per pair — absent pairs included, as
+//! privacy requires). It walks the `Q_1` rows in **fixed-size chunks**;
+//! each chunk draws its noise from its own RNG stream, derived
+//! SplitMix64-style from a single base draw off the caller's RNG (the same
+//! derivation pattern as `dpsc_audit::matrix`) and keyed by the level and
+//! chunk index. These streams are part of the release's definition: the
+//! golden digests pin the candidate sets they produce.
 
 use std::collections::HashMap;
 use std::ops::ControlFlow;
-use std::sync::atomic::{AtomicUsize, Ordering};
 
 use dpsc_dpcore::budget::PrivacyParams;
 use dpsc_dpcore::noise::Noise;
@@ -83,10 +81,6 @@ pub struct CandidateParams {
     /// Maximum candidate-set size per level before aborting (paper: `nℓ`).
     /// `None` uses `nℓ`.
     pub level_cap_override: Option<usize>,
-    /// Worker threads for the per-level pair scans. `0` and `1` both mean
-    /// sequential. The released candidate set is identical for every
-    /// setting (see the module docs on stream derivation).
-    pub threads: usize,
 }
 
 /// Error: a level exceeded the `nℓ` cap (the paper's FAIL outcome, which
@@ -209,9 +203,8 @@ fn stream_tag(level: usize, chunk: usize) -> u64 {
     ((level as u64) << 40) | chunk as u64
 }
 
-/// `Q_1` rows per pair-scan chunk. Fixed — never derived from the thread
-/// count — so chunk boundaries (and hence noise streams) are the same for
-/// every parallelism setting.
+/// `Q_1` rows per pair-scan chunk: each chunk draws from its own stream, so
+/// this constant is part of the release's definition.
 const PAIR_CHUNK_ROWS: usize = 16;
 
 /// The rows of one level that occur in the text, by interval. A level is
@@ -274,8 +267,7 @@ pub(crate) struct DoublingLevels {
 /// algorithm of Theorem 3 (`max_power = ⌊log q⌋`).
 ///
 /// All noise flows from chunk streams derived off a single base draw from
-/// `rng`, so the result depends on the caller's RNG state but not on
-/// `threads` (see the module docs). `counts` gives the index and `Δ`.
+/// `rng` (see the module docs). `counts` gives the index and `Δ`.
 #[allow(clippy::too_many_arguments)] // crate-internal; parameters are the paper's own knobs
 pub(crate) fn doubling_levels<R: Rng + ?Sized>(
     counts: &ClippedCounter<'_>,
@@ -285,7 +277,6 @@ pub(crate) fn doubling_levels<R: Rng + ?Sized>(
     tau_override: Option<f64>,
     cap: usize,
     max_power: usize,
-    threads: usize,
     rng: &mut R,
 ) -> Result<DoublingLevels, CandidateOverflow> {
     let idx = counts.index();
@@ -325,7 +316,7 @@ pub(crate) fn doubling_levels<R: Rng + ?Sized>(
             break;
         }
         let current = levels.last().expect("at least level 0");
-        let next = scan_level_pairs(counts, current, noise, tau, cap, len, k, threads, stream_base)
+        let next = scan_level_pairs(counts, current, noise, tau, cap, len, k, stream_base)
             .map_err(|size| CandidateOverflow { level: k, size, cap })?;
         levels.push(next);
     }
@@ -383,12 +374,10 @@ fn occurring_pairs(
 /// noise, in `(q1, q2)` order. Its decision `0 + noise ≥ τ` is made by the
 /// level's [`dpsc_dpcore::NoiseCut`] from where the draw falls, with the
 /// same draws and outcome as computing the sample.
-/// Returns `Err(observed_size)` when the survivors exceed `cap` — the FAIL
-/// decision is exact and thread-count independent: the survivor count is a
-/// deterministic function of the chunk streams, workers only stop early
-/// once the shared counter has *already* passed `cap`, and in the Ok path
-/// no chunk ever aborts, so all pairs are scanned and the returned set is
-/// bit-identical for every thread count.
+///
+/// Row chunk `c` of `current` draws from the stream of `(level, c)`.
+/// Returns `Err(cap + 1)` at the first survivor past `cap`: the level's
+/// outcome is then FAIL, whatever the rest of the scan would find.
 #[allow(clippy::too_many_arguments)] // crate-internal hot path
 fn scan_level_pairs(
     counts: &ClippedCounter<'_>,
@@ -398,27 +387,17 @@ fn scan_level_pairs(
     cap: usize,
     len: usize,
     level: usize,
-    threads: usize,
     stream_base: u64,
 ) -> Result<Vec<Cand>, usize> {
     let idx = counts.index();
-    let rows = current.len();
     let half = len / 2;
-    let n_chunks = rows.div_ceil(PAIR_CHUNK_ROWS);
-    let found = AtomicUsize::new(0);
     let row_index = RowIntervals::new(current);
     let absent_cut = noise.cut(tau);
-
-    let scan_chunk = |chunk: usize, out: &mut Vec<Cand>| {
+    let mut hits = Vec::new();
+    let mut next = Vec::new();
+    for (chunk, q1s) in current.chunks(PAIR_CHUNK_ROWS).enumerate() {
         let mut rng = StdRng::seed_from_u64(derive_stream(stream_base, stream_tag(level, chunk)));
-        let mut hits = Vec::new();
-        let start = chunk * PAIR_CHUNK_ROWS;
-        for q1 in &current[start..rows.min(start + PAIR_CHUNK_ROWS)] {
-            // Once the global survivor count has passed the cap the level's
-            // outcome is FAIL regardless of what remains; stop scanning.
-            if found.load(Ordering::Relaxed) > cap {
-                return;
-            }
+        for q1 in q1s {
             occurring_pairs(idx, q1.iv, &row_index, half, &mut hits);
             let mut next_hit = hits.iter().peekable();
             for (j, q2) in current.iter().enumerate() {
@@ -430,54 +409,16 @@ fn scan_level_pairs(
                     None => (SaInterval::EMPTY, absent_cut.passes(&mut rng)),
                 };
                 if passes {
+                    if next.len() == cap {
+                        return Err(cap + 1);
+                    }
                     let mut bytes = Vec::with_capacity(len);
                     bytes.extend_from_slice(&q1.bytes);
                     bytes.extend_from_slice(&q2.bytes);
-                    out.push(Cand { bytes, iv });
-                    if found.fetch_add(1, Ordering::Relaxed) + 1 > cap {
-                        return;
-                    }
+                    next.push(Cand { bytes, iv });
                 }
             }
         }
-    };
-
-    let workers = threads.max(1).min(n_chunks);
-    let mut chunk_results: Vec<Vec<Cand>> = Vec::with_capacity(n_chunks);
-    if workers <= 1 {
-        for chunk in 0..n_chunks {
-            let mut out = Vec::new();
-            scan_chunk(chunk, &mut out);
-            chunk_results.push(out);
-        }
-    } else {
-        let results: Vec<std::sync::Mutex<Vec<Cand>>> =
-            (0..n_chunks).map(|_| std::sync::Mutex::new(Vec::new())).collect();
-        let next_chunk = AtomicUsize::new(0);
-        std::thread::scope(|scope| {
-            for _ in 0..workers {
-                scope.spawn(|| loop {
-                    let chunk = next_chunk.fetch_add(1, Ordering::Relaxed);
-                    if chunk >= n_chunks {
-                        break;
-                    }
-                    let mut out = Vec::new();
-                    scan_chunk(chunk, &mut out);
-                    *results[chunk].lock().expect("chunk mutex not poisoned") = out;
-                });
-            }
-        });
-        chunk_results
-            .extend(results.into_iter().map(|m| m.into_inner().expect("chunk mutex poisoned")));
-    }
-
-    let total: usize = chunk_results.iter().map(|c| c.len()).sum();
-    if total > cap {
-        return Err(total);
-    }
-    let mut next = Vec::with_capacity(total);
-    for chunk in chunk_results {
-        next.extend(chunk);
     }
     Ok(next)
 }
@@ -550,7 +491,6 @@ pub(crate) fn build_candidates_with<R: Rng + ?Sized>(
         params.tau_override,
         cap,
         max_power,
-        params.threads,
         rng,
     )?;
 
@@ -652,7 +592,6 @@ pub(crate) mod tests {
             beta: 0.1,
             tau_override: Some(tau),
             level_cap_override: None,
-            threads: 1,
         }
     }
 
@@ -766,7 +705,6 @@ pub(crate) mod tests {
             beta: 0.1,
             tau_override: Some(0.9),
             level_cap_override: None,
-            threads: 1,
         };
         let set = build_candidates_approx(&idx, &p, &mut rng).unwrap();
         assert!(set.strings.iter().any(|s| s == b"absab"));
@@ -817,7 +755,6 @@ pub(crate) mod tests {
             Some(tau),
             usize::MAX,
             max_power,
-            1,
             &mut StdRng::seed_from_u64(seed),
         )
         .map_err(|e| e.to_string())?;
@@ -895,10 +832,37 @@ pub(crate) mod tests {
             beta: 0.1,
             tau_override: Some(0.9),
             level_cap_override: Some(2),
-            threads: 1,
         };
         let err = build_candidates_pure(&idx, &p, &mut rng).unwrap_err();
         assert_eq!(err.level, 0);
         assert!(err.size > 2);
+
+        // Past the letters: a flooded regime over 20 letters (Laplace scale
+        // 32, τ = −100), where nearly every pair passes, so level 1 spans
+        // two row chunks.
+        let docs = (0..6u8).map(|i| (0..4u8).map(|j| b'a' + (i * 7 + j * 3) % 20).collect());
+        let db = Database::from_documents(Alphabet::lowercase(20), docs.collect()).unwrap();
+        let idx = CorpusIndex::build(&db);
+        let build = |cap| {
+            let p = CandidateParams {
+                delta_clip: db.max_len(),
+                privacy: PrivacyParams::pure(0.5),
+                beta: 0.1,
+                tau_override: Some(-100.0),
+                level_cap_override: Some(cap),
+            };
+            build_candidates_pure(&idx, &p, &mut StdRng::seed_from_u64(7))
+        };
+        let sizes = build(usize::MAX).unwrap().level_sizes;
+        assert!(sizes[0] > PAIR_CHUNK_ROWS && sizes[1] > sizes[0], "{sizes:?}");
+        assert!(sizes[2] > sizes[1], "{sizes:?}");
+        // The first level past `cap` fails, at its first survivor past it:
+        // early in level 1, at level 1's last survivor (in its last chunk),
+        // and at level 2's last survivor.
+        for (level, cap) in [(1, sizes[0]), (1, sizes[1] - 1), (2, sizes[1]), (2, sizes[2] - 1)] {
+            let err = build(cap).unwrap_err();
+            assert_eq!(err, CandidateOverflow { level, size: cap + 1, cap }, "{sizes:?}");
+        }
+        assert_eq!(build(sizes[2]).unwrap().level_sizes, sizes);
     }
 }

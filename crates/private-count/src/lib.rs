@@ -20,7 +20,7 @@
 //!   privacy loss** (post-processing).
 //! * [`synopsis::FrozenSynopsis`] — the serving layer: the published trie
 //!   flattened into an immutable CSR index with allocation-free lookups,
-//!   batch/parallel query paths, and a checksummed binary codec.
+//!   batch query paths, and a checksummed binary codec.
 //! * [`baseline::build_simple_trie`] — the `Ω(ℓ²)`-error prior-work
 //!   baseline the paper improves on (\[10, 18, 19, 50, 51, 72\]).
 //! * [`mining::evaluate_mining`] — Definition 2 contract auditing.

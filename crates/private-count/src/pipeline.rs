@@ -45,10 +45,6 @@ pub struct PipelineParams {
     /// Pruning threshold override (default: analytic `2α`). Post-processing
     /// only — privacy is unaffected.
     pub prune_override: Option<f64>,
-    /// Worker threads for the per-heavy-path noise pass of Steps 3–5. `0`
-    /// and `1` both mean sequential; the released structure is identical
-    /// for every setting (per-path derived RNG streams).
-    pub threads: usize,
 }
 
 /// Output of Steps 2–6.
@@ -287,28 +283,18 @@ pub fn run_pipeline<R: Rng + ?Sized>(
     params: &PipelineParams,
     rng: &mut R,
 ) -> PipelineOutput {
-    run_pipeline_traced(idx, candidates, params, rng, None)
-}
-
-/// [`run_pipeline`] with optional phase spans (`"count_trie"`, `"noise"`,
-/// `"prune"`) recorded into `rec`. Timing is observation only — the
-/// released structure is identical with or without a recorder.
-pub fn run_pipeline_traced<R: Rng + ?Sized>(
-    idx: &CorpusIndex,
-    candidates: &[Vec<u8>],
-    params: &PipelineParams,
-    rng: &mut R,
-    rec: Option<&SpanRecorder>,
-) -> PipelineOutput {
     let delta_clip = params.delta_clip.clamp(1, idx.max_len());
     let candidates = candidates.iter().collect();
-    run_pipeline_with(&idx.clipped_counter(delta_clip), candidates, params, rng, rec, |out| out)
+    run_pipeline_with(&idx.clipped_counter(delta_clip), candidates, params, rng, None, |out| out)
 }
 
-/// [`run_pipeline_traced`] counting Step 2 with `counts`, whose clip level
-/// is `params.delta_clip` clamped to `[1, ℓ]`. The candidates are freed
-/// once Step 2 has read them. Step 6 ends by handing its output to
-/// `release`, inside the `"prune"` span and after the count trie is freed.
+/// [`run_pipeline`] counting Step 2 with `counts`, whose clip level is
+/// `params.delta_clip` clamped to `[1, ℓ]`, with optional phase spans
+/// (`"count_trie"`, `"noise"`, `"prune"`) recorded into `rec`. Timing is
+/// observation only: the released structure is identical with or without
+/// a recorder. The candidates are freed once Step 2 has read them. Step 6
+/// ends by handing its output to `release`, inside the `"prune"` span and
+/// after the count trie is freed.
 pub(crate) fn run_pipeline_with<R: Rng + ?Sized, T>(
     counts: &ClippedCounter<'_>,
     candidates: CandidateStrings,
@@ -340,20 +326,7 @@ pub fn run_pipeline_on_trie<R: Rng + ?Sized>(
     params: &PipelineParams,
     rng: &mut R,
 ) -> PipelineOutput {
-    run_pipeline_on_trie_traced(counts_trie, ell, params, rng, None)
-}
-
-/// [`run_pipeline_on_trie`] with optional `"noise"` / `"prune"` phase
-/// spans recorded into `rec`.
-pub fn run_pipeline_on_trie_traced<R: Rng + ?Sized>(
-    counts_trie: &CountTrie,
-    ell: usize,
-    params: &PipelineParams,
-    rng: &mut R,
-    rec: Option<&SpanRecorder>,
-) -> PipelineOutput {
-    let (out, prune_started) = steps_3_to_6(counts_trie, ell, params, rng, rec);
-    finish_prune(rec, prune_started, out, |out| out)
+    steps_3_to_6(counts_trie, ell, params, rng, None).0
 }
 
 /// Runs `release` on Step 6's output, then closes the `"prune"` span
@@ -455,58 +428,33 @@ fn steps_3_to_6<R: Rng + ?Sized>(
     // Steps 3–5: per-node noisy counts, one derived RNG stream per heavy
     // path. The base is a single draw off the caller's RNG; each path's
     // draws (root noise, then its tree mechanism) come from its own stream
-    // keyed by the path index, so the released structure is identical for
-    // every thread count — the split below is purely a scheduling concern.
+    // keyed by the path index. These streams are part of the release's
+    // definition: the golden digests pin the values they produce.
     let stream_base: u64 = rng.gen();
     let offsets = hpd.path_offsets();
     // noisy[i] is the noisy count of hpd.nodes()[i]: each path's values are
-    // contiguous, so a run of paths fills one disjoint slice.
+    // contiguous.
     let mut noisy = vec![0.0f64; n_nodes];
-    let noise_paths = |paths: std::ops::Range<usize>, out: &mut [f64]| {
-        let base = offsets[paths.start] as usize;
-        let mut diff: Vec<f64> = Vec::with_capacity(max_diff_len);
-        let mut mech = BinaryTreeMechanism::with_capacity(max_diff_len);
-        for pi in paths {
-            let path = hpd.path(pi);
-            let vals = &mut out[offsets[pi] as usize - base..offsets[pi + 1] as usize - base];
-            let mut prng =
-                StdRng::seed_from_u64(crate::candidates::derive_stream(stream_base, pi as u64));
-            let root_est = counts_trie.value(path[0]) as f64 + root_noise.sample(&mut prng);
-            vals[0] = root_est;
-            if path.len() > 1 {
-                diff.clear();
-                diff.extend(
-                    path.windows(2)
-                        .map(|w| counts_trie.value(w[1]) as f64 - counts_trie.value(w[0]) as f64),
-                );
-                mech.rebuild(&diff, diff_noise, &mut prng);
-                for (i, v) in vals.iter_mut().enumerate().skip(1) {
-                    *v = root_est + mech.prefix(i);
-                }
+    let mut diff: Vec<f64> = Vec::with_capacity(max_diff_len);
+    let mut mech = BinaryTreeMechanism::with_capacity(max_diff_len);
+    for pi in 0..k_paths {
+        let path = hpd.path(pi);
+        let vals = &mut noisy[offsets[pi] as usize..offsets[pi + 1] as usize];
+        let mut prng =
+            StdRng::seed_from_u64(crate::candidates::derive_stream(stream_base, pi as u64));
+        let root_est = counts_trie.value(path[0]) as f64 + root_noise.sample(&mut prng);
+        vals[0] = root_est;
+        if path.len() > 1 {
+            diff.clear();
+            diff.extend(
+                path.windows(2)
+                    .map(|w| counts_trie.value(w[1]) as f64 - counts_trie.value(w[0]) as f64),
+            );
+            mech.rebuild(&diff, diff_noise, &mut prng);
+            for (i, v) in vals.iter_mut().enumerate().skip(1) {
+                *v = root_est + mech.prefix(i);
             }
         }
-    };
-
-    let workers = params.threads.max(1).min(k_paths);
-    if workers <= 1 {
-        noise_paths(0..k_paths, &mut noisy);
-    } else {
-        // Worker `w` takes the paths that start in the `w`-th of `workers`
-        // equal shares of the nodes.
-        let noise_paths = &noise_paths;
-        std::thread::scope(|scope| {
-            let mut rest = noisy.as_mut_slice();
-            let mut first = 0usize;
-            for w in 1..=workers {
-                let end = offsets
-                    .partition_point(|&o| (o as usize) < n_nodes * w / workers)
-                    .clamp(first, k_paths);
-                let (share, tail) = rest.split_at_mut((offsets[end] - offsets[first]) as usize);
-                rest = tail;
-                scope.spawn(move || noise_paths(first..end, share));
-                first = end;
-            }
-        });
     }
 
     if let (Some(r), Some(s)) = (rec, noise_started) {
@@ -623,7 +571,6 @@ mod tests {
                 beta: 0.1,
                 tau_override: Some(5.0),
                 level_cap_override: Some(usize::MAX),
-                threads: 1,
             };
             let mut rng = StdRng::seed_from_u64(56);
             let set = build_candidates_pure(&idx, &params, &mut rng).unwrap();
@@ -717,7 +664,6 @@ mod tests {
             beta: 0.1,
             gaussian,
             prune_override: Some(0.5),
-            threads: 1,
         }
     }
 
@@ -750,7 +696,6 @@ mod tests {
             beta: 0.2,
             gaussian: false,
             prune_override: Some(f64::NEG_INFINITY), // keep everything
-            threads: 1,
         };
         let mut rng = StdRng::seed_from_u64(52);
         let trials = 25;
@@ -807,7 +752,6 @@ mod tests {
                 beta: 0.1,
                 gaussian: false,
                 prune_override: Some(f64::NEG_INFINITY),
-                threads: 1,
             },
             &mut rng,
         );
@@ -821,7 +765,6 @@ mod tests {
                 beta: 0.1,
                 gaussian: true,
                 prune_override: Some(f64::NEG_INFINITY),
-                threads: 1,
             },
             &mut rng,
         );

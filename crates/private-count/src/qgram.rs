@@ -61,7 +61,7 @@ pub fn build_qgram_pure<R: Rng + ?Sized>(
     let j = (q as f64).log2().floor() as usize;
     let counts = idx.clipped_counter(delta_clip);
     let doubling =
-        doubling_levels(&counts, half, beta_half, false, params.tau_override, cap, j, 1, rng)?;
+        doubling_levels(&counts, half, beta_half, false, params.tau_override, cap, j, rng)?;
     let top: &[Cand] = doubling.levels.last().map(|v| v.as_slice()).unwrap_or(&[]);
     let pow = 1usize << j;
 

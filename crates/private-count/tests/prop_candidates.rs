@@ -36,7 +36,6 @@ proptest! {
             beta: 0.1,
             tau_override: Some(0.5),
             level_cap_override: None,
-            threads: 1,
         };
         let set = build_candidates_pure(&idx, &params, &mut rng).unwrap();
         let have: std::collections::HashSet<&[u8]> = set.strings.iter().collect();

@@ -956,14 +956,7 @@ impl Server {
                                 conn.out.extend_from_slice(&d.resp);
                                 conn.blocked = false;
                                 if matches!(self.pump(conn, d.idx, &inst_tx), Pump::Close) {
-                                    let conn = slot.take().expect("checked above");
-                                    let _ = self.poller.delete(conn.stream.as_raw_fd());
-                                    free.push(d.idx);
-                                    self.metrics.conn_closed();
-                                    self.trace_emit(TraceEvent {
-                                        conn: conn.id,
-                                        ..TraceEvent::new(TraceKind::ConnClosed)
-                                    });
+                                    self.close_conn(slot, d.idx, &mut free);
                                 }
                             }
                         }
@@ -989,14 +982,7 @@ impl Server {
                             let verdict =
                                 if ev.error { Pump::Close } else { self.pump(conn, idx, &inst_tx) };
                             if matches!(verdict, Pump::Close) {
-                                let conn = slot.take().expect("checked above");
-                                let _ = self.poller.delete(conn.stream.as_raw_fd());
-                                free.push(idx);
-                                self.metrics.conn_closed();
-                                self.trace_emit(TraceEvent {
-                                    conn: conn.id,
-                                    ..TraceEvent::new(TraceKind::ConnClosed)
-                                });
+                                self.close_conn(slot, idx, &mut free);
                             }
                         }
                     }
@@ -1084,16 +1070,20 @@ impl Server {
                 }
             }
             if evict {
-                let conn = conns[idx].take().expect("checked above");
-                let _ = self.poller.delete(conn.stream.as_raw_fd());
-                free.push(idx);
-                self.metrics.conn_closed();
-                self.trace_emit(TraceEvent {
-                    conn: conn.id,
-                    ..TraceEvent::new(TraceKind::ConnClosed)
-                });
+                self.close_conn(&mut conns[idx], idx, free);
             }
         }
+    }
+
+    /// Closes the connection in `slot`, index `idx` of the connection
+    /// table: takes it out of the epoll set, frees the slot for reuse,
+    /// and counts and traces the close. The socket closes on return.
+    fn close_conn(&self, slot: &mut Option<Conn>, idx: usize, free: &mut Vec<usize>) {
+        let conn = slot.take().expect("an open connection");
+        let _ = self.poller.delete(conn.stream.as_raw_fd());
+        free.push(idx);
+        self.metrics.conn_closed();
+        self.trace_emit(TraceEvent { conn: conn.id, ..TraceEvent::new(TraceKind::ConnClosed) });
     }
 
     /// Accepts until `WouldBlock`, registering each connection for

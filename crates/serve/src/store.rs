@@ -583,8 +583,10 @@ impl SnapshotStore {
 
         // Choose the newest *valid* epoch per corpus; records newer than
         // the chosen one (their payloads are torn/corrupt/missing) are
-        // dropped for good. Older records stay as rollback targets and
-        // are re-validated on demand.
+        // dropped for good. Older records stay as rollback targets, up to
+        // the retention depth, and are re-validated on demand. A crash
+        // after a record's append but before retention ran (at the
+        // manifest fsync) leaves one record beyond the depth.
         let mut recovered = Vec::new();
         for (&corpus, recs) in records.iter_mut() {
             let mut chosen_at: Option<usize> = None;
@@ -601,7 +603,13 @@ impl SnapshotStore {
                 }
             }
             match chosen_at {
-                Some(i) => recs.truncate(i + 1),
+                Some(i) => {
+                    recs.truncate(i + 1);
+                    if recs.len() > self.retain {
+                        recs.drain(..recs.len() - self.retain);
+                        dirty = true;
+                    }
+                }
                 None => {
                     dirty |= !recs.is_empty();
                     recs.clear();
@@ -614,9 +622,9 @@ impl SnapshotStore {
         st.recovered = recovered;
 
         // Repair pass: rewrite the manifest without the torn tail /
-        // discarded records (atomic — a crash here re-runs the same
-        // replay next time), then sweep temp files and unreferenced
-        // payloads.
+        // discarded / beyond-retention records (atomic — a crash here
+        // re-runs the same replay next time), then sweep temp files and
+        // unreferenced payloads.
         if dirty {
             self.rewrite_manifest(&mut st)?;
         }
@@ -915,6 +923,32 @@ mod tests {
         drop(store);
         let store = SnapshotStore::open(&dir, 2).unwrap();
         assert_eq!(store.retained_epochs(0), vec![4, 5]);
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn recovery_applies_retention_after_a_crash_at_the_manifest_fsync() {
+        let dir = scratch_dir("retain-crash");
+        let store = SnapshotStore::open(&dir, 2).unwrap();
+        let e1 = store.persist(0, &synopsis_bytes(1.0)).unwrap();
+        let e2 = store.persist(0, &synopsis_bytes(2.0)).unwrap();
+        drop(store);
+        // The third persist dies at op 5, the manifest fsync: its record
+        // is appended, but retention never ran.
+        let io = Box::new(FaultyIo::new(FaultPlan::crash_at(5)));
+        let store = SnapshotStore::open_with(&dir, 2, io).unwrap();
+        assert!(matches!(store.persist(0, &synopsis_bytes(3.0)), Err(StoreError::Io(_))));
+        drop(store);
+
+        let store = SnapshotStore::open(&dir, 2).unwrap();
+        let e3 = e2 + 1;
+        assert_eq!(store.take_recovered()[0].epoch, e3, "the appended record is durable");
+        assert_eq!(store.retained_epochs(0), vec![e2, e3]);
+        assert!(!dir.join(snap_file_name(0, e1)).exists(), "dropped payload swept");
+        assert!(matches!(store.rollback(0, e1), Err(StoreError::UnknownEpoch { .. })));
+        // The repaired manifest replays to the same window.
+        drop(store);
+        assert_eq!(SnapshotStore::open(&dir, 2).unwrap().retained_epochs(0), vec![e2, e3]);
         let _ = std::fs::remove_dir_all(&dir);
     }
 

@@ -146,14 +146,8 @@ pub struct ModeScenario {
 }
 
 impl ModeScenario {
-    /// Runs the release on `idx` (the index of [`Self::corpus`]'s corpus)
-    /// at `threads` workers; the q-gram theorems are sequential.
-    pub fn release(
-        &self,
-        idx: &CorpusIndex,
-        threads: usize,
-        rng: &mut StdRng,
-    ) -> PrivateCountStructure {
+    /// Runs the release on `idx` (the index of [`Self::corpus`]'s corpus).
+    pub fn release(&self, idx: &CorpusIndex, rng: &mut StdRng) -> PrivateCountStructure {
         let tau = self.tau_frac * self.corpus.n as f64;
         match self.release {
             Release::Build { mode, delta } => {
@@ -162,8 +156,7 @@ impl ModeScenario {
                 } else {
                     BuildParams::new(mode, PrivacyParams::pure(self.epsilon), 0.1)
                 }
-                .with_thresholds(tau, f64::NEG_INFINITY)
-                .with_threads(threads);
+                .with_thresholds(tau, f64::NEG_INFINITY);
                 let built = if delta > 0.0 {
                     build_approx(idx, &params, rng)
                 } else {

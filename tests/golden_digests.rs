@@ -2,12 +2,11 @@
 //! releases, or in how much work it does, fails here exactly, whatever the
 //! host's load.
 //!
-//! For each build scenario, traced builds at 1 and 4 worker threads pin
-//! the corpus size, the digest of the released snapshot, and the item
-//! counts of the four build spans. For each mode scenario (Substring and
-//! `Clipped(3)` builds, a Gaussian build and the two q-gram theorems) it
-//! pins the released snapshot's digest and node count, at 1 and 4 worker
-//! threads. For each serving shard it pins the
+//! For each build scenario, a traced build pins the corpus size, the
+//! digest of the released snapshot, and the item counts of the four build
+//! spans. For each mode scenario (Substring and `Clipped(3)` builds, a
+//! Gaussian build and the two q-gram theorems) it pins the released
+//! snapshot's digest and node count. For each serving shard it pins the
 //! snapshot and universe digests and the snapshot's size, checks the
 //! snapshot round-trips canonically, and serves the shard's whole universe through a daemon,
 //! bit-identical to `query_naive`. Every pinned figure comes from the
@@ -104,34 +103,25 @@ fn build_scenarios_release_their_pinned_digests_and_span_counts() {
         assert_eq!(db.total_len(), want.corpus_bytes, "{}: corpus size", sc.name);
         let idx = CorpusIndex::build(&db);
 
-        // The worker count only schedules: both builds release the pinned
-        // bytes after the pinned work.
-        for threads in [1, 4] {
-            let rec = SpanRecorder::new();
-            let mut rng = StdRng::seed_from_u64(derive_stream(BUILD_SEED, tag << 8));
-            let params = sc.params().with_threads(threads);
-            let built = build_pure_traced(&idx, &params, &mut rng, &rec)
-                .expect("golden regimes avoid the FAIL branch");
-            let digest = release_digest(&built.freeze().to_bytes());
-            assert_eq!(
-                digest, want.digest,
-                "{} at {threads} threads: digest {digest:016x}",
-                sc.name
-            );
+        let rec = SpanRecorder::new();
+        let mut rng = StdRng::seed_from_u64(derive_stream(BUILD_SEED, tag << 8));
+        let built = build_pure_traced(&idx, &sc.params(), &mut rng, &rec)
+            .expect("golden regimes avoid the FAIL branch");
+        let digest = release_digest(&built.freeze().to_bytes());
+        assert_eq!(digest, want.digest, "{}: digest {digest:016x}", sc.name);
 
-            let items: Vec<(&str, u64)> = rec.spans().iter().map(|s| (s.name, s.items)).collect();
-            assert_eq!(
-                items,
-                [
-                    ("candidates", want.candidates),
-                    ("count_trie", want.trie_nodes),
-                    ("noise", want.trie_nodes),
-                    ("prune", want.kept_nodes),
-                ],
-                "{} at {threads} threads: span item counts",
-                sc.name
-            );
-        }
+        let items: Vec<(&str, u64)> = rec.spans().iter().map(|s| (s.name, s.items)).collect();
+        assert_eq!(
+            items,
+            [
+                ("candidates", want.candidates),
+                ("count_trie", want.trie_nodes),
+                ("noise", want.trie_nodes),
+                ("prune", want.kept_nodes),
+            ],
+            "{}: span item counts",
+            sc.name
+        );
     }
 }
 
@@ -142,22 +132,11 @@ fn mode_scenarios_release_their_pinned_digests() {
         let db = sc.corpus.corpus(&mut StdRng::seed_from_u64(derive_stream(MODE_SEED, tag)));
         assert_eq!(db.total_len(), want.corpus_bytes, "{}: corpus size", sc.name);
         let idx = CorpusIndex::build(&db);
-        for threads in [1, 4] {
-            let mut rng = StdRng::seed_from_u64(derive_stream(MODE_SEED, tag << 8));
-            let frozen = sc.release(&idx, threads, &mut rng).freeze();
-            let digest = release_digest(&frozen.to_bytes());
-            assert_eq!(
-                frozen.node_count(),
-                want.node_count,
-                "{} at {threads} threads: nodes",
-                sc.name
-            );
-            assert_eq!(
-                digest, want.digest,
-                "{} at {threads} threads: digest {digest:016x}",
-                sc.name
-            );
-        }
+        let mut rng = StdRng::seed_from_u64(derive_stream(MODE_SEED, tag << 8));
+        let frozen = sc.release(&idx, &mut rng).freeze();
+        let digest = release_digest(&frozen.to_bytes());
+        assert_eq!(frozen.node_count(), want.node_count, "{}: nodes", sc.name);
+        assert_eq!(digest, want.digest, "{}: digest {digest:016x}", sc.name);
     }
 }
 

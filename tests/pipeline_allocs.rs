@@ -3,12 +3,12 @@
 //! count trie splits into and however many nodes the prune keeps.
 //!
 //! The heavy-path decomposition, the noisy values, the pruning pass and
-//! the released pre-order trie each live in a few flat arrays, and every
-//! worker reuses one set of scratch buffers across all its paths. Two
+//! the released pre-order trie each live in a few flat arrays, and the
+//! noise pass reuses one set of scratch buffers across all paths. Two
 //! count tries whose path counts differ several-fold must therefore cost
-//! the same number of allocations, at one thread and at two, both at a
-//! `+∞` threshold (the root alone is released) and at `−∞` (every node
-//! is, the threshold both perfbench workloads build with).
+//! the same number of allocations, both at a `+∞` threshold (the root
+//! alone is released) and at `−∞` (every node is, the threshold both
+//! perfbench workloads build with).
 //!
 //! The counting allocator (`common/counting_alloc.rs`) counts every
 //! allocation call of the process, so this binary holds a single test.
@@ -48,7 +48,7 @@ fn count_trie(docs: usize, seed: u64) -> (CountTrie, usize, usize) {
 }
 
 /// Allocation calls of one Steps 3–6 run over `trie` at `threshold`.
-fn allocs_of(trie: &CountTrie, ell: usize, threads: usize, threshold: f64) -> usize {
+fn allocs_of(trie: &CountTrie, ell: usize, threshold: f64) -> usize {
     let params = PipelineParams {
         delta_clip: 1,
         privacy_roots: PrivacyParams::pure(1.0),
@@ -56,7 +56,6 @@ fn allocs_of(trie: &CountTrie, ell: usize, threads: usize, threshold: f64) -> us
         beta: 0.1,
         gaussian: false,
         prune_override: Some(threshold),
-        threads,
     };
     let mut rng = StdRng::seed_from_u64(5);
     let before = counting_alloc::allocs();
@@ -77,14 +76,12 @@ fn steps_3_to_6_allocate_the_same_blocks_for_any_number_of_paths() {
         "path counts {small_paths} and {large_paths} are too close to tell"
     );
     for threshold in [f64::INFINITY, f64::NEG_INFINITY] {
-        for threads in [1, 2] {
-            let a = allocs_of(&small, small_ell, threads, threshold);
-            let b = allocs_of(&large, large_ell, threads, threshold);
-            println!(
-                "threshold {threshold}, {threads} thread(s): {a} allocations over \
-                 {small_paths} paths, {b} over {large_paths}"
-            );
-            assert_eq!(a, b, "allocations grow with the trie at {threshold}, {threads} thread(s)");
-        }
+        let a = allocs_of(&small, small_ell, threshold);
+        let b = allocs_of(&large, large_ell, threshold);
+        println!(
+            "threshold {threshold}: {a} allocations over {small_paths} paths, \
+             {b} over {large_paths}"
+        );
+        assert_eq!(a, b, "allocations grow with the trie at {threshold}");
     }
 }

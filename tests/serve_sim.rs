@@ -180,6 +180,7 @@ impl Model {
             (std::mem::take(&mut self.durable), std::mem::take(&mut self.pruned));
         *self =
             Model { store: self.store, retain: self.retain, durable, pruned, ..Model::default() };
+        self.apply_retention();
         (self.next_epoch, self.next_conn) = (1, 1);
         self.next_durable =
             1 + self.durable.values().flatten().map(|r| r.epoch.max(r.src)).max().unwrap_or(0);
@@ -281,6 +282,12 @@ impl Model {
     /// A committed manifest record, then retention over every shard.
     fn commit(&mut self, shard: u32, rec: Record) {
         self.durable.entry(shard).or_default().push(rec);
+        self.apply_retention();
+    }
+
+    /// Prunes each shard's oldest records beyond the retention depth, as
+    /// a commit and a store reopen both do.
+    fn apply_retention(&mut self) {
         for (&shard, recs) in self.durable.iter_mut() {
             while recs.len() > self.retain {
                 self.pruned.entry(shard).or_default().push(recs.remove(0).epoch);
@@ -615,6 +622,8 @@ impl Sim<'_> {
                 (0..done).for_each(|op| m.push(TraceKind::StoreOp, 0, shard, epoch, 0, op));
                 let len = self.gens[gen].bytes.len();
                 m.answered(OpKind::LoadSnapshot, MAIN, shard, 0, len, true);
+                // Plan 5 dies after the record's append: the epoch is
+                // durable, and the next boot's recovery applies retention.
                 if plan == 5 {
                     m.durable.entry(shard).or_default().push(Record { epoch, src: epoch, gen });
                 }
