@@ -48,8 +48,12 @@
 //! bound with a retryable `Overloaded` frame, and
 //! [`ServerConfig::read_deadline`] / [`ServerConfig::idle_timeout`]
 //! evict mid-frame stalls (slow-loris) and silent idlers. Snapshot
-//! installs decode and persist on a dedicated installer thread so a
-//! multi-MB `LoadSnapshot` never stalls unrelated connections.
+//! installs decode and persist on a dedicated installer thread. Per
+//! `LoadSnapshot` the event loop itself does two things: it checks the
+//! frame checksum, which covers the envelope and the 168-byte `DPSF`
+//! header only (wire v2), and it copies the snapshot from the receive
+//! buffer into the `Arc` the shard will serve from. The snapshot's
+//! section bytes are hashed once, by the installer thread's decode.
 
 use std::collections::HashMap;
 use std::io::{ErrorKind, Read, Write};

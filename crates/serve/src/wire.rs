@@ -7,11 +7,26 @@
 //! ([`FrozenSynopsis::to_bytes`](dpsc_private_count::FrozenSynopsis::to_bytes)):
 //! a 4-byte magic (`DPSQ` for requests, `DPSR` for responses), a `u16`
 //! protocol version, the opcode/status bytes, the payload, and a trailing
-//! FNV-1a checksum of everything before it. Decoding is defensive throughout —
-//! length-checked reads, a hard frame-size cap *before* any allocation,
-//! checksum verification — and reports defects through the same typed
+//! FNV-1a checksum. Decoding is defensive throughout — length-checked
+//! reads, a hard frame-size cap *before* any allocation, checksum
+//! verification — and reports defects through the same typed
 //! [`DecodeError`] the snapshot codec uses. Accepted frames are
 //! canonical: decoding then re-encoding reproduces the identical bytes.
+//!
+//! **Checksum coverage.** The trailing checksum of every response and of
+//! every request but `LoadSnapshot` covers the whole body before it. A
+//! `LoadSnapshot` request's checksum covers its first
+//! [`LOAD_SNAPSHOT_SUMMED`] body bytes: magic, version, opcode, shard and
+//! the `u64` snapshot length (19 bytes), then the snapshot's 168-byte
+//! `DPSF` header, or the whole snapshot when it is shorter. The rest of
+//! the snapshot is verified once, by the `DPSF` decode the install runs:
+//! the header checksum commits to the section table, which holds every
+//! section's checksum, and the decode checks every section byte, the zero
+//! padding and the exact total length. So a flipped envelope or header
+//! byte is a frame error (`ChecksumMismatch`, or `BadMagic` /
+//! `UnsupportedVersion` for those fields), and a flipped section or
+//! padding byte is a refused snapshot (`SectionChecksumMismatch` or a
+//! padding error); either way nothing installs.
 //!
 //! | opcode | request payload | ok-response payload |
 //! |---|---|---|
@@ -43,8 +58,14 @@ use crate::trace::{TraceEvent, TraceKind};
 pub const MAGIC_REQUEST: [u8; 4] = *b"DPSQ";
 /// Magic opening every response body ("DP Serve, Reply direction").
 pub const MAGIC_RESPONSE: [u8; 4] = *b"DPSR";
-/// Wire protocol version.
-pub const VERSION: u16 = 1;
+/// Wire protocol version. Version 2 narrowed the `LoadSnapshot`
+/// checksum to the envelope and `DPSF` header; version 1 frames are
+/// refused with `UnsupportedVersion`.
+pub const VERSION: u16 = 2;
+/// Body bytes a `LoadSnapshot` request's checksum covers: magic (4),
+/// version (2), opcode (1), shard (4) and snapshot length (8), then the
+/// snapshot's `DPSF` header (168).
+pub const LOAD_SNAPSHOT_SUMMED: usize = 4 + 2 + 1 + 4 + 8 + 168;
 /// Hard cap on a frame body (256 MiB — room for a ~15M-node snapshot),
 /// small enough that a corrupt length field cannot OOM the peer (the cap
 /// is enforced before any allocation).
@@ -461,10 +482,23 @@ fn frame(magic: [u8; 4], payload: usize) -> Vec<u8> {
     frame
 }
 
+/// The bytes a body's trailing checksum covers, given the body up to
+/// (not including) that checksum: a `LoadSnapshot` request's first
+/// [`LOAD_SNAPSHOT_SUMMED`] bytes, every other body whole. The one
+/// coverage rule both [`seal`] and [`open_body`] apply.
+fn summed(body: &[u8]) -> &[u8] {
+    if body.starts_with(&MAGIC_REQUEST) && body.get(6) == Some(&OP_LOAD_SNAPSHOT) {
+        &body[..body.len().min(LOAD_SNAPSHOT_SUMMED)]
+    } else {
+        body
+    }
+}
+
 /// Seals a [`frame`] in place once its opcode/status and payload are
-/// written: appends the checksum of the body, then fills in the length.
+/// written: appends the checksum of the body's [`summed`] bytes, then
+/// fills in the length.
 fn seal(mut frame: Vec<u8>) -> Vec<u8> {
-    let sum = fnv1a(&frame[4..]);
+    let sum = fnv1a(summed(&frame[4..]));
     frame.extend_from_slice(&sum.to_le_bytes());
     let body_len = frame.len() - 4;
     assert!(body_len <= MAX_FRAME_LEN, "frame body exceeds MAX_FRAME_LEN");
@@ -473,7 +507,9 @@ fn seal(mut frame: Vec<u8>) -> Vec<u8> {
 }
 
 /// Checks the frame envelope shared by both directions: magic, version,
-/// and trailing checksum. Returns a cursor spanning *only* the payload
+/// and the trailing checksum of the body's [`summed`] bytes (a
+/// `LoadSnapshot`'s snapshot past its `DPSF` header is left to the
+/// snapshot decode). Returns a cursor spanning *only* the payload
 /// (checksum excluded), so no inner length field — however crafted — can
 /// read into or past the checksum bytes.
 fn open_body<'a>(body: &'a [u8], magic: [u8; 4]) -> Result<Cursor<'a>, DecodeError> {
@@ -495,7 +531,7 @@ fn open_body<'a>(body: &'a [u8], magic: [u8; 4]) -> Result<Cursor<'a>, DecodeErr
     }
     let payload_end = body.len() - 8;
     let stored = u64::from_le_bytes(body[payload_end..].try_into().expect("8-byte checksum"));
-    let computed = fnv1a(&body[..payload_end]);
+    let computed = fnv1a(summed(&body[..payload_end]));
     if stored != computed {
         return Err(DecodeError::ChecksumMismatch { stored, computed });
     }
@@ -600,9 +636,10 @@ pub fn decode_request(body: &[u8]) -> Result<Request, DecodeError> {
         OP_LOAD_SNAPSHOT => {
             let shard = cur.u32()?;
             let len = cur.usize64()?;
-            // The one unavoidable copy: frame buffer → Arc. Everything
+            // The one copy on the server: frame buffer → Arc. Everything
             // downstream (manager install, zero-copy snapshot decode)
-            // shares it.
+            // shares it. Only the DPSF header is checksummed so far; the
+            // decode the install runs verifies the rest.
             Request::LoadSnapshot { shard, snapshot: cur.take(len)?.into() }
         }
         OP_SHUTDOWN => Request::Shutdown,
@@ -1316,7 +1353,7 @@ mod tests {
         let mut out = body.to_vec();
         out[at..at + patch.len()].copy_from_slice(patch);
         let end = out.len() - 8;
-        let sum = fnv1a(&out[..end]);
+        let sum = fnv1a(summed(&out[..end]));
         out[end..].copy_from_slice(&sum.to_le_bytes());
         out
     }
@@ -1389,16 +1426,22 @@ mod tests {
 
     #[test]
     fn single_bit_flips_are_rejected() {
-        let framed = encode_request(&Request::Query { shard: 5, pattern: b"acgt".to_vec() });
-        let body = &framed[4..];
-        for pos in 0..body.len() {
-            for bit in 0..8 {
-                let mut corrupt = body.to_vec();
-                corrupt[pos] ^= 1 << bit;
-                assert!(
-                    decode_request(&corrupt).is_err(),
-                    "bit {bit} of body byte {pos} flipped silently"
-                );
+        // A snapshot shorter than a DPSF header is checksummed whole.
+        let short: Vec<u8> = (0..100).collect();
+        for framed in [
+            encode_request(&Request::Query { shard: 5, pattern: b"acgt".to_vec() }),
+            encode_load_snapshot(2, &short),
+        ] {
+            let body = &framed[4..];
+            for pos in 0..body.len() {
+                for bit in 0..8 {
+                    let mut corrupt = body.to_vec();
+                    corrupt[pos] ^= 1 << bit;
+                    assert!(
+                        decode_request(&corrupt).is_err(),
+                        "bit {bit} of body byte {pos} flipped silently"
+                    );
+                }
             }
         }
     }

@@ -6,6 +6,7 @@
 //! the snapshot codec.
 
 use dp_substring_counting::prelude::*;
+use dp_substring_counting::private_count::codec::fnv1a;
 use dp_substring_counting::serve::wire::{
     decode_request, decode_response, encode_load_snapshot, encode_request, encode_response,
     frame_len,
@@ -245,9 +246,44 @@ fn magic_version_and_direction_damage_error() {
 }
 
 #[test]
+fn v1_frames_are_refused() {
+    // A v1 frame as a v1 peer sealed it: version 1, and the checksum over
+    // the whole body (v1 had no narrower LoadSnapshot rule).
+    let as_v1 = |framed: &[u8]| {
+        let mut body = framed[4..].to_vec();
+        body[4..6].copy_from_slice(&1u16.to_le_bytes());
+        let end = body.len() - 8;
+        let sum = fnv1a(&body[..end]);
+        body[end..].copy_from_slice(&sum.to_le_bytes());
+        body
+    };
+    let (snapshot, _) = built_payload();
+    let want = |got| matches!(got, Err(DecodeError::UnsupportedVersion { found: 1, expected: 2 }));
+    for req in [Request::LoadSnapshot { shard: 1, snapshot: snapshot.into() }, Request::Stats] {
+        assert!(want(decode_request(&as_v1(&encode_request(&req))).map(drop)), "{req:?}");
+    }
+    for resp in [Response::LoadSnapshot { epoch: 2, node_count: 9 }, Response::Overloaded] {
+        assert!(want(decode_response(&as_v1(&encode_response(&resp))).map(drop)), "{resp:?}");
+    }
+}
+
+/// Body bytes before a `LoadSnapshot`'s snapshot: magic, version,
+/// opcode, shard and the `u64` snapshot length.
+const LOAD_ENVELOPE: usize = 4 + 2 + 1 + 4 + 8;
+/// The `DPSF` header: fixed fields, the section table, its checksum.
+const DPSF_HEADER: usize = 168;
+const SECTION_NAMES: [&str; 3] = ["counts", "edge_start", "edge_label"];
+
+/// The `(offset, len)` of each section, read from a snapshot's table.
+fn section_table(snapshot: &[u8]) -> [(usize, usize); 3] {
+    let word = |at: usize| u64::from_le_bytes(snapshot[at..at + 8].try_into().unwrap()) as usize;
+    [0, 1, 2].map(|i| (word(88 + 24 * i), word(88 + 24 * i + 8)))
+}
+
+#[test]
 fn strided_bit_flips_are_rejected() {
-    // The checksum covers the whole body, so any single-bit flip anywhere
-    // must fail. Sweep exhaustively on a small frame, strided on a big one.
+    // Query: the checksum covers the whole body, so any single-bit flip
+    // anywhere must fail.
     let small = encode_request(&Request::Query { shard: 3, pattern: b"acgt".to_vec() });
     for pos in 4..small.len() {
         for bit in 0..8 {
@@ -256,13 +292,60 @@ fn strided_bit_flips_are_rejected() {
             assert!(decode_request(&corrupt).is_err(), "byte {pos} bit {bit} slipped through");
         }
     }
+
+    // LoadSnapshot: no flipped byte installs, and each defect has one
+    // error. The frame checksum covers the envelope and the DPSF header
+    // (frame bytes 4..191) and the snapshot decode covers the rest.
     let (snapshot, _) = built_payload();
     let big = encode_request(&Request::LoadSnapshot { shard: 0, snapshot: snapshot.into() });
-    for pos in (4..big.len()).step_by(997) {
-        let mut corrupt = big[4..].to_vec();
-        corrupt[pos - 4] ^= 0x10;
-        assert!(decode_request(&corrupt).is_err(), "byte {pos} flip slipped through");
+    let body = &big[4..];
+    let flipped = |pos: usize, mask: u8| {
+        let mut corrupt = body.to_vec();
+        corrupt[pos] ^= mask;
+        decode_request(&corrupt)
+    };
+    // Envelope, DPSF header and the trailing checksum, exhaustively: a
+    // frame error. Magic and version are read before the checksum.
+    let summed = LOAD_ENVELOPE + DPSF_HEADER;
+    for pos in (0..summed).chain(body.len() - 8..body.len()) {
+        for bit in 0..8 {
+            match (pos, flipped(pos, 1 << bit)) {
+                (0..=3, Err(DecodeError::BadMagic { .. })) => {}
+                (4..=5, Err(DecodeError::UnsupportedVersion { .. })) => {}
+                (6.., Err(DecodeError::ChecksumMismatch { .. })) => {}
+                (_, got) => panic!("frame byte {} bit {bit}: {got:?}", pos + 4),
+            }
+        }
     }
+    // Past the header the frame decodes and carries the flip; the
+    // snapshot decode refuses it. Sections strided (their first and last
+    // bytes included), everything outside them exhaustively.
+    let table = section_table(&body[LOAD_ENVELOPE..]);
+    let snap_len = body.len() - 8 - LOAD_ENVELOPE;
+    let in_section =
+        |at: usize| table.iter().position(|&(off, len)| (off..off + len).contains(&at));
+    let mut probes: Vec<usize> =
+        (DPSF_HEADER..snap_len).filter(|&at| at % 61 == 0 || in_section(at).is_none()).collect();
+    probes.extend(table.iter().flat_map(|&(off, len)| [off, off + len - 1]));
+    let (mut sections_hit, mut padding_hit) = ([false; 3], false);
+    for at in probes {
+        let Ok(Request::LoadSnapshot { snapshot: carried, .. }) = flipped(LOAD_ENVELOPE + at, 0x10)
+        else {
+            panic!("snapshot byte {at}: past the header the frame check passes");
+        };
+        match (in_section(at), FrozenSynopsis::from_bytes(&carried)) {
+            (Some(i), Err(DecodeError::SectionChecksumMismatch { section, .. }))
+                if section == SECTION_NAMES[i] =>
+            {
+                sections_hit[i] = true
+            }
+            (None, Err(DecodeError::Structural(what))) if what.contains("padding") => {
+                padding_hit = true
+            }
+            (_, got) => panic!("snapshot byte {at} (section {:?}): {got:?}", in_section(at)),
+        }
+    }
+    assert_eq!((sections_hit, padding_hit), ([true; 3], true), "every region swept");
 }
 
 #[test]

@@ -54,6 +54,10 @@ const STEPS: usize = 64;
 /// Installs land on shards `0..SHARDS`; lookups also route to shard
 /// `SHARDS`, which is never loaded.
 const SHARDS: u32 = 3;
+/// Body bytes a `LoadSnapshot` frame's checksum covers: magic, version,
+/// opcode, shard and snapshot length (19), then the 168-byte `DPSF`
+/// header. The snapshot decode checks the bytes after them.
+const LOAD_SUMMED: usize = 19 + 168;
 /// No boot emits this many trace events, so a drain returns all of them.
 const TRACE_CAPACITY: usize = 1 << 14;
 /// The connection id of the client each boot connects first.
@@ -118,6 +122,9 @@ enum Req {
 ///   body bytes;
 /// - `FlippedChecksum`: a raw connection sends a `Query` frame with
 ///   checksum bit `bit` flipped, then the intact frame, and stays open;
+/// - `FlippedInTransit`: a raw connection sends a sealed `LoadSnapshot`
+///   of `gen` whose body byte `at` is XORed with `mask` after sealing,
+///   then a `QueryBatch` on the same shard, and stays open;
 /// - `CrashRestart`: a restart on a store whose first persist, installing
 ///   `gen` on `shard`, dies under crash plan `plan`.
 #[derive(Debug)]
@@ -127,6 +134,7 @@ enum Step {
     Trace,
     OversizedPrefix { len: u32 },
     FlippedChecksum { shard: u32, pattern: usize, bit: usize },
+    FlippedInTransit { shard: u32, gen: usize, at: usize, mask: u8 },
     Restart,
     CrashRestart { plan: usize, partial: usize, shard: u32, gen: usize },
 }
@@ -359,7 +367,8 @@ struct Daemon {
     handle: ServerHandle,
     manager: Arc<ShardManager>,
     client: Client,
-    /// Raw connections left open by [`Step::FlippedChecksum`].
+    /// Raw connections left open by [`Step::FlippedChecksum`] and
+    /// [`Step::FlippedInTransit`].
     raws: Vec<TcpStream>,
 }
 
@@ -424,7 +433,7 @@ impl Sim<'_> {
     fn pick(&mut self) -> Step {
         let (load_shard, gen) =
             (self.rng.gen_range(0..SHARDS), self.rng.gen_range(0..self.gens.len()));
-        match self.rng.gen_range(0..16u32) {
+        match self.rng.gen_range(0..17u32) {
             0..=8 => self.pick_requests(),
             9 => Step::Metrics,
             10 => Step::Trace,
@@ -437,6 +446,13 @@ impl Sim<'_> {
                 Step::FlippedChecksum { shard, pattern, bit: self.rng.gen_range(0..64) }
             }
             13 => Step::Restart,
+            14 => {
+                // Half the flips land in the checksummed prefix.
+                let body_len = 19 + self.gens[gen].bytes.len() + 8;
+                let end = if self.rng.gen() { LOAD_SUMMED } else { body_len };
+                let (at, mask) = (self.rng.gen_range(0..end), 1u8 << self.rng.gen_range(0..8u32));
+                Step::FlippedInTransit { shard: load_shard, gen, at, mask }
+            }
             _ if !self.model.store => self.pick_requests(),
             // After a crash, the next boot repairs the store.
             _ if self.model.dirty => Step::Restart,
@@ -602,6 +618,32 @@ impl Sim<'_> {
                 self.model.push(TraceKind::FrameError, conn, NO_SHARD, 0, bad.len(), u64::MAX);
                 raw.write_all(&frame).expect("intact frame written");
                 check(&read_frame(&mut raw), self.expect(conn, Req::Query { shard, pattern }));
+                self.daemon().raws.push(raw);
+            }
+            Step::FlippedInTransit { shard, gen, at, mask } => {
+                let (mut raw, conn) = self.raw_connect();
+                let mut bad = encode_request(&self.request(Req::Load { shard, gen }));
+                bad[4 + at] ^= mask;
+                raw.write_all(&bad).expect("damaged install written");
+                // The frame check refuses a flip in the envelope, the DPSF
+                // header or the checksum; the snapshot decode one in the
+                // sections or padding. Either way the prior epoch serves.
+                let body_len = bad.len() - 4;
+                if at < LOAD_SUMMED || at >= body_len - 8 {
+                    let needle = match at {
+                        0..=3 => "magic",
+                        4..=5 => "version",
+                        _ => "checksum mismatch",
+                    };
+                    check(&read_frame(&mut raw), Err(needle));
+                    self.model.push(TraceKind::FrameError, conn, NO_SHARD, 0, bad.len(), u64::MAX);
+                } else {
+                    let req = Req::Corrupt { shard, gen, at: at - 19, mask };
+                    check(&read_frame(&mut raw), self.expect(conn, req));
+                }
+                let req = Req::Batch { shard, first: 0, n: 16 };
+                raw.write_all(&encode_request(&self.request(req))).expect("batch written");
+                check(&read_frame(&mut raw), self.expect(conn, req));
                 self.daemon().raws.push(raw);
             }
             Step::Restart => {
