@@ -335,8 +335,9 @@ pub(crate) fn doubling_levels<R: Rng + ?Sized>(
 /// every suffix in `iv` starts with `q1`, so `pos + half` is a text
 /// position, and its rank lies in a row's interval only if the `half`
 /// symbols there spell that row, with no sentinel. A suffix that meets a
-/// sentinel within `2·half` symbols is a run of its own (sentinels are
-/// unique, so no LCP reaches past one) and resolves to no row.
+/// sentinel within `2·half` symbols is a run of its own (no LCP reaches
+/// past a sentinel) and resolves to no row. The walk reads one byte of LCP
+/// per rank ([`dpsc_strkit::LcpArray::get`]).
 fn occurring_pairs(
     idx: &CorpusIndex,
     iv: SaInterval,
@@ -346,14 +347,14 @@ fn occurring_pairs(
 ) {
     out.clear();
     let sa = idx.suffix_array().sa();
-    let lcp = idx.lcp().values();
+    let lcp = idx.lcp();
     let len = 2 * half;
     let hi = iv.hi as usize;
     let mut r = iv.lo as usize;
     let mut seen = 0;
     while r < hi {
         let mut end = r + 1;
-        while end < hi && lcp[end] as usize >= len {
+        while end < hi && lcp.get(end) >= len {
             end += 1;
         }
         if let Some(j) = rows.get(idx.rank_of(sa[r] as usize + half), &mut seen) {

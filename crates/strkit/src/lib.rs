@@ -6,7 +6,8 @@
 //!
 //! * [`SuffixArray`] — SA-IS linear-time suffix array construction over byte
 //!   or small-integer texts (the paper's suffix-tree substrate, §2.1).
-//! * [`LcpArray`] — Kasai's linear-time longest-common-prefix array.
+//! * [`LcpArray`] — Kasai's linear-time longest-common-prefix array, one
+//!   byte per rank with an exception table for values of 255 and more.
 //! * [`RollingHash`] — double polynomial rolling hash, kept only for
 //!   perfbench's `index.hash` replay: the library compares substrings by
 //!   suffix-array rank instead.

@@ -10,16 +10,20 @@
 //! Two text forms are supported:
 //! * plain byte texts ([`SuffixArray::from_bytes`]);
 //! * integer texts with alphabets larger than 256
-//!   ([`SuffixArray::from_ints`]) — needed for the generalized text with `n`
-//!   distinct sentinels `$_1 < … < $_n < Σ`.
+//!   ([`SuffixArray::from_ints`], or [`SuffixArray::from_int_vec`] over an
+//!   owned text) — needed for the generalized text with `n` distinct
+//!   sentinels `$_1 < … < $_n < Σ`.
 //!
 //! Construction runs on `u32` arrays, with `u32::MAX` marking an empty slot.
-//! Besides the shifted input copy and the output it allocates one type byte
-//! per position and the bucket arrays: the sorted LMS suffixes, their names
-//! and the reduced string of each recursion level all live in the output
-//! array, as in Nong's reference implementation. Only the suffix array is
-//! kept; the inverse permutation is computed on demand
-//! ([`SuffixArray::inverse`]).
+//! Its input is the text shifted up by one with a 0 sentinel appended:
+//! `from_bytes` and `from_ints` write it as a copy of the text, while
+//! `from_int_vec` consumes its text and shifts it in place. Besides the
+//! input and the output it allocates one type byte per position and the
+//! bucket arrays: the sorted LMS suffixes, their names and the reduced
+//! string of each recursion level all live in the output array, as in
+//! Nong's reference implementation. The input is freed before the
+//! constructor returns, and only the suffix array is kept; the inverse
+//! permutation is computed on demand ([`SuffixArray::inverse`]).
 
 /// Marks an unfilled slot of the suffix array under construction.
 const EMPTY: u32 = u32::MAX;
@@ -53,16 +57,28 @@ impl SuffixArray {
     /// Panics if any symbol is `>= sigma`, if `sigma >= u32::MAX`, or if the
     /// text plus its sentinel does not fit `u32` positions.
     pub fn from_ints(text: &[u32], sigma: usize) -> Self {
-        assert!(sigma < EMPTY as usize, "alphabet too large for u32 buckets");
-        assert!(
-            text.iter().all(|&c| (c as usize) < sigma),
-            "text symbol outside declared alphabet"
-        );
+        assert_in_alphabet(text, sigma);
         // Shift symbols by +1 so SA-IS can append a unique smallest
         // sentinel 0; its suffix is stripped from the result.
         let mut s = shifted_input(text.len());
         s.extend(text.iter().map(|&c| c + 1));
         Self::from_shifted(s, sigma + 1)
+    }
+
+    /// [`Self::from_ints`] over an owned text, which becomes SA-IS's input:
+    /// its symbols are shifted in place and it is freed before this
+    /// returns, so no second copy of the text is made. Give it room for one
+    /// more symbol (the appended sentinel), or appending it reallocates.
+    ///
+    /// # Panics
+    /// As [`Self::from_ints`].
+    pub fn from_int_vec(mut text: Vec<u32>, sigma: usize) -> Self {
+        assert_in_alphabet(&text, sigma);
+        assert!(text.len() + 1 < EMPTY as usize, "text too long for u32 indexing");
+        for c in &mut text {
+            *c += 1;
+        }
+        Self::from_shifted(text, sigma + 1)
     }
 
     /// Shared tail of the constructors: appends the sentinel to the shifted
@@ -115,6 +131,13 @@ impl SuffixArray {
     pub fn is_empty(&self) -> bool {
         self.sa.is_empty()
     }
+}
+
+/// Checks that every symbol of `text` lies in `[0, sigma)` and that the
+/// shifted alphabet fits SA-IS's `u32` buckets.
+fn assert_in_alphabet(text: &[u32], sigma: usize) {
+    assert!(sigma < EMPTY as usize, "alphabet too large for u32 buckets");
+    assert!(text.iter().all(|&c| (c as usize) < sigma), "text symbol outside declared alphabet");
 }
 
 /// An empty SA-IS input with room for `n` symbols and the sentinel.
@@ -430,6 +453,25 @@ mod tests {
             assert_eq!(by_bytes.sa(), by_ints.sa(), "trial {trial}, text={text:?}");
             assert_eq!(by_bytes.inverse(), by_ints.inverse(), "trial {trial}");
         }
+    }
+
+    /// The consuming constructor sorts as the borrowing one does, with and
+    /// without room for the sentinel.
+    #[test]
+    fn owned_and_borrowed_int_constructors_agree() {
+        let docs: [&[u8]; 4] = [b"abab", b"", b"ba", b"abba"];
+        let mut ints = Vec::new();
+        for (i, d) in docs.iter().enumerate() {
+            ints.extend(d.iter().map(|&b| u32::from(b - b'a') + 4));
+            ints.push(i as u32);
+        }
+        let want = SuffixArray::from_ints(&ints, 6);
+        check_ints(&ints, &want);
+        let mut roomy = Vec::with_capacity(ints.len() + 1);
+        roomy.extend_from_slice(&ints);
+        assert_eq!(SuffixArray::from_int_vec(roomy, 6).sa(), want.sa());
+        assert_eq!(SuffixArray::from_int_vec(ints.clone(), 6).sa(), want.sa());
+        assert!(SuffixArray::from_int_vec(Vec::new(), 1).is_empty());
     }
 
     #[test]

@@ -2,10 +2,13 @@
 //!
 //! Implements the paper's indexing substrate (proof of Lemma 7): the suffix
 //! structure of `S = S_1 $_1 S_2 $_2 … S_n $_n` where the `$_i` are `n`
-//! distinct sentinels outside `Σ`. We encode the concatenation over `u32`
-//! symbols — sentinel `i` maps to `i`, and byte `b` maps to `n + b` — so all
-//! sentinels are distinct, smaller than every letter, and SA-IS applies
-//! directly.
+//! distinct sentinels outside `Σ`. The index holds the concatenation with
+//! one shared separator code, 0, below every letter (letter `b` is
+//! `b − base + 1`), in one byte per symbol (two for an alphabet of all 256
+//! bytes). Only SA-IS needs the sentinels distinct: its `u32` input maps
+//! sentinel `i` to `i` and letters above them, and is scratch. A rank
+//! bitvector marks the separators, and no common prefix read from the
+//! index crosses one, so the suffix and LCP arrays are those of `S`.
 //!
 //! Every count the paper's mechanisms privatize reduces to a suffix-array
 //! interval over this text:
@@ -20,15 +23,18 @@
 //!   clip level. Both are depth-keyed counters ([`crate::doc_counter`]).
 //!
 //! The index exists only while a private synopsis is built, so it is kept
-//! lean: per text position it holds the text, the suffix array, the LCP
-//! array and the inverse suffix array (4 bytes each), the document counter
+//! lean: per text position it holds the text (1 byte), the suffix array
+//! and the inverse suffix array (4 bytes each), the LCP array (1 byte, plus
+//! an exception table that is empty for `ℓ < 255`), the document counter
 //! (about `⌈log₂(ℓ+2)⌉ · 1.25` bits) and a rank bitvector over the
 //! sentinels (1.25 bits) that maps a position to its document.
 //! [`CorpusIndex::build`] runs the steps in the order text → suffix array
-//! → LCP → document counter → inverse suffix array, so each step's scratch
-//! (the SA-IS buffers, Kasai's own inverse, the counter's depth keys) is
-//! freed before the next one allocates. DESIGN.md §10 ("Index diet") has
-//! the per-step byte counts.
+//! → inverse suffix array → LCP → document counter. SA-IS's input and type
+//! bytes are freed before the inverse is allocated, so it can take their
+//! place; Kasai reads that inverse instead of building its own, and the
+//! counter's one-byte depth keys are handed to the wavelet-matrix build
+//! as its scratch. The peak is the counter step. DESIGN.md §10 ("Index
+//! diet") has the per-step byte counts.
 //!
 //! The inverse suffix array names substrings exactly: the length-`d`
 //! substring at text position `p` is the one whose interval contains rank
@@ -39,17 +45,18 @@ use std::borrow::Cow;
 
 use dpsc_strkit::alphabet::{Alphabet, Database};
 use dpsc_strkit::lcp::LcpArray;
-use dpsc_strkit::search::{find_interval, SaInterval};
+use dpsc_strkit::search::SaInterval;
 use dpsc_strkit::suffix_array::SuffixArray;
 
 use crate::doc_counter::DocDistinctCounter;
 use crate::range_count::RankBits;
+use crate::Narrow;
 
 /// Immutable index over a [`Database`].
 #[derive(Debug, Clone)]
 pub struct CorpusIndex {
-    /// Concatenated text with per-document sentinels, in `u32` encoding.
-    text: Vec<u32>,
+    /// Concatenated text with one separator per document ([`Text`]).
+    text: Text,
     /// One bit per text position, set at the sentinels: the document owning
     /// a position (sentinels belong to their document) is the number of
     /// sentinels before it.
@@ -66,39 +73,98 @@ pub struct CorpusIndex {
     doc_counter: DocDistinctCounter,
 }
 
+/// The concatenated text `S_1 $ … S_n $`: letter `b` is held as
+/// `b − base + 1` and the separator `$` as 0, which sorts below every
+/// letter as the sentinels `$_i` do. One byte per symbol, or two for an
+/// alphabet of all 256 bytes, which leaves no code free for the separator.
+#[derive(Debug, Clone)]
+enum Text {
+    Bytes(Vec<u8>),
+    Wide(Vec<u16>),
+}
+
+/// The separator's code in [`Text`].
+const SEPARATOR: u32 = 0;
+
+impl Text {
+    fn len(&self) -> usize {
+        match self {
+            Text::Bytes(t) => t.len(),
+            Text::Wide(t) => t.len(),
+        }
+    }
+
+    fn heap_bytes(&self) -> usize {
+        match self {
+            Text::Bytes(t) => t.capacity(),
+            Text::Wide(t) => 2 * t.capacity(),
+        }
+    }
+
+    /// The code at `pos`.
+    fn code(&self, pos: usize) -> u32 {
+        match self {
+            Text::Bytes(t) => t[pos].into(),
+            Text::Wide(t) => t[pos].into(),
+        }
+    }
+}
+
 impl CorpusIndex {
     /// Builds the index in `O(N log ℓ)` time for `N = Σ|S_i| + n`: the
-    /// suffix array, LCP array and its inverse are linear, and the document
-    /// counter takes one pass with a binary search over at most `ℓ + 1`
-    /// stack entries per rank, then `⌈log₂(ℓ+2)⌉` linear matrix levels.
+    /// suffix array, its inverse and the LCP array are linear, and the
+    /// document counter takes one pass with a binary search over at most
+    /// `ℓ + 1` stack entries per rank, then `⌈log₂(ℓ+2)⌉` linear matrix
+    /// levels.
     pub fn build(db: &Database) -> Self {
+        if db.alphabet().size() < 256 {
+            Self::build_with(db, Text::Bytes)
+        } else {
+            Self::build_with(db, Text::Wide)
+        }
+    }
+
+    /// The build over a text of `T` symbols, which `wrap` stores. Text →
+    /// suffix array → inverse → LCP → document counter, each step's
+    /// scratch freed before the next allocates. SA-IS needs distinct
+    /// sentinels, so its `u32` input (sentinel `$_i` as `i`, letters above
+    /// them) is written once beside the text and consumed by the
+    /// construction.
+    fn build_with<T: Narrow>(db: &Database, wrap: fn(Vec<T>) -> Text) -> Self {
         let n_docs = db.n();
-        let total: usize = db.total_len() + n_docs;
+        let total = db.total_len() + n_docs;
+        let base = u32::from(db.alphabet().base());
         let mut text = Vec::with_capacity(total);
+        // One more slot for the sentinel SA-IS appends.
+        let mut ints = Vec::with_capacity(total + 1);
         let mut doc_start = Vec::with_capacity(n_docs);
         let mut sentinel_words = vec![0u64; total.div_ceil(64)];
         for (i, doc) in db.documents().iter().enumerate() {
             doc_start.push(text.len() as u32);
-            text.extend(doc.iter().map(|&b| n_docs as u32 + b as u32));
+            for &b in doc {
+                let code = u32::from(b) - base + 1;
+                text.push(T::narrow(code));
+                ints.push(n_docs as u32 + code - 1);
+            }
             sentinel_words[text.len() / 64] |= 1 << (text.len() % 64);
-            text.push(i as u32); // sentinel $_i
+            text.push(T::narrow(SEPARATOR));
+            ints.push(i as u32);
         }
         let sentinels = RankBits::new(&sentinel_words);
         drop(sentinel_words);
-        let sa = SuffixArray::from_ints(&text, n_docs + 256);
-        let lcp = LcpArray::build(&text, &sa);
+        let sa = SuffixArray::from_int_vec(ints, n_docs + db.alphabet().size());
+        let isa = sa.inverse();
+        let lcp = LcpArray::build_separated(&text, &sa, &isa, T::narrow(SEPARATOR));
         let doc_counter = DocDistinctCounter::from_lcp(
             sa.sa(),
-            lcp.values(),
+            &lcp,
             |pos| sentinels.rank1(pos),
             n_docs,
             db.max_len(),
             1,
         );
-        // Built last, so it is not live while the counter's scratch is.
-        let isa = sa.inverse();
         Self {
-            text,
+            text: wrap(text),
             sentinels,
             doc_start,
             sa,
@@ -114,7 +180,8 @@ impl CorpusIndex {
     /// Heap memory held by the index, in bytes: the capacities of all its
     /// components.
     pub fn heap_bytes(&self) -> usize {
-        4 * (self.text.capacity() + self.doc_start.capacity() + self.isa.capacity())
+        self.text.heap_bytes()
+            + 4 * (self.doc_start.capacity() + self.isa.capacity())
             + self.sentinels.heap_bytes()
             + self.sa.heap_bytes()
             + self.lcp.heap_bytes()
@@ -178,20 +245,34 @@ impl CorpusIndex {
         self.isa[pos]
     }
 
-    /// Encodes a pattern byte into the internal `u32` symbol space.
+    /// The text codes `[lo, hi)` that spell pattern byte `b`: the one
+    /// code `b − base + 1` for a letter. A byte outside the alphabet gets
+    /// an empty range where it sorts: above the separator and below every
+    /// letter for `b < base`, above every letter past the alphabet.
     #[inline]
-    fn encode(&self, b: u8) -> u32 {
-        self.n_docs as u32 + b as u32
+    fn codes_of(&self, b: u8) -> (u32, u32) {
+        match u32::from(b).checked_sub(self.alphabet.base().into()) {
+            Some(c) => (c + 1, c + 2),
+            None => (SEPARATOR + 1, SEPARATOR + 1),
+        }
     }
 
     /// Suffix-array interval of `pattern` (as raw bytes over `Σ`).
     ///
-    /// `O(|P| log N)`. Patterns never contain sentinels, so an interval
-    /// position always corresponds to an occurrence fully inside one
-    /// document.
+    /// `O(|P| log N)`: one [`CorpusIndex::extend_interval`] per pattern
+    /// byte. Patterns never contain sentinels, so an interval position
+    /// always corresponds to an occurrence fully inside one document. An
+    /// absent pattern gets the empty interval at the rank where it would
+    /// start.
     pub fn interval(&self, pattern: &[u8]) -> SaInterval {
-        let encoded: Vec<u32> = pattern.iter().map(|&b| self.encode(b)).collect();
-        find_interval(&encoded, &self.text, &self.sa)
+        let mut iv = self.full_interval();
+        for (depth, &b) in pattern.iter().enumerate() {
+            if iv.is_empty() {
+                break;
+            }
+            iv = self.extend_interval(iv, depth, b, iv.lo);
+        }
+        iv
     }
 
     /// Narrows a suffix-array interval by one more pattern symbol: given
@@ -218,16 +299,11 @@ impl CorpusIndex {
             return SaInterval::EMPTY;
         }
         debug_assert!(iv.lo <= from && from <= iv.hi, "start {from} outside {iv:?}");
-        let c = self.encode(b);
-        let sa = self.sa.sa();
-        let text = &self.text[..];
-        // Symbol of rank r at offset `depth`. Every suffix of a non-empty
-        // interval of a sentinel-free `P` reaches offset `depth` (the text
-        // ends with a sentinel); a shorter one would count as minimal.
-        let sym = |r: u32| text.get(sa[r as usize] as usize + depth).copied().unwrap_or(0);
-        let lo = gallop(from, iv.hi, |r| sym(r) < c);
-        let hi = gallop(lo, iv.hi, |r| sym(r) <= c);
-        SaInterval { lo, hi }
+        let codes = self.codes_of(b);
+        match &self.text {
+            Text::Bytes(t) => extend_over(t, self.sa.sa(), iv, depth, codes, from),
+            Text::Wide(t) => extend_over(t, self.sa.sa(), iv, depth, codes, from),
+        }
     }
 
     /// The full interval `[0, N)` (every suffix matches the empty pattern).
@@ -278,7 +354,7 @@ impl CorpusIndex {
         } else {
             Some(Cow::Owned(DocDistinctCounter::from_lcp(
                 self.sa.sa(),
-                self.lcp.values(),
+                &self.lcp,
                 |pos| self.sentinels.rank1(pos),
                 self.n_docs,
                 self.max_len,
@@ -310,7 +386,7 @@ impl CorpusIndex {
     #[inline]
     fn debug_check_depth(&self, iv: SaInterval, depth: usize) {
         debug_assert!(
-            iv.is_empty() || (self.lcp.values()[iv.lo as usize] as usize) < depth,
+            iv.is_empty() || self.lcp.get(iv.lo as usize) < depth,
             "depth {depth} is not the pattern length of interval {iv:?}"
         );
     }
@@ -366,14 +442,37 @@ impl CorpusIndex {
     /// # Panics
     /// Panics if the range crosses a sentinel.
     pub fn decode_substring(&self, pos: usize, len: usize) -> Vec<u8> {
-        self.text[pos..pos + len]
-            .iter()
-            .map(|&c| {
-                assert!(c >= self.n_docs as u32, "range crosses a sentinel");
-                (c - self.n_docs as u32) as u8
+        assert!(pos + len <= self.text.len(), "range out of bounds");
+        let base = u32::from(self.alphabet.base());
+        (pos..pos + len)
+            .map(|p| {
+                let c = self.text.code(p);
+                assert!(c != SEPARATOR, "range crosses a sentinel");
+                (base + c - 1) as u8
             })
             .collect()
     }
+}
+
+/// [`CorpusIndex::extend_interval`] over the text's symbols: the ranks of
+/// `iv` from `from` on whose suffix has a code in `[lo_code, hi_code)` at
+/// offset `depth`.
+#[inline]
+fn extend_over<T: Narrow>(
+    text: &[T],
+    sa: &[u32],
+    iv: SaInterval,
+    depth: usize,
+    (lo_code, hi_code): (u32, u32),
+    from: u32,
+) -> SaInterval {
+    // Code of rank r at offset `depth`. Every suffix of a non-empty
+    // interval of a sentinel-free `P` reaches offset `depth` (the text ends
+    // with a separator); a shorter one would count as minimal.
+    let code = |r: u32| text.get(sa[r as usize] as usize + depth).map_or(SEPARATOR, |&c| c.into());
+    let lo = gallop(from, iv.hi, |r| code(r) < lo_code);
+    let hi = gallop(lo, iv.hi, |r| code(r) < hi_code);
+    SaInterval { lo, hi }
 }
 
 /// First `r ∈ [start, end)` where `pred` flips from true to false (`end`

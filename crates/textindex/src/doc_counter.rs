@@ -21,10 +21,12 @@
 //! precede it inside the interval, so each document contributes its first
 //! `Δ` occurrences.
 
+use dpsc_strkit::lcp::LcpArray;
 use dpsc_strkit::search::SaInterval;
 use dpsc_strkit::suffix_array::SuffixArray;
 
 use crate::range_count::WaveletMatrix;
+use crate::Narrow;
 
 /// Depth-keyed `count_Δ` counter over the suffix array's rank sequence.
 #[derive(Debug, Clone)]
@@ -39,76 +41,28 @@ const NO_RANK: u32 = u32::MAX;
 impl DocDistinctCounter {
     /// Builds the `count_Δ` counter in one pass over the suffix and LCP
     /// arrays. `doc_of` maps a text position to its document (`< n_docs`);
-    /// `max_len` is the declared document length bound `ℓ`.
-    ///
-    /// The pass keeps the suffix minima of `lcp[..=r]` on a stack, their
-    /// values clipped at `ℓ` and strictly increasing, so at most `ℓ + 1`
-    /// entries; the minimum over `(p, r]` is the first entry past `p`. Each
-    /// document with at least `Δ` ranks keeps a ring of its last `Δ` ranks;
-    /// a shorter one has no `Δ`-th previous rank, so all its keys are 0 and
-    /// the rings hold at most `N` ranks in all.
+    /// `max_len` is the declared document length bound `ℓ`. The keys are
+    /// at most `ℓ + 1`, so they are collected at the narrowest width that
+    /// holds that (one byte for `ℓ < 255`) and handed to the matrix build
+    /// as its scratch.
     pub(crate) fn from_lcp(
         sa: &[u32],
-        lcp: &[u32],
+        lcp: &LcpArray,
         doc_of: impl Fn(usize) -> usize,
         n_docs: usize,
         max_len: usize,
         delta: usize,
     ) -> Self {
-        assert!(delta >= 1, "Δ must be at least 1");
-        assert_eq!(sa.len(), lcp.len(), "suffix/LCP array length mismatch");
-        assert!(sa.len() < NO_RANK as usize, "ranks must fit below the ring marker");
         let clip =
             u32::try_from(max_len).ok().filter(|&l| l < u32::MAX).expect("ℓ + 1 fits in u32");
-        let mut stack: Vec<(u32, u32)> = Vec::with_capacity(max_len + 1);
-        // Document d's ring starts at ring_at[d] (d itself for Δ = 1).
-        let mut ring_at = Vec::new();
-        let mut ring_len = n_docs;
-        if delta > 1 {
-            let mut ranks = vec![0usize; n_docs];
-            for pos in 0..sa.len() {
-                ranks[doc_of(pos)] += 1;
-            }
-            ring_len = 0;
-            ring_at = (ranks.iter())
-                .map(|&k| {
-                    if k < delta {
-                        return NO_RANK;
-                    }
-                    ring_len += delta;
-                    (ring_len - delta) as u32
-                })
-                .collect();
-        }
-        let mut ring = vec![NO_RANK; ring_len];
-        let mut cursor = vec![0u32; ring_at.len()];
-        let mut values = Vec::with_capacity(sa.len());
-        for (r, (&pos, &l)) in sa.iter().zip(lcp).enumerate() {
-            let l = l.min(clip);
-            while stack.last().is_some_and(|&(_, top)| top >= l) {
-                stack.pop();
-            }
-            stack.push((r as u32, l));
-            let d = doc_of(pos as usize);
-            let slot = if delta == 1 {
-                d
-            } else if ring_at[d] == NO_RANK {
-                values.push(0);
-                continue;
-            } else {
-                let c = &mut cursor[d];
-                let slot = ring_at[d] as usize + *c as usize;
-                *c = if *c as usize + 1 == delta { 0 } else { *c + 1 };
-                slot
-            };
-            let p = std::mem::replace(&mut ring[slot], r as u32);
-            values.push(if p == NO_RANK {
-                0
-            } else {
-                1 + stack[stack.partition_point(|&(q, _)| q <= p)].1
-            });
-        }
-        Self { matrix: WaveletMatrix::from_vec(values, clip + 1) }
+        let matrix = if clip < u8::MAX.into() {
+            keyed::<u8>(sa, lcp, doc_of, n_docs, clip, delta)
+        } else if clip < u16::MAX.into() {
+            keyed::<u16>(sa, lcp, doc_of, n_docs, clip, delta)
+        } else {
+            keyed::<u32>(sa, lcp, doc_of, n_docs, clip, delta)
+        };
+        Self { matrix }
     }
 
     /// `count_Δ` of the length-`depth` pattern whose suffix-array interval
@@ -149,12 +103,83 @@ impl DocDistinctCounter {
     }
 }
 
+/// The counter's matrix over keys of width `K`, which holds `clip + 1`.
+///
+/// The pass keeps the suffix minima of `lcp[..=r]` on a stack, their
+/// values clipped at `clip = ℓ` and strictly increasing, so at most
+/// `ℓ + 1` entries; the minimum over `(p, r]` is the first entry past `p`.
+/// Each document with at least `Δ` ranks keeps a ring of its last `Δ`
+/// ranks; a shorter one has no `Δ`-th previous rank, so all its keys are 0
+/// and the rings hold at most `N` ranks in all.
+fn keyed<K: Narrow>(
+    sa: &[u32],
+    lcp: &LcpArray,
+    doc_of: impl Fn(usize) -> usize,
+    n_docs: usize,
+    clip: u32,
+    delta: usize,
+) -> WaveletMatrix {
+    assert!(delta >= 1, "Δ must be at least 1");
+    assert_eq!(sa.len(), lcp.len(), "suffix/LCP array length mismatch");
+    assert!(sa.len() < NO_RANK as usize, "ranks must fit below the ring marker");
+    assert!(clip < K::MAX, "keys up to ℓ + 1 fit the key width");
+    let mut stack: Vec<(u32, u32)> = Vec::with_capacity(clip as usize + 1);
+    // Document d's ring starts at ring_at[d] (d itself for Δ = 1).
+    let mut ring_at = Vec::new();
+    let mut ring_len = n_docs;
+    if delta > 1 {
+        let mut ranks = vec![0usize; n_docs];
+        for pos in 0..sa.len() {
+            ranks[doc_of(pos)] += 1;
+        }
+        ring_len = 0;
+        ring_at = (ranks.iter())
+            .map(|&k| {
+                if k < delta {
+                    return NO_RANK;
+                }
+                ring_len += delta;
+                (ring_len - delta) as u32
+            })
+            .collect();
+    }
+    let mut ring = vec![NO_RANK; ring_len];
+    let mut cursor = vec![0u32; ring_at.len()];
+    let mut values: Vec<K> = Vec::with_capacity(sa.len());
+    for (r, &pos) in sa.iter().enumerate() {
+        let l = (lcp.get(r) as u32).min(clip);
+        while stack.last().is_some_and(|&(_, top)| top >= l) {
+            stack.pop();
+        }
+        stack.push((r as u32, l));
+        let d = doc_of(pos as usize);
+        let slot = if delta == 1 {
+            d
+        } else if ring_at[d] == NO_RANK {
+            values.push(K::narrow(0));
+            continue;
+        } else {
+            let c = &mut cursor[d];
+            let slot = ring_at[d] as usize + *c as usize;
+            *c = if *c as usize + 1 == delta { 0 } else { *c + 1 };
+            slot
+        };
+        let p = std::mem::replace(&mut ring[slot], r as u32);
+        values.push(K::narrow(if p == NO_RANK {
+            0
+        } else {
+            1 + stack[stack.partition_point(|&(q, _)| q <= p)].1
+        }));
+    }
+    drop((stack, ring, cursor, ring_at));
+    WaveletMatrix::from_vec(values, clip + 1)
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::CorpusIndex;
     use dpsc_strkit::alphabet::Database;
-    use dpsc_strkit::lcp::LcpArray;
     use dpsc_strkit::search::find_interval;
     use dpsc_workloads::markov_corpus;
     use rand::rngs::StdRng;
@@ -187,7 +212,7 @@ mod tests {
             let doc_of = |pos: usize| self.doc_of[pos] as usize;
             DocDistinctCounter::from_lcp(
                 self.sa.sa(),
-                self.lcp.values(),
+                &self.lcp,
                 doc_of,
                 self.n_docs,
                 max_len,
@@ -203,7 +228,7 @@ mod tests {
         /// The depth-`d` groups: maximal runs of ranks with `d` symbols
         /// left in their document and adjacent LCPs of at least `d`.
         fn depth_groups(&self, d: usize) -> Vec<SaInterval> {
-            let (sa, lcp) = (self.sa.sa(), self.lcp.values());
+            let (sa, lcp) = (self.sa.sa(), &self.lcp);
             let mut out = Vec::new();
             let mut r = 0;
             while r < sa.len() {
@@ -212,7 +237,7 @@ mod tests {
                     continue;
                 }
                 let mut end = r + 1;
-                while end < sa.len() && lcp[end] as usize >= d {
+                while end < sa.len() && lcp.get(end) >= d {
                     end += 1;
                 }
                 out.push(SaInterval { lo: r as u32, hi: end as u32 });
@@ -297,7 +322,7 @@ mod tests {
     fn index_counter(idx: &CorpusIndex, delta: usize) -> DocDistinctCounter {
         DocDistinctCounter::from_lcp(
             idx.suffix_array().sa(),
-            idx.lcp().values(),
+            idx.lcp(),
             |pos| idx.doc_of(pos),
             idx.n_docs(),
             idx.max_len(),

@@ -28,3 +28,27 @@ pub use corpus::{ClippedCounter, CorpusIndex};
 pub use doc_counter::DocDistinctCounter;
 pub use qgrams::{depth_groups, DepthGroup};
 pub use range_count::WaveletMatrix;
+
+/// The unsigned widths the index keeps small values in: the corpus text's
+/// symbols and the document counter's depth keys. Each is chosen once per
+/// build as the narrowest that holds the largest value.
+pub(crate) trait Narrow: Copy + Eq + Into<u32> {
+    /// The largest value of the width.
+    const MAX: u32;
+    /// `v`, which the caller has checked is at most [`Self::MAX`].
+    fn narrow(v: u32) -> Self;
+}
+
+macro_rules! narrow {
+    ($($t:ty),*) => {$(
+        impl Narrow for $t {
+            const MAX: u32 = <$t>::MAX as u32;
+            #[inline]
+            fn narrow(v: u32) -> Self {
+                debug_assert!(v <= <Self as Narrow>::MAX);
+                v as $t
+            }
+        }
+    )*};
+}
+narrow!(u8, u16, u32);

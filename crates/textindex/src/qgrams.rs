@@ -37,7 +37,7 @@ impl DepthGroup {
 pub fn depth_groups(idx: &CorpusIndex, d: usize) -> Vec<DepthGroup> {
     assert!(d >= 1, "depth must be at least 1");
     let sa = idx.suffix_array().sa();
-    let lcp = idx.lcp().values();
+    let lcp = idx.lcp();
     let n = sa.len();
     let mut out = Vec::new();
     let mut run_start: Option<usize> = None;
@@ -46,7 +46,7 @@ pub fn depth_groups(idx: &CorpusIndex, d: usize) -> Vec<DepthGroup> {
         let valid = idx.remaining_in_doc(pos) >= d;
         if !valid {
             debug_assert!(
-                run_start.is_none() || (lcp[r] as usize) < d,
+                run_start.is_none() || lcp.get(r) < d,
                 "invalid rank inside a depth-{d} run"
             );
             if let Some(start) = run_start.take() {
@@ -58,7 +58,7 @@ pub fn depth_groups(idx: &CorpusIndex, d: usize) -> Vec<DepthGroup> {
             continue;
         }
         match run_start {
-            Some(start) if (lcp[r] as usize) >= d => {
+            Some(start) if lcp.get(r) >= d => {
                 // Same d-prefix; extend the run.
                 let _ = start;
             }

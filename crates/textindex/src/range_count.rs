@@ -8,6 +8,8 @@
 //! [`crate::doc_counter`], whose values are depths of at most `ℓ + 1`, so
 //! `b = ⌈log₂(ℓ+2)⌉`.
 
+use crate::Narrow;
+
 /// Bit vector with a rank9 directory (Vigna, "Broadword implementation of
 /// rank/select queries", WEA 2008), interleaved with the bits: each 512-bit
 /// block carries the count of ones before it and seven 9-bit counts of the
@@ -89,13 +91,14 @@ impl WaveletMatrix {
 
     /// The matrix over an owned buffer of values at most `max`, with
     /// `⌈log₂(max + 1)⌉` levels. The buffer becomes the first level's
-    /// scratch: the build then allocates one more `u32` per value besides
-    /// the levels themselves.
-    pub(crate) fn from_vec(mut cur: Vec<u32>, max: u32) -> Self {
+    /// scratch: the build then allocates one more value of the buffer's
+    /// width per value besides the levels themselves, so a caller whose
+    /// values fit a byte passes bytes.
+    pub(crate) fn from_vec<K: Narrow>(mut cur: Vec<K>, max: u32) -> Self {
         let n = cur.len();
-        debug_assert!(cur.iter().all(|&v| v <= max), "a value exceeds the declared maximum");
+        debug_assert!(cur.iter().all(|&v| v.into() <= max), "a value exceeds the declared maximum");
         let bits = u32::BITS - max.leading_zeros();
-        let mut next = vec![0u32; n];
+        let mut next = vec![K::narrow(0); n];
         let mut levels = Vec::with_capacity(bits as usize);
         let mut zeros = Vec::with_capacity(bits as usize);
         for level in 0..bits {
@@ -103,7 +106,7 @@ impl WaveletMatrix {
             let mut words = vec![0u64; n.div_ceil(64)];
             for (word, chunk) in words.iter_mut().zip(cur.chunks(64)) {
                 for (k, &v) in chunk.iter().enumerate() {
-                    *word |= u64::from((v >> shift) & 1) << k;
+                    *word |= u64::from((v.into() >> shift) & 1) << k;
                 }
             }
             let z = n - words.iter().map(|w| w.count_ones() as usize).sum::<usize>();
@@ -113,7 +116,7 @@ impl WaveletMatrix {
             if shift > 0 {
                 let (mut zero_at, mut one_at) = (0usize, z);
                 for &v in &cur {
-                    let bit = ((v >> shift) & 1) as usize;
+                    let bit = ((v.into() >> shift) & 1) as usize;
                     next[if bit == 0 { zero_at } else { one_at }] = v;
                     zero_at += 1 - bit;
                     one_at += bit;

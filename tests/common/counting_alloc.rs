@@ -7,12 +7,15 @@
 //! the number of allocation calls. For a fixed input each figure is exact
 //! and repeats from run to run, so a gate built on them needs no headroom
 //! for host load. A binary that gates on these counters holds a single
-//! test, so no other test allocates while it measures.
+//! test, so no other test allocates while it measures. The one per-thread
+//! figure, [`thread_net`], is left alone by other threads, so a binary of
+//! several tests can check single-threaded work with it.
 
 // Each binary reads a subset of the counters.
 #![allow(dead_code)]
 
 use std::alloc::{GlobalAlloc, Layout, System};
+use std::cell::Cell;
 use std::sync::atomic::{AtomicUsize, Ordering};
 
 struct Counting;
@@ -20,6 +23,25 @@ struct Counting;
 static LIVE: AtomicUsize = AtomicUsize::new(0);
 static PEAK: AtomicUsize = AtomicUsize::new(0);
 static ALLOCS: AtomicUsize = AtomicUsize::new(0);
+
+thread_local! {
+    /// Bytes this thread allocated less the bytes it freed. A const
+    /// initializer with no destructor, so reading it never allocates.
+    static THREAD_NET: Cell<isize> = const { Cell::new(0) };
+}
+
+/// Bytes the calling thread has allocated less those it has freed. Over a
+/// span of work that frees only what it allocated itself, the change is
+/// the heap it still holds.
+pub fn thread_net() -> isize {
+    THREAD_NET.with(Cell::get)
+}
+
+/// Adds `delta` to the calling thread's net bytes, unless the thread is
+/// past tearing down its locals.
+fn thread_add(delta: isize) {
+    let _ = THREAD_NET.try_with(|net| net.set(net.get() + delta));
+}
 
 /// Live heap bytes of the process.
 pub fn live() -> usize {
@@ -44,6 +66,7 @@ pub fn allocs() -> usize {
 
 /// Counts `size` new live bytes and raises the high-water mark.
 fn grow(size: usize) {
+    thread_add(size as isize);
     ALLOCS.fetch_add(1, Ordering::Relaxed);
     let live = LIVE.fetch_add(size, Ordering::Relaxed) + size;
     PEAK.fetch_max(live, Ordering::Relaxed);
@@ -73,6 +96,7 @@ unsafe impl GlobalAlloc for Counting {
 
     unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
         System.dealloc(ptr, layout);
+        thread_add(-(layout.size() as isize));
         LIVE.fetch_sub(layout.size(), Ordering::Relaxed);
     }
 
@@ -82,6 +106,7 @@ unsafe impl GlobalAlloc for Counting {
         let new = System.realloc(ptr, layout, new_size);
         if !new.is_null() {
             grow(new_size);
+            thread_add(-(layout.size() as isize));
             LIVE.fetch_sub(layout.size(), Ordering::Relaxed);
         }
         new

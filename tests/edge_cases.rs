@@ -1,11 +1,16 @@
 //! Edge-case sweep for the exact substrate and the private structures:
 //! empty patterns, patterns longer than any document, unary-alphabet
-//! corpora, and single-document corpora — through `SuffixArray::from_ints`,
-//! `CorpusIndex`, and `PrivateCountStructure::query`/`mine`. These paths
-//! had no dedicated coverage before.
+//! corpora, single-document corpora, and the index's text layouts at their
+//! edges (all 256 bytes, a base-0 alphabet, common prefixes of 255 symbols
+//! and more) — through `SuffixArray::from_ints`, `CorpusIndex`, and
+//! `PrivateCountStructure::query`/`mine`.
+
+#[path = "common/counting_alloc.rs"]
+mod counting_alloc;
 
 use dp_substring_counting::prelude::*;
 use dp_substring_counting::strkit::suffix_array::SuffixArray;
+use dp_substring_counting::strkit::{naive_contains, naive_count};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 
@@ -151,4 +156,87 @@ fn generalized_sa_more_edge_shapes() {
     let sa = SuffixArray::from_ints(&[], 4);
     assert!(sa.is_empty());
     assert_eq!(sa.len(), 0);
+}
+
+/// Builds the index over `docs` on this thread, checks `heap_bytes()`
+/// against the bytes the build left allocated, and checks every count of
+/// `patterns` against brute force.
+fn check_index(alphabet: Alphabet, docs: &[Vec<u8>], patterns: &[Vec<u8>]) -> CorpusIndex {
+    let db = Database::from_documents(alphabet, docs.to_vec()).expect("valid database");
+    let before = counting_alloc::thread_net();
+    let idx = CorpusIndex::build(&db);
+    let held = counting_alloc::thread_net() - before;
+    assert_eq!(idx.heap_bytes() as isize, held, "heap_bytes() against the allocator");
+    for p in patterns {
+        let want: usize = docs.iter().map(|d| naive_count(p, d)).sum();
+        assert_eq!(idx.count(p), want, "count of {p:?}");
+        assert_eq!(idx.interval(p).count(), want, "interval of {p:?}");
+        let want_docs = docs.iter().filter(|d| naive_contains(p, d)).count();
+        assert_eq!(idx.document_count(p), want_docs, "document count of {p:?}");
+        for delta in [2, 7, db.max_len()] {
+            let want: u64 = docs.iter().map(|d| naive_count(p, d).min(delta) as u64).sum();
+            assert_eq!(idx.count_clipped(p, delta), want, "count_{delta} of {p:?}");
+        }
+    }
+    for (d, doc) in docs.iter().enumerate() {
+        let start: usize = docs[..d].iter().map(|x| x.len() + 1).sum();
+        assert_eq!(idx.decode_substring(start, doc.len()), *doc);
+    }
+    idx
+}
+
+/// The largest LCP value of the index: 255 or more only through the LCP
+/// array's exception table.
+fn max_lcp(idx: &CorpusIndex) -> usize {
+    (0..idx.text_len()).map(|r| idx.lcp().get(r)).max().unwrap_or(0)
+}
+
+/// Documents over `letters` longer than 255 symbols, two of them sharing a
+/// 300-symbol run, so common prefixes reach past one byte.
+fn long_documents(letters: &[u8]) -> Vec<Vec<u8>> {
+    let run = vec![letters[1]; 300];
+    let mut spread: Vec<u8> = (0..400).map(|k| letters[(k * k + k / 7) % letters.len()]).collect();
+    spread.extend_from_slice(&run[..260]);
+    vec![run.clone(), [&letters[..1], run.as_slice()].concat(), spread, letters.to_vec()]
+}
+
+/// Patterns at the ends of the letters, across the long run, and absent.
+fn edge_patterns(letters: &[u8], absent: &[u8]) -> Vec<Vec<u8>> {
+    let (first, last) = (letters[0], letters[letters.len() - 1]);
+    let mut pats = vec![
+        vec![first],
+        vec![last],
+        vec![first, letters[1]],
+        vec![letters[1]; 255],
+        vec![letters[1]; 256],
+        vec![letters[1]; 300],
+        vec![letters[1]; 301],
+        letters.to_vec(),
+    ];
+    pats.extend(absent.iter().map(|&b| vec![first, b]));
+    pats
+}
+
+/// All 256 byte values: the text takes two bytes per symbol, since no byte
+/// is left for the separator, and the long run escapes LCP values.
+#[test]
+fn full_byte_alphabet_index_with_long_common_prefixes() {
+    let letters = [0u8, 1, 2, 127, 128, 254, 255];
+    let docs = long_documents(&letters);
+    let idx = check_index(Alphabet::new(0, 256), &docs, &edge_patterns(&letters, &[3, 200]));
+    assert!(max_lcp(&idx) >= 300, "the shared run is a common prefix");
+    let every_byte: Vec<u8> = (0..=255).collect();
+    check_index(Alphabet::new(0, 256), &[every_byte.clone(), every_byte], &[vec![0], vec![255]]);
+}
+
+/// A base-0 alphabet short of 256 bytes keeps the one-byte text, with
+/// letter 0 coded 1 above the separator; bytes past the alphabet are
+/// absent.
+#[test]
+fn base_zero_alphabet_index_with_long_common_prefixes() {
+    let letters = [0u8, 1, 5, 98, 99];
+    let docs = long_documents(&letters);
+    let idx = check_index(Alphabet::new(0, 100), &docs, &edge_patterns(&letters, &[100, 255]));
+    assert!(max_lcp(&idx) >= 300, "the shared run is a common prefix");
+    assert!(idx.lcp().heap_bytes() > idx.text_len(), "values past 254 are escaped");
 }

@@ -15,15 +15,16 @@ use dp_substring_counting::workloads::markov_corpus;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 
-/// Peak live heap during the build, in bytes per text position: 21.50
-/// measured on this corpus (the peak is the document counter step, while
-/// its depth keys are live beside the text, suffix array and LCP array;
-/// the inverse suffix array is built after they are freed), bound with
-/// 14.5% headroom.
-const PEAK_BYTES_PER_POSITION: f64 = 24.6;
-/// Heap held by the finished index, in bytes per text position: 17.31
-/// measured, bound with 3.5% headroom.
-const HELD_BYTES_PER_POSITION: f64 = 17.9;
+/// Peak live heap during the build, in bytes per text position: 13.44
+/// measured on this corpus, bound with 14.5% headroom. The peak is the
+/// document counter step: its one-byte depth keys and the wavelet-matrix
+/// scratch and levels are live beside the byte text, the suffix array,
+/// the inverse suffix array and the one-byte LCP array. SA-IS's `u32`
+/// input and type bytes are freed before the inverse is built.
+const PEAK_BYTES_PER_POSITION: f64 = 15.4;
+/// Heap held by the finished index, in bytes per text position: 11.31
+/// measured, bound at 11.5 (1.7% headroom; the figure is exact).
+const HELD_BYTES_PER_POSITION: f64 = 11.5;
 
 #[test]
 fn corpus_index_build_stays_within_its_byte_budget() {
