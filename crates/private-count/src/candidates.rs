@@ -122,36 +122,38 @@ pub struct CandidateSet {
     pub level_sizes: Vec<usize>,
 }
 
-/// Strings stored end to end in one byte arena, with the end offset of
-/// each: Step 1's output, which Step 2 sorts as slices of the arena and
-/// then frees. One arena instead of one heap block per string keeps the
-/// sort's comparisons in one allocation.
+/// Strings stored end to end in one byte arena, with the length of each:
+/// Step 1's output, which Step 2 sorts as slices of the arena and then
+/// frees. One arena instead of one heap block per string keeps the sort's
+/// comparisons in one allocation. A candidate is at most `ℓ` long, and the
+/// index holds `ℓ < N < 2³²`, so its length fits `u32` even where an
+/// offset into the arena would not.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct CandidateStrings {
     bytes: Vec<u8>,
-    /// String `i` is `bytes[ends[i - 1]..ends[i]]` (from 0 for `i = 0`).
-    ends: Vec<usize>,
+    /// String `i` is the `lens[i]` bytes after strings `0..i`.
+    lens: Vec<u32>,
 }
 
 impl CandidateStrings {
     /// Number of strings.
     #[inline]
     pub fn len(&self) -> usize {
-        self.ends.len()
+        self.lens.len()
     }
 
     /// Whether there are no strings.
     #[inline]
     pub fn is_empty(&self) -> bool {
-        self.ends.is_empty()
+        self.lens.is_empty()
     }
 
     /// The strings in the order they were pushed.
     pub fn iter(&self) -> impl ExactSizeIterator<Item = &[u8]> + '_ {
-        let mut start = 0;
-        self.ends.iter().map(move |&end| {
-            let s = &self.bytes[start..end];
-            start = end;
+        let mut rest = &self.bytes[..];
+        self.lens.iter().map(move |&len| {
+            let (s, tail) = rest.split_at(len as usize);
+            rest = tail;
             s
         })
     }
@@ -163,9 +165,10 @@ impl CandidateStrings {
 
     /// Appends the concatenation `a · b`.
     fn push_concat(&mut self, a: &[u8], b: &[u8]) {
+        let len = u32::try_from(a.len() + b.len()).expect("a candidate is shorter than the text");
         self.bytes.extend_from_slice(a);
         self.bytes.extend_from_slice(b);
-        self.ends.push(self.bytes.len());
+        self.lens.push(len);
     }
 }
 
